@@ -32,8 +32,9 @@
 // -router N runs the dataset as N supervised shard child processes instead
 // of in-process shards: each child is this same binary re-exec'd (it
 // detects child mode via the environment before flag parsing), rebuilding
-// its partition deterministically and serving raw partial histograms that
-// the parent gathers and merges. Children are health-checked, restarted
+// its partition deterministically and serving raw partial histograms — as
+// binary frames over one persistent connection per child — that the parent
+// gathers and merges. Children are health-checked, restarted
 // with capped jittered backoff, and parked dark after crash-looping;
 // /readyz reports the per-shard breakdown. -routerreplicas 2 adds a warm
 // replica per shard for hedged gathers. With -snapshotdir, each child
@@ -231,13 +232,15 @@ func run(addr, ds string, rows int, profile string, workers, queue int, constrai
 		return err
 	}
 
+	// The handler goes in before the listener comes up: a stop sent the
+	// moment /readyz first answers must drain, not kill by default action.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "idevald: serving %s (%s profile) on %s\n", ds, prof.Name, addr)
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

@@ -21,7 +21,7 @@ type ChaosReport struct {
 
 // RunChaos executes a deterministic process-fault schedule against the
 // fleet's real children: SIGKILL for crashes, SIGSTOP+SIGCONT for freezes,
-// and child-side listener blackholes for network partitions. Events target
+// and child-side data-plane blackholes for network partitions. Events target
 // each shard's replica 0 — the slot most sessions' affinity hashes onto —
 // so the schedule exercises failover, not just spare capacity. Blocks until
 // the schedule is drained or ctx is cancelled; every SIGSTOP is paired with
@@ -84,10 +84,10 @@ func (f *Fleet) RunChaos(ctx context.Context, events []fault.ProcEvent) ChaosRep
 	return rep
 }
 
-// blackhole asks the child itself to stop answering for the window: every
-// endpoint except the chaos control hangs, so from the router the replica
-// looks partitioned — probes time out, gather legs hedge away — while the
-// process stays healthy underneath.
+// blackhole asks the child itself to stop answering data frames for the
+// window, so from the router the replica looks partitioned — gather legs
+// hedge away or run into their deadline — while the process stays healthy
+// underneath and keeps answering its supervisor's probes.
 func (f *Fleet) blackhole(ctx context.Context, rep *replica, window time.Duration) error {
 	url := fmt.Sprintf("http://%s/chaosctl?blackhole_ms=%d", rep.addr, window.Milliseconds())
 	cctx, cancel := context.WithTimeout(ctx, f.cfg.HealthTimeout)

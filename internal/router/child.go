@@ -14,7 +14,9 @@
 // Children are stateless: each one deterministically rebuilds the full
 // dataset from (dataset, seed, rows), partitions it exactly as
 // shard.Partition does, keeps only its own partition, and serves raw
-// unscaled partial histograms. Statelessness is what makes SIGKILL a
+// unscaled partial histograms — over the binary frame data plane of
+// frame.go, on a listener of its own beside the HTTP control plane
+// (/readyz, /healthz, /chaosctl). Statelessness is what makes SIGKILL a
 // recoverable event rather than data loss, and determinism is what makes a
 // restarted shard re-fence onto exactly the records it owned before. With a
 // SnapshotDir configured, the rebuild is a cold path only: the first build
@@ -26,10 +28,12 @@
 package router
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"net/http"
@@ -56,9 +60,13 @@ import (
 // them can host a child.
 const ChildEnv = "IDEVAL_ROUTER_CHILD"
 
-// childListenFD is the file descriptor number the parent passes the
-// pre-bound listener on (the first ExtraFiles slot after stdio).
-const childListenFD = 3
+// childListenFD and childDataFD are the file descriptor numbers the parent
+// passes the pre-bound control and data listeners on (the first two
+// ExtraFiles slots after stdio).
+const (
+	childListenFD = 3
+	childDataFD   = 4
+)
 
 // ChildSpec tells a shard child which partition it owns. It rides ChildEnv
 // as JSON across exec.
@@ -95,25 +103,6 @@ func RunChildFromEnv() (bool, error) {
 	return true, runChild(spec)
 }
 
-// partialRequest is the router→child brush RPC: one range per served
-// dimension, nil entries unfiltered — the wire form of the serving layer's
-// BrushRequest ranges.
-type partialRequest struct {
-	Ranges []*[2]float64 `json:"ranges"`
-}
-
-// partialResponse is one shard's raw, UNSCALED contribution: its partition
-// record count, the filtered total, and one histogram per dimension. The
-// router merges these by addition into a shard.Gather; scaling for partial
-// coverage happens once, at the serving layer, exactly as in-process.
-type partialResponse struct {
-	Shard      int       `json:"shard"`
-	Generation int       `json:"generation"`
-	Records    int       `json:"records"`
-	Total      int64     `json:"total"`
-	Histograms [][]int64 `json:"histograms"`
-}
-
 // childReady is the child's /readyz body.
 type childReady struct {
 	Status     string `json:"status"` // "building" or "ready"
@@ -142,37 +131,51 @@ type child struct {
 	snap    *colstore.Snapshot
 
 	ready atomic.Bool
-	// blackholeUntil (unix nanos) gates every data endpoint: while set in
-	// the future, requests are held unanswered — the listener-blackhole
-	// chaos mode. /chaosctl itself is exempt so the hold can be set and
-	// lifted.
+	// blackholeUntil (unix nanos) gates the data plane: while set in the
+	// future, data frames are held unanswered — the listener-blackhole
+	// chaos mode. The control plane keeps answering: a partitioned-but-alive
+	// shard is slow, not dead, and its supervisor must not kill it for it.
 	blackholeUntil atomic.Int64
 }
 
-// runChild serves the child's partition on the inherited listener until
-// SIGTERM/SIGINT. The HTTP server starts before the dataset build so health
-// probes get a real "building" answer instead of a connection that hangs in
-// a backlog.
-func runChild(spec ChildSpec) error {
-	f := os.NewFile(uintptr(childListenFD), "router-listener")
+// inheritedListener adopts the listening socket the parent passed on fd.
+func inheritedListener(fd int, name string) (net.Listener, error) {
+	f := os.NewFile(uintptr(fd), name)
 	if f == nil {
-		return fmt.Errorf("router child: no inherited listener on fd %d", childListenFD)
+		return nil, fmt.Errorf("router child: no inherited listener on fd %d", fd)
 	}
+	defer f.Close()
 	ln, err := net.FileListener(f)
 	if err != nil {
-		return fmt.Errorf("router child: inherited fd %d: %w", childListenFD, err)
+		return nil, fmt.Errorf("router child: inherited fd %d: %w", fd, err)
 	}
-	f.Close()
+	return ln, nil
+}
+
+// runChild serves the child's partition on the inherited listeners until
+// SIGTERM/SIGINT. Both planes start before the dataset build so health
+// probes and early data frames get a real "building" answer instead of a
+// connection that hangs in a backlog.
+func runChild(spec ChildSpec) error {
+	ln, err := inheritedListener(childListenFD, "router-control")
+	if err != nil {
+		return err
+	}
+	dataLn, err := inheritedListener(childDataFD, "router-data")
+	if err != nil {
+		ln.Close()
+		return err
+	}
 
 	c := &child{spec: spec}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/partial", c.handlePartial)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	mux.HandleFunc("/healthz", c.handleReadyz)
 	mux.HandleFunc("/chaosctl", c.handleChaosctl)
-	srv := &http.Server{Handler: c.gate(mux)}
-	serveErr := make(chan error, 1)
+	srv := &http.Server{Handler: mux}
+	serveErr := make(chan error, 2)
 	go func() { serveErr <- srv.Serve(ln) }()
+	go func() { serveErr <- c.serveData(dataLn) }()
 
 	buildErr := make(chan error, 1)
 	go func() { buildErr <- c.build() }()
@@ -312,27 +315,6 @@ func DatasetDims(ds string, seed int64, rows int) ([]datacube.Dim, error) {
 	return dims, err
 }
 
-// gate applies the blackhole hold to every endpoint except /chaosctl: held
-// requests are parked unanswered until the hold lifts or the client gives
-// up, which is exactly what a partitioned-but-alive shard looks like from
-// the router.
-func (c *child) gate(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/chaosctl" {
-			if until := c.blackholeUntil.Load(); until > 0 {
-				if hold := time.Until(time.Unix(0, until)); hold > 0 {
-					select {
-					case <-time.After(hold):
-					case <-r.Context().Done():
-						return
-					}
-				}
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 func (c *child) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	body := childReady{
 		Status:     "building",
@@ -351,66 +333,119 @@ func (c *child) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handlePartial answers one brush scatter leg: per-dimension histograms
-// over this partition plus the filtered count, raw and unscaled.
-func (c *child) handlePartial(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if !c.ready.Load() {
-		httpError(w, http.StatusServiceUnavailable, "building")
-		return
-	}
-	var req partialRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "want JSON {ranges}")
-		return
-	}
-	if len(req.Ranges) != len(c.dims) {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("want %d ranges, got %d", len(c.dims), len(req.Ranges)))
-		return
-	}
-	filters := make([]*datacube.Range, len(req.Ranges))
-	buf := make([]datacube.Range, len(req.Ranges))
-	for i, rg := range req.Ranges {
-		if rg != nil {
-			buf[i] = datacube.Range{Lo: rg[0], Hi: rg[1]}
-			filters[i] = &buf[i]
+// serveData accepts data connections until the listener fails. Connection
+// goroutines are not tracked: a child is stateless and its process exit is
+// their end — the parent sees the reset and fails over or redials.
+func (c *child) serveData(ln net.Listener) error {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return fmt.Errorf("router child: data accept: %w", err)
 		}
+		go func() {
+			defer conn.Close()
+			c.serveFrames(conn, conn)
+		}()
 	}
-	resp := partialResponse{
-		Shard:      c.spec.Shard,
-		Generation: c.spec.Generation,
-		Records:    c.rows,
-		Histograms: make([][]int64, len(c.dims)),
-	}
-	bins := 0
-	for _, d := range c.dims {
-		bins += d.Bins
-	}
-	backing := make([]int64, bins)
-	for i, d := range c.dims {
-		resp.Histograms[i] = backing[:d.Bins:d.Bins]
-		backing = backing[d.Bins:]
-		if err := c.prefix.HistogramInto(i, filters, resp.Histograms[i]); err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+}
+
+// serveFrames is one data connection's loop: read a request frame, answer
+// it from the prefix cube, write the response frame, all in buffers reused
+// for the connection's life. Requests on one connection are answered in
+// order by this one goroutine — an answer is a few microseconds of
+// summed-area lookups, so there is nothing to overlap. It returns when the
+// stream ends or can no longer be trusted (over-cap length, a payload too
+// short to carry a call id); anything that has an id gets an answer.
+func (c *child) serveFrames(r io.Reader, w io.Writer) {
+	br := bufio.NewReader(r)
+	var rbuf, wbuf []byte
+	var sc *frameScratch // nil until the build is done
+	for {
+		var err error
+		if rbuf, err = readFrame(br, rbuf); err != nil {
+			return
+		}
+		start := time.Now()
+		if len(rbuf) < 8 {
+			return
+		}
+		id := le.Uint64(rbuf)
+		c.holdData()
+		if sc == nil && c.ready.Load() {
+			sc = newFrameScratch(c.dims)
+		}
+		wbuf = c.answerFrame(wbuf[:0], id, rbuf[8:], sc)
+		if wbuf[frameHeader+8] == statusOK {
+			le.PutUint64(wbuf[serviceNSOffset:], uint64(time.Since(start)))
+		}
+		if _, err := w.Write(wbuf); err != nil {
 			return
 		}
 	}
-	total, err := c.prefix.Count(filters)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
+}
+
+// frameScratch is one connection's decode and answer space, sized to the
+// served dimensions.
+type frameScratch struct {
+	ranges  []datacube.Range
+	filters []*datacube.Range
+	hists   [][]int64
+}
+
+func newFrameScratch(dims []datacube.Dim) *frameScratch {
+	sc := &frameScratch{
+		ranges:  make([]datacube.Range, len(dims)),
+		filters: make([]*datacube.Range, len(dims)),
+		hists:   make([][]int64, len(dims)),
 	}
-	resp.Total = total
-	writeJSON(w, http.StatusOK, resp)
+	bins := 0
+	for _, d := range dims {
+		bins += d.Bins
+	}
+	backing := make([]int64, bins)
+	for i, d := range dims {
+		sc.hists[i] = backing[:d.Bins:d.Bins]
+		backing = backing[d.Bins:]
+	}
+	return sc
+}
+
+// holdData applies the blackhole to one data frame: it is parked until the
+// hold that was in force on its arrival lapses — exactly what a
+// partitioned-but-alive shard looks like from the router.
+func (c *child) holdData() {
+	if until := c.blackholeUntil.Load(); until > 0 {
+		if hold := time.Until(time.Unix(0, until)); hold > 0 {
+			time.Sleep(hold)
+		}
+	}
+}
+
+// answerFrame answers one brush scatter leg into b: per-dimension
+// histograms over this partition plus the filtered count, raw and unscaled
+// — or the refusal, as an error frame. A nil sc means still building.
+func (c *child) answerFrame(b []byte, id uint64, req []byte, sc *frameScratch) []byte {
+	if sc == nil {
+		return appendError(b, id, http.StatusServiceUnavailable, "building")
+	}
+	if err := decodeRanges(req, sc.ranges, sc.filters); err != nil {
+		return appendError(b, id, http.StatusBadRequest, err.Error())
+	}
+	for i := range sc.hists {
+		if err := c.prefix.HistogramInto(i, sc.filters, sc.hists[i]); err != nil {
+			return appendError(b, id, http.StatusInternalServerError, err.Error())
+		}
+	}
+	total, err := c.prefix.Count(sc.filters)
+	if err != nil {
+		return appendError(b, id, http.StatusInternalServerError, err.Error())
+	}
+	return appendOK(b, id, c.spec.Shard, c.spec.Generation, c.rows, total, sc.hists)
 }
 
 // handleChaosctl arms the listener blackhole: POST /chaosctl?blackhole_ms=N
-// holds every other endpoint unanswered for N milliseconds (0 lifts it).
-// Exempt from its own gate, so chaos can always be lifted.
+// holds data frames unanswered for N milliseconds (0 stops holding new
+// ones).
 func (c *child) handleChaosctl(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")

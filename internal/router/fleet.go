@@ -1,18 +1,18 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/datacube"
+	"repro/internal/obsv"
 	"repro/internal/shard"
 )
 
@@ -68,9 +68,10 @@ type Config struct {
 	DarkAfter   int
 	DarkRetry   time.Duration
 	StableAfter time.Duration
-	// HedgeAfter is how long a gather leg waits on the affinity replica
-	// before hedging to a warm sibling (default 25ms); RPCTimeout bounds a
-	// leg when the caller brings no deadline (default 10s).
+	// HedgeAfter is how long a gather waits on the affinity replicas before
+	// hedging each unanswered leg to a warm sibling (default 25ms);
+	// RPCTimeout bounds a gather when the caller brings no deadline
+	// (default 10s).
 	HedgeAfter time.Duration
 	RPCTimeout time.Duration
 }
@@ -144,6 +145,15 @@ type Stats struct {
 	RestartWindows int64   `json:"restart_windows"`
 	RestartMeanMS  float64 `json:"restart_mean_ms"`
 	RestartMaxMS   float64 `json:"restart_max_ms"`
+	// RPCs counts data-plane calls written to a replica; Redials counts
+	// data connections re-established after a failure. RPCP50US is the
+	// parent-measured call time (frame written → reply dispatched),
+	// ChildServiceP50US the child's own share of it (frame read → reply
+	// encoded); the difference is the hop.
+	RPCs              int64   `json:"rpcs"`
+	Redials           int64   `json:"redials"`
+	RPCP50US          float64 `json:"rpc_p50_us"`
+	ChildServiceP50US float64 `json:"child_service_p50_us"`
 }
 
 // Fleet supervises Shards×Replicas shard child processes and implements
@@ -157,8 +167,7 @@ type Fleet struct {
 	dims []datacube.Dim
 	reps [][]*replica // [shard][replica]
 
-	client       *http.Client // gather legs
-	healthClient *http.Client // probes (separate pool: probes must not queue behind gathers)
+	healthClient *http.Client // control plane: probes and chaos
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -175,6 +184,15 @@ type Fleet struct {
 	darks     atomic.Int64
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
+	rpcs      atomic.Int64
+	redials   atomic.Int64
+	rpcHist   obsv.Histogram // parent-measured call time
+	childHist obsv.Histogram // child-reported service time
+
+	// changed is closed and replaced at every supervision transition, so
+	// waiters block on fleet state instead of polling it.
+	changedMu sync.Mutex
+	changed   chan struct{}
 
 	warmStarts     atomic.Int64
 	restartCount   atomic.Int64
@@ -208,14 +226,11 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fleet{
-		cfg:    cfg,
-		dims:   dims,
-		ctx:    ctx,
-		cancel: cancel,
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     30 * time.Second,
-		}},
+		cfg:     cfg,
+		dims:    dims,
+		ctx:     ctx,
+		cancel:  cancel,
+		changed: make(chan struct{}),
 		healthClient: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 2,
 			IdleConnTimeout:     30 * time.Second,
@@ -242,22 +257,55 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// newReplica binds the slot's loopback listener and dups it for passing
-// across exec. The net.Listener itself is closed right away — the dup keeps
-// the socket open and LISTENING for the fleet's whole life, which is what
-// lets connections queue in the kernel backlog while a child restarts.
+// newReplica binds the slot's two loopback listeners — control (HTTP) and
+// data (frames) — and dups them for passing across exec.
 func (f *Fleet) newReplica(shardIdx, idx int) (*replica, error) {
+	rep := &replica{fleet: f, shard: shardIdx, idx: idx}
+	var err error
+	if rep.addr, rep.ln, err = bindInherited(); err == nil {
+		rep.dataAddr, rep.dataLn, err = bindInherited()
+	}
+	if err != nil {
+		rep.closeListeners()
+		return nil, fmt.Errorf("router: shard %d replica %d: %w", shardIdx, idx, err)
+	}
+	rep.data = newDataConn(rep)
+	return rep, nil
+}
+
+// bindInherited binds a loopback listener and returns its address and a
+// dup of its socket. The net.Listener itself is closed right away — the dup
+// keeps the socket open and LISTENING for the fleet's whole life, which is
+// what lets connections queue in the kernel backlog while a child restarts.
+func bindInherited() (string, *os.File, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("router: shard %d replica %d: %w", shardIdx, idx, err)
+		return "", nil, err
 	}
 	file, err := ln.(*net.TCPListener).File()
 	addr := ln.Addr().String()
 	ln.Close()
 	if err != nil {
-		return nil, fmt.Errorf("router: shard %d replica %d: dup listener: %w", shardIdx, idx, err)
+		return "", nil, fmt.Errorf("dup listener: %w", err)
 	}
-	return &replica{fleet: f, shard: shardIdx, idx: idx, addr: addr, ln: file}, nil
+	return addr, file, nil
+}
+
+// stateChanged returns a channel closed at the next supervision transition.
+// Take it before checking the condition it guards, or a transition between
+// the check and the wait is missed.
+func (f *Fleet) stateChanged() <-chan struct{} {
+	f.changedMu.Lock()
+	defer f.changedMu.Unlock()
+	return f.changed
+}
+
+// noteChange wakes everything blocked on stateChanged.
+func (f *Fleet) noteChange() {
+	f.changedMu.Lock()
+	close(f.changed)
+	f.changed = make(chan struct{})
+	f.changedMu.Unlock()
 }
 
 func (f *Fleet) replicas() int { return f.cfg.Replicas }
@@ -281,8 +329,8 @@ func (f *Fleet) ShardRecords(i int) int {
 	return f.shardRecords[i]
 }
 
-// ReplicaAddr returns the stable address of a replica slot (chaos and tests
-// target children through it).
+// ReplicaAddr returns the stable control-plane (HTTP) address of a replica
+// slot — chaos and tests target children through it.
 func (f *Fleet) ReplicaAddr(shardIdx, idx int) string { return f.reps[shardIdx][idx].addr }
 
 // ReplicaPID returns the replica's current child PID (0 while down).
@@ -290,7 +338,7 @@ func (f *Fleet) ReplicaPID(shardIdx, idx int) int { return f.reps[shardIdx][idx]
 
 // AffinityReplica returns the replica index a session's gather legs prefer
 // — a stable hash, so one session's brushes keep hitting the same warm
-// replica (its kernel caches, its connection pool) across requests.
+// replica (its CPU caches, its data connection) across requests.
 func (f *Fleet) AffinityReplica(shardIdx int, session string) int {
 	if f.cfg.Replicas == 1 {
 		return 0
@@ -322,6 +370,7 @@ func (f *Fleet) noteShardRecords(shardIdx, records int) {
 	}
 	f.totalRecords.Store(int64(total))
 	f.recordsKnown.Store(true)
+	f.noteChange()
 }
 
 // Health implements serve.HealthReporter: ready means every shard has at
@@ -350,29 +399,42 @@ func (f *Fleet) Health() (bool, any) {
 
 // Stats snapshots the fleet counters.
 func (f *Fleet) Stats() Stats {
-	s := Stats{
-		Shards:         f.cfg.Shards,
-		Replicas:       f.cfg.Replicas,
-		Records:        f.Records(),
-		Spawns:         f.spawns.Load(),
-		Restarts:       f.restarts.Load(),
-		Darks:          f.darks.Load(),
-		Hedges:         f.hedges.Load(),
-		HedgeWins:      f.hedgeWins.Load(),
-		WarmStarts:     f.warmStarts.Load(),
-		RestartWindows: f.restartCount.Load(),
-		RestartMaxMS:   float64(f.restartMaxNS.Load()) / float64(time.Millisecond),
+	s, _, _ := f.snapshot()
+	return s
+}
+
+// snapshot reads the counters and the two data-plane histograms once; the
+// p50s in Stats come from the very snapshots returned beside it.
+func (f *Fleet) snapshot() (s Stats, rpc, childService obsv.HistSnapshot) {
+	rpc, childService = f.rpcHist.Snapshot(), f.childHist.Snapshot()
+	s = Stats{
+		Shards:            f.cfg.Shards,
+		Replicas:          f.cfg.Replicas,
+		Records:           f.Records(),
+		Spawns:            f.spawns.Load(),
+		Restarts:          f.restarts.Load(),
+		Darks:             f.darks.Load(),
+		Hedges:            f.hedges.Load(),
+		HedgeWins:         f.hedgeWins.Load(),
+		WarmStarts:        f.warmStarts.Load(),
+		RestartWindows:    f.restartCount.Load(),
+		RestartMaxMS:      float64(f.restartMaxNS.Load()) / float64(time.Millisecond),
+		RPCs:              f.rpcs.Load(),
+		Redials:           f.redials.Load(),
+		RPCP50US:          float64(rpc.Percentile(50)) / float64(time.Microsecond),
+		ChildServiceP50US: float64(childService.Percentile(50)) / float64(time.Microsecond),
 	}
 	if s.RestartWindows > 0 {
 		s.RestartMeanMS = float64(f.restartTotalNS.Load()) / float64(s.RestartWindows) / float64(time.Millisecond)
 	}
-	return s
+	return s, rpc, childService
 }
 
 // WaitReady blocks until every shard has a ready replica and the fleet's
 // record total is pinned, or ctx expires.
 func (f *Fleet) WaitReady(ctx context.Context) error {
 	for {
+		changed := f.stateChanged()
 		if ready, _ := f.Health(); ready {
 			return nil
 		}
@@ -385,9 +447,16 @@ func (f *Fleet) WaitReady(ctx context.Context) error {
 			return fmt.Errorf("router: fleet not ready: %w (%+v)", ctx.Err(), detail)
 		case <-f.ctx.Done():
 			return fmt.Errorf("router: fleet closed")
-		case <-time.After(10 * time.Millisecond):
+		case <-changed:
 		}
 	}
+}
+
+// RPCStats implements serve.RPCReporter: the fleet counters for /metrics
+// JSON and the two data-plane latency histograms for the Prometheus
+// exposition.
+func (f *Fleet) RPCStats() (stats any, rpc, childService obsv.HistSnapshot) {
+	return f.snapshot()
 }
 
 // Close stops the supervisors, kills and reaps every child, and releases
@@ -401,19 +470,25 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 	for _, row := range f.reps {
 		for _, rep := range row {
-			rep.ln.Close()
+			rep.data.close()
+			rep.closeListeners()
 		}
 	}
-	f.client.CloseIdleConnections()
 	f.healthClient.CloseIdleConnections()
 }
 
 // ScatterBrush implements the serving layer's Gatherer across the process
 // boundary: one leg per shard (affinity replica first, hedged to a warm
-// sibling when slow), answers merged into a shard.Gather whose coverage
-// accounting is exactly the in-process coordinator's — a dead shard's
-// records fall out of the covered fraction, and the serving ladder degrades
-// on it the same way.
+// sibling when slow, failed over to one at once on error), answers merged
+// into a shard.Gather whose coverage accounting is exactly the in-process
+// coordinator's — a dead shard's records fall out of the covered fraction,
+// and the serving ladder degrades on it the same way.
+//
+// The whole gather runs on the calling goroutine: every leg's request is
+// written before any reply is awaited, and one select loop then takes the
+// replies (delivered by the replicas' connection readers), the hedge timer
+// and the deadline. All legs start together under one budget, so one timer
+// hedges them all.
 func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*datacube.Range) (*shard.Gather, error) {
 	if f.closed.Load() {
 		return nil, fmt.Errorf("router: fleet closed")
@@ -423,76 +498,51 @@ func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*dat
 		// partial gather would be wrong; refuse rather than misreport.
 		return nil, fmt.Errorf("router: fleet still coming up (coverage totals unknown)")
 	}
-	ranges := make([]*[2]float64, len(filters))
-	for i, rg := range filters {
-		if rg != nil {
-			ranges[i] = &[2]float64{rg.Lo, rg.Hi}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	shards, replicas := f.cfg.Shards, f.cfg.Replicas
+	g := gather{
+		f:      f,
+		ctx:    ctx,
+		ranges: appendRanges(make([]byte, 0, 4+8*rangeEntry), filters),
+		legs:   make([]leg, shards),
+		calls:  make([]outCall, 0, shards*replicas),
+		// Each leg calls each replica at most once and each call delivers at
+		// most one result, so no reader ever blocks on this gather — not even
+		// after it returned.
+		ch: make(chan rpcResult, shards*replicas),
+	}
+	answers := make([]*shard.Answer, shards)
+	errs := make([]error, shards)
+	waiting := 0
+	for s := range g.legs {
+		g.legs[s].aff = f.AffinityReplica(s, session)
+		if g.call(s) {
+			waiting++
+		} else {
+			errs[s] = g.legs[s].failure(s)
+			g.legs[s].done = true
 		}
 	}
-	body, err := json.Marshal(partialRequest{Ranges: ranges})
-	if err != nil {
-		return nil, err
-	}
+	defer g.dropOpen()
+
 	// Callers without a deadline (the ladder's no-deadlines baseline) still
-	// must not hang on a dead shard forever: bound the legs by RPCTimeout.
-	legCtx := ctx
-	if legCtx == nil {
-		legCtx = context.Background()
+	// must not hang on a dead shard forever: bound the gather by RPCTimeout.
+	deadline, hasDeadline := ctx.Deadline()
+	var timeoutC <-chan time.Time
+	if !hasDeadline {
+		t := time.NewTimer(f.cfg.RPCTimeout)
+		defer t.Stop()
+		timeoutC = t.C
 	}
-	if _, ok := legCtx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		legCtx, cancel = context.WithTimeout(legCtx, f.cfg.RPCTimeout)
-		defer cancel()
-	}
-
-	answers := make([]*shard.Answer, f.cfg.Shards)
-	errs := make([]error, f.cfg.Shards)
-	var wg sync.WaitGroup
-	for s := 0; s < f.cfg.Shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			answers[s], errs[s] = f.shardLeg(legCtx, s, session, body)
-		}(s)
-	}
-	wg.Wait()
-	return shard.NewGather(answers, errs, f.Records()), nil
-}
-
-// legResult tags a replica's answer with where it came from, so hedge wins
-// are countable.
-type legResult struct {
-	ans    *shard.Answer
-	err    error
-	hedged bool
-}
-
-// shardLeg gathers one shard's partial: POST to the session's affinity
-// replica, hedge to a warm sibling after HedgeAfter (or immediately when
-// the primary fails fast), first success wins. Replicas that are not
-// serving are skipped up front — supervision state is the router's cheap
-// failure detector, saving the timeout on provably dead children.
-func (f *Fleet) shardLeg(ctx context.Context, shardIdx int, session string, body []byte) (*shard.Answer, error) {
-	order := f.legOrder(shardIdx, session)
-	if len(order) == 0 {
-		return nil, fmt.Errorf("router: shard %d has no serving replica", shardIdx)
-	}
-	ch := make(chan legResult, len(order))
-	post := func(rep *replica, hedged bool) {
-		ans, err := f.postPartial(ctx, rep, body)
-		ch <- legResult{ans: ans, err: err, hedged: hedged}
-	}
-	go post(order[0], false)
-	inflight := 1
-	hedged := false
-
 	var hedgeC <-chan time.Time
-	if len(order) > 1 {
+	if replicas > 1 {
 		delay := f.cfg.HedgeAfter
-		if dl, ok := ctx.Deadline(); ok {
+		if hasDeadline {
 			// Never hedge later than half the remaining budget: a hedge
 			// that cannot finish before the deadline is pure waste.
-			if rem := time.Until(dl) / 2; rem < delay {
+			if rem := time.Until(deadline) / 2; rem < delay {
 				delay = rem
 			}
 		}
@@ -504,88 +554,145 @@ func (f *Fleet) shardLeg(ctx context.Context, shardIdx int, session string, body
 		hedgeC = t.C
 	}
 
-	var firstErr error
-	for {
+	for waiting > 0 {
 		select {
-		case res := <-ch:
+		case res := <-g.ch:
+			c := &g.calls[res.call]
+			c.open = false
+			l := &g.legs[c.leg]
+			if l.done {
+				continue // the race's loser
+			}
+			l.inflight--
 			if res.err == nil {
-				if res.hedged {
+				if c.hedged {
 					f.hedgeWins.Add(1)
 				}
-				return res.ans, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			inflight--
-			if inflight > 0 {
+				answers[c.leg] = res.ans
+				l.done = true
+				waiting--
 				continue
 			}
-			if !hedged && len(order) > 1 {
-				// The primary failed fast (connection reset by a dying
-				// child) with the sibling never tried: fail over now.
-				hedged = true
-				f.hedges.Add(1)
-				go post(order[1], true)
-				inflight = 1
-				continue
+			if l.err == nil {
+				l.err = res.err
 			}
-			return nil, firstErr
+			// One replica's failure must never fail the leg while a sibling
+			// can serve: fail over now, hedge timer or not. The leg errs
+			// only once every serving replica has.
+			if !g.call(c.leg) && l.inflight == 0 {
+				errs[c.leg] = l.failure(c.leg)
+				l.done = true
+				waiting--
+			}
 		case <-hedgeC:
 			hedgeC = nil
-			if !hedged {
-				hedged = true
-				f.hedges.Add(1)
-				go post(order[1], true)
-				inflight++
+			for s := range g.legs {
+				if l := &g.legs[s]; !l.done && l.attempts == 1 {
+					g.call(s)
+				}
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			g.abandon(errs, ctx.Err())
+			waiting = 0
+		case <-timeoutC:
+			g.abandon(errs, context.DeadlineExceeded)
+			waiting = 0
+		}
+	}
+	return shard.NewGather(answers, errs, f.Records()), nil
+}
+
+// gather is one ScatterBrush's bookkeeping.
+type gather struct {
+	f      *Fleet
+	ctx    context.Context
+	ranges []byte
+	legs   []leg
+	calls  []outCall
+	ch     chan rpcResult
+}
+
+// leg is one shard's share of a gather. Its replicas form a ring starting
+// at the session's affinity replica; tried counts how far round it the leg
+// has looked, attempts how many of those were serving and were sent to.
+type leg struct {
+	aff      int
+	tried    int
+	attempts int
+	inflight int
+	done     bool
+	err      error // the first failure, reported if every replica fails
+}
+
+func (l *leg) failure(shardIdx int) error {
+	if l.err != nil {
+		return l.err
+	}
+	return fmt.Errorf("router: shard %d has no serving replica", shardIdx)
+}
+
+// outCall is one written request; open until its result arrives.
+type outCall struct {
+	conn   *dataConn
+	id     uint64
+	leg    int
+	hedged bool
+	open   bool
+}
+
+// call sends leg s's request to the next replica round its ring that is
+// serving, and reports whether one took it. Supervision state is read at
+// call time, not once per gather: a replica whose supervisor has it
+// starting/restarting/dark is skipped — the router's free failure detector,
+// saving the timeout on provably dead children — while a ready or merely
+// unhealthy one gets its chance (its probe failures may be a blip the call
+// survives), including a sibling that came up after the gather began. Every
+// call after a leg's first counts as a hedge, whether the timer or a
+// failure prompted it.
+func (g *gather) call(s int) bool {
+	l := &g.legs[s]
+	row := g.f.reps[s]
+	for l.tried < len(row) {
+		rep := row[(l.aff+l.tried)%len(row)]
+		l.tried++
+		if st := rep.getState(); st != StateReady && st != StateUnhealthy {
+			continue
+		}
+		hedged := l.attempts > 0
+		l.attempts++
+		id, err := rep.data.send(g.ctx, g.ranges, g.ch, len(g.calls))
+		if err != nil {
+			if l.err == nil {
+				l.err = err
+			}
+			continue
+		}
+		if hedged {
+			g.f.hedges.Add(1)
+		}
+		g.calls = append(g.calls, outCall{conn: rep.data, id: id, leg: s, hedged: hedged, open: true})
+		l.inflight++
+		return true
+	}
+	return false
+}
+
+// abandon gives up on every unanswered leg with err.
+func (g *gather) abandon(errs []error, err error) {
+	for s := range g.legs {
+		if !g.legs[s].done {
+			errs[s] = err
 		}
 	}
 }
 
-// legOrder lists the shard's serving replicas, affinity replica first. A
-// replica whose supervisor has it starting/restarting/dark is excluded; a
-// ready-or-merely-unhealthy one still gets a chance (its probe failures may
-// be a blip the RPC survives).
-func (f *Fleet) legOrder(shardIdx int, session string) []*replica {
-	row := f.reps[shardIdx]
-	aff := f.AffinityReplica(shardIdx, session)
-	order := make([]*replica, 0, len(row))
-	for i := 0; i < len(row); i++ {
-		rep := row[(aff+i)%len(row)]
-		switch rep.getState() {
-		case StateReady, StateUnhealthy:
-			order = append(order, rep)
+// dropOpen forgets the calls still unanswered when the gather returns —
+// hedge losers and legs cut by the deadline — so their replies, if they
+// ever come, are discarded by id.
+func (g *gather) dropOpen() {
+	for i := range g.calls {
+		if c := &g.calls[i]; c.open {
+			c.conn.drop(c.id)
 		}
 	}
-	return order
-}
-
-// postPartial runs one replica RPC and decodes the raw partial into a
-// shard.Answer.
-func (f *Fleet) postPartial(ctx context.Context, rep *replica, body []byte) (*shard.Answer, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+rep.addr+"/v1/partial", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("router: shard %d replica %d: %s: %s", rep.shard, rep.idx, resp.Status, msg)
-	}
-	var pr partialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, err
-	}
-	if pr.Shard != rep.shard {
-		return nil, fmt.Errorf("router: shard %d replica %d answered as shard %d", rep.shard, rep.idx, pr.Shard)
-	}
-	return &shard.Answer{Records: pr.Records, Total: pr.Total, Histograms: pr.Histograms}, nil
 }

@@ -4,20 +4,27 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/datacube"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
+	"repro/internal/obsv"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // TestMain is the child hook: when the supervisor re-execs this test binary
@@ -249,7 +256,8 @@ func TestFleetKillPartialThenRestartExact(t *testing.T) {
 // TestFleetHedgesAroundSlowReplica: with two replicas per shard, a
 // blackholed (alive but unresponsive) affinity replica must not stall the
 // gather — after HedgeAfter the leg races a sibling and the answer is still
-// exact and on time.
+// exact and arrives while the blackhole is in force. The blackholed replica
+// keeps answering its probes, so it stays ready throughout: slow, not dead.
 func TestFleetHedgesAroundSlowReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -257,18 +265,17 @@ func TestFleetHedgesAroundSlowReplica(t *testing.T) {
 	leakcheck.Check(t)
 	leakcheck.CheckChildren(t)
 	f, ts := fleetServer(t,
-		Config{Shards: 1, Replicas: 2, HedgeAfter: 10 * time.Millisecond, RPCTimeout: 5 * time.Second},
+		Config{Shards: 1, Replicas: 2, HedgeAfter: 10 * time.Millisecond, RPCTimeout: 30 * time.Second},
 		serve.Config{Workers: 2})
+	// WaitReady is per shard — one serving replica is enough — but a hedge
+	// needs both: the affinity replica to be routed to and the sibling to
+	// hedge to.
+	waitAllReady(t, f)
 
 	const session = "hedge"
 	aff := f.AffinityReplica(0, session)
-	// Hold the affinity replica's data endpoints for 1.5s — longer than any
-	// reasonable hedge path, much shorter than RPCTimeout.
-	resp, err := http.Post("http://"+f.ReplicaAddr(0, aff)+"/chaosctl?blackhole_ms=1500", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	const hold = time.Minute // outlives the test; Close kills the child holding it
+	blackhole(t, f, 0, aff, hold)
 
 	rng := rand.New(rand.NewSource(7))
 	start := time.Now()
@@ -285,12 +292,276 @@ func TestFleetHedgesAroundSlowReplica(t *testing.T) {
 	if br.Degraded {
 		t.Fatalf("hedged gather degraded: %s", body)
 	}
-	if elapsed > time.Second {
+	if elapsed >= hold {
 		t.Fatalf("hedged gather took %v — waited out the blackhole instead of hedging", elapsed)
 	}
 	stats := f.Stats()
 	if stats.Hedges < 1 || stats.HedgeWins < 1 {
 		t.Fatalf("hedges=%d hedge_wins=%d, want both >= 1", stats.Hedges, stats.HedgeWins)
+	}
+	if got := f.reps[0][aff].getState(); got != StateReady {
+		t.Fatalf("blackholed replica is %v, want ready: the blackhole must not starve its probes", got)
+	}
+	if stats.Restarts != 0 {
+		t.Fatalf("restarts = %d: the supervisor killed a replica that was only slow", stats.Restarts)
+	}
+}
+
+// TestFleetKillInFlightFailsOver: one replica's connection error must never
+// fail a gather while a sibling is ready. The affinity replica is SIGKILLed
+// with the leg's call in flight on its connection and the hedge timer
+// nowhere near firing; the dead connection fails the call at once and the
+// leg fails over to the sibling — exact answer, no 5xx.
+func TestFleetKillInFlightFailsOver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	leakcheck.Check(t)
+	leakcheck.CheckChildren(t)
+	oracle := oracleServer(t, serve.Config{Workers: 2})
+	f, ts := fleetServer(t,
+		Config{Shards: 1, Replicas: 2, HedgeAfter: time.Hour, RPCTimeout: 30 * time.Second},
+		serve.Config{Workers: 2})
+	waitAllReady(t, f)
+
+	const session = "killinflight"
+	aff := f.AffinityReplica(0, session)
+	rng := rand.New(rand.NewSource(21))
+	// A first brush establishes the affinity replica's data connection, so
+	// the next call rides a connection the doomed child has accepted.
+	req := serve.BrushRequest{Session: session, Seq: 0, Ranges: randomRanges(rng)}
+	if st, body := postJSON(t, ts.URL+"/v1/brush", req); st != http.StatusOK {
+		t.Fatalf("warm-up brush: status %d: %s", st, body)
+	}
+	blackhole(t, f, 0, aff, time.Minute)
+	killed := make(chan error, 1)
+	go func() { killed <- killWhenInFlight(f, 0, aff) }()
+
+	req = serve.BrushRequest{Session: session, Seq: 1, Ranges: randomRanges(rng)}
+	st, body := postJSON(t, ts.URL+"/v1/brush", req)
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	if st != http.StatusOK {
+		t.Fatalf("brush with its primary killed in flight: status %d: %s", st, body)
+	}
+	if _, want := postJSON(t, oracle.URL+"/v1/brush", req); !bytes.Equal(body, want) {
+		t.Fatalf("failed-over brush differs:\n%s\nvs oracle:\n%s", body, want)
+	}
+	stats := f.Stats()
+	if stats.Hedges < 1 || stats.HedgeWins < 1 {
+		t.Fatalf("hedges=%d hedge_wins=%d, want both >= 1", stats.Hedges, stats.HedgeWins)
+	}
+}
+
+// TestFleetRedialsAfterKill: SIGKILL fails the dead child's pending calls
+// at once (not at their deadline), the supervisor restarts it, and the
+// first call afterwards redials the same address and is byte-exact again.
+func TestFleetRedialsAfterKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	leakcheck.Check(t)
+	leakcheck.CheckChildren(t)
+	f, _ := fleetServer(t,
+		Config{Shards: 1, BackoffBase: 20 * time.Millisecond, BackoffCap: 100 * time.Millisecond, RPCTimeout: 30 * time.Second},
+		serve.Config{Workers: 2})
+
+	filters := randomFilters(rand.New(rand.NewSource(33)))
+	scatter := func() (*shard.Answer, error) {
+		g, err := f.ScatterBrush(context.Background(), "redial", filters)
+		if err != nil {
+			return nil, err
+		}
+		return g.Answers[0], g.Errs[0]
+	}
+	before, err := scatter()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	blackhole(t, f, 0, 0, time.Minute)
+	killed := make(chan error, 1)
+	go func() { killed <- killWhenInFlight(f, 0, 0) }()
+	_, err = scatter()
+	if kerr := <-killed; kerr != nil {
+		t.Fatal(kerr)
+	}
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call pending on a killed child: err = %v, want its connection's failure", err)
+	}
+
+	waitState(t, f, 0, 0, func(s State) bool { return s != StateReady })
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := f.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	after, err := scatter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("post-restart answer differs:\n%+v\nvs pre-kill:\n%+v", after, before)
+	}
+	stats := f.Stats()
+	if stats.Redials < 1 || stats.Restarts < 1 {
+		t.Fatalf("redials=%d restarts=%d, want both >= 1", stats.Redials, stats.Restarts)
+	}
+}
+
+// TestFrameMuxConcurrent: many goroutines share one replica's connection;
+// each must get its own answer — checked against a serial prefix cube built
+// here — and calls abandoned at their deadline are dropped by id, their
+// late replies discarded without disturbing the calls that follow.
+func TestFrameMuxConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	leakcheck.Check(t)
+	leakcheck.CheckChildren(t)
+	f, _ := fleetServer(t, Config{Shards: 1, RPCTimeout: 30 * time.Second}, serve.Config{Workers: 2})
+	dims := serve.RoadCubeDims()
+	oracle, err := datacube.BuildPrefix(dataset.Roads(1, testRows), dims, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(ctx context.Context, session string, filters []*datacube.Range) error {
+		g, err := f.ScatterBrush(ctx, session, filters)
+		if err != nil {
+			return err
+		}
+		if g.Errs[0] != nil {
+			return g.Errs[0]
+		}
+		ans := g.Answers[0]
+		total, err := oracle.Count(filters)
+		if err != nil {
+			return err
+		}
+		if ans.Total != total || ans.Records != testRows {
+			return fmt.Errorf("total %d records %d, want %d and %d", ans.Total, ans.Records, total, testRows)
+		}
+		for i := range dims {
+			want, err := oracle.Histogram(i, filters)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(ans.Histograms[i], want) {
+				return fmt.Errorf("dimension %d: got another call's histogram? %v, want %v", i, ans.Histograms[i], want)
+			}
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(500 + g)))
+			for i := 0; i < 25; i++ {
+				if err := check(context.Background(), fmt.Sprintf("mux-%d", g), randomFilters(rng)); err != nil {
+					t.Errorf("goroutine %d call %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := f.Stats().RPCs; got != 32*25 {
+		t.Fatalf("rpcs = %d, want %d", got, 32*25)
+	}
+
+	// Cancellation: every call below gives up while the child still holds
+	// its frame; each must leave the pending table as it found it.
+	const hold = 300 * time.Millisecond
+	blackhole(t, f, 0, 0, hold)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), hold/10)
+			defer cancel()
+			err := check(ctx, "cancel", randomFilters(rand.New(rand.NewSource(int64(g)))))
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("held call %d: err = %v, want deadline exceeded", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := pendingCalls(f, 0, 0); n != 0 {
+		t.Fatalf("%d calls still pending after every caller gave up", n)
+	}
+	// The child now answers the eight abandoned ids; the next call's answer
+	// arrives behind them on the same connection and must still be its own.
+	if err := check(context.Background(), "after", randomFilters(rand.New(rand.NewSource(99)))); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Redials; got != 0 {
+		t.Fatalf("redials = %d: dropped calls must not cost the connection", got)
+	}
+}
+
+// TestFleetRPCMetricsExposed: the data plane's RPC and child-service
+// latencies surface through serve — under "router" in the JSON stats and as
+// two histograms in a well-formed Prometheus exposition.
+func TestFleetRPCMetricsExposed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	leakcheck.Check(t)
+	leakcheck.CheckChildren(t)
+	_, ts := fleetServer(t, Config{Shards: 2, Rows: 5000}, serve.Config{Workers: 2, BrushCacheSize: -1})
+	rng := rand.New(rand.NewSource(5))
+	const brushes = 6
+	for seq := int64(0); seq < brushes; seq++ {
+		if st, body := postJSON(t, ts.URL+"/v1/brush",
+			serve.BrushRequest{Session: "metrics", Seq: seq, Ranges: randomRanges(rng)}); st != http.StatusOK {
+			t.Fatalf("seq %d: status %d: %s", seq, st, body)
+		}
+	}
+
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var st struct {
+		Router *Stats `json:"router"`
+	}
+	if err := json.Unmarshal(get("/metrics"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Router == nil {
+		t.Fatal(`JSON stats carry no "router" section`)
+	}
+	if r := st.Router; r.RPCs != 2*brushes || r.Redials != 0 || r.RPCP50US <= 0 || r.ChildServiceP50US <= 0 {
+		t.Fatalf("router stats %+v: want %d rpcs, no redials, positive rpc and child service p50", *r, 2*brushes)
+	}
+
+	body := get("/metrics?format=prometheus")
+	if err := obsv.ValidateExposition(body); err != nil {
+		t.Fatalf("invalid exposition: %v", err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("idevald_router_rpc_seconds_count %d\n", 2*brushes),
+		fmt.Sprintf("idevald_router_child_service_seconds_count %d\n", 2*brushes),
+		`idevald_router_rpc_seconds_bucket{le="+Inf"}`,
+	} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 
@@ -473,17 +744,84 @@ func TestFleetChaosScheduleRecovers(t *testing.T) {
 	}
 }
 
-// waitState polls a replica's supervision state until cond holds.
+// waitFor blocks until cond holds, re-checking at every supervision
+// transition; the ticker covers conditions no transition announces (a call
+// becoming pending).
+func waitFor(f *Fleet, what string, cond func() bool) error {
+	deadline := time.NewTimer(30 * time.Second)
+	defer deadline.Stop()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		changed := f.stateChanged()
+		if cond() {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-tick.C:
+		case <-deadline.C:
+			return fmt.Errorf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// waitState blocks until a replica's supervision state satisfies cond.
 func waitState(t *testing.T, f *Fleet, shard, idx int, cond func(State) bool) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if cond(f.reps[shard][idx].getState()) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica %d/%d stuck in %v", shard, idx, f.reps[shard][idx].getState())
-		}
-		time.Sleep(5 * time.Millisecond)
+	rep := f.reps[shard][idx]
+	if err := waitFor(f, fmt.Sprintf("replica %d/%d", shard, idx), func() bool { return cond(rep.getState()) }); err != nil {
+		t.Fatalf("%v: stuck in %v", err, rep.getState())
 	}
+}
+
+// waitAllReady blocks until every replica of every shard is serving —
+// stricter than WaitReady, which is satisfied by one replica per shard.
+func waitAllReady(t *testing.T, f *Fleet) {
+	t.Helper()
+	for s, row := range f.reps {
+		for i := range row {
+			waitState(t, f, s, i, func(st State) bool { return st == StateReady })
+		}
+	}
+}
+
+// blackhole arms a replica's data-plane hold through its control plane.
+func blackhole(t *testing.T, f *Fleet, shard, idx int, hold time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.blackhole(ctx, f.reps[shard][idx], hold); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingCalls counts the calls awaiting a reply on a replica's connection.
+func pendingCalls(f *Fleet, shard, idx int) int {
+	c := f.reps[shard][idx].data
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
+// killWhenInFlight SIGKILLs a replica's child once a call is pending on its
+// connection. It runs beside the test goroutine that makes the call, so it
+// reports instead of failing the test itself.
+func killWhenInFlight(f *Fleet, shard, idx int) error {
+	if err := waitFor(f, "a call in flight", func() bool { return pendingCalls(f, shard, idx) > 0 }); err != nil {
+		return err
+	}
+	return syscall.Kill(f.ReplicaPID(shard, idx), syscall.SIGKILL)
+}
+
+// randomFilters is randomRanges in the gatherer's own form.
+func randomFilters(rng *rand.Rand) []*datacube.Range {
+	ranges := randomRanges(rng)
+	filters := make([]*datacube.Range, len(ranges))
+	for i, rg := range ranges {
+		if rg != nil {
+			filters[i] = &datacube.Range{Lo: rg[0], Hi: rg[1]}
+		}
+	}
+	return filters
 }

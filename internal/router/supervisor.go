@@ -58,15 +58,19 @@ func (s State) String() string {
 	}
 }
 
-// replica is one supervised shard child process slot: a stable address and
-// parent-held listener, plus the mutable process state its supervisor
-// goroutine drives.
+// replica is one supervised shard child process slot: stable addresses and
+// parent-held listeners for its control plane (HTTP: /readyz, /healthz,
+// /chaosctl) and its data plane (brush frames), plus the mutable process
+// state its supervisor goroutine drives.
 type replica struct {
-	fleet *Fleet
-	shard int
-	idx   int // replica index within the shard
-	addr  string
-	ln    *os.File // parent's dup of the listening socket, re-passed on every spawn
+	fleet    *Fleet
+	shard    int
+	idx      int // replica index within the shard
+	addr     string
+	ln       *os.File // parent's dup of the control listening socket, re-passed on every spawn
+	dataAddr string
+	dataLn   *os.File // likewise for the data listening socket
+	data     *dataConn
 
 	mu             sync.Mutex
 	state          State
@@ -81,12 +85,22 @@ type replica struct {
 	lastRestart    time.Duration
 }
 
+// closeListeners releases the parent-held listening sockets.
+func (r *replica) closeListeners() {
+	for _, f := range []*os.File{r.ln, r.dataLn} {
+		if f != nil {
+			f.Close()
+		}
+	}
+}
+
 // setState transitions the replica, stamping the transition time. fails
 // resets on every transition except unhealthy accrual, which is tracked
 // separately via noteProbe.
 func (r *replica) setState(s State, errText string) {
 	r.mu.Lock()
-	if r.state != s {
+	moved := r.state != s
+	if moved {
 		r.lastTransition = time.Now()
 	}
 	r.state = s
@@ -94,6 +108,9 @@ func (r *replica) setState(s State, errText string) {
 		r.lastErr = errText
 	}
 	r.mu.Unlock()
+	if moved {
+		r.fleet.noteChange()
+	}
 }
 
 func (r *replica) getState() State {
@@ -145,9 +162,9 @@ func (r *replica) health() ReplicaHealth {
 }
 
 // spawn starts one child process generation: the spec rides ChildEnv, the
-// pre-bound listener rides fd 3, and the child is hard-wired to die with
-// the parent (pdeathsig on Linux) so no fleet crash strands shard
-// processes.
+// pre-bound control and data listeners ride fds 3 and 4, and the child is
+// hard-wired to die with the parent (pdeathsig on Linux) so no fleet crash
+// strands shard processes.
 func (r *replica) spawn() (*exec.Cmd, <-chan error, error) {
 	f := r.fleet
 	r.mu.Lock()
@@ -181,7 +198,7 @@ func (r *replica) spawn() (*exec.Cmd, <-chan error, error) {
 	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), ChildEnv+"="+string(payload))
-	cmd.ExtraFiles = []*os.File{r.ln}
+	cmd.ExtraFiles = []*os.File{r.ln, r.dataLn}
 	cmd.Stderr = f.cfg.ChildStderr
 	setPdeathsig(cmd)
 	if err := cmd.Start(); err != nil {
@@ -381,32 +398,36 @@ func backoffWait(base, cap time.Duration, crashes int) time.Duration {
 
 // noteReady marks the replica serving and pins its record count; first
 // readiness of a generation reports records to the fleet's coverage total,
-// counts the warm start, and closes out the down→ready restart window.
+// counts the warm start, and closes out the down→ready restart window. The
+// fleet's counters move before the state does: whoever WaitReady wakes must
+// find the warm start and the restart window already counted.
 func (r *replica) noteReady(body childReady, wasReady bool) {
 	r.mu.Lock()
 	r.consecFails = 0
-	if r.state != StateReady {
-		r.lastTransition = time.Now()
-	}
-	r.state = StateReady
 	r.records = body.Records
 	r.lastErr = ""
 	r.warmStart = body.WarmStart
-	var window time.Duration
-	if !wasReady && !r.downAt.IsZero() {
-		window = time.Since(r.downAt)
-		r.lastRestart = window
-		r.downAt = time.Time{}
-	}
-	r.mu.Unlock()
 	if !wasReady {
-		r.fleet.noteShardRecords(r.shard, body.Records)
 		if body.WarmStart {
 			r.fleet.warmStarts.Add(1)
 		}
-		if window > 0 {
-			r.fleet.noteRestartWindow(window)
+		if !r.downAt.IsZero() {
+			r.lastRestart = time.Since(r.downAt)
+			r.downAt = time.Time{}
+			r.fleet.noteRestartWindow(r.lastRestart)
 		}
+	}
+	moved := r.state != StateReady
+	if moved {
+		r.lastTransition = time.Now()
+	}
+	r.state = StateReady
+	r.mu.Unlock()
+	if moved {
+		r.fleet.noteChange()
+	}
+	if !wasReady {
+		r.fleet.noteShardRecords(r.shard, body.Records)
 	}
 }
 
@@ -429,7 +450,8 @@ func (r *replica) noteFail(errMsg string) int {
 // that noteReady closes at the next generation's first readiness.
 func (r *replica) noteDown(msg string) {
 	r.mu.Lock()
-	if r.state != StateRestarting {
+	moved := r.state != StateRestarting
+	if moved {
 		r.lastTransition = time.Now()
 	}
 	r.state = StateRestarting
@@ -439,6 +461,9 @@ func (r *replica) noteDown(msg string) {
 		r.downAt = time.Now()
 	}
 	r.mu.Unlock()
+	if moved {
+		r.fleet.noteChange()
+	}
 }
 
 // terminate ends the current child on fleet close: SIGKILL (children are

@@ -88,6 +88,12 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 		p.Gauge("planner_budget_bytes", "The planner store's byte budget.", float64(st.Planner.BudgetBytes))
 	}
 
+	if rr, ok := s.coord.(RPCReporter); ok {
+		_, rpc, childService := rr.RPCStats()
+		p.Histogram("router_rpc_seconds", "Router-measured shard RPC latency (request written to reply dispatched).", "", rpc)
+		p.Histogram("router_child_service_seconds", "Shard child's own service time per RPC (request read to reply encoded).", "", childService)
+	}
+
 	lcv := s.reg.tracer.LCVByStage()
 	byStage := make(map[string]float64, int(obsv.NumStages))
 	for stg := obsv.StageAdmission; stg < obsv.NumStages; stg++ {

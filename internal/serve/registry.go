@@ -237,6 +237,11 @@ type Stats struct {
 	// snapshot (per-structure choice counts, materializations, store
 	// bytes). Present only when the server runs with Config.Planner.
 	Planner *planner.Stats `json:"planner,omitempty"`
+
+	// Router is the process router's counters snapshot (spawns, restarts,
+	// hedges, data-plane RPCs and redials, RPC and child-service p50).
+	// Present only when the gatherer implements RPCReporter.
+	Router any `json:"router,omitempty"`
 }
 
 const msPerNS = 1.0 / float64(time.Millisecond)

@@ -190,6 +190,15 @@ type HealthReporter interface {
 	Health() (ready bool, detail any)
 }
 
+// RPCReporter is optionally implemented by gatherers whose scatter legs
+// cross a process boundary. stats is a JSON-marshalable counters snapshot
+// that /metrics embeds under "router"; rpc is the gatherer-measured
+// per-call latency and childService the remote side's own share of it, both
+// exported as Prometheus histograms — their difference is the hop.
+type RPCReporter interface {
+	RPCStats() (stats any, rpc, childService obsv.HistSnapshot)
+}
+
 // Backends are the data systems the server fronts. Engine serves /v1/query,
 // Cube serves /v1/brush, and Tiles (a table with latitude/longitude
 // columns named TileLat/TileLng) serves /v1/tiles. Nil backends make the
@@ -487,6 +496,9 @@ func (s *Server) Stats() Stats {
 	st.Store = s.storeStats
 	if s.plan != nil {
 		st.Planner = s.plan.Stats()
+	}
+	if rr, ok := s.coord.(RPCReporter); ok {
+		st.Router, _, _ = rr.RPCStats()
 	}
 	return st
 }
