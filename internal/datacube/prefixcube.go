@@ -183,6 +183,40 @@ func (p *PrefixCube) Count(filters []*Range) (int64, error) {
 	return sum, nil
 }
 
+// NewHistograms returns one zeroed histogram per dimension, all cut from a
+// single flat backing array (capacity-capped, so appending to one never
+// runs into the next): the shape of every brush answer, for two allocations.
+func NewHistograms(dims []Dim) [][]int64 {
+	bins := 0
+	for _, d := range dims {
+		bins += d.Bins
+	}
+	backing := make([]int64, bins)
+	hists := make([][]int64, len(dims))
+	for i, d := range dims {
+		hists[i] = backing[:d.Bins:d.Bins]
+		backing = backing[d.Bins:]
+	}
+	return hists
+}
+
+// BrushInto is one replica's answer to a brush: every dimension's histogram
+// under filters into hists (NewHistograms-shaped) plus the filtered count —
+// O(bins·2^(d-1)) lookups per histogram. Answers over disjoint partitions
+// merge by element-wise addition, which is what lets the local server, the
+// shard pools and the router children all answer with this one call.
+func (p *PrefixCube) BrushInto(filters []*Range, hists [][]int64) (int64, error) {
+	if len(hists) != len(p.dims) {
+		return 0, fmt.Errorf("datacube: %d histograms for %d dimensions", len(hists), len(p.dims))
+	}
+	for d := range hists {
+		if err := p.HistogramInto(d, filters, hists[d]); err != nil {
+			return 0, err
+		}
+	}
+	return p.Count(filters)
+}
+
 // Histogram returns dimension target's histogram under the given filters,
 // allocating the result. See HistogramInto.
 func (p *PrefixCube) Histogram(target int, filters []*Range) ([]int64, error) {

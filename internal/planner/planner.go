@@ -323,13 +323,7 @@ func (p *Planner) Answer(sessionID string, moved int, filters []*datacube.Range,
 	case MatIndex:
 		total, err = idx.AnswerInto(filters, hists)
 	case PrefixCube:
-		pc := p.prefix.Load()
-		for d := 0; d < nd && err == nil; d++ {
-			err = pc.HistogramInto(d, filters, hists[d])
-		}
-		if err == nil {
-			total, err = pc.Count(filters)
-		}
+		total, err = p.prefix.Load().BrushInto(filters, hists)
 	case DenseCube:
 		for d := 0; d < nd && err == nil; d++ {
 			err = p.cube.HistogramInto(d, filters, hists[d])

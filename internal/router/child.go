@@ -393,21 +393,11 @@ type frameScratch struct {
 }
 
 func newFrameScratch(dims []datacube.Dim) *frameScratch {
-	sc := &frameScratch{
+	return &frameScratch{
 		ranges:  make([]datacube.Range, len(dims)),
 		filters: make([]*datacube.Range, len(dims)),
-		hists:   make([][]int64, len(dims)),
+		hists:   datacube.NewHistograms(dims),
 	}
-	bins := 0
-	for _, d := range dims {
-		bins += d.Bins
-	}
-	backing := make([]int64, bins)
-	for i, d := range dims {
-		sc.hists[i] = backing[:d.Bins:d.Bins]
-		backing = backing[d.Bins:]
-	}
-	return sc
 }
 
 // holdData applies the blackhole to one data frame: it is parked until the
@@ -431,12 +421,7 @@ func (c *child) answerFrame(b []byte, id uint64, req []byte, sc *frameScratch) [
 	if err := decodeRanges(req, sc.ranges, sc.filters); err != nil {
 		return appendError(b, id, http.StatusBadRequest, err.Error())
 	}
-	for i := range sc.hists {
-		if err := c.prefix.HistogramInto(i, sc.filters, sc.hists[i]); err != nil {
-			return appendError(b, id, http.StatusInternalServerError, err.Error())
-		}
-	}
-	total, err := c.prefix.Count(sc.filters)
+	total, err := c.prefix.BrushInto(sc.filters, sc.hists)
 	if err != nil {
 		return appendError(b, id, http.StatusInternalServerError, err.Error())
 	}

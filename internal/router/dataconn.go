@@ -97,9 +97,6 @@ func (c *dataConn) sendLocked(ctx context.Context, ranges []byte, ch chan<- rpcR
 // dialLocked connects to the replica's data listener and starts the
 // connection's reader.
 func (c *dataConn) dialLocked(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	d := net.Dialer{Timeout: c.rep.fleet.cfg.HealthTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.rep.dataAddr)
 	if err != nil {

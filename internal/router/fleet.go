@@ -498,9 +498,6 @@ func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*dat
 		// partial gather would be wrong; refuse rather than misreport.
 		return nil, fmt.Errorf("router: fleet still coming up (coverage totals unknown)")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	shards, replicas := f.cfg.Shards, f.cfg.Replicas
 	g := gather{
 		f:      f,

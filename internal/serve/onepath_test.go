@@ -1,0 +1,186 @@
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/shard"
+)
+
+// answererModes are the four ways New can be told who answers a brush; mk
+// completes base for one mode and returns the backends to serve it over.
+var answererModes = []struct {
+	name string
+	mk   func(t *testing.T, b Backends, base Config) (Backends, Config)
+}{
+	{"prefix", func(_ *testing.T, b Backends, base Config) (Backends, Config) { return b, base }},
+	{"planner", func(_ *testing.T, b Backends, base Config) (Backends, Config) {
+		base.Planner, base.PlannerHotStreak = true, 3
+		return b, base
+	}},
+	{"shards2", func(_ *testing.T, b Backends, base Config) (Backends, Config) {
+		base.Shards = 2
+		return b, base
+	}},
+	{"gatherer", func(t *testing.T, b Backends, base Config) (Backends, Config) {
+		coord, err := shard.New(b.Tiles, RoadCubeDims(), shard.Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close) // idempotent: the server's Drain closes it first
+		base.Gatherer, base.GatherDims = coord, RoadCubeDims()
+		b.Cube = nil
+		return b, base
+	}},
+}
+
+// answererServers builds one server per answerer mode over the same dataset.
+// base is called per mode so each server gets its own config (and injector).
+func answererServers(t *testing.T, base func() Config) []*httptest.Server {
+	t.Helper()
+	out := make([]*httptest.Server, len(answererModes))
+	for i, m := range answererModes {
+		backends, err := RoadBackends(1, testRows, engine.ProfileMemory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, cfg := m.mk(t, backends, base())
+		srv, err := New(b, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			drainForTest(t, srv)
+		})
+		out[i] = ts
+	}
+	return out
+}
+
+// postAll sends req to every server and requires 200 and byte-identical
+// bodies; it returns the common body.
+func postAll(t *testing.T, tag string, servers []*httptest.Server, req BrushRequest) []byte {
+	t.Helper()
+	var first []byte
+	for i, ts := range servers {
+		resp, body := postJSON(t, ts.URL+"/v1/brush", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s: status %d: %s", tag, answererModes[i].name, resp.StatusCode, body)
+		}
+		if i == 0 {
+			first = body
+		} else if !bytes.Equal(first, body) {
+			t.Fatalf("%s: %s differs from %s\n%s\nvs\n%s", tag, answererModes[i].name, answererModes[0].name, body, first)
+		}
+	}
+	return first
+}
+
+// TestOneBrushPathAcrossAnswerers: whoever answers — local prefix cube, the
+// planner, two in-process shards, or a coordinator handed in as Gatherer —
+// the same brush script yields byte-identical bodies, and under a stalled
+// backend with Deadlines on the same rungs answer in the same order.
+func TestOneBrushPathAcrossAnswerers(t *testing.T) {
+	t.Run("exact", func(t *testing.T) {
+		servers := answererServers(t, func() Config { return Config{Workers: 2} })
+		const steps = 12
+		seq := int64(0)
+		for step := 0; step < steps; step++ {
+			postAll(t, fmt.Sprintf("drag %d", step), servers,
+				BrushRequest{Session: "one", Seq: seq, Ranges: dragBrushRanges(step, steps), Moved: 0})
+			seq++
+		}
+		jump := dragBrushRanges(3, steps)
+		jump[2] = nil
+		postAll(t, "jump", servers, BrushRequest{Session: "one", Seq: seq, Ranges: jump, Moved: 1})
+		postAll(t, "unfiltered", servers, BrushRequest{Session: "one", Seq: seq + 1, Ranges: make([]*[2]float64, 3)})
+		inverted := []*[2]float64{{10.5, 8.2}, nil, nil}
+		postAll(t, "inverted", servers, BrushRequest{Session: "one", Seq: seq + 2, Ranges: inverted})
+	})
+
+	t.Run("ladder", func(t *testing.T) {
+		stall := fault.Profile{Name: "stall-all", StallProb: 1, StallDelay: 300 * time.Millisecond}
+		var injectors []*fault.Injector
+		servers := answererServers(t, func() Config {
+			in := fault.New(fault.Profile{Name: "clean"}, 21)
+			injectors = append(injectors, in)
+			return Config{
+				Workers: 2, Deadlines: true, DegradeAfter: 15 * time.Millisecond,
+				Fault: in, BreakerThreshold: -1,
+			}
+		})
+		seen := BrushRequest{Session: "rungs", Seq: 0, Ranges: brushRanges(8.2, 10.5)}
+		unseen := BrushRequest{Session: "rungs", Seq: 2, Ranges: brushRanges(8.7, 10.1)}
+
+		exact := decodeBrush(t, postAll(t, "exact", servers, seen))
+		if exact.Tier != "exact" || exact.Degraded {
+			t.Fatalf("healthy: tier %q degraded=%v, want exact", exact.Tier, exact.Degraded)
+		}
+		for _, in := range injectors {
+			in.SetProfile(stall)
+		}
+		seen.Seq = 1
+		cached := decodeBrush(t, postAll(t, "cache", servers, seen))
+		if cached.Tier != "cache" || cached.Degraded || cached.AppliedSeq != 1 {
+			t.Fatalf("stalled, seen ranges: tier %q degraded=%v applied=%d, want cache/false/1",
+				cached.Tier, cached.Degraded, cached.AppliedSeq)
+		}
+		if cached.Total != exact.Total || fmt.Sprint(cached.Histograms) != fmt.Sprint(exact.Histograms) {
+			t.Fatal("cache rung served different data than the exact answer it cached")
+		}
+		partial := decodeBrush(t, postAll(t, "partial", servers, unseen))
+		if partial.Tier != "partial" || !partial.Degraded || partial.SampleFraction <= 0 || partial.SampleFraction > 1 {
+			t.Fatalf("stalled, unseen ranges: tier %q degraded=%v fraction=%g, want a degraded partial",
+				partial.Tier, partial.Degraded, partial.SampleFraction)
+		}
+	})
+}
+
+// TestLostLegWithoutDeadlinesIsDegraded: with Deadlines off a gather that
+// loses a shard to an error (not a deadline) still comes back short. It must
+// be counted and served as degraded, and must never be stored as if exact.
+func TestLostLegWithoutDeadlinesIsDegraded(t *testing.T) {
+	const failing = 1
+	faults := make([]*fault.Injector, 4)
+	faults[failing] = fault.New(fault.Profile{Name: "err-all", ErrProb: 1}, 31)
+	srv, ts := shardTestServer(t, 8000, Config{Workers: 2, Shards: 4, ShardFaults: faults})
+
+	coord := srv.coord.(*shard.Coordinator)
+	wantFrac := 1 - float64(coord.Replica(failing).Table.NumRows())/float64(coord.Records())
+
+	req := BrushRequest{Session: "lost", Seq: 0, Ranges: brushRanges(8.2, 10.5)}
+	resp, body := postJSON(t, ts.URL+"/v1/brush", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	br := decodeBrush(t, body)
+	if !br.Degraded || br.Tier != "partial" || br.SampleFraction != wantFrac {
+		t.Fatalf("tier %q degraded=%v fraction=%g, want a degraded partial covering %g",
+			br.Tier, br.Degraded, br.SampleFraction, wantFrac)
+	}
+	if st := srv.Stats(); st.Degraded != 1 {
+		t.Fatalf("registry degraded = %d, want 1: a short gather is a degraded answer with or without deadlines", st.Degraded)
+	}
+	if hit := srv.lookupBrush(req); hit != nil {
+		t.Fatalf("scaled partial (fraction %g) was cached as an exact answer", hit.SampleFraction)
+	}
+
+	// Healed, the same ranges answer exactly — nothing stale shadows them.
+	faults[failing].SetProfile(fault.Profile{})
+	req.Seq = 1
+	resp, body = postJSON(t, ts.URL+"/v1/brush", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healed status %d: %s", resp.StatusCode, body)
+	}
+	if healed := decodeBrush(t, body); healed.Degraded || healed.SampleFraction != 0 {
+		t.Fatalf("healed answer still degraded (fraction %g)", healed.SampleFraction)
+	}
+}

@@ -88,9 +88,6 @@ type Config struct {
 	// MaxRetries bounds retry attempts after injected backend errors; 0
 	// means 2, negative disables retries.
 	MaxRetries int
-	// RetryBase is the backoff base for retry attempt k (base·2^k, capped,
-	// full jitter); 0 means 2ms.
-	RetryBase time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// circuit breaker (503 + Retry-After at admission); 0 means 8, negative
 	// disables the breaker.
@@ -99,11 +96,9 @@ type Config struct {
 	// 250ms.
 	BreakerCooldown time.Duration
 	// BrushCacheSize bounds the ranges-keyed cache of exact brush answers
-	// (the ladder's middle tier). 0 means 256; negative disables it.
+	// (the ladder's middle tier, so it exists only with Deadlines on). 0
+	// means 256; negative disables it.
 	BrushCacheSize int
-	// PartialRows is the sample size of the progressive partial tier; 0
-	// means 32768 rows.
-	PartialRows int
 
 	// Planner enables the selection-aware materialization planner: every
 	// brush is answered by the cheapest structure a per-structure cost
@@ -111,9 +106,12 @@ type Config struct {
 	// cube, engine scan — all bit-identical), and hot drag templates get
 	// dedicated indexes built off the hot path. Requires a cube with a
 	// backing table (Backends.Tiles) carrying every cube dimension as a
-	// numeric column; mutually exclusive with Shards > 1. The brush answer
-	// cache moves into the planner's byte-budgeted store, shared with the
-	// materialized indexes.
+	// numeric column. The brush answer cache moves into the planner's
+	// byte-budgeted store, shared with the materialized indexes.
+	//
+	// Planner, Shards > 1 and Gatherer each pick who answers a brush;
+	// New accepts at most one of them (the planner does not yet run inside
+	// shard replicas).
 	Planner bool
 	// PlannerBudget bounds the planner's shared store (indexes + cached
 	// brush answers) in approximate resident bytes; 0 means
@@ -149,14 +147,21 @@ type Config struct {
 	// brush path entirely: every brush scatter-gathers through it (the
 	// process-level router hands one in, fronting supervised shard child
 	// processes) and merges by addition exactly as the in-process
-	// coordinator does. Requires GatherDims; mutually exclusive with
-	// Shards > 1, Planner, and a Cube backend. The server owns the
-	// gatherer's lifecycle: Drain closes it.
+	// coordinator does. Requires GatherDims and no Cube backend. The server
+	// owns the gatherer's lifecycle: Drain closes it.
 	Gatherer Gatherer
 	// GatherDims are the served cube dimensions when a Gatherer is
 	// configured — the global domains every shard child bins against.
 	GatherDims []datacube.Dim
 }
+
+const (
+	// retryBase is the backoff base for retry attempt k after an injected
+	// backend error (base·2^k, capped, full jitter).
+	retryBase = 2 * time.Millisecond
+	// partialRows is the sample size of the progressive partial tier.
+	partialRows = 32768
+)
 
 // Gatherer is the brush scatter-gather backend: fan one filter snapshot out
 // to every shard, collect per-shard partial histograms, and report coverage.
@@ -165,8 +170,8 @@ type Config struct {
 // layer's ladder, coalescing, and metrics are identical over either.
 type Gatherer interface {
 	// ScatterBrush scatters one brush snapshot. The session token lets
-	// process-level implementations route with per-session affinity; a nil
-	// ctx means no deadline (the gather blocks for full coverage).
+	// process-level implementations route with per-session affinity; a ctx
+	// with no deadline blocks for full coverage.
 	ScatterBrush(ctx context.Context, session string, filters []*datacube.Range) (*shard.Gather, error)
 	// Close releases the gatherer's resources (worker pools, child
 	// processes). Called once, from Drain.
@@ -218,7 +223,6 @@ type Server struct {
 	reg *Registry
 
 	eng     *engine.Engine
-	cube    *datacube.Cube
 	prefix  *datacube.PrefixCube
 	tiles   *storage.Table
 	tileLat *storage.Column
@@ -227,23 +231,29 @@ type Server struct {
 	tileMu    sync.Mutex
 	tileCache *opt.ResultLRU
 
+	// The brush path: answer is whoever answers a brush snapshot, picked
+	// once in New — the local structures (plan, else prefix) or coord's
+	// scatter-gather — and the ladder runs over it without asking which.
+	cubeDims []datacube.Dim
+	answer   brushAnswerer
+	coord    Gatherer
+	plan     *planner.Planner
+
 	// Degradation ladder state: fault injector and circuit breaker guarding
-	// backend executions, resolved retry/deadline knobs, the ranges-keyed
-	// cache of exact brush answers, and the progressive executor for the
-	// partial tier (nil when the cube has no backing table).
+	// backend executions, resolved retry/deadline knobs, and the fallback
+	// rungs, which exist only with Deadlines on — the ranges-keyed cache of
+	// exact brush answers (cacheBrushes; in brushCache, or the planner's
+	// store) and the progressive executor for the partial tier (nil when
+	// the served dimensions have no backing table).
 	fault        *fault.Injector
 	brk          *breaker
 	degradeAfter time.Duration
 	maxRetries   int
-	retryBase    time.Duration
-	partialRows  int
 	prog         *progressive.Executor
-	cubeDims     []datacube.Dim
-	coord        Gatherer
-	storeStats   *colstore.TableStats
-	plan         *planner.Planner
+	cacheBrushes bool
 	brushMu      sync.Mutex
 	brushCache   *opt.ResultLRU
+	storeStats   *colstore.TableStats
 
 	mux      *http.ServeMux
 	queue    chan func()
@@ -319,7 +329,6 @@ func New(b Backends, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		reg:       NewRegistry(cfg.Constraint),
 		eng:       b.Engine,
-		cube:      b.Cube,
 		tiles:     b.Tiles,
 		queue:     make(chan func(), cfg.QueueDepth),
 		sessions:  make(map[string]*sessionState),
@@ -335,14 +344,6 @@ func New(b Backends, cfg Config) (*Server, error) {
 	if s.maxRetries == 0 {
 		s.maxRetries = 2
 	}
-	s.retryBase = cfg.RetryBase
-	if s.retryBase <= 0 {
-		s.retryBase = 2 * time.Millisecond
-	}
-	s.partialRows = cfg.PartialRows
-	if s.partialRows <= 0 {
-		s.partialRows = 32768
-	}
 	breakerThreshold := cfg.BreakerThreshold
 	if breakerThreshold == 0 {
 		breakerThreshold = 8
@@ -356,37 +357,12 @@ func New(b Backends, cfg Config) (*Server, error) {
 	if brushCacheSize == 0 {
 		brushCacheSize = 256
 	}
-	if brushCacheSize > 0 && !cfg.Planner {
-		// Planner-enabled, brush answers live in the planner's shared
-		// byte-budgeted store instead.
+	// Only the ladder's fallback reads the cache, and only with Deadlines
+	// on; otherwise nothing is written to it either. Planner-enabled, brush
+	// answers live in the planner's shared byte-budgeted store instead.
+	s.cacheBrushes = cfg.Deadlines && (cfg.Planner || brushCacheSize > 0)
+	if s.cacheBrushes && !cfg.Planner {
 		s.brushCache = opt.NewResultLRU(brushCacheSize)
-	}
-	if b.Cube != nil {
-		// The summed-area form answers every brush in O(bins·2^(d-1))
-		// lookups; the dense cube stays as the differential oracle. With
-		// the planner's lazy-prefix mode, this eager build is deferred to
-		// the planner's background path instead.
-		if !cfg.Planner || !cfg.PlannerLazyPrefix {
-			s.prefix = datacube.NewPrefix(b.Cube)
-		}
-		for d := 0; d < b.Cube.NumDims(); d++ {
-			s.cubeDims = append(s.cubeDims, b.Cube.Dim(d))
-		}
-		// The progressive partial tier samples the cube's backing table
-		// directly; it needs every cube dimension as a numeric column.
-		if b.Tiles != nil {
-			usable := true
-			for _, d := range s.cubeDims {
-				col := b.Tiles.Column(d.Name)
-				if col == nil || col.Type == storage.String {
-					usable = false
-					break
-				}
-			}
-			if usable {
-				s.prog = progressive.NewExecutor(b.Tiles, 1)
-			}
-		}
 	}
 	if b.Tiles != nil {
 		s.tileLat = b.Tiles.Column(b.TileLat)
@@ -407,29 +383,23 @@ func New(b Backends, cfg Config) (*Server, error) {
 			s.storeStats = &st
 		}
 	}
-	if cfg.Planner {
-		if cfg.Shards > 1 {
-			// The planner's session-template tracking and shard scatter
-			// both own the brush execution path; composing them is a
-			// different design, not a config knob.
-			return nil, fmt.Errorf("serve: planner and sharded serving are mutually exclusive")
+	if b.Cube != nil {
+		for d := 0; d < b.Cube.NumDims(); d++ {
+			s.cubeDims = append(s.cubeDims, b.Cube.Dim(d))
 		}
-		if b.Cube == nil || b.Tiles == nil {
-			return nil, fmt.Errorf("serve: planner needs a cube with a backing table")
-		}
-		pl, err := planner.New(b.Tiles, b.Cube, s.cubeDims, planner.Config{
-			Budget:     cfg.PlannerBudget,
-			HotStreak:  cfg.PlannerHotStreak,
-			Prefix:     s.prefix,
-			LazyPrefix: cfg.PlannerLazyPrefix,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: planner: %w", err)
-		}
-		s.plan = pl
 	}
-	if cfg.Shards > 1 {
-		if b.Tiles == nil || len(s.cubeDims) == 0 {
+	// One brush answerer, picked here once. Planner, Shards > 1 and Gatherer
+	// each claim the pick, so each arm requires the others absent.
+	switch {
+	case cfg.Gatherer != nil && !cfg.Planner && cfg.Shards <= 1 && b.Cube == nil:
+		if len(cfg.GatherDims) == 0 {
+			return nil, fmt.Errorf("serve: a gatherer needs GatherDims (the global cube dimensions)")
+		}
+		s.cubeDims = append([]datacube.Dim(nil), cfg.GatherDims...)
+		s.coord = cfg.Gatherer
+		s.answer = s.answerGather
+	case cfg.Gatherer == nil && !cfg.Planner && cfg.Shards > 1:
+		if b.Cube == nil || b.Tiles == nil {
 			return nil, fmt.Errorf("serve: sharded serving needs a cube with a backing table")
 		}
 		opts := shard.Options{
@@ -447,19 +417,50 @@ func New(b Backends, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: shard coordinator: %w", err)
 		}
 		s.coord = coord
+		s.answer = s.answerGather
+	case cfg.Gatherer == nil && cfg.Shards <= 1:
+		if cfg.Planner && (b.Cube == nil || b.Tiles == nil) {
+			return nil, fmt.Errorf("serve: planner needs a cube with a backing table")
+		}
+		if b.Cube == nil {
+			break // no brush backend: /v1/brush answers 501
+		}
+		// The summed-area form answers every brush in O(bins·2^(d-1))
+		// lookups; the dense cube stays as the differential oracle. The
+		// planner's lazy-prefix mode defers this build to its background
+		// path instead.
+		if !cfg.Planner || !cfg.PlannerLazyPrefix {
+			s.prefix = datacube.NewPrefix(b.Cube)
+		}
+		if cfg.Planner {
+			pl, err := planner.New(b.Tiles, b.Cube, s.cubeDims, planner.Config{
+				Budget:     cfg.PlannerBudget,
+				HotStreak:  cfg.PlannerHotStreak,
+				Prefix:     s.prefix,
+				LazyPrefix: cfg.PlannerLazyPrefix,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("serve: planner: %w", err)
+			}
+			s.plan = pl
+		}
+		s.answer = s.answerLocal
+	default:
+		return nil, fmt.Errorf("serve: Planner, Shards > 1 and a Gatherer (in place of a Cube) each pick the brush answerer; configure at most one")
 	}
-	if cfg.Gatherer != nil {
-		if cfg.Shards > 1 || cfg.Planner {
-			return nil, fmt.Errorf("serve: an external gatherer is mutually exclusive with in-process shards and the planner")
+	// The progressive partial rung samples the served dimensions' backing
+	// table directly; it needs every one of them as a numeric column.
+	if cfg.Deadlines && b.Tiles != nil && len(s.cubeDims) > 0 {
+		usable := true
+		for _, d := range s.cubeDims {
+			if col := b.Tiles.Column(d.Name); col == nil || col.Type == storage.String {
+				usable = false
+				break
+			}
 		}
-		if b.Cube != nil {
-			return nil, fmt.Errorf("serve: an external gatherer replaces the cube backend; configure one or the other")
+		if usable {
+			s.prog = progressive.NewExecutor(b.Tiles, 1)
 		}
-		if len(cfg.GatherDims) == 0 {
-			return nil, fmt.Errorf("serve: a gatherer needs GatherDims (the global cube dimensions)")
-		}
-		s.cubeDims = append([]datacube.Dim(nil), cfg.GatherDims...)
-		s.coord = cfg.Gatherer
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
@@ -539,6 +540,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain: %w", ctx.Err())
 	}
+}
+
+// budget returns the context one request's exact attempt runs under. With
+// Deadlines on it expires degradeAfter past issue, so queue wait counts
+// against it; off, the same code simply runs with no deadline.
+func (s *Server) budget(issued time.Time) (context.Context, context.CancelFunc) {
+	if !s.cfg.Deadlines {
+		return context.Background(), func() {}
+	}
+	return context.WithDeadline(context.Background(), issued.Add(s.degradeAfter))
 }
 
 // isDraining reports whether admission has stopped.
@@ -684,14 +695,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Unlock()
 	s.reg.recordIssue(start)
 
-	// The execution context budgets the exact tier: deadline degradeAfter
-	// past issue, so queue wait counts against it.
-	execCtx := context.Background()
-	if s.cfg.Deadlines {
-		var cancel context.CancelFunc
-		execCtx, cancel = context.WithDeadline(execCtx, start.Add(s.degradeAfter))
-		defer cancel()
-	}
+	execCtx, cancel := s.budget(start)
+	defer cancel()
 
 	type outcome struct {
 		res  *engine.Result
@@ -817,7 +822,7 @@ func (s *Server) degradeQuery(sqlText string) (*engine.Result, float64) {
 	if err != nil {
 		return nil, 0
 	}
-	res, frac, ok, err := s.eng.PartialHistogram(context.Background(), stmt, s.partialRows)
+	res, frac, ok, err := s.eng.PartialHistogram(context.Background(), stmt, partialRows)
 	if !ok || err != nil {
 		return nil, 0
 	}
@@ -917,7 +922,7 @@ func (s *Server) handleBrush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.cube == nil && s.coord == nil {
+	if s.answer == nil {
 		httpError(w, http.StatusNotImplemented, "no cube backend")
 		return
 	}
@@ -1092,9 +1097,6 @@ func (s *Server) runBrushes(sess *sessionState) {
 // allows). Without an injector it is just the budget check.
 func (s *Server) faultGate(ctx context.Context) error {
 	if s.fault == nil {
-		if ctx == nil {
-			return nil
-		}
 		return ctx.Err()
 	}
 	const maxBackoff = 100 * time.Millisecond
@@ -1107,7 +1109,7 @@ func (s *Server) faultGate(ctx context.Context) error {
 		if attempt >= s.maxRetries {
 			return err
 		}
-		backoff := s.retryBase << uint(attempt)
+		backoff := retryBase << uint(attempt)
 		if backoff > maxBackoff {
 			backoff = maxBackoff
 		}
@@ -1120,93 +1122,87 @@ func (s *Server) faultGate(ctx context.Context) error {
 	}
 }
 
-// execBrushLadder answers one brush snapshot through the degradation
-// ladder. With deadlines off it is the chaos baseline: injected faults are
-// served in full and only the exact tier exists. With deadlines on, the
-// exact tier runs under a budget of degradeAfter from the oldest rider's
-// issue; a blown budget falls back to a cached exact answer for the same
-// ranges, then to a progressive partial estimate marked Degraded.
-//
-// Sharded, the exact tier is a scatter-gather: full coverage is the exact
-// answer (byte-identical to the unsharded path); a straggler shard turns
-// the gather into a partial answer — served as Degraded with the covered
-// record fraction, after the cache tier gets a chance to do better.
-func (s *Server) execBrushLadder(req BrushRequest, earliest time.Time, stamp func(obsv.Stage)) (*BrushResponse, error) {
-	if !s.cfg.Deadlines {
-		if err := s.faultGate(nil); err != nil {
-			s.brk.failure(time.Now())
-			return nil, err
-		}
-		var resp *BrushResponse
-		var err error
-		if s.coord != nil {
-			// No deadline: the gather blocks for every shard, so the merge
-			// is always the complete exact answer.
-			resp, _, err = s.execBrushShard(nil, req, stamp)
-		} else {
-			resp, err = s.execBrush(req)
-		}
-		if err != nil {
-			s.brk.failure(time.Now())
-			return nil, err
-		}
-		s.brk.success()
-		s.cacheBrush(req, resp)
-		return resp, nil
-	}
+// brushAnswerer answers one brush snapshot exactly over the partitions that
+// answer under ctx: their merged histograms and total, raw and unscaled, and
+// the fraction of all records they own. stamp marks stage transitions on
+// every rider's trace. An error means no partition answered.
+type brushAnswerer func(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error)
 
-	ctx, cancel := context.WithDeadline(context.Background(), earliest.Add(s.degradeAfter))
+// answerLocal is the one-partition answerer: the planner's cheapest
+// structure, else the prefix cube (bit-identical either way), on the calling
+// goroutine. One partition that always answers covers everything.
+func (s *Server) answerLocal(_ context.Context, req BrushRequest, _ func(obsv.Stage)) (*BrushResponse, float64, error) {
+	filters := brushFilters(req.Ranges)
+	resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
+	var err error
+	if s.plan != nil {
+		resp.Total, _, err = s.plan.Answer(req.Session, req.Moved, filters, resp.Histograms)
+	} else {
+		resp.Total, err = s.prefix.BrushInto(filters, resp.Histograms)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp, 1, nil
+}
+
+// answerGather is the many-partition answerer: scatter the snapshot through
+// coord (in-process shard pools or the process router's children) and merge
+// what came back by addition. A shard that misses ctx's deadline or fails
+// lowers the covered fraction; none covered is an error.
+func (s *Server) answerGather(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error) {
+	stamp(obsv.StageScatter)
+	g, err := s.coord.ScatterBrush(ctx, req.Session, brushFilters(req.Ranges))
+	if err != nil {
+		return nil, 0, err
+	}
+	if g.Covered() == 0 {
+		if err := g.FirstErr(); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, fmt.Errorf("serve: shard gather covered no shards")
+	}
+	b := g.MergeBrush(s.cubeDims)
+	return &BrushResponse{AppliedSeq: req.Seq, Histograms: b.Histograms, Total: b.Total}, b.Fraction(), nil
+}
+
+// execBrushLadder answers one brush snapshot through the degradation
+// ladder: fault gate, then the answerer. Full coverage is the exact answer.
+// Anything less falls to a cached exact answer for the same ranges; failing
+// that, partial coverage is served as the covered partitions' merge scaled
+// by 1/fraction, and no coverage as a progressive sample estimate — both
+// marked Degraded with the record fraction they saw.
+//
+// Deadlines on, the attempt runs under a budget of degradeAfter from the
+// oldest rider's issue. Deadlines off is the chaos baseline: the same code
+// with no budget (injected stalls are served in full) and no cache or
+// progressive rung to fall to — an attempt that loses a partition to an error
+// is still served scaled and counted degraded, and one that errs fails.
+func (s *Server) execBrushLadder(req BrushRequest, earliest time.Time, stamp func(obsv.Stage)) (*BrushResponse, error) {
+	ctx, cancel := s.budget(earliest)
 	defer cancel()
 
-	// Tier 1: exact, while the budget holds.
-	gateErr := s.faultGate(ctx)
-	if gateErr == nil && s.coord != nil {
-		resp, frac, err := s.execBrushShard(ctx, req, stamp)
-		switch {
-		case err != nil:
-			// Zero coverage (or a closed coordinator): degrade like a blown
-			// deadline — cache, then progressive partial.
-			gateErr = err
-		case frac == 1:
+	var resp *BrushResponse
+	var frac float64
+	err := s.faultGate(ctx)
+	if err == nil {
+		resp, frac, err = s.answer(ctx, req, stamp)
+	}
+	if err == nil && frac == 1 {
+		if s.cfg.Deadlines {
 			resp.Tier = "exact"
-			s.brk.success()
-			s.cacheBrush(req, resp)
-			return resp, nil
-		default:
-			// A straggler shard missed the budget. A cached exact answer
-			// beats the partial estimate; otherwise serve the covered
-			// shards' scaled merge.
-			s.reg.recordDeadline()
-			if cached := s.lookupBrush(req); cached != nil {
-				c := *cached
-				c.AppliedSeq = req.Seq
-				c.Tier = "cache"
-				s.reg.recordBrushCacheHit()
-				s.brk.success()
-				return &c, nil
-			}
-			s.reg.recordDegraded()
-			s.brk.success()
-			return resp, nil
 		}
-	} else if gateErr == nil {
-		resp, err := s.execBrush(req)
-		if err != nil {
-			s.brk.failure(time.Now())
-			return nil, err
-		}
-		resp.Tier = "exact"
 		s.brk.success()
 		s.cacheBrush(req, resp)
 		return resp, nil
 	}
-	if errors.Is(gateErr, context.DeadlineExceeded) || errors.Is(gateErr, context.Canceled) {
+	if ctx.Err() != nil {
 		s.reg.recordDeadline()
 	}
 
-	// Tier 2: a cached exact answer for these exact ranges — stale only in
-	// the sense that it was computed earlier; the data is immutable, so it
-	// is not degraded, just cheaper.
+	// A cached exact answer for these exact ranges — stale only in the sense
+	// that it was computed earlier; the data is immutable, so it is not
+	// degraded, just cheaper, and it beats any estimate.
 	if cached := s.lookupBrush(req); cached != nil {
 		c := *cached
 		c.AppliedSeq = req.Seq
@@ -1216,19 +1212,31 @@ func (s *Server) execBrushLadder(req BrushRequest, earliest time.Time, stamp fun
 		return &c, nil
 	}
 
-	// Tier 3: progressive partial — a bounded-work sample estimate, marked
-	// degraded so the client can render it as provisional.
-	if s.prog != nil {
-		resp, err := s.execBrushPartial(req)
-		if err == nil {
-			s.reg.recordDegraded()
-			s.brk.success()
-			return resp, nil
+	if err == nil {
+		// Some partitions answered: estimate the rest from them, the same
+		// convention as the progressive sample.
+		scale := 1 / frac
+		for _, h := range resp.Histograms {
+			for i, v := range h {
+				h[i] = int64(float64(v)*scale + 0.5)
+			}
+		}
+		resp.Total = int64(float64(resp.Total)*scale + 0.5)
+		resp.SampleFraction = frac
+	} else if s.prog != nil {
+		// Nothing answered: a bounded-work sample estimate.
+		if partial, perr := s.execBrushPartial(req); perr == nil {
+			resp = partial
 		}
 	}
-
-	s.brk.failure(time.Now())
-	return nil, gateErr
+	if resp == nil {
+		s.brk.failure(time.Now())
+		return nil, err
+	}
+	resp.Tier, resp.Degraded = "partial", true
+	s.reg.recordDegraded()
+	s.brk.success()
+	return resp, nil
 }
 
 // brushKey is the ranges-keyed cache key: the filter state fully determines
@@ -1248,17 +1256,21 @@ func brushKey(req BrushRequest) string {
 	return string(key)
 }
 
-// cacheBrush stores an exact answer under its ranges key. The cached value
-// is read-only from then on; lookup copies the struct before overriding
-// per-request fields.
+// brushCachePrefix namespaces cached brush answers inside the planner's
+// shared store, next to the "ix|" materialized indexes.
+const brushCachePrefix = "br|"
+
+// cacheBrush stores an exact answer under its ranges key, when a rung can
+// ever read it back. The cached value is read-only from then on; the ladder
+// copies the struct before overriding per-request fields.
 func (s *Server) cacheBrush(req BrushRequest, resp *BrushResponse) {
+	if !s.cacheBrushes {
+		return
+	}
 	if s.plan != nil {
 		// Cached answers share the planner's byte-budgeted store with the
 		// materialized indexes: one memory budget for both.
 		s.plan.CachePut(brushCachePrefix+brushKey(req), resp)
-		return
-	}
-	if s.brushCache == nil {
 		return
 	}
 	s.brushMu.Lock()
@@ -1266,27 +1278,21 @@ func (s *Server) cacheBrush(req BrushRequest, resp *BrushResponse) {
 	s.brushMu.Unlock()
 }
 
-// brushCachePrefix namespaces cached brush answers inside the planner's
-// shared store, next to the "ix|" materialized indexes.
-const brushCachePrefix = "br|"
-
 // lookupBrush returns the cached exact answer for the request's ranges, or
 // nil, counting the outcome either way.
 func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
-	if s.plan != nil {
-		v, ok := s.plan.CacheGet(brushCachePrefix + brushKey(req))
-		if !ok {
-			s.reg.recordBrushCacheMiss()
-			return nil
-		}
-		return v.(*BrushResponse)
-	}
-	if s.brushCache == nil {
+	if !s.cacheBrushes {
 		return nil
 	}
-	s.brushMu.Lock()
-	v, ok := s.brushCache.Get(brushKey(req))
-	s.brushMu.Unlock()
+	var v any
+	var ok bool
+	if s.plan != nil {
+		v, ok = s.plan.CacheGet(brushCachePrefix + brushKey(req))
+	} else {
+		s.brushMu.Lock()
+		v, ok = s.brushCache.Get(brushKey(req))
+		s.brushMu.Unlock()
+	}
 	if !ok {
 		s.reg.recordBrushCacheMiss()
 		return nil
@@ -1299,12 +1305,7 @@ func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
 // shuffled prefix as a uniform sample. Work is bounded by partialRows per
 // dimension regardless of table size.
 func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, error) {
-	resp := &BrushResponse{
-		AppliedSeq: req.Seq,
-		Tier:       "partial",
-		Degraded:   true,
-	}
-	resp.Histograms = make([][]int64, len(s.cubeDims))
+	resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
 	filters := make(map[string][2]float64, len(s.cubeDims))
 	for i, rg := range req.Ranges {
 		if rg != nil {
@@ -1320,16 +1321,14 @@ func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, error) {
 			Bins:    dim.Bins,
 			Filters: filters,
 		}
-		snap, err := s.prog.Partial(q, s.partialRows)
+		snap, err := s.prog.Partial(q, partialRows)
 		if err != nil {
 			return nil, err
 		}
 		resp.SampleFraction = snap.Fraction
-		h := make([]int64, dim.Bins)
 		for b, v := range snap.Estimate {
-			h[b] = int64(v + 0.5)
+			resp.Histograms[d][b] = int64(v + 0.5)
 		}
-		resp.Histograms[d] = h
 		if d == 0 {
 			for _, v := range snap.Estimate {
 				total += v
@@ -1352,87 +1351,6 @@ func brushFilters(ranges []*[2]float64) []*datacube.Range {
 		}
 	}
 	return filters
-}
-
-// execBrushShard scatter-gathers one brush snapshot across the shard
-// replicas. Full coverage merges to the exact answer. Partial coverage
-// (a shard missed ctx's deadline) returns a Degraded response with the
-// covered shards' counts scaled by 1/fraction — the same estimation
-// convention as the progressive partial tier — and the fraction is also
-// returned so the ladder can distinguish the cases. Zero coverage is an
-// error.
-func (s *Server) execBrushShard(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error) {
-	stamp(obsv.StageScatter)
-	g, err := s.coord.ScatterBrush(ctx, req.Session, brushFilters(req.Ranges))
-	if err != nil {
-		return nil, 0, err
-	}
-	if g.Covered() == 0 {
-		if err := g.FirstErr(); err != nil {
-			return nil, 0, err
-		}
-		return nil, 0, fmt.Errorf("serve: shard gather covered no shards")
-	}
-	b := g.MergeBrush(s.cubeDims)
-	frac := b.Fraction()
-	resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: b.Histograms, Total: b.Total}
-	if frac < 1 {
-		scale := 1 / frac
-		for _, h := range resp.Histograms {
-			for i, v := range h {
-				h[i] = int64(float64(v)*scale + 0.5)
-			}
-		}
-		resp.Total = int64(float64(b.Total)*scale + 0.5)
-		resp.Tier = "partial"
-		resp.Degraded = true
-		resp.SampleFraction = frac
-	}
-	return resp, frac, nil
-}
-
-// execBrush answers the coordinated-view query on the summed-area cube:
-// all histograms plus the total under the snapshot's filters, in
-// O(bins·2^(d-1)) lookups per histogram instead of a filtered cell-box
-// walk. One flat backing array serves every histogram, so the hot path
-// allocates only what the JSON response itself needs.
-func (s *Server) execBrush(req BrushRequest) (*BrushResponse, error) {
-	ndims := len(s.cubeDims)
-	filters := brushFilters(req.Ranges)
-	resp := &BrushResponse{AppliedSeq: req.Seq}
-	resp.Histograms = make([][]int64, ndims)
-	bins := 0
-	for d := 0; d < ndims; d++ {
-		bins += s.cubeDims[d].Bins
-	}
-	backing := make([]int64, bins)
-	for d := 0; d < ndims; d++ {
-		nb := s.cubeDims[d].Bins
-		resp.Histograms[d] = backing[:nb:nb]
-		backing = backing[nb:]
-	}
-	if s.plan != nil {
-		// Planner path: the cheapest available structure answers — the
-		// choice is bit-identical across structures, so the response is
-		// indistinguishable from the fixed prefix-cube path below.
-		total, _, err := s.plan.Answer(req.Session, req.Moved, filters, resp.Histograms)
-		if err != nil {
-			return nil, err
-		}
-		resp.Total = total
-		return resp, nil
-	}
-	for d := 0; d < ndims; d++ {
-		if err := s.prefix.HistogramInto(d, filters, resp.Histograms[d]); err != nil {
-			return nil, err
-		}
-	}
-	total, err := s.prefix.Count(filters)
-	if err != nil {
-		return nil, err
-	}
-	resp.Total = total
-	return resp, nil
 }
 
 // --- /v1/tiles --------------------------------------------------------------
@@ -1514,12 +1432,8 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.recordTileMiss()
 
-	execCtx := context.Background()
-	if s.cfg.Deadlines {
-		var cancel context.CancelFunc
-		execCtx, cancel = context.WithDeadline(execCtx, start.Add(s.degradeAfter))
-		defer cancel()
-	}
+	execCtx, cancel := s.budget(start)
+	defer cancel()
 	type tileOutcome struct {
 		count int64
 		err   error

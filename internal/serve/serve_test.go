@@ -100,7 +100,13 @@ func TestQueryHandler(t *testing.T) {
 }
 
 func TestBrushHandlerMatchesCube(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2})
+	// The dense-cube oracle: the same dataset the server was built over.
+	oracle, err := RoadBackends(1, testRows, engine.ProfileMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube := oracle.Cube
 
 	lo, hi := 9.0, 10.5
 	ranges := []*[2]float64{{lo, hi}, nil, nil}
@@ -119,8 +125,8 @@ func TestBrushHandlerMatchesCube(t *testing.T) {
 	}
 
 	filters := []*datacube.Range{{Lo: lo, Hi: hi}, nil, nil}
-	for d := 0; d < srv.cube.NumDims(); d++ {
-		want, err := srv.cube.Histogram(d, filters)
+	for d := 0; d < cube.NumDims(); d++ {
+		want, err := cube.Histogram(d, filters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +134,7 @@ func TestBrushHandlerMatchesCube(t *testing.T) {
 			t.Errorf("dim %d histogram mismatch", d)
 		}
 	}
-	wantTotal, _ := srv.cube.Count(filters)
+	wantTotal, _ := cube.Count(filters)
 	if br.Total != wantTotal {
 		t.Errorf("total = %d, want %d", br.Total, wantTotal)
 	}

@@ -24,7 +24,6 @@ type Coordinator struct {
 	dims    []datacube.Dim
 	workers []*worker
 	records int // total records across all partitions
-	bins    int // sum of the dims' bin counts (one backing array per answer)
 
 	mu     sync.RWMutex // guards task-channel sends against Close
 	closed atomic.Bool
@@ -53,9 +52,6 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 		}
 	}
 	c := &Coordinator{opts: opts, dims: dims, records: t.NumRows()}
-	for _, d := range dims {
-		c.bins += d.Bins
-	}
 	specs := make([]crossfilter.DimSpec, len(dims))
 	for i, d := range dims {
 		specs[i] = crossfilter.DimSpec{Name: d.Name, Lo: d.Lo, Hi: d.Hi}
@@ -124,15 +120,11 @@ func (c *Coordinator) scatter(ctx context.Context, run func(ctx context.Context,
 		return nil, fmt.Errorf("shard: coordinator closed")
 	}
 	out := make(chan result, len(c.workers))
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	for i, w := range c.workers {
 		t := &task{ctx: ctx, run: run, out: out}
 		select {
 		case w.tasks <- t:
-		case <-done:
+		case <-ctx.Done():
 			// The shard's backlog is full and the deadline hit first:
 			// answer for it locally so the gather still sees S results.
 			out <- result{shard: i, err: ctx.Err()}
@@ -154,8 +146,8 @@ type Gather struct {
 
 // NewGather assembles a Gather from per-shard answers collected outside the
 // in-process coordinator — the constructor the process-level router uses
-// after gathering partial histograms over HTTP. totalRecords is the record
-// count across ALL shards (answered or not); coverage accounting follows
+// after gathering its children's binary answer frames. totalRecords is the
+// record count across ALL shards (answered or not); coverage accounting follows
 // from which answer slots are non-nil, exactly as the in-process gather
 // computes it, so Fraction and MergeBrush behave identically across the
 // process boundary.
@@ -187,10 +179,6 @@ func (c *Coordinator) gather(ctx context.Context, out <-chan result) *Gather {
 		Errs:    make([]error, len(c.workers)),
 		records: c.records,
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	for n := 0; n < len(c.workers); n++ {
 		select {
 		case r := <-out:
@@ -201,7 +189,7 @@ func (c *Coordinator) gather(ctx context.Context, out <-chan result) *Gather {
 			g.Answers[r.shard] = r.ans
 			g.covered++
 			g.coveredRecords += r.ans.Records
-		case <-done:
+		case <-ctx.Done():
 			for i := range g.Errs {
 				if g.Answers[i] == nil && g.Errs[i] == nil {
 					g.Errs[i] = ctx.Err()
@@ -263,21 +251,11 @@ func (b *Brush) Fraction() float64 {
 // unsharded computation whenever coverage is complete.
 func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
 	b := &Brush{
-		Histograms:     make([][]int64, len(dims)),
+		Histograms:     datacube.NewHistograms(dims),
 		Shards:         len(g.Answers),
 		Covered:        g.covered,
 		Records:        g.records,
 		CoveredRecords: g.coveredRecords,
-	}
-	total := 0
-	for _, d := range dims {
-		total += d.Bins
-	}
-	backing := make([]int64, total)
-	off := 0
-	for i, d := range dims {
-		b.Histograms[i] = backing[off : off+d.Bins : off+d.Bins]
-		off += d.Bins
 	}
 	for _, a := range g.Answers {
 		if a == nil {
@@ -299,23 +277,12 @@ func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
 // follows datacube conventions: nil or empty means unfiltered, otherwise
 // one entry per dimension with nil entries unfiltered.
 func (c *Coordinator) Scatter(ctx context.Context, filters []*datacube.Range) (*Gather, error) {
-	dims, bins := c.dims, c.bins
 	run := func(tctx context.Context, r *Replica) (*Answer, error) {
-		a := &Answer{Records: r.Table.NumRows(), Histograms: make([][]int64, len(dims))}
-		backing := make([]int64, bins)
-		off := 0
-		for i, d := range dims {
-			a.Histograms[i] = backing[off : off+d.Bins : off+d.Bins]
-			off += d.Bins
-			if err := r.Prefix.HistogramInto(i, filters, a.Histograms[i]); err != nil {
-				return nil, err
-			}
-		}
-		total, err := r.Prefix.Count(filters)
-		if err != nil {
+		a := &Answer{Records: r.Table.NumRows(), Histograms: datacube.NewHistograms(c.dims)}
+		var err error
+		if a.Total, err = r.Prefix.BrushInto(filters, a.Histograms); err != nil {
 			return nil, err
 		}
-		a.Total = total
 		return a, nil
 	}
 	out, err := c.scatter(ctx, run)

@@ -170,7 +170,7 @@ func (w *worker) loop(wg *sync.WaitGroup) {
 	for t := range w.tasks {
 		res := result{shard: w.rep.ID}
 		switch {
-		case t.ctx != nil && t.ctx.Err() != nil:
+		case t.ctx.Err() != nil:
 			res.err = t.ctx.Err()
 		default:
 			if w.fault != nil {
