@@ -3,6 +3,8 @@ package colstore
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // benchPacked builds n packed codes of the given width.
@@ -71,4 +73,34 @@ func BenchmarkPackedGet(b *testing.B) {
 		sink += p.Get(i & (n - 1))
 	}
 	_ = sink
+}
+
+// BenchmarkZoneStepNothingToSkip prices the zone step where it cannot
+// help: a shuffled Listings latitude column, whose every 64-row zone spans
+// most of the domain, so a mid-selectivity range leaves every word
+// undecided. "zoned" is FilterRange, "kernel" the bare row kernel; the
+// difference (the per-word bounds test) should stay within ~5%.
+func BenchmarkZoneStepNothingToSkip(b *testing.B) {
+	vals := dataset.Listings(1, 1<<18).Column("lat").Floats
+	rand.New(rand.NewSource(1)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	n := len(vals)
+	col := NewPlainFloats(vals)
+	dst := NewBitmap(n)
+	const lo, hi = 34.0, 41.0
+	col.FilterRange(lo, hi, 0, n, dst, false)
+	if skipped, filled, _ := ZonesOf(col).Words(); skipped+filled > int64(n/64/100) {
+		b.Fatalf("zones decided %d+%d of %d words; the column is not unclustered", skipped, filled, n/64)
+	}
+	b.Run("zoned", func(b *testing.B) {
+		b.SetBytes(int64(n))
+		for i := 0; i < b.N; i++ {
+			col.FilterRange(lo, hi, 0, n, dst, false)
+		}
+	})
+	b.Run("kernel", func(b *testing.B) {
+		b.SetBytes(int64(n))
+		for i := 0; i < b.N; i++ {
+			filterFloats(vals, lo, hi, 0, n, dst, false)
+		}
+	})
 }

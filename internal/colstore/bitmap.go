@@ -22,6 +22,19 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// Reset makes the bitmap cover n rows, none selected, reusing the backing
+// words when they are large enough — for scratch bitmaps that outlive one
+// query.
+func (b *Bitmap) Reset(n int) {
+	if nw := (n + 63) / 64; nw <= cap(b.words) {
+		b.words = b.words[:nw]
+		clear(b.words)
+	} else {
+		b.words = make([]uint64, nw)
+	}
+	b.n = n
+}
+
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 
@@ -80,6 +93,18 @@ func (b *Bitmap) ForEachSet(r0, r1 int, fn func(i int)) {
 			fn(i)
 			x &= x - 1
 		}
+	}
+}
+
+// FillRange selects rows [r0, r1). r0 must be a multiple of 64 and r1 a
+// multiple of 64 or the row count.
+func (b *Bitmap) FillRange(r0, r1 int) {
+	for base := r0; base < r1; base += 64 {
+		sel := ^uint64(0)
+		if r1-base < 64 {
+			sel >>= uint(64 - (r1 - base))
+		}
+		b.words[base>>6] = sel
 	}
 }
 

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -274,6 +275,59 @@ func TestFreezeEncodingSelection(t *testing.T) {
 	}
 	if total != st.EncodedBytes {
 		t.Fatalf("EncodedBytes %d != column sum %d", st.EncodedBytes, total)
+	}
+}
+
+// TestEncodeFloatsEarlyDecisionMatchesFullCount pins the early exit of
+// encodeFloats: for the float fixtures of the differential and snapshot
+// suites (dictionary, plain, NaN-bearing, ±0.0 and ±Inf entries), and for
+// every cardinality of a small column (so the exact row where a
+// dictionary stops paying is crossed), the encoding chosen is the one the
+// full distinct count followed by the byte test would choose.
+func TestEncodeFloatsEarlyDecisionMatchesFullCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cases := map[string][]float64{"empty": nil}
+	diffCols, _ := genColumns(rng, 5000, true)
+	for _, dc := range diffCols[:2] {
+		cases["diff/"+dc.name] = dc.fvals
+	}
+	snap := snapTestTable(t, 3000, 13)
+	for i, def := range snap.Schema {
+		if def.Type == storage.Float64 {
+			cases["snap/"+def.Name] = snap.Columns[i].Floats
+		}
+	}
+	const n = 600
+	for card := 1; card <= n; card++ {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(i%card) * 0.5
+		}
+		cases[fmt.Sprintf("card%d", card)] = vals
+	}
+	opts := []Options{{}, {MinRatio: 1.01}, {MinRatio: 3}, {MaxDictCard: 50}}
+	for name, vals := range cases {
+		for _, o := range opts {
+			o = o.normalized()
+			distinct := map[uint64]struct{}{}
+			want := Dict
+			for _, v := range vals {
+				if math.IsNaN(v) {
+					want = Plain
+				}
+				distinct[math.Float64bits(v)] = struct{}{}
+			}
+			card := len(distinct)
+			plainBytes := int64(len(vals)) * 8
+			dictBytes := packedBytes(len(vals), dictWidth(card)) + int64(card)*8
+			if card > o.MaxDictCard || float64(plainBytes) < o.MinRatio*float64(dictBytes) {
+				want = Plain
+			}
+			if got := encodeFloats(vals, &o).Encoding(); got != want {
+				t.Errorf("%s (card %d, MinRatio %v, MaxDictCard %d): encoded %v, the full count says %v",
+					name, card, o.MinRatio, o.MaxDictCard, got, want)
+			}
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ type DictColumn struct {
 
 	plainBytes int64
 	dictBytes  int64
+	zm         ZoneMap // numeric dictionaries only
 }
 
 func (c *DictColumn) card() int {
@@ -116,7 +117,9 @@ func (c *DictColumn) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bo
 		dst.ZeroRange(r0, r1)
 		return
 	}
-	filterCodes(c.codes, cLo, cHi, r0, r1, dst, and)
+	c.zones().filter(lo, hi, r0, r1, dst, and, func(u0, u1 int) {
+		filterCodes(c.codes, cLo, cHi, u0, u1, dst, and)
+	})
 }
 
 func (c *DictColumn) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {

@@ -25,6 +25,7 @@ type ForColumn struct {
 	ref   int64 // minimum value; codes span [0, spanMax]
 	span  uint64
 	codes *PackedInts
+	zm    ZoneMap
 }
 
 func (c *ForColumn) Len() int { return c.codes.Len() }
@@ -82,7 +83,9 @@ func (c *ForColumn) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and boo
 		dst.ZeroRange(r0, r1)
 		return
 	}
-	filterCodes(c.codes, cLo, cHi, r0, r1, dst, and)
+	c.zones().filter(lo, hi, r0, r1, dst, and, func(u0, u1 int) {
+		filterCodes(c.codes, cLo, cHi, u0, u1, dst, and)
+	})
 }
 
 func (c *ForColumn) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {

@@ -55,8 +55,9 @@ func (o *Options) normalized() Options {
 // passthrough. The frozen table is immutable (appends error) and reads
 // back bit-identically to the source through the storage.Column surface,
 // so every existing consumer works on it unchanged; scan hot paths
-// type-assert Of(col) for the vectorized kernels. Already-frozen columns
-// pass through untouched, making Freeze idempotent.
+// type-assert Of(col) for the vectorized kernels. Numeric columns also get
+// their zone map (see ZoneMap). Already-frozen columns pass through
+// untouched, making Freeze idempotent.
 func Freeze(t *storage.Table, opts *Options) (*storage.Table, error) {
 	if t == nil {
 		return nil, fmt.Errorf("colstore: nil table")
@@ -73,7 +74,9 @@ func Freeze(t *storage.Table, opts *Options) (*storage.Table, error) {
 			out.Columns[i] = col
 			continue
 		}
-		out.Columns[i] = &storage.Column{Type: col.Type, Enc: encodeColumn(col, &o)}
+		enc := encodeColumn(col, &o)
+		ZonesOf(enc) // built here so that no query pays for it
+		out.Columns[i] = &storage.Column{Type: col.Type, Enc: enc}
 	}
 	return out, nil
 }
@@ -107,8 +110,15 @@ func encodeColumn(col *storage.Column, o *Options) Column {
 // the resulting bytes justify it. Distinct values are keyed by bit
 // pattern (so -0.0 and +0.0 decode back exactly) and NaN disqualifies the
 // column — NaN has no sorted position, and the kernels' compare semantics
-// already match the oracle through the Plain path.
+// already match the oracle through the Plain path. Whether a dictionary
+// pays depends only on the row count and the cardinality, and its bytes
+// only grow with cardinality, so the collection loop stops at the first
+// distinct value that prices the dictionary out: a high-cardinality column
+// is rejected without collecting, materialising or sorting a dictionary.
 func encodeFloats(vals []float64, o *Options) Column {
+	if len(vals) == 0 {
+		return NewPlainFloats(vals)
+	}
 	plainBytes := int64(len(vals)) * 8
 	distinct := make(map[uint64]uint32, 1024)
 	for _, v := range vals {
@@ -117,7 +127,8 @@ func encodeFloats(vals []float64, o *Options) Column {
 		}
 		bits := math.Float64bits(v)
 		if _, ok := distinct[bits]; !ok {
-			if len(distinct) >= o.MaxDictCard {
+			card := len(distinct) + 1
+			if card > o.MaxDictCard || !dictPays(plainBytes, len(vals), card, o.MinRatio) {
 				return NewPlainFloats(vals)
 			}
 			distinct[bits] = 0
@@ -137,23 +148,29 @@ func encodeFloats(vals []float64, o *Options) Column {
 		// the dictionary is deterministic.
 		return math.Signbit(x) && !math.Signbit(y)
 	})
-	width := WidthFor(uint64(maxInt(card-1, 0)))
 	c := &DictColumn{
 		typ:        storage.Float64,
 		fvals:      dict,
 		plainBytes: plainBytes,
 		dictBytes:  int64(card) * 8,
 	}
-	if float64(plainBytes) < o.MinRatio*float64(packedBytes(len(vals), width)+c.dictBytes) {
-		return NewPlainFloats(vals)
-	}
 	for code, v := range dict {
 		distinct[math.Float64bits(v)] = uint32(code)
 	}
-	c.codes = packCodes(len(vals), width, o.Parallelism, func(i int) uint64 {
+	c.codes = packCodes(len(vals), dictWidth(card), o.Parallelism, func(i int) uint64 {
 		return uint64(distinct[math.Float64bits(vals[i])])
 	})
 	return c
+}
+
+// dictWidth is the packed code width of a card-entry dictionary.
+func dictWidth(card int) uint { return WidthFor(uint64(max(card-1, 0))) }
+
+// dictPays reports whether an n-row column of 8-byte values with card
+// distinct values is at least minRatio times smaller dictionary-coded
+// than its plainBytes.
+func dictPays(plainBytes int64, n, card int, minRatio float64) bool {
+	return float64(plainBytes) >= minRatio*float64(packedBytes(n, dictWidth(card))+int64(card)*8)
 }
 
 // encodeInts picks between frame-of-reference packing (contiguous-ish
@@ -203,7 +220,7 @@ func encodeInts(vals []int64, o *Options) Column {
 			dict = append(dict, v)
 		}
 		sort.Slice(dict, func(a, b int) bool { return dict[a] < dict[b] })
-		dictBytes = packedBytes(len(vals), WidthFor(uint64(maxInt(len(dict)-1, 0)))) + int64(len(dict))*8
+		dictBytes = packedBytes(len(vals), dictWidth(len(dict))) + int64(len(dict))*8
 	}
 
 	best := minInt64(forBytes, dictBytes)
@@ -226,7 +243,7 @@ func encodeInts(vals []int64, o *Options) Column {
 		plainBytes: plainBytes,
 		dictBytes:  int64(len(dict)) * 8,
 	}
-	c.codes = packCodes(len(vals), WidthFor(uint64(maxInt(len(dict)-1, 0))), o.Parallelism, func(i int) uint64 {
+	c.codes = packCodes(len(vals), dictWidth(len(dict)), o.Parallelism, func(i int) uint64 {
 		return uint64(distinct[vals[i]])
 	})
 	return c
@@ -251,7 +268,7 @@ func encodeStrings(vals []string, o *Options) Column {
 		dataBytes += int64(len(v))
 	}
 	sort.Strings(dict)
-	width := WidthFor(uint64(maxInt(len(dict)-1, 0)))
+	width := dictWidth(len(dict))
 	c := &DictColumn{
 		typ:        storage.String,
 		svals:      dict,
@@ -324,6 +341,15 @@ type ColumnStats struct {
 	Ratio       float64 `json:"ratio"`
 	Cardinality int     `json:"cardinality,omitempty"` // dictionary entries; 0 = not dictionary-coded
 	BitWidth    uint    `json:"bit_width,omitempty"`   // packed code width; 0 = unpacked
+
+	// ZoneBytes is the column's zone map, resident beside Bytes; the
+	// ZoneWords counters are what FilterRange has done with the column's
+	// 64-row words so far: decided empty, decided full, or compared row
+	// by row.
+	ZoneBytes          int64 `json:"zone_bytes,omitempty"`
+	ZoneWordsSkipped   int64 `json:"zone_words_skipped,omitempty"`
+	ZoneWordsFilled    int64 `json:"zone_words_filled,omitempty"`
+	ZoneWordsEvaluated int64 `json:"zone_words_evaluated,omitempty"`
 }
 
 // TableStats aggregates per-column footprints; Ratio is the table-level
@@ -334,6 +360,7 @@ type TableStats struct {
 	Columns      []ColumnStats `json:"columns"`
 	EncodedBytes int64         `json:"encoded_bytes"`
 	PlainBytes   int64         `json:"plain_bytes"`
+	ZoneBytes    int64         `json:"zone_bytes"`
 	Ratio        float64       `json:"ratio"`
 }
 
@@ -348,12 +375,25 @@ func StatsOf(t *storage.Table) TableStats {
 			cs.Encoding = enc.EncodingName()
 			cs.Bytes = enc.EncodedBytes()
 			cs.PlainBytes = enc.PlainBytes()
-			if d, ok := enc.(*DictColumn); ok {
-				cs.Cardinality = d.card()
-				cs.BitWidth = d.codes.Width()
+			var zm *ZoneMap // read in place: a scrape must not build one
+			switch c := enc.(type) {
+			case *PlainFloats:
+				zm = &c.zm
+			case *PlainInts:
+				zm = &c.zm
+			case *ForColumn:
+				zm = &c.zm
+				cs.BitWidth = c.codes.Width()
+			case *DictColumn:
+				cs.Cardinality = c.card()
+				cs.BitWidth = c.codes.Width()
+				if c.typ != storage.String {
+					zm = &c.zm
+				}
 			}
-			if f, ok := enc.(*ForColumn); ok {
-				cs.BitWidth = f.codes.Width()
+			if zm != nil {
+				cs.ZoneBytes = zoneBytes(enc.Len())
+				cs.ZoneWordsSkipped, cs.ZoneWordsFilled, cs.ZoneWordsEvaluated = zm.Words()
 			}
 		} else {
 			switch col.Type {
@@ -372,18 +412,12 @@ func StatsOf(t *storage.Table) TableStats {
 		st.Columns = append(st.Columns, cs)
 		st.EncodedBytes += cs.Bytes
 		st.PlainBytes += cs.PlainBytes
+		st.ZoneBytes += cs.ZoneBytes
 	}
 	if st.EncodedBytes > 0 {
 		st.Ratio = float64(st.PlainBytes) / float64(st.EncodedBytes)
 	}
 	return st
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func minInt64(a, b int64) int64 {

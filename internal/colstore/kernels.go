@@ -201,7 +201,7 @@ func Select(n int, preds []RangePred, parallelism int) *Bitmap {
 	}
 	morsel.Run(n, workers, func(_, _, lo, hi int) {
 		if len(preds) == 0 {
-			fillRange(dst, lo, hi)
+			dst.FillRange(lo, hi)
 			return
 		}
 		for k, p := range preds {
@@ -209,17 +209,6 @@ func Select(n int, preds []RangePred, parallelism int) *Bitmap {
 		}
 	})
 	return dst
-}
-
-// fillRange sets every bit in [r0, r1); r0 must be 64-aligned.
-func fillRange(dst *Bitmap, r0, r1 int) {
-	for base := r0; base < r1; base += 64 {
-		sel := ^uint64(0)
-		if r1-base < 64 {
-			sel = ^uint64(0) >> uint(64-(r1-base))
-		}
-		dst.words[base>>6] = sel
-	}
 }
 
 // nanRange reports whether a closed range is the select-nothing range.

@@ -10,6 +10,7 @@ import (
 // and every column answers, compressed or not.
 type PlainFloats struct {
 	vals []float64
+	zm   ZoneMap
 }
 
 // NewPlainFloats wraps a float64 slice (borrowed, not copied).
@@ -28,12 +29,14 @@ func (c *PlainFloats) PlainBytes() int64         { return int64(len(c.vals)) * 8
 func (c *PlainFloats) RawFloats() []float64 { return c.vals }
 
 func (c *PlainFloats) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bool) {
-	filterFloats(c.vals, lo, hi, r0, r1, dst, and)
+	c.zones().filter(lo, hi, r0, r1, dst, and, func(u0, u1 int) {
+		filterFloats(c.vals, lo, hi, u0, u1, dst, and)
+	})
 }
 
 func (c *PlainFloats) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
 	x := v.AsFloat()
-	filterFloats(c.vals, x, x, r0, r1, dst, and)
+	c.FilterRange(x, x, r0, r1, dst, and)
 }
 
 func (c *PlainFloats) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
@@ -46,6 +49,7 @@ func (c *PlainFloats) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, an
 // — goes inexact).
 type PlainInts struct {
 	vals []int64
+	zm   ZoneMap
 }
 
 // NewPlainInts wraps an int64 slice (borrowed, not copied).
@@ -61,12 +65,14 @@ func (c *PlainInts) Type() storage.Type        { return storage.Int64 }
 func (c *PlainInts) PlainBytes() int64         { return int64(len(c.vals)) * 8 }
 
 func (c *PlainInts) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bool) {
-	filterInts(c.vals, lo, hi, r0, r1, dst, and)
+	c.zones().filter(lo, hi, r0, r1, dst, and, func(u0, u1 int) {
+		filterInts(c.vals, lo, hi, u0, u1, dst, and)
+	})
 }
 
 func (c *PlainInts) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
 	x := v.AsFloat()
-	filterInts(c.vals, x, x, r0, r1, dst, and)
+	c.FilterRange(x, x, r0, r1, dst, and)
 }
 
 func (c *PlainInts) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {

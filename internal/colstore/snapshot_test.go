@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -197,6 +198,71 @@ func TestSnapshotFilterKernelsOverMapped(t *testing.T) {
 			if a.Get(i) != b.Get(i) {
 				t.Fatalf("column %d row %d: mapped kernel diverged", ci, i)
 			}
+		}
+	}
+}
+
+// zonesBuilt reports whether col's zone bounds exist yet, without
+// building them.
+func zonesBuilt(col Column) bool {
+	switch c := col.(type) {
+	case *PlainFloats:
+		return c.zm.mm != nil
+	case *PlainInts:
+		return c.zm.mm != nil
+	case *ForColumn:
+		return c.zm.mm != nil
+	case *DictColumn:
+		return c.zm.mm != nil
+	}
+	return false
+}
+
+// TestSnapshotZonesBuiltOnFirstFilter: zone maps are not in the file and
+// not built by OpenSnapshot or by a stats scrape (warm start stays
+// O(columns)); the first range filter builds them, and the mapped column
+// then filters exactly like its heap twin, store and AND passes alike.
+func TestSnapshotZonesBuiltOnFirstFilter(t *testing.T) {
+	tbl := snapTestTable(t, 3000, 13)
+	frozen, err := Freeze(tbl, &Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshot(writeTestSnapshot(t, frozen, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	n := tbl.NumRows()
+	st := StatsOf(snap.Table())
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for ci, col := range frozen.Columns {
+		if col.Type == storage.String {
+			continue
+		}
+		heap, _ := Of(col)
+		mapped, _ := Of(snap.Table().Columns[ci])
+		if !zonesBuilt(heap) {
+			t.Fatalf("column %d: Freeze did not build the zones", ci)
+		}
+		if zonesBuilt(mapped) {
+			t.Fatalf("column %d: zones built before the first filter", ci)
+		}
+		if cs := st.Columns[ci]; cs.ZoneBytes != zoneBytes(n) || cs.ZoneWordsEvaluated != 0 {
+			t.Fatalf("column %d: stats before any filter: %+v", ci, cs)
+		}
+		for _, r := range zonedRanges(rand.New(rand.NewSource(int64(ci))), zonedCase{col: heap}) {
+			a, b := NewBitmap(n), NewBitmap(n)
+			heap.FilterRange(-1e5, 1e5, 0, n, a, false)
+			mapped.FilterRange(-1e5, 1e5, 0, n, b, false)
+			heap.FilterRange(r[0], r[1], 0, n, a, true)
+			mapped.FilterRange(r[0], r[1], 0, n, b, true)
+			if !slices.Equal(a.words, b.words) {
+				t.Fatalf("column %d [%v, %v]: mapped column filters differently from its heap twin", ci, r[0], r[1])
+			}
+		}
+		if !slices.EqualFunc(ZonesOf(mapped).mm, ZonesOf(heap).mm, sameBits) {
+			t.Fatalf("column %d: mapped zone bounds differ from the heap twin's", ci)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -231,4 +232,87 @@ func TestEncodedRoadsHistogram(t *testing.T) {
 		t.Fatal("frozen roads table did not take the fast path")
 	}
 	assertSameResult(t, "roads", got, want)
+}
+
+// TestEncodedWordBinningMatchesPerRow aims the encoded fast path's
+// whole-word bin shortcut at every zone it must not take it for — a zone
+// spanning a bin edge, binning outside the dense window on either side,
+// holding a NaN or an infinity, a partial tail word — beside zones it does
+// take it for, and requires the plain engine's row-at-a-time answer and
+// cost accounting, with and without predicates thinning each word.
+func TestEncodedWordBinningMatchesPerRow(t *testing.T) {
+	// One 404-row stripe per shape, repeated; 404 is not a multiple of 64,
+	// so every repeat lays the shapes across word boundaries differently.
+	shapes := []func(j int) float64{
+		func(j int) float64 { return 3.1 + float64(j)*0.003 },  // one bin
+		func(j int) float64 { return 3.4 + float64(j)*0.003 },  // spans the 3|4 edge
+		func(j int) float64 { return 1e6 + float64(j) },        // past the dense window
+		func(j int) float64 { return -5000 - float64(j%3)/10 }, // one bin, below the window
+		func(j int) float64 {
+			if j == 17 {
+				return math.NaN()
+			}
+			return 7
+		},
+		func(j int) float64 { return math.Inf(1 - 2*(j%2)) },
+		func(j int) float64 { return 9 },
+	}
+	const stripe, repeats = 404, 101
+	n := stripe * repeats
+	v := make([]float64, n)
+	vi := make([]int64, n)
+	k := make([]float64, n)
+	for i := range v {
+		j := i % stripe
+		v[i] = shapes[j*len(shapes)/stripe](j)
+		vi[i] = int64(i / 50) // clustered, packs to frame-of-reference
+		k[i] = float64(i % 7)
+	}
+	raw := &storage.Table{
+		Name: "w",
+		Schema: storage.Schema{
+			{Name: "v", Type: storage.Float64},
+			{Name: "vi", Type: storage.Int64},
+			{Name: "k", Type: storage.Float64},
+		},
+		Columns: []*storage.Column{
+			{Type: storage.Float64, Floats: v},
+			{Type: storage.Int64, Ints: vi},
+			{Type: storage.Float64, Floats: k},
+		},
+		PageRows: storage.DefaultPageRows,
+	}
+	frozen, err := colstore.Freeze(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ := colstore.Of(frozen.Column("vi")); enc.Encoding() == colstore.Plain {
+		t.Fatal("vi stayed plain; the test wants a bin column without a raw slice too")
+	}
+	plainEng, encEng := memEngine(raw), memEngine(frozen)
+	for _, bin := range []string{"ROUND(v)", "ROUND((0 - v) / 0.5)", "ROUND(vi / 10)", "ROUND(vi * 100)"} {
+		for _, where := range []string{"", " WHERE k >= 3", " WHERE k >= 3 AND k < 5 AND v > 0", " WHERE vi >= 300 AND vi <= 500"} {
+			q := fmt.Sprintf("SELECT %s, COUNT(*) FROM w%s GROUP BY %s ORDER BY %s", bin, where, bin, bin)
+			for _, par := range []int{1, 4} {
+				plainEng.SetParallelism(par)
+				encEng.SetParallelism(par)
+				want, err := plainEng.Query(q)
+				if err != nil {
+					t.Fatalf("plain: %v (query %s)", err, q)
+				}
+				got, err := encEng.Query(q)
+				if err != nil {
+					t.Fatalf("encoded: %v (query %s)", err, q)
+				}
+				if !want.Stats.UsedFastPath || !got.Stats.UsedFastPath {
+					t.Fatalf("fast path not used for %s", q)
+				}
+				assertSameResult(t, fmt.Sprintf("P=%d %s", par, q), got, want)
+				got.Stats.RealTime, want.Stats.RealTime = 0, 0
+				if got.Stats != want.Stats {
+					t.Fatalf("P=%d %s: stats %+v, plain %+v", par, q, got.Stats, want.Stats)
+				}
+			}
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -124,6 +125,10 @@ type Engine struct {
 	// 1 pins the serial path (the oracle differential tests compare
 	// against). See parallel.go for the execution model.
 	parallelism int
+
+	// histScratch pools the histogram fast path's per-worker accumulators
+	// (*histAcc) across statements.
+	histScratch sync.Pool
 }
 
 // New creates an engine with the given profile. Parallelism defaults to

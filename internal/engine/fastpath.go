@@ -28,7 +28,7 @@ import (
 type histQuery struct {
 	table *storage.Table
 	bin   affine      // bin = round(a·col + b)
-	preds []rangePred // conjunctive numeric predicates
+	preds []rangePred // the WHERE conjunction, one closed range per column
 
 	// enc is the vectorized kernel plan, set when every referenced column
 	// is colstore-encoded (always true for frozen tables, which have no
@@ -36,19 +36,23 @@ type histQuery struct {
 	enc *encodedHist
 }
 
-// encodedHist is the fast path's plan over encoded columns: predicates
-// canonicalized to closed ranges once per query, evaluated by the
-// colstore kernels into a per-worker selection bitmap, with the bin
-// column decoded only for surviving rows.
+// encodedHist is the bin column's side of the fast path's plan over
+// encoded columns: the predicate ranges run as colstore kernels into a
+// per-worker selection bitmap, then the bin column is counted a selection
+// word at a time where its zone falls in one bin and decoded per
+// surviving row elsewhere.
 type encodedHist struct {
-	bin   colstore.Column
-	preds []encodedPred
+	bin      colstore.Column
+	binZones *colstore.ZoneMap
+	binRaw   []float64 // the bin column's raw slice when it has one
 }
 
-// encodedPred is one predicate as a closed value range.
-type encodedPred struct {
-	col    colstore.Column
-	lo, hi float64
+// binValue is the bin column's float64 image of row i.
+func (e *encodedHist) binValue(i int) float64 {
+	if e.binRaw != nil {
+		return e.binRaw[i]
+	}
+	return e.bin.Float(i)
 }
 
 // compileEncoded attaches the kernel plan to q. It reports false for the
@@ -60,26 +64,12 @@ func (q *histQuery) compileEncoded() bool {
 	binEnc, binOK := colstore.Of(q.bin.col)
 	anyEnc := binOK
 	allEnc := binOK
-	e := &encodedHist{bin: binEnc}
-	// The usual brush shape carries two predicates per column (>= lo and
-	// <= hi); intersecting them into one closed range halves the kernel
-	// passes over the packed data.
-	seen := make(map[*storage.Column]int, len(q.preds))
-	for _, p := range q.preds {
-		pc, ok := colstore.Of(p.col)
+	for i := range q.preds {
+		p := &q.preds[i]
+		var ok bool
+		p.enc, ok = colstore.Of(p.col)
 		anyEnc = anyEnc || ok
 		allEnc = allEnc && ok
-		if !ok {
-			continue
-		}
-		lo, hi := colstore.RangeFromOp(p.op, p.val)
-		if i, dup := seen[p.col]; dup {
-			ep := &e.preds[i]
-			ep.lo, ep.hi = colstore.IntersectRange(ep.lo, ep.hi, lo, hi)
-			continue
-		}
-		seen[p.col] = len(e.preds)
-		e.preds = append(e.preds, encodedPred{col: pc, lo: lo, hi: hi})
 	}
 	if !anyEnc {
 		return true // fully raw: the scalar path handles it
@@ -87,13 +77,17 @@ func (q *histQuery) compileEncoded() bool {
 	if !allEnc {
 		return false
 	}
+	e := &encodedHist{bin: binEnc, binZones: colstore.ZonesOf(binEnc)}
+	if fs, ok := binEnc.(colstore.FloatSlice); ok {
+		e.binRaw = fs.RawFloats()
+	}
 	// Most-selective predicate first: the later AND passes only touch rows
 	// still selected, so running the narrowest range first collapses the
 	// bitmap early and the rest of the conjunction rides the sparse path.
 	// The code-space fraction is a free selectivity estimate for coded
 	// columns; plain columns (estimate 1.0) keep their written order.
-	sort.SliceStable(e.preds, func(i, j int) bool {
-		return e.preds[i].estSelectivity() < e.preds[j].estSelectivity()
+	sort.SliceStable(q.preds, func(i, j int) bool {
+		return q.preds[i].estSelectivity() < q.preds[j].estSelectivity()
 	})
 	q.enc = e
 	return true
@@ -102,8 +96,8 @@ func (q *histQuery) compileEncoded() bool {
 // estSelectivity estimates the fraction of rows an encoded predicate
 // keeps: the selected share of the column's code space when it is coded,
 // 1.0 (unknown) otherwise.
-func (p *encodedPred) estSelectivity() float64 {
-	coded, ok := p.col.(colstore.Coded)
+func (p *rangePred) estSelectivity() float64 {
+	coded, ok := p.enc.(colstore.Coded)
 	if !ok {
 		return 1
 	}
@@ -120,11 +114,15 @@ type affine struct {
 	a, b float64
 }
 
-// rangePred is `col op constant` with op ∈ {>=, <=, >, <}.
+// rangePred is every `col op constant` comparison (op ∈ {>=, <=, >, <})
+// the WHERE clause makes on one column, fused into the closed range
+// [lo, hi] by colstore.RangeFromOp / IntersectRange — the one canonical
+// form both the scalar loop and the kernels compare against. The usual
+// brush shape (>= lo AND <= hi) is one range, so one compare pass.
 type rangePred struct {
-	col *storage.Column
-	op  string
-	val float64
+	col    *storage.Column
+	enc    colstore.Column // col's encoded form, set by compileEncoded
+	lo, hi float64
 }
 
 // matchHistogram reports whether stmt fits the fast path and returns the
@@ -175,11 +173,9 @@ func (e *Engine) matchHistogram(stmt *sql.SelectStmt) (*histQuery, bool) {
 
 	q := &histQuery{table: tbl, bin: bin}
 	if stmt.Where != nil {
-		preds, ok := collectRangePreds(stmt.Where, tbl)
-		if !ok {
+		if q.preds, ok = collectRangePreds(stmt.Where, tbl, nil); !ok {
 			return nil, false
 		}
-		q.preds = preds
 	}
 	if !q.compileEncoded() {
 		return nil, false
@@ -260,46 +256,49 @@ func affineRec(e sql.Expr, tbl *storage.Table) (*storage.Column, float64, float6
 	}
 }
 
-// collectRangePreds flattens a conjunction of simple numeric comparisons.
-func collectRangePreds(e sql.Expr, tbl *storage.Table) ([]rangePred, bool) {
-	if b, ok := e.(sql.BinaryExpr); ok && b.Op == "AND" {
-		l, lok := collectRangePreds(b.Left, tbl)
-		r, rok := collectRangePreds(b.Right, tbl)
-		if !lok || !rok {
-			return nil, false
-		}
-		return append(l, r...), true
-	}
+// collectRangePreds flattens a conjunction of simple numeric comparisons
+// onto preds, intersecting comparisons on a column it already holds.
+func collectRangePreds(e sql.Expr, tbl *storage.Table, preds []rangePred) ([]rangePred, bool) {
 	b, ok := e.(sql.BinaryExpr)
 	if !ok {
 		return nil, false
+	}
+	if b.Op == "AND" {
+		preds, ok = collectRangePreds(b.Left, tbl, preds)
+		if !ok {
+			return nil, false
+		}
+		return collectRangePreds(b.Right, tbl, preds)
 	}
 	switch b.Op {
 	case ">=", "<=", ">", "<":
 	default:
 		return nil, false
 	}
-	// col op const
-	if ref, ok := b.Left.(sql.ColumnRef); ok {
-		if v, ok := constValue(b.Right); ok {
-			col := tbl.Column(ref.Name)
-			if col == nil || col.Type == storage.String {
-				return nil, false
-			}
-			return []rangePred{{col: col, op: b.Op, val: v}}, true
+	// col op const, or const op col  →  col flipped-op const
+	ref, isRef := b.Left.(sql.ColumnRef)
+	v, isConst := constValue(b.Right)
+	op := b.Op
+	if !isRef || !isConst {
+		ref, isRef = b.Right.(sql.ColumnRef)
+		v, isConst = constValue(b.Left)
+		op = flipOp(op)
+	}
+	if !isRef || !isConst {
+		return nil, false
+	}
+	col := tbl.Column(ref.Name)
+	if col == nil || col.Type == storage.String {
+		return nil, false
+	}
+	lo, hi := colstore.RangeFromOp(op, v)
+	for i := range preds {
+		if p := &preds[i]; p.col == col {
+			p.lo, p.hi = colstore.IntersectRange(p.lo, p.hi, lo, hi)
+			return preds, true
 		}
 	}
-	// const op col  →  col flipped-op const
-	if ref, ok := b.Right.(sql.ColumnRef); ok {
-		if v, ok := constValue(b.Left); ok {
-			col := tbl.Column(ref.Name)
-			if col == nil || col.Type == storage.String {
-				return nil, false
-			}
-			return []rangePred{{col: col, op: flipOp(b.Op), val: v}}, true
-		}
-	}
-	return nil, false
+	return append(preds, rangePred{col: col, lo: lo, hi: hi}), true
 }
 
 func flipOp(op string) string {
@@ -364,11 +363,13 @@ func (e *Engine) runHistogram(ctx context.Context, q *histQuery, stats *ExecStat
 	stats.TuplesScanned += n
 	e.chargePages(q.table, 0, n, stats)
 
-	acc, err := countHistogram(ctx, q, n, e.parallelWorkers(n))
+	accs := e.getHistAccs(q, n, e.parallelWorkers(n))
+	defer e.putHistAccs(accs)
+	acc, err := countHistogram(ctx, q, n, accs)
 	if err != nil {
 		return nil, ctxErr(err)
 	}
-	return histResult(&acc, 1), nil
+	return histResult(acc, 1), nil
 }
 
 // histResult materializes a (bin, count) result from an accumulator, scaling
@@ -432,12 +433,10 @@ func (e *Engine) PartialHistogram(ctx context.Context, stmt *sql.SelectStmt, max
 	if maxRows > 0 && maxRows < n {
 		scan = maxRows
 	}
-	var acc histAcc
-	acc.dense = make([]int64, 2*fastBinOffset)
-	if q.enc != nil && len(q.enc.preds) > 0 {
-		acc.bm = colstore.NewBitmap(scan)
-	}
-	err := morselScanHist(ctx, q, &acc, scan)
+	accs := e.getHistAccs(q, scan, 1)
+	defer e.putHistAccs(accs)
+	acc := accs[0]
+	err := morselScanHist(ctx, q, acc, scan)
 	if err != nil {
 		return nil, 0, true, ctxErr(err)
 	}
@@ -447,7 +446,7 @@ func (e *Engine) PartialHistogram(ctx context.Context, stmt *sql.SelectStmt, max
 		frac = float64(scan) / float64(n)
 		scale = float64(n) / float64(scan)
 	}
-	res := histResult(&acc, scale)
+	res := histResult(acc, scale)
 	res.Stats.TuplesScanned = scan
 	res.Stats.UsedFastPath = true
 	return res, frac, true, nil

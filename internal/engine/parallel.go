@@ -181,24 +181,46 @@ func (acc *histAcc) bump(bin int) {
 	}
 }
 
-// countHistogram runs the fast path's filter+bin counting loop over all
-// rows with the given worker count. Counts are int64, so per-worker
-// accumulators merge exactly regardless of order; the result is identical
-// at every parallelism level. A cancelled ctx aborts between morsels and
-// discards all partial counts.
-func countHistogram(ctx context.Context, q *histQuery, n, workers int) (histAcc, error) {
-	accs := make([]histAcc, workers)
+// getHistAccs takes one zeroed accumulator per worker from the engine's
+// pool — the 64 KB dense window and, for an encoded plan, the n-row
+// selection bitmap would otherwise be allocated per worker per statement.
+func (e *Engine) getHistAccs(q *histQuery, n, workers int) []*histAcc {
+	accs := make([]*histAcc, workers)
 	for w := range accs {
-		accs[w].dense = make([]int64, 2*fastBinOffset)
-		if q.enc != nil && len(q.enc.preds) > 0 {
-			accs[w].bm = colstore.NewBitmap(n)
+		acc, _ := e.histScratch.Get().(*histAcc)
+		if acc == nil {
+			acc = &histAcc{dense: make([]int64, 2*fastBinOffset), bm: colstore.NewBitmap(0)}
 		}
+		if q.enc != nil {
+			acc.bm.Reset(n)
+		}
+		accs[w] = acc
 	}
-	err := morsel.RunCtx(ctx, n, workers, func(w, _, lo, hi int) {
-		countHistogramRange(q, &accs[w], lo, hi)
+	return accs
+}
+
+// putHistAccs returns accumulators to the pool, zeroed for the next
+// statement. Nothing may read them afterwards.
+func (e *Engine) putHistAccs(accs []*histAcc) {
+	for _, acc := range accs {
+		clear(acc.dense)
+		acc.sparse = nil
+		e.histScratch.Put(acc)
+	}
+}
+
+// countHistogram runs the fast path's filter+bin counting loop over all
+// rows with one worker per accumulator and merges the counts into accs[0],
+// which it returns. Counts are int64, so per-worker accumulators merge
+// exactly regardless of order; the result is identical at every
+// parallelism level. A cancelled ctx aborts between morsels and discards
+// all partial counts.
+func countHistogram(ctx context.Context, q *histQuery, n int, accs []*histAcc) (*histAcc, error) {
+	err := morsel.RunCtx(ctx, n, len(accs), func(w, _, lo, hi int) {
+		countHistogramRange(q, accs[w], lo, hi)
 	})
 	if err != nil {
-		return histAcc{}, err
+		return nil, err
 	}
 	out := accs[0]
 	for _, acc := range accs[1:] {
@@ -228,30 +250,16 @@ func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
 
 rows:
 	for i := lo; i < hi; i++ {
-		for _, p := range q.preds {
+		for k := range q.preds {
+			p := &q.preds[k]
 			var x float64
 			if p.col.Type == storage.Float64 {
 				x = p.col.Floats[i]
 			} else {
 				x = float64(p.col.Ints[i])
 			}
-			switch p.op {
-			case ">=":
-				if !(x >= p.val) {
-					continue rows
-				}
-			case "<=":
-				if !(x <= p.val) {
-					continue rows
-				}
-			case ">":
-				if !(x > p.val) {
-					continue rows
-				}
-			case "<":
-				if !(x < p.val) {
-					continue rows
-				}
+			if !(x >= p.lo && x <= p.hi) {
+				continue rows
 			}
 		}
 		var v float64
@@ -260,46 +268,47 @@ rows:
 		} else {
 			v = float64(binInts[i])
 		}
-		bin := int(math.Round(a*v + b))
-		if idx := bin + fastBinOffset; idx >= 0 && idx < len(acc.dense) {
-			acc.dense[idx]++
-		} else {
-			if acc.sparse == nil {
-				acc.sparse = make(map[int]int64)
-			}
-			acc.sparse[bin]++
-		}
+		acc.bump(int(math.Round(a*v + b)))
 	}
 }
 
 // countHistogramRangeEncoded is countHistogramRange over encoded columns:
-// each predicate runs as one vectorized kernel pass over its column's packed
-// words into the worker's selection bitmap (first predicate stores, the rest
-// AND), then only surviving rows decode the bin column. Kernels leave bits
-// past hi zero in the final partial word, so the word walk needs no tail
-// guard. [lo, hi) is a morsel range, so lo is 64-aligned as the kernels
-// require.
+// each predicate runs as one zone-mapped kernel pass over its column into
+// the worker's selection bitmap (first predicate stores, the rest AND; no
+// predicate selects every row), then the bin column is counted a selection
+// word at a time. round(a·v + b) is monotone in v, so when the bin
+// column's zone minimum and maximum land in the same bin every row of the
+// word does, and the word costs one popcount; a zone that spans a bin
+// edge, holds a NaN (NaN != NaN) or bins outside the dense window decodes
+// its surviving rows one by one. Kernels leave bits past hi zero in the
+// final partial word, so the word walk needs no tail guard. [lo, hi) is a
+// morsel range, so lo is 64-aligned as the kernels require.
 func countHistogramRangeEncoded(q *histQuery, acc *histAcc, lo, hi int) {
 	e := q.enc
 	a, b := q.bin.a, q.bin.b
-	if len(e.preds) == 0 {
-		for i := lo; i < hi; i++ {
-			acc.bump(int(math.Round(a*e.bin.Float(i) + b)))
-		}
-		return
+	if len(q.preds) == 0 {
+		acc.bm.FillRange(lo, hi)
 	}
-	for k := range e.preds {
-		p := &e.preds[k]
-		p.col.FilterRange(p.lo, p.hi, lo, hi, acc.bm, k > 0)
+	for k := range q.preds {
+		p := &q.preds[k]
+		p.enc.FilterRange(p.lo, p.hi, lo, hi, acc.bm, k > 0)
 	}
 	words := acc.bm.Words()
 	for w := lo >> 6; w<<6 < hi; w++ {
 		x := words[w]
+		if x == 0 {
+			continue
+		}
+		zmin, zmax := e.binZones.Bounds(w)
+		if bin := math.Round(a*zmin + b); bin == math.Round(a*zmax+b) && bin >= -fastBinOffset && bin < fastBinOffset {
+			acc.dense[int(bin)+fastBinOffset] += int64(bits.OnesCount64(x))
+			continue
+		}
 		base := w << 6
 		for x != 0 {
 			i := base + bits.TrailingZeros64(x)
 			x &= x - 1
-			acc.bump(int(math.Round(a*e.bin.Float(i) + b)))
+			acc.bump(int(math.Round(a*e.binValue(i) + b)))
 		}
 	}
 }

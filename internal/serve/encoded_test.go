@@ -13,6 +13,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/engine"
 	"repro/internal/leakcheck"
+	"repro/internal/obsv"
 	"repro/internal/storage"
 )
 
@@ -208,5 +209,67 @@ func TestServeRejectsStringTileColumns(t *testing.T) {
 	_, err := New(Backends{Tiles: tbl, TileLat: "lat", TileLng: "name"}, Config{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "numeric") {
 		t.Fatalf("want numeric-column error, got %v", err)
+	}
+}
+
+// TestEncodedMetricsZoneCounters: after one range-filtered histogram the
+// store section shows the filtered column's zone words accounted for —
+// whether the scan ran over the served table or over the in-process
+// shards' re-frozen partitions — and the exposition stays well-formed.
+func TestEncodedMetricsZoneCounters(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		_, enc := newEncodedPair(t, Config{Workers: 1, Shards: shards})
+		const q = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 AND y <= 57.4 " +
+			"GROUP BY ROUND((x - 8.146) / 0.2) ORDER BY ROUND((x - 8.146) / 0.2)"
+		if resp, raw := postJSON(t, enc.URL+"/v1/query", QueryRequest{Session: "s1", SQL: q}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("shards=%d: query status %d body %s", shards, resp.StatusCode, raw)
+		}
+		get := func(path string) []byte {
+			t.Helper()
+			r, err := http.Get(enc.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(r.Body); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		var st Stats
+		if err := json.Unmarshal(get("/metrics"), &st); err != nil {
+			t.Fatal(err)
+		}
+		wantWords := int64(0)
+		for _, c := range st.Store.Columns {
+			words := c.ZoneWordsSkipped + c.ZoneWordsFilled + c.ZoneWordsEvaluated
+			if c.Name == "y" {
+				wantWords = words
+			} else if words != 0 {
+				t.Fatalf("shards=%d: unfiltered column %q counts %d zone words", shards, c.Name, words)
+			}
+		}
+		// One pass over y: every 64-row word of every partition, once.
+		if lo, hi := int64(testRows/64), int64(testRows/64+2); wantWords < lo || wantWords > hi {
+			t.Fatalf("shards=%d: column y counts %d zone words, want %d..%d", shards, wantWords, lo, hi)
+		}
+		if st.Store.ZoneBytes <= 0 || st.Store.EncodedBytes > st.Store.PlainBytes {
+			t.Fatalf("shards=%d: store bytes implausible: %+v", shards, st.Store)
+		}
+		prom := get("/metrics?format=prometheus")
+		if err := obsv.ValidateExposition(prom); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for _, series := range []string{
+			"idevald_colstore_zone_bytes",
+			`idevald_colstore_zone_words_skipped_total{column="y"}`,
+			`idevald_colstore_zone_words_filled_total{column="y"}`,
+			`idevald_colstore_zone_words_evaluated_total{column="y"}`,
+		} {
+			if !bytes.Contains(prom, []byte(series)) {
+				t.Fatalf("shards=%d: prometheus exposition lacks %s", shards, series)
+			}
+		}
 	}
 }

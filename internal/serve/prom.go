@@ -69,6 +69,18 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 			cols[c.Name] = float64(c.Bytes)
 		}
 		p.GaugeVec("colstore_column_bytes", "Resident encoded bytes per served column.", "column", cols)
+		p.Gauge("colstore_zone_bytes", "Resident bytes of the served table's zone maps (min/max per 64 rows).", float64(st.Store.ZoneBytes))
+		skipped, filled, evaluated := map[string]float64{}, map[string]float64{}, map[string]float64{}
+		for _, c := range st.Store.Columns {
+			if c.ZoneBytes > 0 {
+				skipped[c.Name] = float64(c.ZoneWordsSkipped)
+				filled[c.Name] = float64(c.ZoneWordsFilled)
+				evaluated[c.Name] = float64(c.ZoneWordsEvaluated)
+			}
+		}
+		p.CounterVec("colstore_zone_words_skipped_total", "64-row words a range filter decided empty from the zone map.", "column", skipped)
+		p.CounterVec("colstore_zone_words_filled_total", "64-row words a range filter decided full from the zone map.", "column", filled)
+		p.CounterVec("colstore_zone_words_evaluated_total", "64-row words a range filter compared row by row.", "column", evaluated)
 	}
 
 	if st.Planner != nil {

@@ -253,7 +253,11 @@ type Server struct {
 	cacheBrushes bool
 	brushMu      sync.Mutex
 	brushCache   *opt.ResultLRU
-	storeStats   *colstore.TableStats
+	// storeTable is the frozen served table behind the /metrics store
+	// section; shardTables are the in-process shards' re-frozen partitions
+	// of it, which SQL scans in its place.
+	storeTable  *storage.Table
+	shardTables []*storage.Table
 
 	mux      *http.ServeMux
 	queue    chan func()
@@ -376,11 +380,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 		if s.tileLat.Type == storage.String || s.tileLng.Type == storage.String {
 			return nil, fmt.Errorf("serve: tile columns %q/%q of table %q must be numeric", b.TileLat, b.TileLng, b.Tiles.Name)
 		}
-		// A frozen table's encoding breakdown is static; snapshot it once
-		// and attach it to every /metrics response.
 		if colstore.IsFrozen(b.Tiles) {
-			st := colstore.StatsOf(b.Tiles)
-			s.storeStats = &st
+			s.storeTable = b.Tiles
 		}
 	}
 	if b.Cube != nil {
@@ -418,6 +419,11 @@ func New(b Backends, cfg Config) (*Server, error) {
 		}
 		s.coord = coord
 		s.answer = s.answerGather
+		if s.storeTable != nil {
+			for i := 0; i < coord.NumShards(); i++ {
+				s.shardTables = append(s.shardTables, coord.Replica(i).Table)
+			}
+		}
 	case cfg.Gatherer == nil && cfg.Shards <= 1:
 		if cfg.Planner && (b.Cube == nil || b.Tiles == nil) {
 			return nil, fmt.Errorf("serve: planner needs a cube with a backing table")
@@ -490,11 +496,31 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the online metrics registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
+// storeStats is the /metrics store section: the served table's encoding
+// breakdown, its columns' zone-word counters summed with those of the
+// shard partitions. Frozen columns answer in O(1), so a scrape costs
+// O(columns).
+func (s *Server) storeStats() *colstore.TableStats {
+	if s.storeTable == nil {
+		return nil
+	}
+	st := colstore.StatsOf(s.storeTable)
+	for _, t := range s.shardTables {
+		for i, sc := range colstore.StatsOf(t).Columns {
+			c := &st.Columns[i]
+			c.ZoneWordsSkipped += sc.ZoneWordsSkipped
+			c.ZoneWordsFilled += sc.ZoneWordsFilled
+			c.ZoneWordsEvaluated += sc.ZoneWordsEvaluated
+		}
+	}
+	return &st
+}
+
 // Stats snapshots the online metrics.
 func (s *Server) Stats() Stats {
 	st := s.reg.snapshot(len(s.queue), int(s.inflight.Load()))
 	st.BreakerTrips, _ = s.brk.stats()
-	st.Store = s.storeStats
+	st.Store = s.storeStats()
 	if s.plan != nil {
 		st.Planner = s.plan.Stats()
 	}

@@ -382,13 +382,12 @@ func (c *Coordinator) QueryHistogram(ctx context.Context, query string) (*engine
 		if err != nil {
 			return nil, err
 		}
-		bins, ok := res.Histogram()
-		if !ok {
+		if len(res.Columns) != 2 {
 			return nil, fmt.Errorf("shard: histogram query returned %d columns", len(res.Columns))
 		}
 		return &Answer{
 			Records: r.Table.NumRows(),
-			Bins:    bins,
+			Bins:    res.Rows,
 			Scanned: res.Stats.TuplesScanned,
 			Cost:    res.Stats.ModelCost,
 		}, nil
@@ -405,21 +404,26 @@ func (c *Coordinator) QueryHistogram(ctx context.Context, query string) (*engine
 	return res, g.Fraction(), true, nil
 }
 
-// mergeHistResult sums the covered shards' sparse bin counts and
-// materializes the (bin, count) rows in the fast path's exact shape:
-// ascending bins, only non-empty bins, float bin / int count values. Cost
-// stats sum tuples (work done) and take the max model cost (the shards ran
-// in parallel). Partial coverage scales counts by 1/fraction with
-// round-half-up, matching PartialHistogram.
+// mergeHistResult sums the covered shards' (bin, count) rows and
+// materializes them in the fast path's exact shape: ascending bins, only
+// non-empty bins, float bin / int count values. The shards' rows are
+// concatenated, sorted by bin and folded — a few dozen entries, no map per
+// shard. Cost stats sum tuples (work done) and take the max model cost
+// (the shards ran in parallel). Partial coverage scales counts by
+// 1/fraction with round-half-up, matching PartialHistogram.
 func mergeHistResult(g *Gather) *engine.Result {
-	merged := make(map[int]int64)
 	res := &engine.Result{Columns: []string{"bin", "count"}}
+	type binCount struct {
+		bin   int
+		count int64
+	}
+	var all []binCount // every covered shard's rows
 	for _, a := range g.Answers {
 		if a == nil {
 			continue
 		}
-		for bin, v := range a.Bins {
-			merged[bin] += v
+		for _, row := range a.Bins {
+			all = append(all, binCount{bin: int(row[0].F), count: row[1].I})
 		}
 		res.Stats.TuplesScanned += a.Scanned
 		if a.Cost > res.Stats.ModelCost {
@@ -431,18 +435,17 @@ func mergeHistResult(g *Gather) *engine.Result {
 	if frac := g.Fraction(); frac > 0 && frac < 1 {
 		scale = 1 / frac
 	}
-	bins := make([]int, 0, len(merged))
-	for b := range merged {
-		bins = append(bins, b)
-	}
-	sort.Ints(bins)
-	res.Rows = make([][]storage.Value, len(bins))
-	for i, bin := range bins {
-		cnt := merged[bin]
+	sort.Slice(all, func(i, j int) bool { return all[i].bin < all[j].bin })
+	res.Rows = make([][]storage.Value, 0, len(all))
+	for i := 0; i < len(all); {
+		bin, cnt := all[i].bin, int64(0)
+		for ; i < len(all) && all[i].bin == bin; i++ {
+			cnt += all[i].count
+		}
 		if scale != 1 {
 			cnt = int64(float64(cnt)*scale + 0.5)
 		}
-		res.Rows[i] = []storage.Value{storage.NewFloat(float64(bin)), storage.NewInt(cnt)}
+		res.Rows = append(res.Rows, []storage.Value{storage.NewFloat(float64(bin)), storage.NewInt(cnt)})
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/dataset"
 	"repro/internal/storage"
 )
@@ -54,6 +55,44 @@ func requireSameRows(t *testing.T, a, b *storage.Table) {
 		for c := range ra {
 			if ra[c].Compare(rb[c]) != 0 {
 				t.Fatalf("row %d column %d: %v vs %v", row, c, ra[c], rb[c])
+			}
+		}
+	}
+}
+
+// TestPartitionsKeepRoadRowsClustered guards the input property the zone
+// maps live on: road rows arrive segment by segment and both partitioners
+// keep row order, so most 64-row words of a partition sit wholly inside or
+// outside a brush-sized range. At the benchmark's size and split, a
+// predicate keeping the middle 40% of a dimension's domain must leave
+// fewer than half of the words to the row kernel (measured: 32–36% under
+// hash, 13–21% under range); a generator or partitioner change that
+// shuffles rows fails here, not as a silent return of scan_shards to full
+// scans.
+func TestPartitionsKeepRoadRowsClustered(t *testing.T) {
+	roads := dataset.Roads(1, 500000)
+	dims := roadDims()
+	for _, mode := range []Mode{Hash, Range} {
+		parts, err := Partition(roads, dims, 2, mode, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, part := range parts {
+			frozen, err := colstore.Freeze(part, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := frozen.NumRows()
+			dst := colstore.NewBitmap(n)
+			for _, d := range dims {
+				col, _ := colstore.Of(frozen.Column(d.Name))
+				w := d.Hi - d.Lo
+				col.FilterRange(d.Lo+0.3*w, d.Lo+0.7*w, 0, n, dst, false)
+				skipped, filled, evaluated := colstore.ZonesOf(col).Words()
+				if total := skipped + filled + evaluated; 2*evaluated >= total {
+					t.Errorf("%s shard %d dim %s: %d of %d words undecided (skipped %d, filled %d)",
+						mode, i, d.Name, evaluated, total, skipped, filled)
+				}
 			}
 		}
 	}

@@ -116,12 +116,12 @@ type result struct {
 
 // Answer is one shard's contribution to a scatter-gathered request.
 // Exactly one of the payload shapes is populated: Histograms+Total for
-// brush answers, Bins for sparse engine histogram rows.
+// brush answers, Bins for the engine's ascending (bin, count) histogram rows.
 type Answer struct {
 	Records    int // records in the answering shard's partition
 	Histograms [][]int64
 	Total      int64
-	Bins       map[int]int64
+	Bins       [][]storage.Value
 	Scanned    int           // tuples the shard's engine scanned (query path)
 	Cost       time.Duration // the shard engine's modeled latency (query path)
 }
