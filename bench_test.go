@@ -37,7 +37,6 @@ var (
 	fixOnce    sync.Once
 	fixRoads   *storage.Table // 150k rows: thrashes the disk pool
 	fixSample  *storage.Table
-	fixMovies  *storage.Table
 	fixScrolls []*behavior.ScrollTrace
 	fixEvents  map[string][]opt.QueryEvent // per device
 )
@@ -45,7 +44,6 @@ var (
 func fixtures() {
 	fixOnce.Do(func() {
 		fixRoads = dataset.Roads(1, 150000)
-		fixMovies = dataset.Movies(1, dataset.MovieCount)
 		fixSample = storage.NewTable("sample", fixRoads.Schema)
 		for i := 0; i < fixRoads.NumRows(); i += fixRoads.NumRows() / 2000 {
 			fixSample.MustAppendRow(fixRoads.Row(i)...)
@@ -321,26 +319,6 @@ func BenchmarkStudyAdvisor(b *testing.B) {
 	}
 }
 
-// --- Engine micro-benchmarks ---------------------------------------------------
-
-func BenchmarkEngineHistogramFastPath(b *testing.B) {
-	fixtures()
-	eng := engine.New(engine.ProfileMemory)
-	eng.Register(fixRoads)
-	stmt := mustHistogram()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Execute(stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Stats.UsedFastPath {
-			b.Fatal("fast path missed")
-		}
-	}
-	b.SetBytes(int64(fixRoads.NumRows() * 24))
-}
-
 func mustHistogram() *sql.SelectStmt {
 	lonLo, lonHi, latLo, latHi, altLo, altHi := dataset.RoadBounds()
 	dims := []opt.CrossfilterDim{
@@ -354,37 +332,6 @@ func mustHistogram() *sql.SelectStmt {
 		panic(err)
 	}
 	return stmt
-}
-
-func BenchmarkEngineScanFilter(b *testing.B) {
-	fixtures()
-	eng := engine.New(engine.ProfileMemory)
-	eng.Register(fixMovies)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Query("SELECT title, rating FROM imdb WHERE rating >= 8.5 AND year > 1990")
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
-	}
-}
-
-func BenchmarkEngineJoin(b *testing.B) {
-	fixtures()
-	ratings, details := dataset.MovieRatingSplit(fixMovies)
-	eng := engine.New(engine.ProfileMemory)
-	eng.Register(ratings)
-	eng.Register(details)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := eng.Query(`SELECT title, rating FROM (
-			(SELECT id, rating FROM imdbrating LIMIT 200 OFFSET 100) tmp
-			INNER JOIN movie ON tmp.id = movie.id)`)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Ablations ------------------------------------------------------------------
@@ -702,28 +649,6 @@ func BenchmarkParallelHistogram(b *testing.B) {
 				}
 			}
 			b.SetBytes(int64(roads.NumRows() * 24))
-		})
-	}
-}
-
-// BenchmarkParallelCrossfilter sweeps worker counts over incremental brush
-// updates at paper scale.
-func BenchmarkParallelCrossfilter(b *testing.B) {
-	roads := fullRoadTable()
-	lonLo, lonHi, _, _, _, _ := dataset.RoadBounds()
-	mid := (lonLo + lonHi) / 2
-	for _, p := range []int{1, 4} {
-		b.Run("p"+itoa(p), func(b *testing.B) {
-			cf, err := crossfilter.New(roads, []string{"x", "y", "z"}, 20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cf.SetParallelism(p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := lonLo + float64(i%40)/40*(mid-lonLo)
-				cf.SetFilter(0, lo, mid)
-			}
 		})
 	}
 }

@@ -2,8 +2,12 @@
 // internal/behavior over real HTTP against an idevald server (or an
 // in-process one), mapping virtual-clock think times to wall clock, and
 // prints a paper-style report: achieved QIF, LCV%, latency percentiles
-// versus offered load, plus the serving layer's executed/coalesced/shed
-// accounting.
+// versus offered load, the serving layer's executed/coalesced/shed
+// accounting and its per-stage spans. It exits non-zero when a session
+// misses its latest result or a response is dropped.
+//
+// It is a single-run report, not a benchmark: before/after numbers come
+// from cmd/bench (see cmd/bench/README.md).
 //
 // Usage:
 //
@@ -11,57 +15,28 @@
 //	loadgen [-rows N] [-profile memory]     # or spin up an in-process server
 //	        [-users 32] [-adjust 4] [-events 40] [-timescale 0.05]
 //	        [-workers N] [-queue N] [-execdelay 2ms] [-sqlevery 0]
-//	        [-seed 1] [-json BENCH_serve.json]
+//	        [-shards N] [-shardmode hash]
+//	        [-seed 1] [-json report.json]
 //	        [-deadlines] [-degradeafter 250ms]  # deadline-aware serving
-//	        [-obsvjson BENCH_obsv.json]         # scrape-under-load benchmark
-//	loadgen -chaos [-json BENCH_chaos.json] # fault-profile matrix, in-process
-//	loadgen -shardbench [-users N]          # shard-count matrix, in-process
-//	        [-json BENCH_shard.json]
-//	loadgen -routerbench [-users N]         # multi-process router matrix:
-//	        [-json BENCH_router.json]       # S × process-chaos × deadlines
-//	        [-snapshotdir DIR]              # warm child restarts via mmap
-//	        [-restartrows N]                # cold-vs-warm restart window cell
-//
-// With -obsvjson, a scraper pulls /metrics?format=prometheus continuously
-// while the load runs, validates every body against the exposition format
-// (a malformed scrape fails the run), and the report gains the scrape
-// throughput and latency observed under load plus the per-stage span
-// breakdown — against the measured cost of the legacy sorted-reservoir
-// scrape for scale.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
-	"repro/internal/router"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
 func main() {
-	// Shard-child mode first: -routerbench fleets re-exec this binary as
-	// their shard children, and a child must serve its partition instead of
-	// generating load.
-	if ok, err := router.RunChildFromEnv(); ok {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen shard child:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	addr := flag.String("addr", "", "base URL of a running idevald (empty = in-process server)")
 	users := flag.Int("users", 32, "concurrent synthetic users")
 	adjust := flag.Int("adjust", 4, "slider adjustments per user session")
@@ -70,7 +45,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "behavior and dataset seed")
 	sqlEvery := flag.Int("sqlevery", 0, "issue a SQL histogram query with every Nth brush (0 = off)")
 	jsonOut := flag.String("json", "", "write the report as JSON to this file")
-	obsvOut := flag.String("obsvjson", "", "scrape /metrics under load and write the observability benchmark here (e.g. BENCH_obsv.json)")
 
 	// In-process server knobs (ignored with -addr):
 	rows := flag.Int("rows", 120000, "road dataset cardinality for the in-process server")
@@ -80,66 +54,11 @@ func main() {
 	execDelay := flag.Duration("execdelay", 2*time.Millisecond, "in-process per-execution delay")
 	deadlines := flag.Bool("deadlines", false, "enable deadline-aware execution with the degradation ladder")
 	degradeAfter := flag.Duration("degradeafter", 0, "per-request budget before degrading (0 = constraint/2)")
-	chaos := flag.Bool("chaos", false, "run the chaos matrix: every fault profile × {deadlines on, off} in-process")
 	shards := flag.Int("shards", 0, "shard the in-process server's dataset across N scatter-gather shards")
-	shardMode := flag.String("shardmode", "hash", "shard partitioning for -shards / -shardbench: hash or range")
-	shardBench := flag.Bool("shardbench", false, "run the shard matrix: S in {1,2,4,8} at the same offered load, in-process")
-	planBench := flag.Bool("planbench", false, "run the materialization-planner benchmark: byte-verified drag loop + load comparison, in-process")
-	routerBench := flag.Bool("routerbench", false, "run the multi-process router matrix: shard counts × process chaos × deadlines, each cell a supervised child fleet")
-	snapshotDir := flag.String("snapshotdir", "", "persist shard partition snapshots here so restarted children warm-start via mmap instead of rebuilding")
-	restartRows := flag.Int("restartrows", 0, "with -routerbench, also measure the cold vs warm kill→ready restart window at this row count (0 = skip)")
+	shardMode := flag.String("shardmode", "hash", "shard partitioning for -shards: hash or range")
 	flag.Parse()
 
-	if *routerBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_router.json"
-		}
-		if err := runRouterBench(*users, *adjust, *events, *timescale, *seed, out,
-			*rows, *workers, *queue, *execDelay, *degradeAfter, *snapshotDir, *restartRows); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *planBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_planner.json"
-		}
-		if err := runPlanBench(*users, *adjust, *events, *timescale, *seed, out,
-			*rows, *profile, *workers, *queue); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_shard.json"
-		}
-		if err := runShardBench(*users, *adjust, *events, *timescale, *seed, *sqlEvery, out, *shardMode,
-			*rows, *profile, *workers, *queue, *execDelay); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaos {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_chaos.json"
-		}
-		if err := runChaos(*users, *adjust, *events, *timescale, *seed, out,
-			*rows, *profile, *workers, *queue, *execDelay, *degradeAfter); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*addr, *users, *adjust, *events, *timescale, *seed, *sqlEvery, *jsonOut, *obsvOut,
+	if err := run(*addr, *users, *adjust, *events, *timescale, *seed, *sqlEvery, *jsonOut,
 		*rows, *profile, *workers, *queue, *execDelay, *deadlines, *degradeAfter, *shards, *shardMode); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
@@ -147,7 +66,7 @@ func main() {
 }
 
 func run(addr string, users, adjust, events int, timescale float64, seed int64, sqlEvery int,
-	jsonOut, obsvOut string, rows int, profile string, workers, queue int, execDelay time.Duration,
+	jsonOut string, rows int, profile string, workers, queue int, execDelay time.Duration,
 	deadlines bool, degradeAfter time.Duration, shards int, shardMode string) error {
 	baseURL := addr
 	if baseURL == "" {
@@ -198,24 +117,11 @@ func run(addr string, users, adjust, events int, timescale float64, seed int64, 
 		Table:       "dataroad",
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: driving %d users against %s...\n", users, baseURL)
-	var scraper *promScraper
-	if obsvOut != "" {
-		scraper = startScraper(baseURL)
-	}
 	report, err := serve.RunLoad(cfg)
-	if scraper != nil {
-		scraper.stop()
-	}
 	if err != nil {
 		return err
 	}
 	printReport(report)
-
-	if scraper != nil {
-		if err := writeObsv(obsvOut, report, scraper); err != nil {
-			return err
-		}
-	}
 
 	if jsonOut != "" {
 		f, err := os.Create(jsonOut)
@@ -280,8 +186,7 @@ func printReport(r *serve.LoadReport) {
 	}
 }
 
-// benchSummary is the BENCH_serve.json schema: the serving perf trajectory
-// CI tracks across PRs.
+// benchSummary is the -json report schema.
 type benchSummary struct {
 	Users      int     `json:"users"`
 	Issued     int     `json:"issued"`
@@ -314,398 +219,4 @@ func summary(r *serve.LoadReport) benchSummary {
 		Retries:    r.Retries,
 		Giveups:    r.Giveups,
 	}
-}
-
-// promScraper polls /metrics?format=prometheus in a loop, the way a
-// monitoring agent would, while the load is running. Every body is
-// validated against the exposition format; the first malformed scrape is
-// kept and fails the run. Per-scrape wall latency is recorded so the
-// benchmark captures scrape cost *under load* — the regime where the old
-// sorted-reservoir snapshot stalled recorders.
-type promScraper struct {
-	done      chan struct{}
-	stopped   chan struct{}
-	latencies []float64 // ms, successive scrapes
-	series    int       // sample lines in the last body
-	scrapeErr error
-	elapsed   time.Duration
-}
-
-func startScraper(baseURL string) *promScraper {
-	sc := &promScraper{done: make(chan struct{}), stopped: make(chan struct{})}
-	go sc.loop(baseURL)
-	return sc
-}
-
-func (sc *promScraper) loop(baseURL string) {
-	defer close(sc.stopped)
-	client := &http.Client{Timeout: 10 * time.Second}
-	start := time.Now()
-	for {
-		select {
-		case <-sc.done:
-			sc.elapsed = time.Since(start)
-			return
-		default:
-		}
-		t0 := time.Now()
-		resp, err := client.Get(baseURL + "/metrics?format=prometheus")
-		if err != nil {
-			if sc.scrapeErr == nil {
-				sc.scrapeErr = err
-			}
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("scrape status %d", resp.StatusCode)
-		}
-		if err == nil {
-			err = obsv.ValidateExposition(body)
-		}
-		if err != nil && sc.scrapeErr == nil {
-			sc.scrapeErr = err
-		}
-		sc.latencies = append(sc.latencies, float64(time.Since(t0))/float64(time.Millisecond))
-		sc.series = countSeries(body)
-	}
-}
-
-func (sc *promScraper) stop() {
-	close(sc.done)
-	<-sc.stopped
-}
-
-// countSeries counts sample lines (non-comment, non-blank) in an
-// exposition body — the scrape's series cardinality.
-func countSeries(body []byte) int {
-	n := 0
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" && !strings.HasPrefix(line, "#") {
-			n++
-		}
-	}
-	return n
-}
-
-// obsvSummary is the BENCH_obsv.json schema: scrape throughput and
-// latency observed while the load ran, the per-stage breakdown, and the
-// measured cost of the pre-fix sorted-reservoir scrape for scale.
-type obsvSummary struct {
-	Users         int     `json:"users"`
-	Issued        int     `json:"issued"`
-	Scrapes       int     `json:"scrapes_under_load"`
-	ScrapesPerSec float64 `json:"scrapes_per_sec"`
-	ScrapeP50MS   float64 `json:"scrape_p50_ms"`
-	ScrapeP99MS   float64 `json:"scrape_p99_ms"`
-	PromSeries    int     `json:"prom_series"`
-	// LegacySortedScrapeMS measures, on this host, four copy+sort
-	// percentile reads over a full 2^18-sample reservoir — the work the
-	// old Registry.snapshot did under its mutex on every scrape.
-	LegacySortedScrapeMS float64                     `json:"legacy_sorted_reservoir_scrape_ms"`
-	Stages               map[string]serve.StageStats `json:"stages"`
-	LCVByStage           map[string]int64            `json:"lcv_by_stage"`
-}
-
-func writeObsv(path string, r *serve.LoadReport, sc *promScraper) error {
-	if sc.scrapeErr != nil {
-		return fmt.Errorf("prometheus scrape under load: %w", sc.scrapeErr)
-	}
-	if len(sc.latencies) == 0 {
-		return fmt.Errorf("no scrapes completed during the load")
-	}
-	out := obsvSummary{
-		Users:                len(r.Users),
-		Issued:               r.Issued,
-		Scrapes:              len(sc.latencies),
-		ScrapesPerSec:        float64(len(sc.latencies)) / sc.elapsed.Seconds(),
-		ScrapeP50MS:          metrics.Percentile(sc.latencies, 50),
-		ScrapeP99MS:          metrics.Percentile(sc.latencies, 99),
-		PromSeries:           sc.series,
-		LegacySortedScrapeMS: legacyScrapeCost(),
-		Stages:               r.Server.Stages,
-		LCVByStage:           r.Server.LCVByStage,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return err
-	}
-	fmt.Printf("scrapes:        %d under load (%.1f/s, p50 %.2fms p99 %.2fms, %d series) — legacy sorted scrape %.1fms\n",
-		out.Scrapes, out.ScrapesPerSec, out.ScrapeP50MS, out.ScrapeP99MS, out.PromSeries, out.LegacySortedScrapeMS)
-	fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", path)
-	return nil
-}
-
-// legacyScrapeCost times the before-fix scrape: the old snapshot held the
-// registry mutex while calling metrics.Percentile four times over the
-// sample reservoir (capacity 2^18), each call copying and sorting. Best
-// of three, in ms.
-func legacyScrapeCost() float64 {
-	xs := make([]float64, 1<<18)
-	rng := rand.New(rand.NewSource(1))
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	best := 0.0
-	for iter := 0; iter < 3; iter++ {
-		t0 := time.Now()
-		for _, p := range []float64{50, 95, 99, 99.9} {
-			_ = metrics.Percentile(xs, p)
-		}
-		d := float64(time.Since(t0)) / float64(time.Millisecond)
-		if iter == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// chaosPass is one (profile, deadlines) cell of the chaos matrix.
-type chaosPass struct {
-	Deadlines      bool    `json:"deadlines"`
-	Issued         int     `json:"issued"`
-	LCVPercent     float64 `json:"lcv_percent"`
-	P50MS          float64 `json:"p50_ms"`
-	P99MS          float64 `json:"p99_ms"`
-	Degraded       int64   `json:"degraded"`
-	DeadlineCuts   int64   `json:"deadline_exceeded"`
-	BackendRetries int64   `json:"backend_retries"`
-	ClientRetries  int     `json:"client_retries"`
-	Giveups        int     `json:"client_giveups"`
-	Errors         int     `json:"errors"`
-	WallMS         float64 `json:"wall_ms"`
-}
-
-// chaosEntry pairs the deadline-aware pass with the no-deadline baseline on
-// the same fault profile and seed.
-type chaosEntry struct {
-	Profile  string    `json:"profile"`
-	Deadline chaosPass `json:"deadline_aware"`
-	Baseline chaosPass `json:"baseline"`
-}
-
-// runChaos runs every fault profile twice — deadlines on, then off — against
-// a fresh in-process server each pass, same fault seed, and reports LCV and
-// latency side by side. The circuit breaker is disabled so the comparison
-// isolates the deadline ladder.
-func runChaos(users, adjust, events int, timescale float64, seed int64, jsonOut string,
-	rows int, profile string, workers, queue int, execDelay, degradeAfter time.Duration) error {
-	prof := engine.ProfileMemory
-	if profile == "disk" {
-		prof = engine.ProfileDisk
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: chaos matrix over %d fault profiles (%d rows, %d users)...\n",
-		len(fault.Profiles), rows, users)
-
-	onePass := func(fp fault.Profile, deadlines bool) (chaosPass, error) {
-		backends, err := serve.RoadBackends(seed, rows, prof)
-		if err != nil {
-			return chaosPass{}, err
-		}
-		srv, err := serve.New(backends, serve.Config{
-			Workers: workers, QueueDepth: queue, Constraint: metrics.DefaultConstraint,
-			ExecDelay: execDelay,
-			Deadlines: deadlines, DegradeAfter: degradeAfter,
-			Fault:            fault.New(fp, seed),
-			BreakerThreshold: -1,
-		})
-		if err != nil {
-			return chaosPass{}, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return chaosPass{}, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer httpSrv.Close()
-
-		report, err := serve.RunLoad(serve.LoadConfig{
-			BaseURL:     "http://" + ln.Addr().String(),
-			Users:       users,
-			Adjustments: adjust,
-			MaxEvents:   events,
-			Seed:        seed,
-			TimeScale:   timescale,
-			Dims:        serve.RoadLoadDims(),
-		})
-		if err != nil {
-			return chaosPass{}, err
-		}
-		s := report.Server
-		return chaosPass{
-			Deadlines:      deadlines,
-			Issued:         report.Issued,
-			LCVPercent:     s.LCVPercent,
-			P50MS:          report.P50MS,
-			P99MS:          report.P99MS,
-			Degraded:       s.Degraded,
-			DeadlineCuts:   s.Deadlines,
-			BackendRetries: s.Retries,
-			ClientRetries:  report.Retries,
-			Giveups:        report.Giveups,
-			Errors:         report.Errors,
-			WallMS:         float64(report.Wall) / float64(time.Millisecond),
-		}, nil
-	}
-
-	entries := make([]chaosEntry, 0, len(fault.Profiles))
-	for _, fp := range fault.Profiles {
-		on, err := onePass(fp, true)
-		if err != nil {
-			return fmt.Errorf("profile %s deadlines=on: %w", fp.Name, err)
-		}
-		off, err := onePass(fp, false)
-		if err != nil {
-			return fmt.Errorf("profile %s deadlines=off: %w", fp.Name, err)
-		}
-		entries = append(entries, chaosEntry{Profile: fp.Name, Deadline: on, Baseline: off})
-		fmt.Printf("%-8s deadlines=on   lcv %5.1f%%  p50 %7.1fms  p99 %7.1fms  degraded %d  retries %d\n",
-			fp.Name, 100*on.LCVPercent, on.P50MS, on.P99MS, on.Degraded, on.BackendRetries)
-		fmt.Printf("%-8s deadlines=off  lcv %5.1f%%  p50 %7.1fms  p99 %7.1fms\n",
-			fp.Name, 100*off.LCVPercent, off.P50MS, off.P99MS)
-	}
-
-	f, err := os.Create(jsonOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(entries); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", jsonOut)
-	return nil
-}
-
-// shardCell is one shard count of the BENCH_shard.json matrix: the same
-// offered load replayed against S scatter-gather shards, S=1 being the
-// unsharded baseline the differential suite proves byte-identical.
-type shardCell struct {
-	Shards     int     `json:"shards"`
-	Mode       string  `json:"mode"`
-	Users      int     `json:"users"`
-	Issued     int     `json:"issued"`
-	Executed   int64   `json:"executed"`
-	Coalesced  int64   `json:"coalesced"`
-	Shed       int64   `json:"shed"`
-	QIFPerSec  float64 `json:"qif_per_sec"`
-	LCVPercent float64 `json:"lcv_percent"`
-	P50MS      float64 `json:"p50_ms"`
-	P95MS      float64 `json:"p95_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	WallMS     float64 `json:"wall_ms"`
-	Errors     int     `json:"errors"`
-}
-
-// runShardBench replays the same synthetic-user load (same behavior seed)
-// against fresh in-process servers sharded S ∈ {1, 2, 4, 8} ways and
-// writes the matrix as BENCH_shard.json. Every cell must answer every
-// request and leave every session on its latest state — dropped work is a
-// hard failure, not a data point.
-func runShardBench(users, adjust, events int, timescale float64, seed int64, sqlEvery int,
-	jsonOut, shardMode string, rows int, profile string, workers, queue int, execDelay time.Duration) error {
-	prof := engine.ProfileMemory
-	if profile == "disk" {
-		prof = engine.ProfileDisk
-	}
-	mode, err := shard.ParseMode(shardMode)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: shard matrix (%s partitioning, %d rows, %d users)...\n", mode, rows, users)
-
-	cells := make([]shardCell, 0, 4)
-	for _, s := range []int{1, 2, 4, 8} {
-		backends, err := serve.RoadBackends(seed, rows, prof)
-		if err != nil {
-			return err
-		}
-		cfg := serve.Config{
-			Workers: workers, QueueDepth: queue, Constraint: metrics.DefaultConstraint, ExecDelay: execDelay,
-		}
-		if s > 1 {
-			cfg.Shards = s
-			cfg.ShardMode = mode
-			// Per-shard pools sized like the serve pool, so a long SQL scan
-			// on one shard never queues brush scatters behind it.
-			cfg.ShardWorkers = workers
-		}
-		srv, err := serve.New(backends, cfg)
-		if err != nil {
-			return fmt.Errorf("S=%d: %w", s, err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-
-		report, err := serve.RunLoad(serve.LoadConfig{
-			BaseURL:     "http://" + ln.Addr().String(),
-			Users:       users,
-			Adjustments: adjust,
-			MaxEvents:   events,
-			Seed:        seed,
-			TimeScale:   timescale,
-			Dims:        serve.RoadLoadDims(),
-			SQLEvery:    sqlEvery,
-			Table:       "dataroad",
-		})
-		httpSrv.Close()
-		if err != nil {
-			return fmt.Errorf("S=%d: %w", s, err)
-		}
-		if report.Responded != report.Issued {
-			return fmt.Errorf("S=%d dropped responses: issued %d, responded %d", s, report.Issued, report.Responded)
-		}
-		for _, u := range report.Users {
-			if !u.GotLatest {
-				return fmt.Errorf("S=%d: session %s missed its latest result", s, u.Session)
-			}
-		}
-		sv := report.Server
-		cells = append(cells, shardCell{
-			Shards:     s,
-			Mode:       mode.String(),
-			Users:      len(report.Users),
-			Issued:     report.Issued,
-			Executed:   sv.Executed,
-			Coalesced:  sv.Coalesced,
-			Shed:       sv.Shed,
-			QIFPerSec:  report.QIFPerSec,
-			LCVPercent: sv.LCVPercent,
-			P50MS:      report.P50MS,
-			P95MS:      report.P95MS,
-			P99MS:      report.P99MS,
-			WallMS:     float64(report.Wall) / float64(time.Millisecond),
-			Errors:     report.Errors,
-		})
-		fmt.Printf("S=%d  qif %6.1f/s  lcv %5.2f%%  p50 %6.1fms  p95 %6.1fms  p99 %6.1fms  executed %d  coalesced %d\n",
-			s, report.QIFPerSec, 100*sv.LCVPercent, report.P50MS, report.P95MS, report.P99MS, sv.Executed, sv.Coalesced)
-	}
-
-	f, err := os.Create(jsonOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cells); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", jsonOut)
-	return nil
 }

@@ -1,5 +1,5 @@
 // Package fault implements deterministic, seeded fault injection for the
-// serving layer's chaos tests and `loadgen -chaos` mode. An Injector wraps a
+// serving layer's chaos tests and `idevald -chaos` mode. An Injector wraps a
 // backend operation with latency spikes, error bursts, long stalls, and a
 // constant slow-worker perturbation, drawn from a named Profile.
 //
@@ -36,7 +36,8 @@ type Profile struct {
 	StallDelay time.Duration
 }
 
-// Profiles are the named fault profiles `loadgen -chaos` cycles through.
+// Profiles are the named fault profiles `idevald -chaos` selects from;
+// internal/serve/chaos_test.go runs the ladder under the stall profile.
 // Delays are sized against metrics.DefaultConstraint (500 ms): spikes eat a
 // chunk of the budget, stalls blow it outright unless a deadline cuts them.
 var Profiles = []Profile{

@@ -63,11 +63,11 @@ type ProcProfile struct {
 	Pause  time.Duration // hold for stop/blackhole events
 }
 
-// ProcProfiles are the named process chaos profiles `loadgen -routerbench`
-// cycles through. Periods are sized so a few-second bench run sees several
-// events; pauses are sized against metrics.DefaultConstraint (500 ms) so a
-// frozen shard blows the budget unless a deadline or hedge saves the
-// request.
+// ProcProfiles are the named process chaos profiles Fleet.RunChaos
+// schedules are drawn from (router TestFleetChaosScheduleRecovers runs
+// prockill). Periods are sized so a few-second run sees several events;
+// pauses are sized against metrics.DefaultConstraint (500 ms) so a frozen
+// shard blows the budget unless a deadline or hedge saves the request.
 var ProcProfiles = []ProcProfile{
 	{Name: "prockill", Period: 600 * time.Millisecond, Kinds: []ProcKind{ProcKill}},
 	{Name: "procstop", Period: 500 * time.Millisecond, Kinds: []ProcKind{ProcStop}, Pause: 300 * time.Millisecond},

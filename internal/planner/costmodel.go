@@ -1,15 +1,15 @@
 // Package planner is the selection-aware materialization planner: a
-// per-structure cost model seeded from BENCH_brush.json-style calibration
-// and refined online from observed execute latencies, choosing the
-// cheapest available answer structure for every brush query, plus a
-// hot-template detector that materializes dedicated per-selection indexes
-// (matindex.go) for the drag patterns a session keeps re-issuing — the
-// Mosaic Selections idea applied to this repo's five answer structures.
+// per-structure cost model seeded from a one-time calibration (see
+// DefaultModel) and refined online from observed execute latencies,
+// choosing the cheapest available answer structure for every brush query,
+// plus a hot-template detector that materializes dedicated per-selection
+// indexes (matindex.go) for the drag patterns a session keeps re-issuing —
+// the Mosaic Selections idea applied to this repo's five answer structures.
 //
 // The policy surface (which structure a given interaction class should
 // ride, and why) lives in internal/taxonomy's advisor; this package is the
 // executable form of that table, with the crossover constants replaced by
-// fitted linear models.
+// linear models.
 package planner
 
 import (
@@ -94,23 +94,18 @@ func (c Coeff) Estimate(units float64) float64 {
 	return c.FixedNS + c.PerUnitNS*units
 }
 
-// CalPoint is one calibration observation: a measured latency at a known
-// work size.
-type CalPoint struct {
-	Units float64
-	NS    float64
-}
-
 // CostModel predicts per-structure query latency from seeded calibration,
-// optionally refitted from measured points, and refined online by an EWMA
-// over observed executions. Safe for concurrent use.
+// refined online by an EWMA over observed executions. Safe for concurrent
+// use.
 type CostModel struct {
 	mu     sync.Mutex
 	coeffs [numStructures]Coeff
 }
 
-// Default per-unit costs, distilled from BENCH_brush.json at 434874 rows:
-// the crossfilter full scan took 2.06 ms (≈4.7 ns/row), the delta scan
+// Default per-unit costs, measured once at 434,874 rows by the retired
+// `cmd/brushbench` (PR 3); re-measure with `cmd/bench --trace 1`:
+// `datacube.prefix_brush_ns_p50`, `crossfilter.setfilter_us_p50`. The
+// crossfilter full scan took 2.06 ms (≈4.7 ns/row), the delta scan
 // ~19 ns per reconciled record (the 0.25 crossover's other side), the
 // prefix cube 572 ns over ~250 corner differences (≈2.3 ns each), and the
 // dense cube 35.5 µs over ~24k cell walks (≈1.5 ns each). The raw bin-box
@@ -125,10 +120,10 @@ const (
 	calFixedNS         = 150 // per-query overhead shared by the cheap structures
 )
 
-// DefaultModel returns the model seeded from the BENCH_brush.json
-// calibration. The seeds reproduce the repo's historical heuristics —
-// crossfilter's DefaultCrossover falls out as calCrossFull/calCrossDelta =
-// 0.25 — and the Observe feedback loop corrects them for the host at hand.
+// DefaultModel returns the model seeded from the constants above. The
+// seeds reproduce the repo's historical heuristics — crossfilter's
+// DefaultCrossover falls out as calCrossFull/calCrossDelta = 0.25 — and
+// the Observe feedback loop corrects them for the host at hand.
 func DefaultModel() *CostModel {
 	m := &CostModel{}
 	m.coeffs[EngineScan] = Coeff{FixedNS: calFixedNS, PerUnitNS: calScanPerRowDimNS}
@@ -147,66 +142,11 @@ func (m *CostModel) Coeffs(s Structure) Coeff {
 	return m.coeffs[s]
 }
 
-// SetCoeffs pins the structure's coefficients (tests, explicit
-// calibration).
+// SetCoeffs pins the structure's coefficients (tests).
 func (m *CostModel) SetCoeffs(s Structure, c Coeff) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.coeffs[s] = c
-}
-
-// Fit replaces the structure's coefficients with the least-squares line
-// through measured (units, ns) points — the offline calibration path fed
-// by BENCH_brush.json-style sweeps. Fewer than two distinct sizes cannot
-// identify both coefficients; one point pins the per-unit slope through
-// the origin-plus-seed-fixed, zero points are a no-op. A fitted negative
-// coefficient is clamped to zero: cost never decreases with work.
-func (m *CostModel) Fit(s Structure, pts []CalPoint) {
-	if len(pts) == 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(pts) == 1 {
-		if pts[0].Units > 0 {
-			per := (pts[0].NS - m.coeffs[s].FixedNS) / pts[0].Units
-			if per < 0 {
-				per = 0
-			}
-			m.coeffs[s].PerUnitNS = per
-		}
-		return
-	}
-	var n, sumX, sumY, sumXX, sumXY float64
-	for _, p := range pts {
-		n++
-		sumX += p.Units
-		sumY += p.NS
-		sumXX += p.Units * p.Units
-		sumXY += p.Units * p.NS
-	}
-	det := n*sumXX - sumX*sumX
-	if det == 0 {
-		// All points share one size: only the total at that size is
-		// identified; keep the seed split and scale the slope.
-		if sumX > 0 {
-			per := (sumY - n*m.coeffs[s].FixedNS) / sumX
-			if per < 0 {
-				per = 0
-			}
-			m.coeffs[s].PerUnitNS = per
-		}
-		return
-	}
-	slope := (n*sumXY - sumX*sumY) / det
-	fixed := (sumY - slope*sumX) / n
-	if slope < 0 {
-		slope = 0
-	}
-	if fixed < 0 {
-		fixed = 0
-	}
-	m.coeffs[s] = Coeff{FixedNS: fixed, PerUnitNS: slope}
 }
 
 // obsAlpha is the EWMA weight of one online observation against the

@@ -30,71 +30,6 @@ func TestDefaultModelReproducesCrossover(t *testing.T) {
 	}
 }
 
-// TestFitReproducesCrossover: a model refitted from a synthetic
-// (units, latency) sweep — the BENCH_brush.json-style calibration path —
-// recovers the same delta/full break-even the DefaultCrossover heuristic
-// hard-codes.
-func TestFitReproducesCrossover(t *testing.T) {
-	m := DefaultModel()
-	// Wipe the seeds so the fit, not the default, is what's under test.
-	m.SetCoeffs(CrossFull, Coeff{})
-	m.SetCoeffs(CrossDelta, Coeff{})
-	var full, delta []CalPoint
-	for _, units := range []float64{1e3, 5e3, 2e4, 1e5, 4e5} {
-		full = append(full, CalPoint{Units: units, NS: 130 + 4.75*units})
-		delta = append(delta, CalPoint{Units: units, NS: 130 + 19.0*units})
-	}
-	m.Fit(CrossFull, full)
-	m.Fit(CrossDelta, delta)
-	if c := m.Coeffs(CrossFull); math.Abs(c.PerUnitNS-4.75) > 1e-6 || math.Abs(c.FixedNS-130) > 1e-3 {
-		t.Fatalf("CrossFull fit = %+v, want {130 4.75}", c)
-	}
-	if c := m.Coeffs(CrossDelta); math.Abs(c.PerUnitNS-19.0) > 1e-6 {
-		t.Fatalf("CrossDelta fit = %+v, want slope 19", c)
-	}
-	const n = 400000
-	for frac := 0.02; frac <= 0.6; frac += 0.02 {
-		if frac > 0.24 && frac < 0.26 {
-			continue // the break-even itself
-		}
-		want := frac < taxonomy.CrossoverFraction
-		if got := m.ChooseDelta(int(frac*n), n); got != want {
-			t.Errorf("fitted ChooseDelta(%.0f%%) = %v, want %v (DefaultCrossover-equivalent)", 100*frac, got, want)
-		}
-	}
-}
-
-// TestFitDegenerate: under-determined calibration inputs degrade safely —
-// no points is a no-op, one point or same-size points pin only the slope,
-// and a decreasing sweep clamps the slope at zero instead of predicting
-// negative marginal cost.
-func TestFitDegenerate(t *testing.T) {
-	m := DefaultModel()
-	before := m.Coeffs(PrefixCube)
-	m.Fit(PrefixCube, nil)
-	if m.Coeffs(PrefixCube) != before {
-		t.Error("empty fit changed coefficients")
-	}
-
-	m.Fit(PrefixCube, []CalPoint{{Units: 1000, NS: before.FixedNS + 5000}})
-	if c := m.Coeffs(PrefixCube); math.Abs(c.PerUnitNS-5.0) > 1e-9 || c.FixedNS != before.FixedNS {
-		t.Errorf("single-point fit = %+v, want slope 5 through seed fixed %v", c, before.FixedNS)
-	}
-
-	m.Fit(DenseCube, []CalPoint{{Units: 100, NS: 350}, {Units: 100, NS: 450}})
-	if c := m.Coeffs(DenseCube); math.Abs(c.PerUnitNS-(400.0-calFixedNS)/100) > 1e-9 {
-		t.Errorf("same-size fit = %+v", c)
-	}
-
-	m.Fit(EngineScan, []CalPoint{{Units: 100, NS: 900}, {Units: 1000, NS: 100}})
-	if c := m.Coeffs(EngineScan); c.PerUnitNS != 0 {
-		t.Errorf("decreasing sweep fitted negative slope: %+v", c)
-	}
-	if est := m.Estimate(EngineScan, -5); est != m.Coeffs(EngineScan).FixedNS {
-		t.Errorf("negative units not clamped: %v", est)
-	}
-}
-
 // TestChooseNeverSelectsAbsent: the model only picks among the candidates
 // the caller enumerated — a structure whose index doesn't exist is not a
 // candidate and can never be selected, no matter how cheap its
@@ -164,6 +99,9 @@ func TestObserveAdapts(t *testing.T) {
 	m.Observe(CrossDelta, 100, 0)
 	if m.Coeffs(CrossDelta) != before {
 		t.Error("zero-unit or zero-duration observation moved the model")
+	}
+	if est := m.Estimate(CrossDelta, -5); est != before.FixedNS {
+		t.Errorf("negative units not clamped: %v", est)
 	}
 }
 

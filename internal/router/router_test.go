@@ -744,6 +744,33 @@ func TestFleetChaosScheduleRecovers(t *testing.T) {
 	}
 }
 
+// TestFleetChaosStopResumes: RunChaos pairs every SIGSTOP with a SIGCONT
+// before it returns, so a frozen child thaws instead of being probed to
+// death — the same process (no restart) answers the next brush exactly.
+func TestFleetChaosStopResumes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	leakcheck.Check(t)
+	leakcheck.CheckChildren(t)
+	f, ts := fleetServer(t, Config{Shards: 2}, serve.Config{Workers: 2})
+	req := serve.BrushRequest{Session: "stop", Ranges: randomRanges(rand.New(rand.NewSource(5)))}
+	_, before := postJSON(t, ts.URL+"/v1/brush", req)
+
+	report := f.RunChaos(context.Background(), []fault.ProcEvent{{Shard: 0, Kind: fault.ProcStop}})
+	if report.Stops != 1 {
+		t.Fatalf("chaos report %+v: want one stop", report)
+	}
+	req.Session = "stop-after" // a fresh session, so applied_seq matches too
+	st, after := postJSON(t, ts.URL+"/v1/brush", req)
+	if st != http.StatusOK || !bytes.Equal(after, before) {
+		t.Fatalf("brush after stop+cont: status %d\n%s\nwant\n%s", st, after, before)
+	}
+	if got := f.Stats().Restarts; got != 0 {
+		t.Fatalf("restarts = %d: the stopped child was not resumed", got)
+	}
+}
+
 // waitFor blocks until cond holds, re-checking at every supervision
 // transition; the ticker covers conditions no transition announces (a call
 // becoming pending).

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,7 +22,8 @@ import (
 // fleet whose children warm-start from mmap'd snapshots must answer every
 // brush byte-identical to the rebuild-path fleet that wrote those
 // snapshots, at S ∈ {2, 4}. The first fleet cold-builds (no snapshots
-// exist yet) and persists them on the way up; the second fleet maps them.
+// exist yet) and persists them on the way up; the second fleet maps them,
+// and so must the generation restarted after one of its children is killed.
 func TestFleetSnapshotWarmStartMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -65,7 +67,8 @@ func TestFleetSnapshotWarmStartMatchesRebuild(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(7100 + s)))
 			session := fmt.Sprintf("warm-%d", s)
-			for seq := int64(0); seq < 12; seq++ {
+			sameBrush := func(seq int64) {
+				t.Helper()
 				req := serve.BrushRequest{Session: session, Seq: seq, Ranges: randomRanges(rng)}
 				st1, body1 := postJSON(t, coldTS.URL+"/v1/brush", req)
 				st2, body2 := postJSON(t, warmTS.URL+"/v1/brush", req)
@@ -76,6 +79,29 @@ func TestFleetSnapshotWarmStartMatchesRebuild(t *testing.T) {
 					t.Fatalf("seq %d: warm-start brush differs:\n%s\nvs rebuild:\n%s", seq, body2, body1)
 				}
 			}
+			for seq := int64(0); seq < 12; seq++ {
+				sameBrush(seq)
+			}
+
+			// Kill a child whose snapshot is on disk: the generation the
+			// supervisor restarts must map it too, not rebuild.
+			if err := syscall.Kill(warm.ReplicaPID(0, 0), syscall.SIGKILL); err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, warm, 0, 0, func(st State) bool { return st != StateReady })
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := warm.WaitReady(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if h := warm.reps[0][0].health(); !h.WarmStart || h.Generation != 2 {
+				t.Fatalf("restarted replica did not warm-start: %+v", h)
+			}
+			if st := warm.Stats(); st.WarmStarts != int64(s)+1 || st.RestartWindows != 1 {
+				t.Fatalf("after one kill: warm starts %d (want %d), restart windows %d (want 1)",
+					st.WarmStarts, s+1, st.RestartWindows)
+			}
+			sameBrush(12)
 		})
 	}
 }

@@ -78,8 +78,10 @@ type StructureAdvice struct {
 }
 
 // CrossoverFraction is the delta-vs-full break-even the calibration data
-// embeds (BENCH_brush.json: full scans run ~4× faster per record than
-// permuted access), mirrored by crossfilter.DefaultCrossover.
+// embeds (full scans run ~4× faster per record than permuted access;
+// measured once at 434,874 rows by the retired `cmd/brushbench` (PR 3);
+// re-measure with `cmd/bench --trace 1`: `crossfilter.setfilter_us_p50`),
+// mirrored by crossfilter.DefaultCrossover.
 const CrossoverFraction = 0.25
 
 // AdviseStructure applies the decision table:
