@@ -14,6 +14,7 @@
 //	        [-router N] [-routerreplicas R]      # multi-process shard fleet
 //	        [-snapshotdir DIR]                   # warm child restarts via mmap
 //	        [-encode]                            # compressed columnar storage
+//	        [-planner]                           # per-selection drag indexes
 //	        [-debug-addr 127.0.0.1:6060]         # pprof endpoint
 //
 // Endpoints: POST /v1/query {session,seq,sql}; POST /v1/brush
@@ -97,15 +98,13 @@ func main() {
 	routerReplicas := flag.Int("routerreplicas", 1, "child replicas per shard in -router mode (2 enables hedged gathers)")
 	snapshotDir := flag.String("snapshotdir", "", "in -router mode, persist each shard's partition snapshot here so restarted children warm-start via mmap instead of rebuilding")
 	encode := flag.Bool("encode", false, "freeze the dataset into compressed columnar form (dictionary / bit-packed encodings with vectorized scan kernels)")
-	planOn := flag.Bool("planner", false, "enable the selection-aware materialization planner (cost-model structure selection + auto-built per-selection indexes)")
-	planBudget := flag.Int64("plannerbudget", 0, "planner store byte budget for indexes + cached answers (0 = 64 MiB)")
-	lazyPrefix := flag.Bool("lazyprefix", false, "with -planner, defer the prefix-cube build off startup to first brush demand")
+	planOn := flag.Bool("planner", false, "enable the materialization planner (auto-built per-selection indexes for held drags, prefix cube otherwise)")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (e.g. 127.0.0.1:6060; empty = disabled)")
 	flag.Parse()
 
 	if err := run(*addr, *ds, *rows, *profile, *workers, *queue, *constraint, *execDelay, *logPath, *seed,
 		*deadlines, *degradeAfter, *chaos, *chaosSeed, *shards, *shardMode, *encode,
-		*planOn, *planBudget, *lazyPrefix, *debugAddr, *routerN, *routerReplicas, *snapshotDir); err != nil {
+		*planOn, *debugAddr, *routerN, *routerReplicas, *snapshotDir); err != nil {
 		fmt.Fprintln(os.Stderr, "idevald:", err)
 		os.Exit(1)
 	}
@@ -126,7 +125,7 @@ func buildBackends(ds string, rows int, prof engine.Profile, seed int64) (serve.
 
 func run(addr, ds string, rows int, profile string, workers, queue int, constraint, execDelay time.Duration, logPath string, seed int64,
 	deadlines bool, degradeAfter time.Duration, chaos string, chaosSeed int64, shards int, shardMode string, encode bool,
-	planOn bool, planBudget int64, lazyPrefix bool, debugAddr string, routerN, routerReplicas int, snapshotDir string) error {
+	planOn bool, debugAddr string, routerN, routerReplicas int, snapshotDir string) error {
 	prof := engine.ProfileMemory
 	if profile == "disk" {
 		prof = engine.ProfileDisk
@@ -204,9 +203,7 @@ func run(addr, ds string, rows int, profile string, workers, queue int, constrai
 	}
 	if planOn {
 		cfg.Planner = true
-		cfg.PlannerBudget = planBudget
-		cfg.PlannerLazyPrefix = lazyPrefix
-		fmt.Fprintf(os.Stderr, "idevald: materialization planner on (lazy prefix: %v)\n", lazyPrefix)
+		fmt.Fprintln(os.Stderr, "idevald: materialization planner on")
 	}
 	if chaos != "" {
 		fp, ok := fault.ProfileByName(chaos)

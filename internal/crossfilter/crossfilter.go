@@ -74,13 +74,6 @@ const codeLUTCap = 1 << 22
 // Coded reports whether the dimension runs in code space.
 func (d *Dimension) Coded() bool { return d.coded != nil }
 
-// FilterLo returns the active filter's lower bound; meaningful only when
-// Filtered.
-func (d *Dimension) FilterLo() float64 { return d.filterLo }
-
-// FilterHi returns the active filter's upper bound.
-func (d *Dimension) FilterHi() float64 { return d.filterHi }
-
 // Filtered reports whether the dimension has an active range filter.
 func (d *Dimension) Filtered() bool { return d.active }
 
@@ -164,11 +157,8 @@ type Crossfilter struct {
 	// incremental enables the sorted-index delta path (delta.go); false
 	// pins the full-scan implementation, the differential-test oracle.
 	// crossover is the delta fraction above which the full scan wins.
-	// chooser, when non-nil, overrides crossover with a per-update
-	// cost-model decision (planner wiring).
 	incremental bool
 	crossover   float64
-	chooser     ScanChooser
 	deltaScans  int64
 	fullScans   int64
 

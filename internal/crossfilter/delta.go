@@ -37,9 +37,6 @@ const DefaultCrossover = 0.25
 // ablation baseline. Not safe to call concurrently with filter updates.
 func (c *Crossfilter) SetIncremental(on bool) { c.incremental = on }
 
-// Incremental reports whether the delta path is enabled.
-func (c *Crossfilter) Incremental() bool { return c.incremental }
-
 // SetCrossover sets the delta fraction above which filter updates fall
 // back to the full scan. Values outside (0, 1] keep the current setting.
 func (c *Crossfilter) SetCrossover(frac float64) {
@@ -47,20 +44,6 @@ func (c *Crossfilter) SetCrossover(frac float64) {
 		c.crossover = frac
 	}
 }
-
-// ScanChooser decides delta-vs-full per update from the actual work sizes
-// — the planner's cost model implements it, replacing the fixed crossover
-// fraction with fitted per-structure latency lines. ChooseDelta reports
-// whether reconciling changed records through the sorted index is
-// predicted cheaper than a full scan over all total records.
-type ScanChooser interface {
-	ChooseDelta(changed, total int) bool
-}
-
-// SetScanChooser installs a chooser consulted instead of the crossover
-// fraction on every eligible update (nil restores the fraction). Not safe
-// to call concurrently with filter updates.
-func (c *Crossfilter) SetScanChooser(ch ScanChooser) { c.chooser = ch }
 
 // ScanStats reports how many filter updates took the delta path versus the
 // full scan, for tests and the ablation benchmark.
@@ -198,11 +181,7 @@ func (c *Crossfilter) updateFilter(ctx context.Context, d int, bit uint32) error
 	for s := 0; s < nseg; s++ {
 		total += segs[s][1] - segs[s][0]
 	}
-	useDelta := float64(total) <= c.crossover*float64(c.n)
-	if c.chooser != nil {
-		useDelta = c.chooser.ChooseDelta(total, c.n)
-	}
-	if !useDelta {
+	if float64(total) > c.crossover*float64(c.n) {
 		return c.runFull(ctx, d, bit)
 	}
 	c.deltaScans++

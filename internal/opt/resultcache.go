@@ -32,8 +32,8 @@ func DefaultSize(val any) int64 {
 // ResultLRU is an LRU cache carrying result values — the server-side
 // companion to SessionCache (which keys on quantized interaction state)
 // and to the key-only Cache policies. The serving layer uses it for
-// /v1/tiles results keyed by (dataset, tile) and, planner-enabled, as the
-// single byte-budgeted store shared by cached brush answers and
+// /v1/tiles results keyed by (dataset, tile) and for exact brush answers
+// keyed by ranges; the planner uses the byte-budgeted form as its store of
 // materialized indexes. Bounds compose: a positive capacity caps entries,
 // a positive maxBytes caps the summed size estimates, and eviction runs
 // until both hold. Not synchronized; callers serialize access.

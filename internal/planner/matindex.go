@@ -19,7 +19,7 @@
 //     v's box, exactly how the cube family treats the target dimension).
 //     hist[v][b] = view[v][hi+1][b] - view[v][lo][b] inside v's box.
 //
-// One 3-dim 20-bin template costs ~7 KB; the shared byte-budgeted store
+// One 3-dim 20-bin template costs ~7 KB; the planner's byte-budgeted store
 // bounds how many coexist.
 
 package planner
@@ -33,7 +33,7 @@ import (
 	"repro/internal/storage"
 )
 
-// MatIndex is one materialized template. Immutable once built; safe for
+// TemplateIndex is one materialized template. Immutable once built; safe for
 // concurrent readers.
 type TemplateIndex struct {
 	dims  []datacube.Dim
@@ -97,9 +97,9 @@ func binOf(d datacube.Dim, v float64) int {
 	return b
 }
 
-// BuildMatIndex scans the backing table once, morsel-parallel, and
+// BuildTemplateIndex scans the backing table once, morsel-parallel, and
 // assembles the template's index. binFns is one bin-of-row function per
-// dimension (colstore-aware; see newBinners). Workers accumulate into
+// dimension (colstore-aware; see binners). Workers accumulate into
 // private partials merged by addition, so the index is identical at every
 // parallelism level. A cancelled ctx aborts at morsel granularity.
 func BuildTemplateIndex(ctx context.Context, tbl *storage.Table, dims []datacube.Dim, moved int,
@@ -312,16 +312,6 @@ func (x *TemplateIndex) AnswerInto(filters []*datacube.Range, hists [][]int64) (
 		}
 	}
 	return total, nil
-}
-
-// AnswerUnits is the work-unit count of one AnswerInto — the Σ bins the
-// cost model prices.
-func (x *TemplateIndex) AnswerUnits() float64 {
-	u := 0
-	for _, d := range x.dims {
-		u += d.Bins
-	}
-	return float64(u)
 }
 
 // ApproxBytes reports the index's resident size for the byte-budgeted

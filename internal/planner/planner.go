@@ -1,3 +1,10 @@
+// Package planner puts one materialized per-selection index family
+// (matindex.go) in front of the prefix cube: a hot-template detector builds
+// a dedicated index for the drag pattern a session keeps re-issuing, and
+// every brush is answered from its session template's index when that is
+// built, else from the prefix cube. That is the whole policy — the Mosaic
+// Selections shape: a pre-aggregation keyed by the selection template, and
+// the base structure it falls back to. Both answers are bit-identical.
 package planner
 
 import (
@@ -5,41 +12,70 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/datacube"
-	"repro/internal/morsel"
 	"repro/internal/opt"
 	"repro/internal/storage"
 )
 
-// Config tunes a Planner. The zero value means: default cost model, 64 MB
-// byte budget, hot streak of 8, eager prefix cube required from the
-// caller, GOMAXPROCS build parallelism, one background build at a time.
+// Structure names who answered a brush.
+type Structure int
+
+// The answer structures.
+const (
+	// PrefixCube differences the summed-area cube's corners:
+	// O(Σ bins·2^(d-1) + 2^d) reads per brush.
+	PrefixCube Structure = iota
+	// MatIndex is a planner-materialized per-selection index: the moved
+	// dimension's axis prefix-summed against every view, so one template's
+	// drag steps cost O(Σ bins) regardless of dimensionality.
+	MatIndex
+
+	// numLive counts the structures above, the ones Answer picks between;
+	// it sizes Planner.choices and bounds Stats.Choices.
+	numLive
+
+	// CrossDelta is never chosen and never reported: crossfilter's delta
+	// scan is not a planner arm. The name survives only because cmd/bench
+	// reads it (planner.choice_cross_delta); it goes at the next benchmark
+	// revision.
+	CrossDelta
+)
+
+// String is the structure's label in Stats.Choices and
+// planner_choice_total{structure=...}.
+func (s Structure) String() string {
+	switch s {
+	case PrefixCube:
+		return "prefix-cube"
+	case MatIndex:
+		return "mat-index"
+	case CrossDelta:
+		return "cross-delta"
+	default:
+		return "unknown"
+	}
+}
+
+// Config tunes a Planner. The zero value means: 64 MB index budget, hot
+// streak of 8, prefix cube integrated from New's dense cube, GOMAXPROCS
+// build parallelism.
 type Config struct {
-	// Model predicts per-structure latency; nil means DefaultModel().
-	Model *CostModel
-	// Budget bounds the shared store (materialized indexes + cached
-	// results) in approximate resident bytes; <= 0 means DefaultBudget.
+	// Budget bounds the materialized indexes in approximate resident
+	// bytes; <= 0 means DefaultBudget.
 	Budget int64
 	// HotStreak is how many consecutive same-template queries a session
 	// must issue before its template is materialized; <= 0 means
 	// DefaultHotStreak.
 	HotStreak int
-	// Prefix installs an eagerly built summed-area cube. Leave nil with
-	// LazyPrefix to defer that build off the startup path.
+	// Prefix is the summed-area cube to fall back on; nil means New
+	// integrates one from its dense cube.
 	Prefix *datacube.PrefixCube
-	// LazyPrefix builds the prefix cube asynchronously on first demand
-	// instead of requiring it up front.
-	LazyPrefix bool
 	// Parallelism caps background build workers; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// MaxBuilds caps concurrent background materializations; <= 0 means 1.
-	MaxBuilds int
 }
 
 // Defaults for Config's zero fields.
@@ -64,37 +100,34 @@ type session struct {
 	tplLo      []int
 	tplHi      []int
 	streak     int
-	key        string         // template store key ("ix|..."), built on template change
+	key        string         // template store key, built on template change
 	idx        *TemplateIndex // cached swap-in, revalidated against evictEpoch
 	epoch      uint64
 	lastLookup int // streak value at the last store lookup, to avoid one per query
 }
 
-// Planner picks the cheapest available answer structure per brush query
-// and materializes per-selection indexes for templates a session keeps
-// re-issuing. Safe for concurrent use.
+// Planner answers each brush from its session template's materialized
+// index when one is built, else from the prefix cube, and materializes
+// indexes for templates a session keeps re-issuing. Safe for concurrent
+// use.
 type Planner struct {
 	tbl    *storage.Table
-	cube   *datacube.Cube
 	dims   []datacube.Dim
 	binFns []func(row int) int
-	model  *CostModel
+	prefix *datacube.PrefixCube
 
-	prefix         atomic.Pointer[datacube.PrefixCube]
-	lazyPrefix     bool
-	prefixBuilding atomic.Bool
-	prefixBuilds   atomic.Int64
-
-	// store is the single byte-budgeted LRU shared by materialized
-	// indexes ("ix|" keys) and caller-cached results, guarded by storeMu.
+	// store is the byte-budgeted LRU of materialized indexes, keyed by
+	// template, guarded by storeMu.
 	storeMu sync.Mutex
 	store   *opt.ResultLRU
 
-	buildMu  sync.Mutex
-	building map[string]bool
-	closed   bool
-	wg       sync.WaitGroup
-	sem      chan struct{}
+	// buildMu guards building and closed; buildSlot runs the background
+	// builds one at a time.
+	buildMu   sync.Mutex
+	building  map[string]bool
+	closed    bool
+	wg        sync.WaitGroup
+	buildSlot sync.Mutex
 
 	sessMu   sync.Mutex
 	sessions map[string]*session
@@ -102,21 +135,17 @@ type Planner struct {
 	hotStreak   int
 	parallelism int
 
-	matUnits    float64 // Σ bins: one MatIndex answer
-	prefixUnits float64 // Σ bins·2^(d-1) + 2^d: one prefix-cube answer
-	scanUnits   float64 // rows·dims: one engine scan
-
-	choices          [numStructures]atomic.Int64
+	choices          [numLive]atomic.Int64
 	materializations atomic.Int64
 	evictEpoch       atomic.Uint64
 	indexCount       atomic.Int64
 	indexBytes       atomic.Int64
 }
 
-// New builds a planner over the backing table and its cube dimensions.
-// cube may be nil (no dense-cube candidate); a prefix cube comes from
-// cfg.Prefix or, with cfg.LazyPrefix, is built in the background on first
-// demand. Every dimension must name a numeric column of tbl.
+// New builds a planner over the backing table and its cube dimensions. The
+// prefix cube is cfg.Prefix or, when that is nil, integrated from cube; one
+// of the two must be given. Every dimension must name a numeric column of
+// tbl.
 func New(tbl *storage.Table, cube *datacube.Cube, dims []datacube.Dim, cfg Config) (*Planner, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("planner: nil table")
@@ -127,24 +156,21 @@ func New(tbl *storage.Table, cube *datacube.Cube, dims []datacube.Dim, cfg Confi
 	if len(dims) > 32 {
 		return nil, fmt.Errorf("planner: at most 32 dimensions (got %d)", len(dims))
 	}
-	if cfg.Prefix == nil && !cfg.LazyPrefix && cube == nil {
-		// Workable (engine scan always answers) but almost certainly a
-		// wiring mistake: the planner would never beat the legacy path.
-		return nil, fmt.Errorf("planner: no prefix cube, no dense cube, and LazyPrefix off")
+	prefix := cfg.Prefix
+	if prefix == nil {
+		if cube == nil {
+			return nil, fmt.Errorf("planner: no prefix cube and no dense cube to integrate one from")
+		}
+		prefix = datacube.NewPrefix(cube)
 	}
 	p := &Planner{
 		tbl:         tbl,
-		cube:        cube,
 		dims:        dims,
-		model:       cfg.Model,
-		lazyPrefix:  cfg.LazyPrefix,
+		prefix:      prefix,
 		building:    map[string]bool{},
 		sessions:    map[string]*session{},
 		hotStreak:   cfg.HotStreak,
 		parallelism: cfg.Parallelism,
-	}
-	if p.model == nil {
-		p.model = DefaultModel()
 	}
 	if p.hotStreak <= 0 {
 		p.hotStreak = DefaultHotStreak
@@ -157,36 +183,15 @@ func New(tbl *storage.Table, cube *datacube.Cube, dims []datacube.Dim, cfg Confi
 		budget = DefaultBudget
 	}
 	p.store = opt.NewByteLRU(budget, nil)
-	p.store.SetOnEvict(func(key string, val any) {
-		if strings.HasPrefix(key, ixPrefix) {
-			if idx, ok := val.(*TemplateIndex); ok {
-				p.indexCount.Add(-1)
-				p.indexBytes.Add(-idx.ApproxBytes())
-			}
-			p.evictEpoch.Add(1)
-		}
+	p.store.SetOnEvict(func(_ string, val any) {
+		p.indexCount.Add(-1)
+		p.indexBytes.Add(-val.(*TemplateIndex).ApproxBytes())
+		p.evictEpoch.Add(1)
 	})
-	maxBuilds := cfg.MaxBuilds
-	if maxBuilds <= 0 {
-		maxBuilds = 1
-	}
-	p.sem = make(chan struct{}, maxBuilds)
-	if cfg.Prefix != nil {
-		p.prefix.Store(cfg.Prefix)
-	}
-	fns, err := binners(tbl, dims)
-	if err != nil {
+	var err error
+	if p.binFns, err = binners(tbl, dims); err != nil {
 		return nil, err
 	}
-	p.binFns = fns
-
-	nd := len(dims)
-	for _, d := range dims {
-		p.matUnits += float64(d.Bins)
-		p.prefixUnits += float64(d.Bins) * float64(int(1)<<(nd-1))
-	}
-	p.prefixUnits += float64(int(1) << nd)
-	p.scanUnits = float64(tbl.NumRows()) * float64(nd)
 	return p, nil
 }
 
@@ -224,122 +229,28 @@ func binners(tbl *storage.Table, dims []datacube.Dim) ([]func(row int) int, erro
 	return fns, nil
 }
 
-// ixPrefix namespaces materialized indexes inside the shared store.
-const ixPrefix = "ix|"
-
-// Model returns the planner's cost model (shared with crossfilter's
-// ScanChooser wiring).
-func (p *Planner) Model() *CostModel { return p.model }
-
-// Dims returns the planner's dimension descriptors.
-func (p *Planner) Dims() []datacube.Dim { return p.dims }
-
-// CacheGet reads a caller-cached value from the shared byte-budgeted
-// store.
-func (p *Planner) CacheGet(key string) (any, bool) {
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
-	return p.store.Get(key)
-}
-
-// CachePut stores a caller value in the shared store, under the same byte
-// budget the materialized indexes draw from. Reports whether it fit.
-func (p *Planner) CachePut(key string, val any) bool {
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
-	return p.store.Put(key, val)
-}
-
 // Answer computes every dimension's filtered histogram plus the filtered
-// total into hists (one pre-sized slice per dimension), via the cheapest
-// structure the cost model predicts among those that exist right now.
-// sessionID scopes drag detection; moved is the dimension the client is
-// dragging (any out-of-range value disables template tracking for this
-// query — it is wire input, not trusted). The result is bit-identical
-// across every structure, so the choice is invisible in the response.
+// total into hists (one pre-sized slice per dimension): from the session
+// template's index if it is built, else from the prefix cube. No model, no
+// measurement — the index reads Σ bins cells where the cube reads
+// Σ bins·2^(d-1) + 2^d, which is no fewer for every d ≥ 1. sessionID scopes
+// drag detection; moved is the dimension the client is dragging (any
+// out-of-range value disables template tracking for this query — it is
+// wire input, not trusted). The two answers are bit-identical, so the
+// choice is invisible in the response.
 func (p *Planner) Answer(sessionID string, moved int, filters []*datacube.Range, hists [][]int64) (int64, Structure, error) {
-	nd := len(p.dims)
-	if len(filters) != nd || len(hists) != nd {
-		return 0, -1, fmt.Errorf("planner: %d filters / %d hists for %d dimensions", len(filters), len(hists), nd)
-	}
-	var loBuf, hiBuf [32]int
-	lo, hi := loBuf[:nd], hiBuf[:nd]
-	empty := false
-	boxCells := 1
-	for i, d := range p.dims {
-		if len(hists[i]) != d.Bins {
-			return 0, -1, fmt.Errorf("planner: hist %d has %d bins, want %d", i, len(hists[i]), d.Bins)
-		}
-		lo[i], hi[i] = 0, d.Bins-1
-		if filters[i] != nil {
-			lo[i], hi[i] = BinRange(d, *filters[i])
-			if lo[i] > hi[i] {
-				empty = true
-			}
-		}
-		if !empty {
-			boxCells *= hi[i] - lo[i] + 1
-		}
-	}
-	if empty {
-		boxCells = 0
-	}
-
-	idx := p.trackTemplate(sessionID, moved, filters)
-	if p.lazyPrefix && p.prefix.Load() == nil {
-		p.maybeBuildPrefix()
-	}
-
-	var cands [4]Candidate
-	n := 0
-	if idx != nil {
-		cands[n] = Candidate{MatIndex, p.matUnits}
-		n++
-	}
-	if p.prefix.Load() != nil {
-		cands[n] = Candidate{PrefixCube, p.prefixUnits}
-		n++
-	}
-	if p.cube != nil {
-		cands[n] = Candidate{DenseCube, float64(boxCells * nd)}
-		n++
-	}
-	cands[n] = Candidate{EngineScan, p.scanUnits}
-	n++
-
-	choice, _ := p.model.Choose(cands[:n])
-	units := 0.0
-	for _, c := range cands[:n] {
-		if c.S == choice {
-			units = c.Units
-			break
-		}
-	}
-
-	start := time.Now()
+	choice := PrefixCube
 	var total int64
 	var err error
-	switch choice {
-	case MatIndex:
+	if idx := p.trackTemplate(sessionID, moved, filters); idx != nil {
+		choice = MatIndex
 		total, err = idx.AnswerInto(filters, hists)
-	case PrefixCube:
-		total, err = p.prefix.Load().BrushInto(filters, hists)
-	case DenseCube:
-		for d := 0; d < nd && err == nil; d++ {
-			err = p.cube.HistogramInto(d, filters, hists[d])
-		}
-		if err == nil {
-			for _, v := range hists[0] {
-				total += v
-			}
-		}
-	default:
-		total = p.scanAnswer(lo, hi, boxCells == 0, hists)
+	} else {
+		total, err = p.prefix.BrushInto(filters, hists)
 	}
 	if err != nil {
 		return 0, choice, err
 	}
-	p.model.Observe(choice, units, time.Since(start))
 	p.choices[choice].Add(1)
 	return total, choice, nil
 }
@@ -348,9 +259,6 @@ func (p *Planner) Answer(sessionID string, moved int, filters []*datacube.Range,
 // returns the template's materialized index if one is ready, else nil
 // (possibly after kicking off a background build).
 func (p *Planner) trackTemplate(sessionID string, moved int, filters []*datacube.Range) *TemplateIndex {
-	if moved < 0 || moved >= len(p.dims) {
-		return nil
-	}
 	tplLo, tplHi, ok := TemplateOf(p.dims, moved, filters)
 	if !ok {
 		return nil
@@ -393,10 +301,9 @@ func (p *Planner) trackTemplate(sessionID string, moved int, filters []*datacube
 	return sess.idx
 }
 
-// lookupIndex fetches a materialized index from the shared store,
-// returning the eviction epoch observed before the read (so a
-// concurrent eviction forces the next revalidation rather than being
-// missed).
+// lookupIndex fetches a materialized index from the store, returning the
+// eviction epoch observed before the read (so a concurrent eviction forces
+// the next revalidation rather than being missed).
 func (p *Planner) lookupIndex(key string) (*TemplateIndex, uint64) {
 	epoch := p.evictEpoch.Load()
 	p.storeMu.Lock()
@@ -405,8 +312,7 @@ func (p *Planner) lookupIndex(key string) (*TemplateIndex, uint64) {
 	if !ok {
 		return nil, epoch
 	}
-	idx, _ := v.(*TemplateIndex)
-	return idx, epoch
+	return v.(*TemplateIndex), epoch
 }
 
 // getSession returns sessionID's tracking state, creating it on first
@@ -427,7 +333,7 @@ func (p *Planner) getSession(id string) *session {
 
 // maybeMaterialize starts a single-flight background build of the
 // template's index. The hot path never blocks on it: queries keep riding
-// the current best structure until the built index lands in the store.
+// the prefix cube until the built index lands in the store.
 func (p *Planner) maybeMaterialize(key string, moved int, tplLo, tplHi []int) {
 	p.buildMu.Lock()
 	defer p.buildMu.Unlock()
@@ -438,8 +344,8 @@ func (p *Planner) maybeMaterialize(key string, moved int, tplLo, tplHi []int) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
+		p.buildSlot.Lock()
+		defer p.buildSlot.Unlock()
 		idx, err := BuildTemplateIndex(context.Background(), p.tbl, p.dims, moved, tplLo, tplHi, p.binFns, p.parallelism)
 		if err == nil {
 			p.storeMu.Lock()
@@ -456,105 +362,6 @@ func (p *Planner) maybeMaterialize(key string, moved int, tplLo, tplHi []int) {
 	}()
 }
 
-// maybeBuildPrefix starts the single-flight deferred prefix-cube build:
-// from the dense cube when one exists (an O(cells) integration), else a
-// full table build. Queries ride the other structures until the swap-in.
-func (p *Planner) maybeBuildPrefix() {
-	if !p.prefixBuilding.CompareAndSwap(false, true) {
-		return
-	}
-	p.buildMu.Lock()
-	if p.closed {
-		p.buildMu.Unlock()
-		p.prefixBuilding.Store(false)
-		return
-	}
-	p.wg.Add(1)
-	p.buildMu.Unlock()
-	go func() {
-		defer p.wg.Done()
-		var pc *datacube.PrefixCube
-		if p.cube != nil {
-			pc = datacube.NewPrefix(p.cube)
-		} else {
-			pc, _ = datacube.BuildPrefix(p.tbl, p.dims, p.parallelism)
-		}
-		if pc != nil {
-			p.prefix.Store(pc)
-			p.prefixBuilds.Add(1)
-		}
-	}()
-}
-
-// scanAnswer is the engine-scan executor (and differential oracle's
-// production twin): one morsel-parallel pass binning every row, counting
-// rows inside the full bin box into the total and into every dimension's
-// histogram. Per-worker partials merge by addition, so the answer is
-// identical at every parallelism level.
-func (p *Planner) scanAnswer(lo, hi []int, empty bool, hists [][]int64) int64 {
-	nd := len(p.dims)
-	for d := range hists {
-		for b := range hists[d] {
-			hists[d][b] = 0
-		}
-	}
-	if empty {
-		return 0
-	}
-	offs := make([]int, nd)
-	totBins := 0
-	for d, dim := range p.dims {
-		offs[d] = totBins
-		totBins += dim.Bins
-	}
-	n := p.tbl.NumRows()
-	workers := 1
-	if p.parallelism != 1 && n >= 2*morsel.Size {
-		workers = morsel.Workers(p.parallelism, n)
-	}
-	parts := make([][]int64, workers)
-	totals := make([]int64, workers)
-	for w := range parts {
-		parts[w] = make([]int64, totBins)
-	}
-	morsel.Run(n, workers, func(w, _, rlo, rhi int) {
-		var bins [32]int
-		flat := parts[w]
-		var tot int64
-		for row := rlo; row < rhi; row++ {
-			pass := true
-			for i := 0; i < nd; i++ {
-				b := p.binFns[i](row)
-				if b < lo[i] || b > hi[i] {
-					pass = false
-					break
-				}
-				bins[i] = b
-			}
-			if !pass {
-				continue
-			}
-			tot++
-			for i := 0; i < nd; i++ {
-				flat[offs[i]+bins[i]]++
-			}
-		}
-		totals[w] += tot
-	})
-	var total int64
-	for w := 0; w < workers; w++ {
-		total += totals[w]
-		for d := 0; d < nd; d++ {
-			hv := hists[d]
-			part := parts[w][offs[d] : offs[d]+len(hv)]
-			for b, v := range part {
-				hv[b] += v
-			}
-		}
-	}
-	return total
-}
-
 // WaitBuilds blocks until every background build in flight has finished —
 // the determinism hook for tests and benchmarks that need the swap-in to
 // have happened.
@@ -569,11 +376,10 @@ func (p *Planner) Close() {
 	p.wg.Wait()
 }
 
-// templateKey renders a template identity for the shared store:
-// "ix|m<moved>|lo:hi|..." with "_" for the moved dimension's slot.
+// templateKey renders a template identity for the store:
+// "m<moved>|lo:hi|..." with "_" for the moved dimension's slot.
 func templateKey(moved int, lo, hi []int) string {
 	b := make([]byte, 0, 8+8*len(lo))
-	b = append(b, ixPrefix...)
 	b = append(b, 'm')
 	b = strconv.AppendInt(b, int64(moved), 10)
 	for i := range lo {
@@ -606,7 +412,6 @@ func eqInts(a, b []int) bool {
 type Stats struct {
 	Choices          map[string]int64 `json:"choices"`
 	Materializations int64            `json:"materializations"`
-	PrefixBuilds     int64            `json:"prefix_builds"`
 	IndexCount       int64            `json:"index_count"`
 	IndexBytes       int64            `json:"index_bytes"`
 	StoreBytes       int64            `json:"store_bytes"`
@@ -614,17 +419,16 @@ type Stats struct {
 	Evictions        int64            `json:"evictions"`
 }
 
-// Stats snapshots the planner's counters. Every structure appears in
+// Stats snapshots the planner's counters. Both live structures appear in
 // Choices (zero-valued when never chosen) so metric series are stable.
 func (p *Planner) Stats() *Stats {
 	st := &Stats{
-		Choices:          make(map[string]int64, numStructures),
+		Choices:          make(map[string]int64, numLive),
 		Materializations: p.materializations.Load(),
-		PrefixBuilds:     p.prefixBuilds.Load(),
 		IndexCount:       p.indexCount.Load(),
 		IndexBytes:       p.indexBytes.Load(),
 	}
-	for _, s := range Structures() {
+	for s := Structure(0); s < numLive; s++ {
 		st.Choices[s.String()] = p.choices[s].Load()
 	}
 	p.storeMu.Lock()

@@ -112,45 +112,65 @@ func TestBrushDegradesUnderStall(t *testing.T) {
 
 // TestBrushCacheTier: with the budget already blown, a brush whose exact
 // ranges were answered before is served from the result cache — exact data,
-// not marked degraded.
+// not marked degraded — whoever answers brushes; a negative BrushCacheSize
+// turns that rung off for every answerer, and the ladder falls through to
+// the partial tier.
 func TestBrushCacheTier(t *testing.T) {
 	leakcheck.Check(t)
-	stallAll := fault.New(fault.Profile{Name: "stall-all", StallProb: 1, StallDelay: 300 * time.Millisecond}, 12)
 	backends, err := RoadBackends(1, testRows, engine.ProfileMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(backends, Config{
-		Workers:          1,
-		Deadlines:        true,
-		DegradeAfter:     10 * time.Millisecond,
-		Fault:            stallAll,
-		BreakerThreshold: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainForTest(t, srv)
+	for _, tc := range []struct {
+		name     string
+		planner  bool
+		size     int
+		wantTier string
+		wantHits int64
+	}{
+		{"prefix/default", false, 0, "cache", 1},
+		{"prefix/off", false, -1, "partial", 0},
+		{"planner/default", true, 0, "cache", 1},
+		{"planner/off", true, -1, "partial", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stallAll := fault.New(fault.Profile{Name: "stall-all", StallProb: 1, StallDelay: 300 * time.Millisecond}, 12)
+			srv, err := New(backends, Config{
+				Workers:          1,
+				Deadlines:        true,
+				DegradeAfter:     10 * time.Millisecond,
+				Fault:            stallAll,
+				BreakerThreshold: -1,
+				Planner:          tc.planner,
+				BrushCacheSize:   tc.size,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer drainForTest(t, srv)
 
-	req := BrushRequest{Session: "cached", Seq: 7, Ranges: brushRanges(8.2, 10.5)}
-	srv.cacheBrush(req, &BrushResponse{AppliedSeq: 3, Total: 42, Tier: "exact"})
+			req := BrushRequest{Session: "cached", Seq: 7, Ranges: brushRanges(8.2, 10.5)}
+			srv.cacheBrush(req, &BrushResponse{AppliedSeq: 3, Total: 42, Tier: "exact"})
 
-	// earliest far in the past: the exact tier's budget is already blown.
-	resp, err := srv.execBrushLadder(req, time.Now().Add(-time.Second), func(obsv.Stage) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Tier != "cache" || resp.Degraded {
-		t.Fatalf("tier %q degraded=%v, want cache/false", resp.Tier, resp.Degraded)
-	}
-	if resp.AppliedSeq != 7 {
-		t.Fatalf("applied seq = %d, want the request's own 7", resp.AppliedSeq)
-	}
-	if resp.Total != 42 {
-		t.Fatalf("total = %d, want the cached 42", resp.Total)
-	}
-	if st := srv.Stats(); st.BrushCacheHits != 1 {
-		t.Fatalf("brush cache hits = %d, want 1", st.BrushCacheHits)
+			// earliest far in the past: the exact tier's budget is already blown.
+			resp, err := srv.execBrushLadder(req, time.Now().Add(-time.Second), func(obsv.Stage) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached := tc.wantTier == "cache"
+			if resp.Tier != tc.wantTier || resp.Degraded == cached {
+				t.Fatalf("tier %q degraded=%v, want %s/%v", resp.Tier, resp.Degraded, tc.wantTier, !cached)
+			}
+			if resp.AppliedSeq != 7 {
+				t.Fatalf("applied seq = %d, want the request's own 7", resp.AppliedSeq)
+			}
+			if cached && resp.Total != 42 {
+				t.Fatalf("total = %d, want the cached 42", resp.Total)
+			}
+			if st := srv.Stats(); st.BrushCacheHits != tc.wantHits {
+				t.Fatalf("brush cache hits = %d, want %d", st.BrushCacheHits, tc.wantHits)
+			}
+		})
 	}
 }
 

@@ -83,33 +83,11 @@ func TestPlannerBrushMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestPlannerLazyPrefixServer: with the prefix-cube build deferred off
-// startup, brush answers are still byte-identical to the eager server's,
-// and the deferred build completes exactly once.
-func TestPlannerLazyPrefixServer(t *testing.T) {
-	_, base := newTestServer(t, Config{Workers: 2})
-	lazySrv, lazy := newTestServer(t, Config{Workers: 2, Planner: true, PlannerLazyPrefix: true})
-
-	for step := 0; step < 4; step++ {
-		req := BrushRequest{Session: "s", Seq: int64(step), Ranges: dragBrushRanges(step, 8), Moved: 0}
-		_, b1 := postJSON(t, base.URL+"/v1/brush", req)
-		_, b2 := postJSON(t, lazy.URL+"/v1/brush", req)
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("step %d: lazy-prefix response differs\nbaseline: %s\nlazy:     %s", step, b1, b2)
-		}
-		if step == 1 {
-			lazySrv.Planner().WaitBuilds()
-		}
-	}
-	if n := lazySrv.Stats().Planner.PrefixBuilds; n != 1 {
-		t.Errorf("prefix builds = %d, want 1", n)
-	}
-}
-
 // TestPlannerStatsExposed: the planner section reaches both /metrics
-// representations — the JSON Stats carries every structure's choice
-// counter, and the Prometheus exposition is valid text format 0.0.4
-// including planner_choice_total and the brush cache-miss counter.
+// representations — the JSON Stats carries the two live structures' choice
+// counters and no others, and the Prometheus exposition is valid text
+// format 0.0.4 including planner_choice_total and the brush cache-miss
+// counter.
 func TestPlannerStatsExposed(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, Planner: true})
 
@@ -131,10 +109,13 @@ func TestPlannerStatsExposed(t *testing.T) {
 	if st.Planner == nil {
 		t.Fatal("JSON stats carry no planner section")
 	}
-	for _, name := range []string{"engine-scan", "cross-full", "cross-delta", "dense-cube", "prefix-cube", "mat-index"} {
+	for _, name := range []string{"prefix-cube", "mat-index"} {
 		if _, ok := st.Planner.Choices[name]; !ok {
 			t.Errorf("choices missing structure %q (series must be stable)", name)
 		}
+	}
+	if len(st.Planner.Choices) != 2 {
+		t.Errorf("choices = %v, want the two live structures only", st.Planner.Choices)
 	}
 	if st.Planner.BudgetBytes == 0 {
 		t.Error("budget bytes unset")
@@ -162,6 +143,9 @@ func TestPlannerStatsExposed(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if bytes.Contains(body, []byte("planner_prefix_builds_total")) {
+		t.Error("exposition still carries planner_prefix_builds_total")
 	}
 }
 

@@ -89,14 +89,13 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 			choices[name] = float64(n)
 		}
 		p.CounterVec("planner_choice_total",
-			"Brush answers per structure the cost model selected.",
+			"Brush answers per answering structure.",
 			"structure", choices)
 		p.Counter("planner_materializations_total", "Per-selection indexes built for hot drag templates.", float64(st.Planner.Materializations))
-		p.Counter("planner_evictions_total", "Entries the planner store's byte budget pushed out.", float64(st.Planner.Evictions))
-		p.Counter("planner_prefix_builds_total", "Deferred prefix-cube builds completed.", float64(st.Planner.PrefixBuilds))
+		p.Counter("planner_evictions_total", "Indexes the planner store's byte budget pushed out.", float64(st.Planner.Evictions))
 		p.Gauge("planner_index_count", "Materialized per-selection indexes resident.", float64(st.Planner.IndexCount))
 		p.Gauge("planner_index_bytes", "Resident bytes of materialized indexes.", float64(st.Planner.IndexBytes))
-		p.Gauge("planner_store_bytes", "Resident bytes of the planner's shared store (indexes + cached answers).", float64(st.Planner.StoreBytes))
+		p.Gauge("planner_store_bytes", "Resident bytes charged against the planner store's budget.", float64(st.Planner.StoreBytes))
 		p.Gauge("planner_budget_bytes", "The planner store's byte budget.", float64(st.Planner.BudgetBytes))
 	}
 

@@ -100,31 +100,21 @@ type Config struct {
 	// means 256; negative disables it.
 	BrushCacheSize int
 
-	// Planner enables the selection-aware materialization planner: every
-	// brush is answered by the cheapest structure a per-structure cost
-	// model predicts (materialized per-selection index, prefix cube, dense
-	// cube, engine scan — all bit-identical), and hot drag templates get
-	// dedicated indexes built off the hot path. Requires a cube with a
-	// backing table (Backends.Tiles) carrying every cube dimension as a
-	// numeric column. The brush answer cache moves into the planner's
-	// byte-budgeted store, shared with the materialized indexes.
+	// Planner enables the materialization planner: hot drag templates get
+	// dedicated per-selection indexes built off the hot path, and a brush
+	// is answered from its session template's index when that is built,
+	// else from the prefix cube (the two are bit-identical). Requires a
+	// cube with a backing table (Backends.Tiles) carrying every cube
+	// dimension as a numeric column.
 	//
 	// Planner, Shards > 1 and Gatherer each pick who answers a brush;
 	// New accepts at most one of them (the planner does not yet run inside
 	// shard replicas).
 	Planner bool
-	// PlannerBudget bounds the planner's shared store (indexes + cached
-	// brush answers) in approximate resident bytes; 0 means
-	// planner.DefaultBudget.
-	PlannerBudget int64
 	// PlannerHotStreak is how many consecutive same-template brushes a
 	// session issues before its template is materialized; 0 means
 	// planner.DefaultHotStreak.
 	PlannerHotStreak int
-	// PlannerLazyPrefix defers the summed-area cube build off the startup
-	// path: the planner builds it in the background on first brush demand,
-	// answering from the other structures meanwhile.
-	PlannerLazyPrefix bool
 
 	// Shards enables sharded scatter-gather serving: the cube's backing
 	// table (Backends.Tiles) is partitioned across this many shard
@@ -242,15 +232,14 @@ type Server struct {
 	// Degradation ladder state: fault injector and circuit breaker guarding
 	// backend executions, resolved retry/deadline knobs, and the fallback
 	// rungs, which exist only with Deadlines on — the ranges-keyed cache of
-	// exact brush answers (cacheBrushes; in brushCache, or the planner's
-	// store) and the progressive executor for the partial tier (nil when
-	// the served dimensions have no backing table).
+	// exact brush answers (brushCache, nil when off) and the progressive
+	// executor for the partial tier (nil when the served dimensions have no
+	// backing table).
 	fault        *fault.Injector
 	brk          *breaker
 	degradeAfter time.Duration
 	maxRetries   int
 	prog         *progressive.Executor
-	cacheBrushes bool
 	brushMu      sync.Mutex
 	brushCache   *opt.ResultLRU
 	// storeTable is the frozen served table behind the /metrics store
@@ -362,10 +351,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 		brushCacheSize = 256
 	}
 	// Only the ladder's fallback reads the cache, and only with Deadlines
-	// on; otherwise nothing is written to it either. Planner-enabled, brush
-	// answers live in the planner's shared byte-budgeted store instead.
-	s.cacheBrushes = cfg.Deadlines && (cfg.Planner || brushCacheSize > 0)
-	if s.cacheBrushes && !cfg.Planner {
+	// on; otherwise nothing is written to it either.
+	if cfg.Deadlines && brushCacheSize > 0 {
 		s.brushCache = opt.NewResultLRU(brushCacheSize)
 	}
 	if b.Tiles != nil {
@@ -432,18 +419,12 @@ func New(b Backends, cfg Config) (*Server, error) {
 			break // no brush backend: /v1/brush answers 501
 		}
 		// The summed-area form answers every brush in O(bins·2^(d-1))
-		// lookups; the dense cube stays as the differential oracle. The
-		// planner's lazy-prefix mode defers this build to its background
-		// path instead.
-		if !cfg.Planner || !cfg.PlannerLazyPrefix {
-			s.prefix = datacube.NewPrefix(b.Cube)
-		}
+		// lookups; the dense cube stays as the differential oracle.
+		s.prefix = datacube.NewPrefix(b.Cube)
 		if cfg.Planner {
 			pl, err := planner.New(b.Tiles, b.Cube, s.cubeDims, planner.Config{
-				Budget:     cfg.PlannerBudget,
-				HotStreak:  cfg.PlannerHotStreak,
-				Prefix:     s.prefix,
-				LazyPrefix: cfg.PlannerLazyPrefix,
+				HotStreak: cfg.PlannerHotStreak,
+				Prefix:    s.prefix,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("serve: planner: %w", err)
@@ -932,17 +913,6 @@ type BrushResponse struct {
 	SampleFraction float64   `json:"sample_fraction,omitempty"`
 }
 
-// ApproxBytes reports the response's resident size to the planner's
-// byte-budgeted store (opt.Sized), which it shares with the materialized
-// indexes.
-func (r *BrushResponse) ApproxBytes() int64 {
-	n := int64(96) // struct + outer slice header
-	for _, h := range r.Histograms {
-		n += 24 + 8*int64(len(h))
-	}
-	return n
-}
-
 func (s *Server) handleBrush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -1282,21 +1252,11 @@ func brushKey(req BrushRequest) string {
 	return string(key)
 }
 
-// brushCachePrefix namespaces cached brush answers inside the planner's
-// shared store, next to the "ix|" materialized indexes.
-const brushCachePrefix = "br|"
-
 // cacheBrush stores an exact answer under its ranges key, when a rung can
 // ever read it back. The cached value is read-only from then on; the ladder
 // copies the struct before overriding per-request fields.
 func (s *Server) cacheBrush(req BrushRequest, resp *BrushResponse) {
-	if !s.cacheBrushes {
-		return
-	}
-	if s.plan != nil {
-		// Cached answers share the planner's byte-budgeted store with the
-		// materialized indexes: one memory budget for both.
-		s.plan.CachePut(brushCachePrefix+brushKey(req), resp)
+	if s.brushCache == nil {
 		return
 	}
 	s.brushMu.Lock()
@@ -1307,18 +1267,12 @@ func (s *Server) cacheBrush(req BrushRequest, resp *BrushResponse) {
 // lookupBrush returns the cached exact answer for the request's ranges, or
 // nil, counting the outcome either way.
 func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
-	if !s.cacheBrushes {
+	if s.brushCache == nil {
 		return nil
 	}
-	var v any
-	var ok bool
-	if s.plan != nil {
-		v, ok = s.plan.CacheGet(brushCachePrefix + brushKey(req))
-	} else {
-		s.brushMu.Lock()
-		v, ok = s.brushCache.Get(brushKey(req))
-		s.brushMu.Unlock()
-	}
+	s.brushMu.Lock()
+	v, ok := s.brushCache.Get(brushKey(req))
+	s.brushMu.Unlock()
 	if !ok {
 		s.reg.recordBrushCacheMiss()
 		return nil

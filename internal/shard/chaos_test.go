@@ -112,39 +112,6 @@ func TestStalledShardPartialGather(t *testing.T) {
 	}
 }
 
-// TestCrossScatterRefusesPartial proves the stateful crossfilter path
-// refuses partial coverage outright: applying a filter to only some
-// replicas would leave the fleet permanently inconsistent, so a wedged
-// shard must fail the mutation, not degrade it.
-func TestCrossScatterRefusesPartial(t *testing.T) {
-	leakcheck.Check(t)
-	roads := dataset.Roads(64, 1500)
-	dims := roadDims()
-	faults := []*fault.Injector{nil, fault.New(alwaysStall, 3)}
-	coord, err := New(roads, dims, Options{Shards: 2, WithCross: true, Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if _, err := coord.CrossSet(ctx, 0, dims[0].Lo, dims[0].Hi); err == nil {
-		t.Fatal("partial crossfilter mutation accepted")
-	}
-	// Stateless brushes keep working against the healthy shard (fresh
-	// deadline — the first one was spent waiting out the wedged mutation).
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel2()
-	g, err := coord.Scatter(ctx2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Covered() != 1 {
-		t.Fatalf("covered %d, want 1", g.Covered())
-	}
-}
-
 // TestCoordinatorShutdown proves Close is idempotent, drains every pool
 // goroutine (leakcheck), and fails scatters issued afterwards instead of
 // hanging or panicking — including concurrently with in-flight work.

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/colstore"
-	"repro/internal/crossfilter"
 	"repro/internal/datacube"
 	"repro/internal/engine"
 	"repro/internal/sql"
@@ -32,9 +31,9 @@ type Coordinator struct {
 
 // New partitions t across opts.Shards replicas and starts their worker
 // pools. dims are both the partitioning dimensions and the served cube
-// dimensions: every replica's prefix cube (and crossfilter, if requested)
-// bins against these global domains, never its partition's own min/max —
-// bin edges must agree across shards or histogram addition is meaningless.
+// dimensions: every replica's prefix cube bins against these global
+// domains, never its partition's own min/max — bin edges must agree across
+// shards or histogram addition is meaningless.
 func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, error) {
 	opts.normalize(len(dims))
 	parts, err := Partition(t, dims, opts.Shards, opts.Mode, opts.RangeDim)
@@ -52,10 +51,6 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 		}
 	}
 	c := &Coordinator{opts: opts, dims: dims, records: t.NumRows()}
-	specs := make([]crossfilter.DimSpec, len(dims))
-	for i, d := range dims {
-		specs[i] = crossfilter.DimSpec{Name: d.Name, Lo: d.Lo, Hi: d.Hi}
-	}
 	for id, part := range parts {
 		rep := &Replica{ID: id, Table: part}
 		rep.Prefix, err = datacube.BuildPrefix(part, dims, opts.Parallelism)
@@ -66,13 +61,6 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 			rep.Engine = engine.New(opts.Profile)
 			rep.Engine.SetParallelism(opts.Parallelism)
 			rep.Engine.Register(part)
-		}
-		if opts.WithCross {
-			rep.Cross, err = crossfilter.NewWithBounds(part, specs, opts.Bins)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", id, err)
-			}
-			rep.Cross.SetParallelism(opts.Parallelism)
 		}
 		w := &worker{rep: rep, fault: opts.injector(id), tasks: make(chan *task, taskQueueDepth)}
 		c.workers = append(c.workers, w)
@@ -301,60 +289,6 @@ func (c *Coordinator) Brush(ctx context.Context, filters []*datacube.Range) (*Br
 		return nil, err
 	}
 	return g.MergeBrush(c.dims), nil
-}
-
-// crossScatter runs a crossfilter mutation plus snapshot on every shard and
-// requires full coverage: the replicas are stateful, so applying a filter
-// to only some of them would leave the fleet permanently inconsistent.
-func (c *Coordinator) crossScatter(ctx context.Context, mutate func(ctx context.Context, cf *crossfilter.Crossfilter) error) (*Brush, error) {
-	if !c.opts.WithCross {
-		return nil, fmt.Errorf("shard: coordinator built without crossfilter replicas")
-	}
-	run := func(tctx context.Context, r *Replica) (*Answer, error) {
-		r.crossMu.Lock()
-		defer r.crossMu.Unlock()
-		if err := mutate(tctx, r.Cross); err != nil {
-			return nil, err
-		}
-		// Histograms returns copies, so the snapshot is consistent even
-		// after the lock is released.
-		return &Answer{
-			Records:    r.Table.NumRows(),
-			Total:      r.Cross.Total(),
-			Histograms: r.Cross.Histograms(),
-		}, nil
-	}
-	out, err := c.scatter(ctx, run)
-	if err != nil {
-		return nil, err
-	}
-	g := c.gather(ctx, out)
-	if !g.Complete() {
-		return nil, fmt.Errorf("shard: crossfilter scatter covered %d/%d shards: %w",
-			g.covered, len(g.Answers), g.FirstErr())
-	}
-	cfDims := make([]datacube.Dim, len(c.dims))
-	for i, d := range c.dims {
-		cfDims[i] = d
-		cfDims[i].Bins = c.opts.Bins
-	}
-	return g.MergeBrush(cfDims), nil
-}
-
-// CrossSet applies a crossfilter range filter on dimension d across every
-// shard and returns the merged post-mutation snapshot. Unlike the
-// stateless prefix-cube path, this cannot degrade to partial coverage.
-func (c *Coordinator) CrossSet(ctx context.Context, d int, lo, hi float64) (*Brush, error) {
-	return c.crossScatter(ctx, func(tctx context.Context, cf *crossfilter.Crossfilter) error {
-		return cf.SetFilterCtx(tctx, d, lo, hi)
-	})
-}
-
-// CrossClear clears dimension d's crossfilter filter across every shard.
-func (c *Coordinator) CrossClear(ctx context.Context, d int) (*Brush, error) {
-	return c.crossScatter(ctx, func(tctx context.Context, cf *crossfilter.Crossfilter) error {
-		return cf.ClearFilterCtx(tctx, d)
-	})
 }
 
 // QueryHistogram scatters a histogram-shaped SQL query across the shard

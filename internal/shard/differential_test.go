@@ -119,8 +119,8 @@ func TestPartitionDisjointCover(t *testing.T) {
 
 // TestShardedMatchesUnsharded is the tentpole proof: for randomized brushes
 // and filters, the sharded scatter-gather merge is byte-identical to the
-// unsharded oracle on all three backends — prefix cube, SQL engine, and
-// crossfilter — at S ∈ {1, 2, 4, 8} in both partitioning modes.
+// unsharded oracle on both backends — prefix cube and SQL engine — at
+// S ∈ {1, 2, 4, 8} in both partitioning modes.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	const rows = 6000
 	roads := dataset.Roads(47, rows)
@@ -142,24 +142,12 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		for _, s := range shardCounts {
 			t.Run(fmt.Sprintf("%v/S%d", mode, s), func(t *testing.T) {
 				coord, err := New(roads, dims, Options{
-					Shards: s, Mode: mode, WithEngine: true, WithCross: true,
+					Shards: s, Mode: mode, WithEngine: true,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer coord.Close()
-				// The oracle must bin against the same global domains the
-				// replicas use, not the table's own min/max — binning is
-				// part of the contract being compared, not a free choice.
-				specs := make([]crossfilter.DimSpec, len(dims))
-				for i, d := range dims {
-					specs[i] = crossfilter.DimSpec{Name: d.Name, Lo: d.Lo, Hi: d.Hi}
-				}
-				oracleCross, err := crossfilter.NewWithBounds(roads, specs, crossfilter.DefaultBins)
-				if err != nil {
-					t.Fatal(err)
-				}
-
 				rng := rand.New(rand.NewSource(int64(100*s) + int64(mode)))
 				ctx := context.Background()
 
@@ -229,33 +217,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					}
 				}
 
-				// Crossfilter path: a randomized brush session (sets, moves,
-				// clears) where every step's merged histograms and total
-				// match the unsharded incremental-delta crossfilter.
-				for step := 0; step < 25; step++ {
-					d := rng.Intn(len(dims))
-					var got *Brush
-					if rng.Intn(5) == 0 {
-						got, err = coord.CrossClear(ctx, d)
-						oracleCross.ClearFilter(d)
-					} else {
-						spec := dims[d]
-						lo := spec.Lo + rng.Float64()*(spec.Hi-spec.Lo)
-						hi := lo + rng.Float64()*(spec.Hi-lo)
-						got, err = coord.CrossSet(ctx, d, lo, hi)
-						oracleCross.SetFilter(d, lo, hi)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Total != oracleCross.Total() {
-						t.Fatalf("step %d: total %d want %d", step, got.Total, oracleCross.Total())
-					}
-					want := oracleCross.Histograms()
-					if !reflect.DeepEqual(got.Histograms, want) {
-						t.Fatalf("step %d: histograms %v want %v", step, got.Histograms, want)
-					}
-				}
 			})
 		}
 	}
@@ -278,7 +239,7 @@ func TestModeAndOptionDefaults(t *testing.T) {
 	}
 	var o Options
 	o.normalize(3)
-	if o.Shards != 1 || o.Workers != 2 || o.Parallelism < 1 || o.Bins != crossfilter.DefaultBins {
+	if o.Shards != 1 || o.Workers != 2 || o.Parallelism < 1 {
 		t.Errorf("normalized zero options: %+v", o)
 	}
 	if o.Profile.Name != engine.ProfileMemory.Name {

@@ -36,7 +36,7 @@ func TestEncodedShardsMatchPlain(t *testing.T) {
 		for _, auto := range []bool{false, true} {
 			t.Run(fmt.Sprintf("S%d/auto=%v", s, auto), func(t *testing.T) {
 				plain, err := New(roads, dims, Options{
-					Shards: s, WithEngine: true, WithCross: true,
+					Shards: s, WithEngine: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -45,7 +45,7 @@ func TestEncodedShardsMatchPlain(t *testing.T) {
 				// auto=false asks for encoding explicitly on the raw source;
 				// auto=true hands New an already-frozen table and relies on
 				// the coordinator noticing and re-freezing partitions.
-				src, opts := roads, Options{Shards: s, WithEngine: true, WithCross: true, Encode: true}
+				src, opts := roads, Options{Shards: s, WithEngine: true, Encode: true}
 				if auto {
 					src, opts.Encode = frozenSrc, false
 				}
@@ -111,32 +111,6 @@ func TestEncodedShardsMatchPlain(t *testing.T) {
 					}
 					if got.Stats.TuplesScanned != want.Stats.TuplesScanned || !got.Stats.UsedFastPath {
 						t.Fatalf("trial %d: stats %+v want %+v", trial, got.Stats, want.Stats)
-					}
-				}
-
-				// Crossfilter brush session.
-				for step := 0; step < 20; step++ {
-					d := rng.Intn(len(dims))
-					var got, want *Brush
-					if rng.Intn(5) == 0 {
-						want, err = plain.CrossClear(ctx, d)
-						if err == nil {
-							got, err = enc.CrossClear(ctx, d)
-						}
-					} else {
-						spec := dims[d]
-						lo := spec.Lo + rng.Float64()*(spec.Hi-spec.Lo)
-						hi := lo + rng.Float64()*(spec.Hi-lo)
-						want, err = plain.CrossSet(ctx, d, lo, hi)
-						if err == nil {
-							got, err = enc.CrossSet(ctx, d, lo, hi)
-						}
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Total != want.Total || !reflect.DeepEqual(got.Histograms, want.Histograms) {
-						t.Fatalf("step %d: cross diverged: total %d want %d", step, got.Total, want.Total)
 					}
 				}
 

@@ -1,8 +1,8 @@
 // Package shard implements sharded scatter-gather serving: a dataset
 // partitioned across N shard workers (hash or range on the spatial
-// dimensions), each owning its own engine / crossfilter / prefix-cube
-// replica over its partition, behind a coordinator that fans each brush or
-// histogram query out to every shard and merges the per-shard answers.
+// dimensions), each owning its own engine and prefix-cube replica over its
+// partition, behind a coordinator that fans each brush or histogram query
+// out to every shard and merges the per-shard answers.
 //
 // The architecture works because the answer structures merge trivially:
 // a 20-bin histogram over a disjoint union of record sets is the
@@ -10,7 +10,7 @@
 // count is the sum of the per-set corner counts. The differential suite
 // (differential_test.go) pins that law — for randomized brushes, filters,
 // and S ∈ {1,2,4,8}, the sharded merge is byte-identical to the unsharded
-// oracle on all three backends.
+// oracle on both backends.
 //
 // Shards run as goroutine pools: each shard owns a task channel drained by
 // a fixed set of workers, so a stalled shard (injected via internal/fault)
@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/crossfilter"
 	"repro/internal/datacube"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -50,9 +49,6 @@ type Options struct {
 	// scans; 0 means runtime.GOMAXPROCS(0) capped by the shard count (the
 	// shards already provide the fan-out).
 	Parallelism int
-	// Bins is the crossfilter histogram bin count; 0 means
-	// crossfilter.DefaultBins.
-	Bins int
 
 	// WithEngine builds a SQL engine per shard (Profile applies); the
 	// coordinator can then scatter histogram-shaped queries.
@@ -60,9 +56,6 @@ type Options struct {
 	// Profile is the per-shard engine cost profile; the zero value means
 	// engine.ProfileMemory.
 	Profile engine.Profile
-	// WithCross builds a crossfilter replica per shard, bin-aligned to the
-	// global dimension domains.
-	WithCross bool
 
 	// Encode freezes each partition into colstore's compressed columnar
 	// form before the replica backends build over it — per-shard memory
@@ -78,18 +71,13 @@ type Options struct {
 }
 
 // Replica is one shard's private copy of the backends, built over its
-// partition only. Prefix is always present; Engine and Cross follow the
+// partition only. Prefix is always present; Engine follows the
 // Options.
 type Replica struct {
 	ID     int
 	Table  *storage.Table
 	Engine *engine.Engine
-	Cross  *crossfilter.Crossfilter
 	Prefix *datacube.PrefixCube
-
-	// crossMu serializes crossfilter mutations within the shard's pool:
-	// the structure is single-writer, and a pool has Workers goroutines.
-	crossMu sync.Mutex
 }
 
 // worker is one shard's task pool: a channel of scatter units drained by a
@@ -144,9 +132,6 @@ func (o *Options) normalize(dimCount int) {
 			p = 1
 		}
 		o.Parallelism = p
-	}
-	if o.Bins <= 0 {
-		o.Bins = crossfilter.DefaultBins
 	}
 	if o.Profile.Name == "" {
 		o.Profile = engine.ProfileMemory
