@@ -1,4 +1,4 @@
-// Command idevald serves a chosen dataset and engine profile over HTTP:
+// Command idevald serves a chosen dataset over HTTP:
 // the repo's backends (SQL engine, datacube brushing, map tiles) behind
 // internal/serve's admission queue, worker pool, per-session coalescing,
 // and online LCV/QIF metrics.
@@ -6,7 +6,7 @@
 // Usage:
 //
 //	idevald [-addr :8080] [-dataset road|listings] [-rows N]
-//	        [-profile memory|disk] [-workers N] [-queue N]
+//	        [-workers N] [-queue N]
 //	        [-constraint 500ms] [-execdelay 0] [-log FILE] [-seed N]
 //	        [-deadlines] [-degradeafter 250ms]   # degradation ladder
 //	        [-chaos PROFILE] [-chaosseed N]      # fault injection
@@ -81,7 +81,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ds := flag.String("dataset", "road", "road or listings")
 	rows := flag.Int("rows", 0, "dataset cardinality (0 = paper scale)")
-	profile := flag.String("profile", "memory", "engine cost profile: memory or disk")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth")
 	constraint := flag.Duration("constraint", metrics.DefaultConstraint, "latency constraint for LCV reporting")
@@ -102,7 +101,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (e.g. 127.0.0.1:6060; empty = disabled)")
 	flag.Parse()
 
-	if err := run(*addr, *ds, *rows, *profile, *workers, *queue, *constraint, *execDelay, *logPath, *seed,
+	if err := run(*addr, *ds, *rows, *workers, *queue, *constraint, *execDelay, *logPath, *seed,
 		*deadlines, *degradeAfter, *chaos, *chaosSeed, *shards, *shardMode, *encode,
 		*planOn, *debugAddr, *routerN, *routerReplicas, *snapshotDir); err != nil {
 		fmt.Fprintln(os.Stderr, "idevald:", err)
@@ -110,27 +109,22 @@ func main() {
 	}
 }
 
-// buildBackends constructs the served table, engine, cube, and tile
-// columns for a dataset name.
-func buildBackends(ds string, rows int, prof engine.Profile, seed int64) (serve.Backends, error) {
+// buildBackends constructs the served table, engine (in-memory cost
+// profile), cube, and tile columns for a dataset name.
+func buildBackends(ds string, rows int, seed int64) (serve.Backends, error) {
 	switch ds {
 	case "road":
-		return serve.RoadBackends(seed, rows, prof)
+		return serve.RoadBackends(seed, rows, engine.ProfileMemory)
 	case "listings":
-		return serve.ListingsBackends(seed, rows, prof)
+		return serve.ListingsBackends(seed, rows, engine.ProfileMemory)
 	default:
 		return serve.Backends{}, fmt.Errorf("unknown dataset %q", ds)
 	}
 }
 
-func run(addr, ds string, rows int, profile string, workers, queue int, constraint, execDelay time.Duration, logPath string, seed int64,
+func run(addr, ds string, rows int, workers, queue int, constraint, execDelay time.Duration, logPath string, seed int64,
 	deadlines bool, degradeAfter time.Duration, chaos string, chaosSeed int64, shards int, shardMode string, encode bool,
 	planOn bool, debugAddr string, routerN, routerReplicas int, snapshotDir string) error {
-	prof := engine.ProfileMemory
-	if profile == "disk" {
-		prof = engine.ProfileDisk
-	}
-
 	if debugAddr != "" {
 		// http.DefaultServeMux carries the net/http/pprof registrations from
 		// the blank import; the serving mux stays free of them.
@@ -178,7 +172,7 @@ func run(addr, ds string, rows int, profile string, workers, queue int, constrai
 	} else {
 		fmt.Fprintf(os.Stderr, "idevald: building %s dataset...\n", ds)
 		var err error
-		backends, err = buildBackends(ds, rows, prof, seed)
+		backends, err = buildBackends(ds, rows, seed)
 		if err != nil {
 			return err
 		}
@@ -236,7 +230,7 @@ func run(addr, ds string, rows int, profile string, workers, queue int, constrai
 	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "idevald: serving %s (%s profile) on %s\n", ds, prof.Name, addr)
+	fmt.Fprintf(os.Stderr, "idevald: serving %s on %s\n", ds, addr)
 
 	select {
 	case err := <-errCh:

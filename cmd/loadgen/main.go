@@ -12,7 +12,7 @@
 // Usage:
 //
 //	loadgen [-addr http://host:port]        # drive a running idevald
-//	loadgen [-rows N] [-profile memory]     # or spin up an in-process server
+//	loadgen [-rows N]                       # or spin up an in-process server
 //	        [-users 32] [-adjust 4] [-events 40] [-timescale 0.05]
 //	        [-workers N] [-queue N] [-execdelay 2ms] [-sqlevery 0]
 //	        [-shards N] [-shardmode hash]
@@ -48,7 +48,6 @@ func main() {
 
 	// In-process server knobs (ignored with -addr):
 	rows := flag.Int("rows", 120000, "road dataset cardinality for the in-process server")
-	profile := flag.String("profile", "memory", "engine cost profile: memory or disk")
 	workers := flag.Int("workers", 2, "in-process worker pool size")
 	queue := flag.Int("queue", 8, "in-process admission queue depth")
 	execDelay := flag.Duration("execdelay", 2*time.Millisecond, "in-process per-execution delay")
@@ -59,23 +58,19 @@ func main() {
 	flag.Parse()
 
 	if err := run(*addr, *users, *adjust, *events, *timescale, *seed, *sqlEvery, *jsonOut,
-		*rows, *profile, *workers, *queue, *execDelay, *deadlines, *degradeAfter, *shards, *shardMode); err != nil {
+		*rows, *workers, *queue, *execDelay, *deadlines, *degradeAfter, *shards, *shardMode); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr string, users, adjust, events int, timescale float64, seed int64, sqlEvery int,
-	jsonOut string, rows int, profile string, workers, queue int, execDelay time.Duration,
+	jsonOut string, rows int, workers, queue int, execDelay time.Duration,
 	deadlines bool, degradeAfter time.Duration, shards int, shardMode string) error {
 	baseURL := addr
 	if baseURL == "" {
-		prof := engine.ProfileMemory
-		if profile == "disk" {
-			prof = engine.ProfileDisk
-		}
 		fmt.Fprintf(os.Stderr, "loadgen: building in-process road server (%d rows)...\n", rows)
-		backends, err := serve.RoadBackends(seed, rows, prof)
+		backends, err := serve.RoadBackends(seed, rows, engine.ProfileMemory)
 		if err != nil {
 			return err
 		}

@@ -17,10 +17,10 @@
 //   - Plain: raw float64/int64 passthrough for incompressible data (and
 //     NaN-containing floats, which no order-preserving code can represent).
 //
-// Every encoding satisfies the predicate-kernel contract: FilterRange /
-// FilterEqual / FilterIn scan rows [r0, r1) directly over the packed words
-// and emit 64-bit-word selection bitmaps, building each output word in a
-// register with branchless compares. Kernels over disjoint morsel-aligned
+// Every encoding satisfies the predicate-kernel contract: FilterRange scans
+// rows [r0, r1) directly over the packed words and emits 64-bit-word
+// selection bitmaps, building each output word in a register with
+// branchless compares. Kernels over disjoint morsel-aligned
 // row ranges write disjoint bitmap words (morsel.Size is a multiple of
 // 64), so morsel-parallel execution needs no synchronization; the
 // differential suite proves every kernel byte-identical to the unpacked
@@ -85,11 +85,6 @@ type Column interface {
 	// string columns, which have no numeric order here (same contract as
 	// storage.Column.Float).
 	FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bool)
-	// FilterEqual selects rows equal to v: numeric columns compare the
-	// float64 image, string columns compare the string.
-	FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool)
-	// FilterIn selects rows whose value equals any element of vals.
-	FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool)
 }
 
 // Coded is implemented by encodings whose per-row representation is an

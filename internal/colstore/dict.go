@@ -121,39 +121,3 @@ func (c *DictColumn) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bo
 		filterCodes(c.codes, cLo, cHi, u0, u1, dst, and)
 	})
 }
-
-func (c *DictColumn) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	c.FilterIn([]storage.Value{v}, r0, r1, dst, and)
-}
-
-func (c *DictColumn) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	// Membership becomes a bitset over code space, then one pass over the
-	// packed codes — the in-set-over-dictionary-codes kernel.
-	set := make([]uint64, (c.card()+63)/64)
-	any := false
-	for _, v := range vals {
-		if c.typ == storage.String {
-			if v.Type != storage.String {
-				continue
-			}
-			k := sort.SearchStrings(c.svals, v.S)
-			if k < len(c.svals) && c.svals[k] == v.S {
-				set[k>>6] |= 1 << (uint(k) & 63)
-				any = true
-			}
-			continue
-		}
-		x := v.AsFloat()
-		if cLo, cHi, ok := c.CodeRange(x, x); ok {
-			for k := cLo; k <= cHi; k++ {
-				set[k>>6] |= 1 << (k & 63)
-				any = true
-			}
-		}
-	}
-	if !any {
-		dst.ZeroRange(r0, r1)
-		return
-	}
-	filterCodesInSet(c.codes, set, r0, r1, dst, and)
-}

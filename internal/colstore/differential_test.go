@@ -201,67 +201,6 @@ func TestDifferentialSelectParallel(t *testing.T) {
 	}
 }
 
-func TestDifferentialFilterEqualAndIn(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 20_000
-	cols, tbl := genColumns(rng, n, false)
-	frozen, err := Freeze(tbl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dc := range cols {
-		col, ok := Of(frozen.Column(dc.name))
-		if !ok {
-			t.Fatalf("column %q not encoded", dc.name)
-		}
-		for trial := 0; trial < 20; trial++ {
-			if dc.typ == storage.String {
-				row := rng.Intn(n)
-				needle := dc.svals[row]
-				bm := NewBitmap(n)
-				col.FilterEqual(storage.NewString(needle), 0, n, bm, false)
-				assertBitmap(t, dc.name+" eq", bm, n, func(i int) bool { return dc.svals[i] == needle })
-				set := []storage.Value{storage.NewString(needle), storage.NewString("no-such"), storage.NewString(dc.svals[rng.Intn(n)])}
-				bm2 := NewBitmap(n)
-				col.FilterIn(set, 0, n, bm2, false)
-				assertBitmap(t, dc.name+" in", bm2, n, func(i int) bool {
-					for _, v := range set {
-						if dc.svals[i] == v.S {
-							return true
-						}
-					}
-					return false
-				})
-				continue
-			}
-			// Mix present values with absent ones.
-			x := dc.fvals[rng.Intn(n)]
-			if trial%3 == 0 {
-				x += 0.5
-			}
-			bm := NewBitmap(n)
-			col.FilterEqual(storage.NewFloat(x), 0, n, bm, false)
-			assertBitmap(t, dc.name+" eq", bm, n, func(i int) bool { return dc.fvals[i] == x })
-
-			set := []storage.Value{
-				storage.NewFloat(dc.fvals[rng.Intn(n)]),
-				storage.NewFloat(dc.fvals[rng.Intn(n)] + 0.25),
-				storage.NewFloat(dc.fvals[rng.Intn(n)]),
-			}
-			bm2 := NewBitmap(n)
-			col.FilterIn(set, 0, n, bm2, false)
-			assertBitmap(t, dc.name+" in", bm2, n, func(i int) bool {
-				for _, v := range set {
-					if dc.fvals[i] == v.F {
-						return true
-					}
-				}
-				return false
-			})
-		}
-	}
-}
-
 func TestDifferentialAndIntersection(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 10_000

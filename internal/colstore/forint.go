@@ -87,48 +87,3 @@ func (c *ForColumn) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and boo
 		filterCodes(c.codes, cLo, cHi, u0, u1, dst, and)
 	})
 }
-
-func (c *ForColumn) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	x := v.AsFloat()
-	c.FilterRange(x, x, r0, r1, dst, and)
-}
-
-func (c *ForColumn) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	// Small spans get the bitset kernel; a sparse in-set over a huge span
-	// falls back to ORing per-value equality selections.
-	if c.span < 1<<22 {
-		set := make([]uint64, (c.span+64)/64)
-		any := false
-		for _, v := range vals {
-			if cLo, cHi, ok := c.CodeRange(v.AsFloat(), v.AsFloat()); ok {
-				for k := cLo; k <= cHi; k++ {
-					set[k>>6] |= 1 << (k & 63)
-					any = true
-				}
-			}
-		}
-		if !any {
-			dst.ZeroRange(r0, r1)
-			return
-		}
-		filterCodesInSet(c.codes, set, r0, r1, dst, and)
-		return
-	}
-	scratch := NewBitmap(dst.Len())
-	acc := NewBitmap(dst.Len())
-	for _, v := range vals {
-		c.FilterEqual(v, r0, r1, scratch, false)
-		for w := r0 >> 6; w<<6 < r1; w++ {
-			acc.words[w] |= scratch.words[w]
-		}
-	}
-	if and {
-		for w := r0 >> 6; w<<6 < r1; w++ {
-			dst.words[w] &= acc.words[w]
-		}
-	} else {
-		for w := r0 >> 6; w<<6 < r1; w++ {
-			dst.words[w] = acc.words[w]
-		}
-	}
-}

@@ -73,46 +73,6 @@ func filterCodes(p *PackedInts, cLo, cHi uint64, r0, r1 int, dst *Bitmap, and bo
 	}
 }
 
-// filterCodesInSet selects rows whose packed code is a member of set, a
-// bitset over code values.
-func filterCodesInSet(p *PackedInts, set []uint64, r0, r1 int, dst *Bitmap, and bool) {
-	width, mask, words := uint64(p.width), p.mask, p.words
-	if and {
-		for base := r0; base < r1; base += 64 {
-			x := dst.words[base>>6]
-			if x == 0 {
-				continue
-			}
-			var sel uint64
-			for x != 0 {
-				i := bits.TrailingZeros64(x)
-				x &= x - 1
-				bit := uint64(base+i) * width
-				w, off := bit>>6, uint(bit&63)
-				c := (words[w]>>off | words[w+1]<<(64-off)) & mask
-				sel |= (set[c>>6] >> (c & 63) & 1) << uint(i)
-			}
-			dst.words[base>>6] &= sel
-		}
-		return
-	}
-	bit := uint64(r0) * width
-	for base := r0; base < r1; base += 64 {
-		end := base + 64
-		if end > r1 {
-			end = r1
-		}
-		var sel uint64
-		for i := base; i < end; i++ {
-			w, off := bit>>6, uint(bit&63)
-			c := (words[w]>>off | words[w+1]<<(64-off)) & mask
-			sel |= (set[c>>6] >> (c & 63) & 1) << uint(i-base)
-			bit += width
-		}
-		storeWord(dst, base, sel, false)
-	}
-}
-
 // filterFloats selects rows of a raw float64 slice in [lo, hi]. NaN values
 // fail both compares, NaN bounds fail every row — matching the oracle's
 // comparison semantics exactly.

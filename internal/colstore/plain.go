@@ -34,15 +34,6 @@ func (c *PlainFloats) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and b
 	})
 }
 
-func (c *PlainFloats) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	x := v.AsFloat()
-	c.FilterRange(x, x, r0, r1, dst, and)
-}
-
-func (c *PlainFloats) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	filterAnyFloat(c.vals, nil, vals, r0, r1, dst, and)
-}
-
 // PlainInts is the passthrough encoding for int64 columns whose value
 // range defeats frame-of-reference packing (width >= 64 bits, or
 // magnitudes past 2^52 where the float64 image — what every scan compares
@@ -70,20 +61,10 @@ func (c *PlainInts) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and boo
 	})
 }
 
-func (c *PlainInts) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	x := v.AsFloat()
-	c.FilterRange(x, x, r0, r1, dst, and)
-}
-
-func (c *PlainInts) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	filterAnyFloat(nil, c.vals, vals, r0, r1, dst, and)
-}
-
 // PlainStrings is the passthrough encoding for string columns whose
 // cardinality defeats dictionary coding (near-distinct values, where a
-// dictionary would just duplicate the column). Numeric-range kernels
-// panic, mirroring storage.Column.Float's TEXT contract; equality and
-// in-set kernels compare strings directly.
+// dictionary would just duplicate the column). The numeric-range kernel
+// panics, mirroring storage.Column.Float's TEXT contract.
 type PlainStrings struct {
 	vals       []string
 	plainBytes int64
@@ -107,63 +88,4 @@ func (c *PlainStrings) PlainBytes() int64    { return c.plainBytes }
 
 func (c *PlainStrings) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bool) {
 	panic("colstore: FilterRange on a TEXT column")
-}
-
-func (c *PlainStrings) FilterEqual(v storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	c.FilterIn([]storage.Value{v}, r0, r1, dst, and)
-}
-
-func (c *PlainStrings) FilterIn(vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	set := make([]string, 0, len(vals))
-	for _, v := range vals {
-		if v.Type == storage.String {
-			set = append(set, v.S)
-		}
-	}
-	for base := r0; base < r1; base += 64 {
-		end := base + 64
-		if end > r1 {
-			end = r1
-		}
-		var sel uint64
-		for i := base; i < end; i++ {
-			var hit uint64
-			for _, x := range set {
-				hit |= b2u(c.vals[i] == x)
-			}
-			sel |= hit << uint(i-base)
-		}
-		storeWord(dst, base, sel, and)
-	}
-}
-
-// filterAnyFloat selects rows whose float64 image equals any of vals —
-// the in-set kernel for unencoded numerics. Exactly one of fvals/ivals is
-// non-nil.
-func filterAnyFloat(fvals []float64, ivals []int64, vals []storage.Value, r0, r1 int, dst *Bitmap, and bool) {
-	set := make([]float64, len(vals))
-	for i, v := range vals {
-		set[i] = v.AsFloat()
-	}
-	for base := r0; base < r1; base += 64 {
-		end := base + 64
-		if end > r1 {
-			end = r1
-		}
-		var sel uint64
-		for i := base; i < end; i++ {
-			var v float64
-			if fvals != nil {
-				v = fvals[i]
-			} else {
-				v = float64(ivals[i])
-			}
-			var hit uint64
-			for _, x := range set {
-				hit |= b2u(v == x)
-			}
-			sel |= hit << uint(i-base)
-		}
-		storeWord(dst, base, sel, and)
-	}
 }

@@ -30,8 +30,8 @@ type Dim struct {
 	Bins int
 }
 
-// binOf maps a value into the dimension's bins, clamping the domain edges.
-func (d Dim) binOf(v float64) int {
+// BinOf maps a value into the dimension's bins, clamping the domain edges.
+func (d Dim) BinOf(v float64) int {
 	if d.Hi <= d.Lo {
 		return 0
 	}
@@ -113,13 +113,9 @@ func BuildWithCtx(ctx context.Context, t *storage.Table, dims []Dim, parallelism
 		}
 		total *= d.Bins
 	}
-	cols := make([]*storage.Column, len(dims))
-	for i, d := range dims {
-		col := t.Column(d.Name)
-		if col == nil || col.Type == storage.String {
-			return nil, fmt.Errorf("datacube: no numeric column %q", d.Name)
-		}
-		cols[i] = col
+	binFns, err := Binners(t, dims)
+	if err != nil {
+		return nil, err
 	}
 	c := &Cube{dims: dims, cells: make([]int64, total), records: t.NumRows()}
 	c.strides = make([]int, len(dims))
@@ -130,7 +126,6 @@ func BuildWithCtx(ctx context.Context, t *storage.Table, dims []Dim, parallelism
 	}
 
 	n := t.NumRows()
-	binFns := c.binners(cols, n)
 	workers := 1
 	if parallelism != 1 && n >= 2*morsel.Size && total <= maxParallelCells {
 		workers = morsel.Workers(parallelism, n)
@@ -148,7 +143,7 @@ func BuildWithCtx(ctx context.Context, t *storage.Table, dims []Dim, parallelism
 	for w := range partials {
 		partials[w] = make([]int64, total)
 	}
-	err := morsel.RunCtx(ctx, n, workers, func(w, _, lo, hi int) {
+	err = morsel.RunCtx(ctx, n, workers, func(w, _, lo, hi int) {
 		c.countRows(binFns, partials[w], lo, hi)
 	})
 	if err != nil {
@@ -166,33 +161,38 @@ func BuildWithCtx(ctx context.Context, t *storage.Table, dims []Dim, parallelism
 // LUT for, mirroring crossfilter's cap.
 const cubeLUTCap = 1 << 22
 
-// binners compiles one bin-of-row function per dimension. Colstore-coded
-// columns bin through a code LUT (one decode per *distinct* value instead
-// of one per row), frozen plain-float columns borrow the raw slice, and
-// everything else reads through the column's Float surface.
-func (c *Cube) binners(cols []*storage.Column, n int) []func(row int) int {
-	binFns := make([]func(row int) int, len(cols))
-	for i, col := range cols {
-		d := c.dims[i]
-		if enc, ok := colstore.Of(col); ok && n > 0 {
+// Binners compiles one bin-of-row function per dimension over the table's
+// numeric column of that name — the one binning definition every structure
+// built from the table shares, which is what makes them interchangeable bit
+// for bit. Colstore-coded columns bin through a code LUT (one decode per
+// *distinct* value instead of one per row), frozen plain-float columns
+// borrow the raw slice, and everything else reads through the column's
+// Float surface.
+func Binners(t *storage.Table, dims []Dim) ([]func(row int) int, error) {
+	binFns := make([]func(row int) int, len(dims))
+	for i, d := range dims {
+		col := t.Column(d.Name)
+		if col == nil || col.Type == storage.String {
+			return nil, fmt.Errorf("datacube: no numeric column %q", d.Name)
+		}
+		if enc, ok := colstore.Of(col); ok && t.NumRows() > 0 {
 			if coded, isCoded := enc.(colstore.Coded); isCoded && coded.CodeSpan() < cubeLUTCap {
 				codes := coded.Codes()
 				lut := make([]int32, coded.CodeSpan()+1)
 				for code := range lut {
-					lut[code] = int32(d.binOf(coded.DecodeFloat(uint64(code))))
+					lut[code] = int32(d.BinOf(coded.DecodeFloat(uint64(code))))
 				}
 				binFns[i] = func(row int) int { return int(lut[codes.Get(row)]) }
 				continue
 			}
 			if fs, ok := colstore.FloatSliceOf(col); ok {
-				binFns[i] = func(row int) int { return d.binOf(fs[row]) }
+				binFns[i] = func(row int) int { return d.BinOf(fs[row]) }
 				continue
 			}
 		}
-		col := col
-		binFns[i] = func(row int) int { return d.binOf(col.Float(row)) }
+		binFns[i] = func(row int) int { return d.BinOf(col.Float(row)) }
 	}
-	return binFns
+	return binFns, nil
 }
 
 // countRows bins rows [lo, hi) into cells.
@@ -233,16 +233,16 @@ type Range struct {
 	Lo, Hi float64
 }
 
-// binRange converts a domain range to an inclusive bin interval. Bins are
+// BinRange converts a domain range to an inclusive bin interval. Bins are
 // included when they overlap the half-open range [Lo, Hi) at all — the
 // cube's precision is bin-granular, exactly the approximation imMens
 // accepts. The half-open convention pins the boundary case: a Hi landing
 // exactly on bin k's lower edge stops short of bin k rather than pulling
 // the whole next bin in. A degenerate range (Lo == Hi) is the width-zero
 // brush and keeps the single bin under it.
-func (d Dim) binRange(r Range) (lo, hi int) {
-	lo = d.binOf(r.Lo)
-	hi = d.binOf(r.Hi)
+func (d Dim) BinRange(r Range) (lo, hi int) {
+	lo = d.BinOf(r.Lo)
+	hi = d.BinOf(r.Hi)
 	if hi > lo && d.binLo(hi) == r.Hi {
 		hi--
 	}
@@ -287,7 +287,7 @@ func (c *Cube) HistogramInto(target int, filters []*Range, out []int64) error {
 	for i, d := range c.dims {
 		lo[i], hi[i] = 0, d.Bins-1
 		if len(filters) != 0 && filters[i] != nil {
-			lo[i], hi[i] = d.binRange(*filters[i])
+			lo[i], hi[i] = d.BinRange(*filters[i])
 			if lo[i] > hi[i] {
 				return nil
 			}

@@ -139,7 +139,7 @@ func TestFilteredCountBruteForce(t *testing.T) {
 	var want int64
 	xs := roads.Column("x").Floats
 	for _, v := range xs {
-		if xd.binOf(v) >= 5 && xd.binOf(v) <= 9 {
+		if xd.BinOf(v) >= 5 && xd.BinOf(v) <= 9 {
 			want++
 		}
 	}

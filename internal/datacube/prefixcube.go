@@ -145,7 +145,7 @@ func (p *PrefixCube) binBox(filters []*Range, lo, hi []int) (empty bool, err err
 	for i, d := range p.dims {
 		lo[i], hi[i] = 0, d.Bins-1
 		if len(filters) != 0 && filters[i] != nil {
-			lo[i], hi[i] = d.binRange(*filters[i])
+			lo[i], hi[i] = d.BinRange(*filters[i])
 			if lo[i] > hi[i] {
 				return true, nil
 			}

@@ -11,7 +11,7 @@ import (
 
 // randomFilters draws a filter set mixing nil (unfiltered), interior,
 // bin-edge-aligned, degenerate (Lo == Hi), and inverted ranges — every
-// boundary class binRange distinguishes.
+// boundary class BinRange distinguishes.
 func randomFilters(rng *rand.Rand, dims []Dim) []*Range {
 	if rng.Intn(6) == 0 {
 		return nil
@@ -172,39 +172,39 @@ func TestBinRangeHalfOpen(t *testing.T) {
 		{"single bin half-open", Range{Lo: 10, Hi: 20}, 1, 1},
 	}
 	for _, tc := range cases {
-		lo, hi := d.binRange(tc.r)
+		lo, hi := d.BinRange(tc.r)
 		if lo != tc.lo || hi != tc.hi {
-			t.Errorf("%s: binRange(%+v) = [%d,%d], want [%d,%d]", tc.name, tc.r, lo, hi, tc.lo, tc.hi)
+			t.Errorf("%s: BinRange(%+v) = [%d,%d], want [%d,%d]", tc.name, tc.r, lo, hi, tc.lo, tc.hi)
 		}
 	}
 	// Inverted ranges surface as lo > hi, the callers' empty-box signal.
-	if lo, hi := d.binRange(Range{Lo: 80, Hi: 20}); lo <= hi {
+	if lo, hi := d.BinRange(Range{Lo: 80, Hi: 20}); lo <= hi {
 		t.Errorf("inverted range: [%d,%d] not empty", lo, hi)
 	}
 	// Degenerate domain: everything lands in bin 0.
 	flat := Dim{Name: "f", Lo: 5, Hi: 5, Bins: 10}
-	if lo, hi := flat.binRange(Range{Lo: 5, Hi: 5}); lo != 0 || hi != 0 {
+	if lo, hi := flat.BinRange(Range{Lo: 5, Hi: 5}); lo != 0 || hi != 0 {
 		t.Errorf("degenerate domain: [%d,%d]", lo, hi)
 	}
 }
 
-// TestBinOfEdges pins binOf's clamping at the domain edges.
+// TestBinOfEdges pins BinOf's clamping at the domain edges.
 func TestBinOfEdges(t *testing.T) {
 	d := Dim{Name: "v", Lo: 0, Hi: 100, Bins: 10}
-	if b := d.binOf(0); b != 0 {
-		t.Errorf("binOf(0) = %d", b)
+	if b := d.BinOf(0); b != 0 {
+		t.Errorf("BinOf(0) = %d", b)
 	}
-	if b := d.binOf(100); b != 9 {
-		t.Errorf("binOf(100) = %d, want clamp to last bin", b)
+	if b := d.BinOf(100); b != 9 {
+		t.Errorf("BinOf(100) = %d, want clamp to last bin", b)
 	}
-	if b := d.binOf(-3); b != 0 {
-		t.Errorf("binOf(-3) = %d", b)
+	if b := d.BinOf(-3); b != 0 {
+		t.Errorf("BinOf(-3) = %d", b)
 	}
-	if b := d.binOf(999); b != 9 {
-		t.Errorf("binOf(999) = %d", b)
+	if b := d.BinOf(999); b != 9 {
+		t.Errorf("BinOf(999) = %d", b)
 	}
-	if b := d.binOf(10); b != 1 {
-		t.Errorf("binOf(10) = %d: a value on a bin edge belongs to the upper bin", b)
+	if b := d.BinOf(10); b != 1 {
+		t.Errorf("BinOf(10) = %d: a value on a bin edge belongs to the upper bin", b)
 	}
 }
 

@@ -61,45 +61,16 @@ func TemplateOf(dims []datacube.Dim, moved int, filters []*datacube.Range) (lo, 
 	for i, d := range dims {
 		lo[i], hi[i] = 0, d.Bins-1
 		if i != moved && filters[i] != nil {
-			lo[i], hi[i] = BinRange(d, *filters[i])
+			lo[i], hi[i] = d.BinRange(*filters[i])
 		}
 	}
 	lo[moved], hi[moved] = 0, dims[moved].Bins-1
 	return lo, hi, true
 }
 
-// BinRange converts a domain range to the dimension's inclusive bin
-// interval under the cube family's half-open-upper convention. It is
-// datacube's binRange, re-derived here from the public bin geometry so
-// every structure the planner coordinates resolves ranges identically.
-func BinRange(d datacube.Dim, r datacube.Range) (lo, hi int) {
-	lo = binOf(d, r.Lo)
-	hi = binOf(d, r.Hi)
-	if hi > lo && d.Lo+(d.Hi-d.Lo)*float64(hi)/float64(d.Bins) == r.Hi {
-		hi--
-	}
-	return lo, hi
-}
-
-// binOf maps a value into the dimension's bins, clamping the domain edges
-// — the same arithmetic as datacube.Dim.binOf.
-func binOf(d datacube.Dim, v float64) int {
-	if d.Hi <= d.Lo {
-		return 0
-	}
-	b := int((v - d.Lo) / (d.Hi - d.Lo) * float64(d.Bins))
-	if b < 0 {
-		b = 0
-	}
-	if b >= d.Bins {
-		b = d.Bins - 1
-	}
-	return b
-}
-
 // BuildTemplateIndex scans the backing table once, morsel-parallel, and
 // assembles the template's index. binFns is one bin-of-row function per
-// dimension (colstore-aware; see binners). Workers accumulate into
+// dimension (datacube.Binners). Workers accumulate into
 // private partials merged by addition, so the index is identical at every
 // parallelism level. A cancelled ctx aborts at morsel granularity.
 func BuildTemplateIndex(ctx context.Context, tbl *storage.Table, dims []datacube.Dim, moved int,
@@ -249,7 +220,7 @@ func (x *TemplateIndex) Matches(moved int, filters []*datacube.Range) bool {
 		}
 		lo, hi := 0, d.Bins-1
 		if filters[i] != nil {
-			lo, hi = BinRange(d, *filters[i])
+			lo, hi = d.BinRange(*filters[i])
 		}
 		if lo != x.fixedLo[i] || hi != x.fixedHi[i] {
 			return false
@@ -280,7 +251,7 @@ func (x *TemplateIndex) AnswerInto(filters []*datacube.Range, hists [][]int64) (
 		}
 		lo[i], hi[i] = 0, d.Bins-1
 		if filters[i] != nil {
-			lo[i], hi[i] = BinRange(d, *filters[i])
+			lo[i], hi[i] = d.BinRange(*filters[i])
 			if lo[i] > hi[i] {
 				empty = true
 			}

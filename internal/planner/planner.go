@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/colstore"
 	"repro/internal/datacube"
 	"repro/internal/opt"
 	"repro/internal/storage"
@@ -189,44 +188,10 @@ func New(tbl *storage.Table, cube *datacube.Cube, dims []datacube.Dim, cfg Confi
 		p.evictEpoch.Add(1)
 	})
 	var err error
-	if p.binFns, err = binners(tbl, dims); err != nil {
-		return nil, err
+	if p.binFns, err = datacube.Binners(tbl, dims); err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
 	}
 	return p, nil
-}
-
-// binners compiles one bin-of-row function per dimension, with the same
-// colstore awareness as the cube builds (code LUT for coded columns,
-// borrowed raw slice for frozen floats, Float fallback) — one binning
-// definition across every structure is what makes them interchangeable
-// bit for bit.
-func binners(tbl *storage.Table, dims []datacube.Dim) ([]func(row int) int, error) {
-	n := tbl.NumRows()
-	fns := make([]func(row int) int, len(dims))
-	for i, d := range dims {
-		col := tbl.Column(d.Name)
-		if col == nil || col.Type == storage.String {
-			return nil, fmt.Errorf("planner: no numeric column %q", d.Name)
-		}
-		d := d
-		if enc, ok := colstore.Of(col); ok && n > 0 {
-			if coded, isCoded := enc.(colstore.Coded); isCoded && coded.CodeSpan() < 1<<22 {
-				codes := coded.Codes()
-				lut := make([]int32, coded.CodeSpan()+1)
-				for code := range lut {
-					lut[code] = int32(binOf(d, coded.DecodeFloat(uint64(code))))
-				}
-				fns[i] = func(row int) int { return int(lut[codes.Get(row)]) }
-				continue
-			}
-			if fs, ok := colstore.FloatSliceOf(col); ok {
-				fns[i] = func(row int) int { return binOf(d, fs[row]) }
-				continue
-			}
-		}
-		fns[i] = func(row int) int { return binOf(d, col.Float(row)) }
-	}
-	return fns, nil
 }
 
 // Answer computes every dimension's filtered histogram plus the filtered

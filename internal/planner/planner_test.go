@@ -377,7 +377,7 @@ func TestTemplateIndexUnits(t *testing.T) {
 	if lo[1] != 0 || hi[1] != dims[1].Bins-1 {
 		t.Fatalf("moved slot not full-range: [%d,%d]", lo[1], hi[1])
 	}
-	fns, err := binners(tbl, dims)
+	fns, err := datacube.Binners(tbl, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +434,9 @@ func TestTemplateIndexUnits(t *testing.T) {
 	}
 }
 
-// TestBinRangeEdges: the re-derived bin arithmetic honors the cube
-// family's half-open-upper convention at the awkward spots.
+// TestBinRangeEdges: the bin arithmetic the planner's templates resolve
+// ranges with (datacube's, the one definition) honors the cube family's
+// half-open-upper convention at the awkward spots.
 func TestBinRangeEdges(t *testing.T) {
 	d := datacube.Dim{Name: "v", Lo: 0, Hi: 10, Bins: 10}
 	for _, tc := range []struct {
@@ -448,13 +449,13 @@ func TestBinRangeEdges(t *testing.T) {
 		{datacube.Range{Lo: 7, Hi: 3}, 7, 3},     // inverted: lo > hi marks empty
 		{datacube.Range{Lo: -5, Hi: 50}, 0, 9},   // clamps
 	} {
-		lo, hi := BinRange(d, tc.r)
+		lo, hi := d.BinRange(tc.r)
 		if lo != tc.lo || hi != tc.hi {
 			t.Errorf("BinRange(%v) = [%d,%d], want [%d,%d]", tc.r, lo, hi, tc.lo, tc.hi)
 		}
 	}
 	flat := datacube.Dim{Name: "flat", Lo: 3, Hi: 3, Bins: 5}
-	if lo, hi := BinRange(flat, datacube.Range{Lo: 0, Hi: 9}); lo != 0 || hi != 0 {
+	if lo, hi := flat.BinRange(datacube.Range{Lo: 0, Hi: 9}); lo != 0 || hi != 0 {
 		t.Errorf("degenerate dim: [%d,%d], want [0,0]", lo, hi)
 	}
 }

@@ -55,7 +55,7 @@ import (
 
 // ChildEnv is the environment variable that flips a binary into shard-child
 // mode: when set, the process is a re-exec'd shard child and must serve its
-// partition instead of running its own main. cmd/idevald, cmd/loadgen, and
+// partition instead of running its own main. cmd/idevald, cmd/bench, and
 // the router test binaries all call RunChildFromEnv first thing, so any of
 // them can host a child.
 const ChildEnv = "IDEVAL_ROUTER_CHILD"

@@ -11,7 +11,9 @@ import (
 // Retry-After instead of piling onto the queue behind a backend that cannot
 // keep up (the queue-collapse mode the paper's Figure 2 cascade describes).
 // After the cooldown one probe request is let through half-open: success
-// closes the breaker, failure reopens it for another cooldown.
+// closes the breaker, failure reopens it for another cooldown, and a probe
+// that ends without a backend execution of its own (a cached answer, a shed,
+// a drain refusal) hands the probe back so the next request takes it.
 //
 // The breaker has no background goroutine — state advances lazily on the
 // clock readings its callers pass in, which keeps Drain's "no goroutines
@@ -94,6 +96,22 @@ func (b *breaker) failure(now time.Time) {
 		b.consecutive = 0
 		b.trips++
 	}
+}
+
+// handBack returns the half-open probe held by the request that allow
+// admitted at the given instant, if it still holds it: nothing it did told
+// the breaker how the backend is, so the next request probes in its place.
+// For any other request — admitted while closed, or whose execution already
+// delivered success or failure — it changes nothing.
+func (b *breaker) handBack(admitted time.Time) {
+	if b == nil || b.threshold <= 0 {
+		return
+	}
+	b.mu.Lock()
+	if b.probing && !admitted.Before(b.openUntil) {
+		b.probing = false
+	}
+	b.mu.Unlock()
 }
 
 // stats returns the trip and reject counts.

@@ -47,7 +47,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/tracefmt"
 	"repro/internal/widget"
 )
 
@@ -294,11 +293,8 @@ type brushTask struct {
 }
 
 type brushWaiter struct {
-	id    int64
-	seq   int64
-	start time.Time
-	tr    *obsv.Trace
-	ch    chan brushOutcome
+	rq *request
+	ch chan brushOutcome
 }
 
 type brushOutcome struct {
@@ -599,60 +595,6 @@ func (s *Server) session(name string) *sessionState {
 	return sess
 }
 
-// issueLocked performs the per-issue bookkeeping under sess.mu: every
-// still-unfinished request of this session becomes an LCV violation (its
-// result had not arrived when the user acted again) and has its trace
-// marked so the violation is attributed to a stage at finish, and this
-// request joins the in-flight set.
-func (s *Server) issueLocked(sess *sessionState, id int64, tr *obsv.Trace) {
-	s.reg.recordLCV(len(sess.uncounted))
-	for k, prev := range sess.uncounted {
-		prev.MarkLCV()
-		delete(sess.uncounted, k)
-	}
-	sess.uncounted[id] = tr
-}
-
-// finish removes a completed request from the session's in-flight set and
-// records its user-perceived latency. After it returns, no later issue can
-// mark this request's trace, so the trace is safe to Finish.
-func (s *Server) finish(sess *sessionState, id int64, start time.Time) {
-	sess.mu.Lock()
-	delete(sess.uncounted, id)
-	sess.mu.Unlock()
-	s.reg.recordLatency(time.Since(start))
-}
-
-// done closes one request out: the trace's visited stages feed the stage
-// histograms (and its LCV flag its dominant stage's attribution counter),
-// the record joins the /v1/trace ring, and the request log gets its line.
-// tr may be nil for requests rejected before a trace began.
-func (s *Server) done(tr *obsv.Trace, session string, seq int64, kind string, status int, start time.Time, appliedSeq int64, coalesced bool) {
-	s.reg.tracer.Finish(tr, status)
-	s.logRequest(session, seq, kind, status, start, appliedSeq, coalesced)
-}
-
-// --- request log ------------------------------------------------------------
-
-func (s *Server) logRequest(session string, seq int64, kind string, status int, start time.Time, appliedSeq int64, coalesced bool) {
-	if s.cfg.Log == nil {
-		return
-	}
-	rec := tracefmt.ServeRecord{
-		TimestampMS: time.Since(s.start).Milliseconds(),
-		Session:     session,
-		Seq:         seq,
-		Kind:        kind,
-		Status:      status,
-		LatencyMS:   float64(time.Since(start)) / float64(time.Millisecond),
-		AppliedSeq:  appliedSeq,
-		Coalesced:   coalesced,
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	_ = tracefmt.WriteServeTrace(s.cfg.Log, []tracefmt.ServeRecord{rec})
-}
-
 // --- /v1/query --------------------------------------------------------------
 
 // QueryRequest is a SQL query against the engine backend.
@@ -689,127 +631,59 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "want JSON {session, seq, sql}")
 		return
 	}
-	if !s.breakerAdmit(w, req.Session, req.Seq, "query") {
+	rq := s.begin(w, req.Session, req.Seq, "query")
+	if rq == nil {
 		return
 	}
-	start := time.Now()
-	id := s.nextID.Add(1)
-	tr := s.reg.tracer.Begin(req.Session, req.Seq, "query", start)
-	sess := s.session(req.Session)
-
-	sess.mu.Lock()
-	s.issueLocked(sess, id, tr)
-	sess.mu.Unlock()
-	s.reg.recordIssue(start)
-
-	execCtx, cancel := s.budget(start)
-	defer cancel()
-
-	type outcome struct {
-		res  *engine.Result
-		frac float64 // covered record fraction; < 1 marks a sharded partial
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	// The queue stage opens before admit: a successful admit hands the
-	// trace to the worker (the queue send is the happens-before edge), and
-	// the span from here to the worker's Enter(StageExecute) is queue wait.
-	tr.Enter(obsv.StageQueue)
-	err := s.admit(func() {
-		tr.Enter(obsv.StageExecute)
-		out := func() outcome {
-			if err := s.faultGate(execCtx); err != nil {
-				return outcome{err: err}
+	var res *engine.Result
+	frac := 1.0 // covered record fraction; < 1 marks a sharded partial
+	admitted, err := rq.run(func(ctx context.Context) (err error) {
+		if hq, ok := s.coord.(histogramQuerier); ok {
+			// Histogram-shaped queries scatter across the shard engines
+			// and merge by addition; any other shape has no merge law
+			// and runs on the unsharded engine below.
+			rq.tr.Enter(obsv.StageScatter)
+			var shaped bool
+			if res, frac, shaped, err = hq.QueryHistogram(ctx, req.SQL); shaped {
+				return err
 			}
-			if hq, ok := s.coord.(histogramQuerier); ok {
-				// Histogram-shaped queries scatter across the shard engines
-				// and merge by addition; any other shape has no merge law
-				// and runs on the unsharded engine below.
-				tr.Enter(obsv.StageScatter)
-				res, frac, shaped, err := hq.QueryHistogram(execCtx, req.SQL)
-				if shaped {
-					return outcome{res: res, frac: frac, err: err}
-				}
-			}
-			res, err := s.eng.QueryCtx(execCtx, req.SQL)
-			return outcome{res: res, frac: 1, err: err}
-		}()
-		if s.cfg.ExecDelay > 0 {
-			time.Sleep(s.cfg.ExecDelay)
 		}
-		s.reg.recordExec()
-		tr.Enter(obsv.StageMerge)
-		ch <- out
+		res, err = s.eng.QueryCtx(ctx, req.SQL)
+		frac = 1
+		return err
 	})
+	if !admitted {
+		return
+	}
 	if err != nil {
-		status := http.StatusTooManyRequests
-		if err == errDraining {
-			status = http.StatusServiceUnavailable
-		} else {
-			s.reg.recordShed()
+		// A real SQL/execution error fails 400: the backend is healthy, the
+		// query is not. A backend fault falls to the degrade tier —
+		// histogram-shaped queries answer from a bounded sample, scaled to the
+		// full table — and fails only when the shape has none.
+		res = nil
+		if isBackendFault(err) {
+			res, frac = s.degradeQuery(req.SQL)
 		}
-		sess.mu.Lock()
-		delete(sess.uncounted, id)
-		sess.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, status, err.Error())
-		s.done(tr, req.Session, req.Seq, "query", status, start, 0, false)
-		return
-	}
-	out := <-ch
-	s.finish(sess, id, start)
-	resp := QueryResponse{Seq: req.Seq}
-	if out.err != nil {
-		if !isBackendFault(out.err) {
-			// A real SQL/execution error: the backend is healthy, the query
-			// is not.
-			s.brk.success()
-			s.reg.recordError()
-			httpError(w, http.StatusBadRequest, out.err.Error())
-			s.done(tr, req.Session, req.Seq, "query", http.StatusBadRequest, start, 0, false)
+		if res == nil {
+			rq.fail(err, http.StatusBadRequest)
 			return
 		}
-		if errors.Is(out.err, context.DeadlineExceeded) || errors.Is(out.err, context.Canceled) {
-			s.reg.recordDeadline()
-		}
-		// Degrade tier: histogram-shaped queries answer from a bounded
-		// sample, scaled to the full table.
-		if degraded, frac := s.degradeQuery(req.SQL); degraded != nil {
-			s.reg.recordDegraded()
-			s.brk.success()
-			resp.Columns = degraded.Columns
-			resp.ModelMS = float64(degraded.Stats.ModelCost) / float64(time.Millisecond)
-			resp.Rows = rowsJSON(degraded.Rows)
-			resp.Degraded = true
-			resp.SampleFraction = frac
-			tr.SetTier("partial")
-			tr.Enter(obsv.StageWrite)
-			writeJSON(w, http.StatusOK, resp)
-			s.done(tr, req.Session, req.Seq, "query", http.StatusOK, start, req.Seq, false)
-			return
-		}
-		s.brk.failure(time.Now())
-		s.reg.recordError()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, out.err.Error())
-		s.done(tr, req.Session, req.Seq, "query", http.StatusServiceUnavailable, start, 0, false)
-		return
 	}
-	s.brk.success()
-	resp.Columns = out.res.Columns
-	resp.ModelMS = float64(out.res.Stats.ModelCost) / float64(time.Millisecond)
-	resp.Rows = rowsJSON(out.res.Rows)
-	if out.frac < 1 {
-		// A shard missed the deadline: the merged histogram estimates the
-		// full answer from the covered partitions.
+	resp := QueryResponse{
+		Seq:     req.Seq,
+		Columns: res.Columns,
+		Rows:    rowsJSON(res.Rows),
+		ModelMS: float64(res.Stats.ModelCost) / float64(time.Millisecond),
+	}
+	if err != nil || frac < 1 {
+		// A sample, or a merge that lost a shard to the deadline: the
+		// histogram estimates the full answer from the fraction it covered.
 		resp.Degraded = true
-		resp.SampleFraction = out.frac
+		resp.SampleFraction = frac
 		s.reg.recordDegraded()
-		tr.SetTier("partial")
+		rq.tr.SetTier("partial")
 	}
-	tr.Enter(obsv.StageWrite)
-	writeJSON(w, http.StatusOK, resp)
-	s.done(tr, req.Session, req.Seq, "query", http.StatusOK, start, req.Seq, false)
+	rq.reply(resp, req.Seq, false)
 }
 
 // isBackendFault distinguishes faults of the backend (injected errors,
@@ -846,25 +720,6 @@ func rowsJSON(rows [][]storage.Value) [][]any {
 		out[i] = vals
 	}
 	return out
-}
-
-// breakerAdmit rejects the request with 503 + Retry-After when the circuit
-// breaker is open, before any session bookkeeping. Returns false when
-// rejected.
-func (s *Server) breakerAdmit(w http.ResponseWriter, session string, seq int64, kind string) bool {
-	now := time.Now()
-	ok, ra := s.brk.allow(now)
-	if ok {
-		return true
-	}
-	s.reg.recordBreakerReject()
-	// The reject still gets a trace: its whole life is the admission stage,
-	// so open-breaker periods are visible in /v1/trace.
-	tr := s.reg.tracer.Begin(session, seq, kind, now)
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ra.Seconds()))))
-	httpError(w, http.StatusServiceUnavailable, "serve: circuit breaker open")
-	s.done(tr, session, seq, kind, http.StatusServiceUnavailable, now, 0, false)
-	return false
 }
 
 func valueJSON(v storage.Value) any {
@@ -937,18 +792,14 @@ func (s *Server) handleBrush(w http.ResponseWriter, r *http.Request) {
 	// flushes pending coalesced brushes before the worker pool exits. Only
 	// a brush needing a fresh admission is refused (admit returns
 	// errDraining below).
-	if !s.breakerAdmit(w, req.Session, req.Seq, "brush") {
+	rq := s.begin(w, req.Session, req.Seq, "brush")
+	if rq == nil {
 		return
 	}
-	start := time.Now()
-	id := s.nextID.Add(1)
-	tr := s.reg.tracer.Begin(req.Session, req.Seq, "brush", start)
-	sess := s.session(req.Session)
-	waiter := &brushWaiter{id: id, seq: req.Seq, start: start, tr: tr, ch: make(chan brushOutcome, 1)}
-	s.reg.recordIssue(start)
+	sess := rq.sess
+	waiter := &brushWaiter{rq: rq, ch: make(chan brushOutcome, 1)}
 
 	sess.mu.Lock()
-	s.issueLocked(sess, id, tr)
 	if req.Seq > sess.lastSeq {
 		sess.lastSeq = req.Seq
 		sess.latest = req
@@ -963,58 +814,38 @@ func (s *Server) handleBrush(w http.ResponseWriter, r *http.Request) {
 	case sess.slot != nil:
 		// A pending execution exists: this request rides along with it and
 		// one backend execution is saved.
-		tr.Enter(obsv.StageCoalesce)
+		rq.tr.Enter(obsv.StageCoalesce)
 		sess.slot.waiters = append(sess.slot.waiters, waiter)
 		s.reg.recordCoalesced()
 	case sess.running:
 		// An execution is in progress; park in a fresh slot that the
 		// run-to-idle loop will pick up without re-entering admission.
-		tr.Enter(obsv.StageCoalesce)
+		rq.tr.Enter(obsv.StageCoalesce)
 		sess.slot = &brushTask{waiters: []*brushWaiter{waiter}}
 	default:
-		tr.Enter(obsv.StageQueue)
+		rq.tr.Enter(obsv.StageQueue)
 		sess.slot = &brushTask{waiters: []*brushWaiter{waiter}}
 		admitErr = s.admit(func() { s.runBrushes(sess) })
 		if admitErr != nil {
 			sess.slot = nil
 		}
 	}
+	sess.mu.Unlock()
 	if admitErr != nil {
-		delete(sess.uncounted, id)
-		sess.mu.Unlock()
-		status := http.StatusTooManyRequests
-		if admitErr == errDraining {
-			status = http.StatusServiceUnavailable
-		} else {
-			s.reg.recordShed()
-		}
-		w.Header().Set("Retry-After", "1")
-		httpError(w, status, admitErr.Error())
-		s.done(tr, req.Session, req.Seq, "brush", status, start, 0, false)
+		rq.refuse(admitErr)
 		return
 	}
-	sess.mu.Unlock()
 
+	// The execution gave the breaker its own verdict in the ladder; a cube
+	// error that is no backend fault is the server's, not the request's.
 	out := <-waiter.ch
-	s.finish(sess, id, start)
 	if out.err != nil {
-		s.reg.recordError()
-		status := http.StatusInternalServerError
-		if isBackendFault(out.err) {
-			// The backend is faulting or out of budget, not the request
-			// malformed: tell the client to retry, like the breaker does.
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, status, out.err.Error())
-		s.done(tr, req.Session, req.Seq, "brush", status, start, 0, false)
+		rq.fail(out.err, http.StatusInternalServerError)
 		return
 	}
 	resp := *out.resp
 	resp.Coalesced = resp.AppliedSeq > req.Seq
-	tr.Enter(obsv.StageWrite)
-	writeJSON(w, http.StatusOK, resp)
-	s.done(tr, req.Session, req.Seq, "brush", http.StatusOK, start, resp.AppliedSeq, resp.Coalesced)
+	rq.reply(resp, resp.AppliedSeq, resp.Coalesced)
 }
 
 // runBrushes executes the session's pending brushes to idle: each pass
@@ -1038,10 +869,10 @@ func (s *Server) runBrushes(sess *sessionState) {
 		// The deadline budget runs from the moment the oldest rider issued:
 		// queue wait counts against it, so a request that already blew its
 		// budget waiting skips straight to the fallback tiers.
-		earliest := bt.waiters[0].start
+		earliest := bt.waiters[0].rq.start
 		for _, wt := range bt.waiters[1:] {
-			if wt.start.Before(earliest) {
-				earliest = wt.start
+			if wt.rq.start.Before(earliest) {
+				earliest = wt.rq.start
 			}
 		}
 		sess.mu.Unlock()
@@ -1051,13 +882,13 @@ func (s *Server) runBrushes(sess *sessionState) {
 		// parked on wt.ch until the send below, so the traces are ours to
 		// stamp (sess.mu above ordered their handlers' writes before us).
 		for _, wt := range bt.waiters {
-			wt.tr.Enter(obsv.StageExecute)
+			wt.rq.tr.Enter(obsv.StageExecute)
 		}
 		// stamp lets the ladder mark later stage transitions (the sharded
 		// scatter) on every rider's trace.
 		stamp := func(st obsv.Stage) {
 			for _, wt := range bt.waiters {
-				wt.tr.Enter(st)
+				wt.rq.tr.Enter(st)
 			}
 		}
 
@@ -1076,9 +907,9 @@ func (s *Server) runBrushes(sess *sessionState) {
 		sess.mu.Unlock()
 
 		for _, wt := range bt.waiters {
-			wt.tr.Enter(obsv.StageMerge)
+			wt.rq.tr.Enter(obsv.StageMerge)
 			if resp != nil {
-				wt.tr.SetTier(resp.Tier)
+				wt.rq.tr.SetTier(resp.Tier)
 			}
 			wt.ch <- brushOutcome{resp: resp, err: err}
 		}
@@ -1382,17 +1213,10 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "want key=z/x/y or z=&x=&y=")
 		return
 	}
-	if !s.breakerAdmit(w, session, seq, "tile") {
+	rq := s.begin(w, session, seq, "tile")
+	if rq == nil {
 		return
 	}
-	start := time.Now()
-	id := s.nextID.Add(1)
-	tr := s.reg.tracer.Begin(session, seq, "tile", start)
-	sess := s.session(session)
-	sess.mu.Lock()
-	s.issueLocked(sess, id, tr)
-	sess.mu.Unlock()
-	s.reg.recordIssue(start)
 
 	// Tile counts are immutable per (dataset, tile), so a cache hit skips
 	// the admission queue and the scan entirely.
@@ -1402,87 +1226,38 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	s.tileMu.Unlock()
 	if hit {
 		s.reg.recordTileHit()
-		count := cached.(int64)
-		s.finish(sess, id, start)
-		tr.SetTier("cache")
-		tr.Enter(obsv.StageWrite)
-		writeJSON(w, http.StatusOK, TileResponse{Seq: seq, Key: tile.String(), Count: count})
-		s.done(tr, session, seq, "tile", http.StatusOK, start, seq, false)
+		rq.tr.SetTier("cache")
+		rq.reply(TileResponse{Seq: seq, Key: tile.String(), Count: cached.(int64)}, seq, false)
 		return
 	}
 	s.reg.recordTileMiss()
 
-	execCtx, cancel := s.budget(start)
-	defer cancel()
-	type tileOutcome struct {
-		count int64
-		err   error
-	}
-	ch := make(chan tileOutcome, 1)
-	tr.Enter(obsv.StageQueue)
-	admitErr := s.admit(func() {
-		defer s.reg.recordExec()
-		tr.Enter(obsv.StageExecute)
-		if err := s.faultGate(execCtx); err != nil {
-			tr.Enter(obsv.StageMerge)
-			ch <- tileOutcome{0, err}
-			return
-		}
+	var count int64
+	admitted, err := rq.run(func(ctx context.Context) error {
 		latLo, latHi, lngLo, lngHi := tileBounds(tile)
-		var count int64
 		n := s.tiles.NumRows()
 		for i := 0; i < n; i++ {
-			if i%tileScanCheck == 0 && execCtx.Err() != nil {
-				tr.Enter(obsv.StageMerge)
-				ch <- tileOutcome{0, execCtx.Err()}
-				return
+			if i%tileScanCheck == 0 && ctx.Err() != nil {
+				return ctx.Err()
 			}
 			lat, lng := s.tileLat.Float(i), s.tileLng.Float(i)
 			if lat >= latLo && lat < latHi && lng >= lngLo && lng < lngHi {
 				count++
 			}
 		}
-		if s.cfg.ExecDelay > 0 {
-			time.Sleep(s.cfg.ExecDelay)
-		}
 		s.tileMu.Lock()
 		s.tileCache.Put(cacheKey, count)
 		s.tileMu.Unlock()
-		tr.Enter(obsv.StageMerge)
-		ch <- tileOutcome{count, nil}
+		return nil
 	})
-	if admitErr != nil {
-		status := http.StatusTooManyRequests
-		if admitErr == errDraining {
-			status = http.StatusServiceUnavailable
-		} else {
-			s.reg.recordShed()
-		}
-		sess.mu.Lock()
-		delete(sess.uncounted, id)
-		sess.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, status, admitErr.Error())
-		s.done(tr, session, seq, "tile", status, start, 0, false)
+	if !admitted {
 		return
 	}
-	out := <-ch
-	s.finish(sess, id, start)
-	if out.err != nil {
-		if errors.Is(out.err, context.DeadlineExceeded) || errors.Is(out.err, context.Canceled) {
-			s.reg.recordDeadline()
-		}
-		s.brk.failure(time.Now())
-		s.reg.recordError()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, out.err.Error())
-		s.done(tr, session, seq, "tile", http.StatusServiceUnavailable, start, 0, false)
+	if err != nil {
+		rq.fail(err, http.StatusInternalServerError)
 		return
 	}
-	s.brk.success()
-	tr.Enter(obsv.StageWrite)
-	writeJSON(w, http.StatusOK, TileResponse{Seq: seq, Key: tile.String(), Count: out.count})
-	s.done(tr, session, seq, "tile", http.StatusOK, start, seq, false)
+	rq.reply(TileResponse{Seq: seq, Key: tile.String(), Count: count}, seq, false)
 }
 
 // tileScanCheck is the tile scan's cancellation-check stride — one morsel's
