@@ -96,7 +96,7 @@ func main() {
 	routerN := flag.Int("router", 0, "supervise N shard child processes and gather across them (0 = in-process)")
 	routerReplicas := flag.Int("routerreplicas", 1, "child replicas per shard in -router mode (2 enables hedged gathers)")
 	snapshotDir := flag.String("snapshotdir", "", "in -router mode, persist each shard's partition snapshot here so restarted children warm-start via mmap instead of rebuilding")
-	encode := flag.Bool("encode", false, "freeze the dataset into compressed columnar form (dictionary / bit-packed encodings with vectorized scan kernels)")
+	encode := flag.Bool("encode", false, "freeze the dataset into compressed columnar form (dictionary / bit-packed encodings; saves bytes — unencoded columns run the same scan kernels through zero-copy views)")
 	planOn := flag.Bool("planner", false, "enable the materialization planner (auto-built per-selection indexes for held drags, prefix cube otherwise)")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (e.g. 127.0.0.1:6060; empty = disabled)")
 	flag.Parse()

@@ -123,6 +123,43 @@ func Of(c *storage.Column) (Column, bool) {
 	return col, ok
 }
 
+// ViewOf returns the colstore form every scan reads c through: the frozen
+// encoding when c has one, otherwise a PlainFloats / PlainInts wrapped
+// around c's own raw slice — O(1), no copy and no dictionary attempt
+// (compressing is Freeze's job and costs a pass over the data). The view is
+// cached on the column, so its zone map is built once, on the first range
+// filter, and it is dropped when the column is appended to. ok is false
+// only for a column with no numeric image to wrap (nil, or unfrozen TEXT).
+func ViewOf(c *storage.Column) (Column, bool) {
+	if c == nil {
+		return nil, false
+	}
+	if col, ok := peekView(c); ok || c.Enc != nil {
+		return col, ok
+	}
+	var v Column
+	switch c.Type {
+	case storage.Float64:
+		v = NewPlainFloats(c.Floats)
+	case storage.Int64:
+		v = NewPlainInts(c.Ints)
+	default:
+		return nil, false
+	}
+	col, ok := c.CacheView(v).(Column)
+	return col, ok
+}
+
+// peekView returns c's frozen encoding or live view without building one —
+// the read a metrics scrape makes.
+func peekView(c *storage.Column) (Column, bool) {
+	if c.Enc != nil {
+		return Of(c)
+	}
+	col, ok := c.View().(Column)
+	return col, ok
+}
+
 // FloatSliceOf returns the raw float64 slice backing a frozen plain-float
 // column, for consumers that would otherwise decode a full copy; ok=false
 // when the column is unfrozen or not slice-backed.

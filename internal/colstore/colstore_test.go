@@ -376,3 +376,65 @@ func TestStorageFloatPanicsOnText(t *testing.T) {
 		t.Fatalf("FloatAt = %v, %v", v, err)
 	}
 }
+
+// TestViewOf pins the view contract: the frozen encoding when there is
+// one, otherwise one cached zero-copy wrapper per unfrozen numeric column
+// (same pointer from every call, aliasing the raw slice), none for TEXT,
+// a fresh one after an append, and StatsOf listing exactly the viewed
+// columns without building any.
+func TestViewOf(t *testing.T) {
+	tbl := storage.NewTable("t", storage.Schema{
+		{Name: "f", Type: storage.Float64},
+		{Name: "i", Type: storage.Int64},
+		{Name: "s", Type: storage.String},
+	})
+	for r := 0; r < 100; r++ {
+		tbl.MustAppendRow(storage.NewFloat(float64(r)/4), storage.NewInt(int64(r)), storage.NewString("x"))
+	}
+	if st := StatsOf(tbl); len(st.Columns) != 0 {
+		t.Fatalf("StatsOf before any view lists %d columns", len(st.Columns))
+	}
+	f, ok := ViewOf(tbl.Column("f"))
+	if !ok || f.Encoding() != Plain || f.Len() != 100 {
+		t.Fatalf("float view: ok=%v %v", ok, f)
+	}
+	if &f.(*PlainFloats).RawFloats()[0] != &tbl.Column("f").Floats[0] {
+		t.Fatal("float view copied the slice")
+	}
+	if again, _ := ViewOf(tbl.Column("f")); again != f {
+		t.Fatal("second ViewOf built a second view")
+	}
+	if _, ok := ViewOf(tbl.Column("s")); ok {
+		t.Fatal("ViewOf answered for an unfrozen TEXT column")
+	}
+	if _, ok := ViewOf(nil); ok {
+		t.Fatal("ViewOf answered for a nil column")
+	}
+
+	dst := NewBitmap(100)
+	f.FilterRange(5, 10, 0, 100, dst, false)
+	st := StatsOf(tbl)
+	if len(st.Columns) != 1 || st.Columns[0].Name != "f" || st.Columns[0].Encoding != "plain" ||
+		st.Columns[0].Ratio != 1 || st.Columns[0].ZoneBytes != 32 || st.Columns[0].ZoneWordsEvaluated == 0 {
+		t.Fatalf("StatsOf after one filter on f: %+v", st)
+	}
+
+	tbl.MustAppendRow(storage.NewFloat(99), storage.NewInt(100), storage.NewString("y"))
+	if g, _ := ViewOf(tbl.Column("f")); g == f || g.Len() != 101 || g.Float(100) != 99 {
+		t.Fatalf("view after append: same=%v len=%d", g == f, g.Len())
+	}
+	iv, ok := ViewOf(tbl.Column("i"))
+	if !ok || iv.Type() != storage.Int64 || iv.Float(100) != 100 {
+		t.Fatalf("int view: ok=%v %v", ok, iv)
+	}
+
+	frozen, err := Freeze(tbl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, col := range frozen.Columns {
+		if v, ok := ViewOf(col); !ok || v != col.Enc {
+			t.Fatalf("frozen column %d: ViewOf is not its encoding", i)
+		}
+	}
+}

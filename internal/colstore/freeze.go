@@ -364,47 +364,43 @@ type TableStats struct {
 	Ratio        float64       `json:"ratio"`
 }
 
-// StatsOf computes the byte footprint of every column. Unfrozen columns
-// report their raw slice footprint under the "plain" encoding, so the
-// stats surface works before and after Freeze.
+// StatsOf reports the byte footprint and zone counters of every column a
+// scan can reach through colstore: all of a frozen table's, and of an
+// unfrozen table those with a live view (see ViewOf — encoding "plain",
+// ratio 1). It reads what exists and builds nothing, so a scrape costs
+// O(columns) and a table nothing has scanned yet reports no columns.
 func StatsOf(t *storage.Table) TableStats {
 	st := TableStats{Table: t.Name, Rows: t.NumRows()}
 	for i, col := range t.Columns {
-		cs := ColumnStats{Name: t.Schema[i].Name, Encoding: Plain.String()}
-		if enc, ok := Of(col); ok {
-			cs.Encoding = enc.EncodingName()
-			cs.Bytes = enc.EncodedBytes()
-			cs.PlainBytes = enc.PlainBytes()
-			var zm *ZoneMap // read in place: a scrape must not build one
-			switch c := enc.(type) {
-			case *PlainFloats:
+		enc, ok := peekView(col)
+		if !ok {
+			continue
+		}
+		cs := ColumnStats{
+			Name:       t.Schema[i].Name,
+			Encoding:   enc.EncodingName(),
+			Bytes:      enc.EncodedBytes(),
+			PlainBytes: enc.PlainBytes(),
+		}
+		var zm *ZoneMap // read in place: a scrape must not build one
+		switch c := enc.(type) {
+		case *PlainFloats:
+			zm = &c.zm
+		case *PlainInts:
+			zm = &c.zm
+		case *ForColumn:
+			zm = &c.zm
+			cs.BitWidth = c.codes.Width()
+		case *DictColumn:
+			cs.Cardinality = c.card()
+			cs.BitWidth = c.codes.Width()
+			if c.typ != storage.String {
 				zm = &c.zm
-			case *PlainInts:
-				zm = &c.zm
-			case *ForColumn:
-				zm = &c.zm
-				cs.BitWidth = c.codes.Width()
-			case *DictColumn:
-				cs.Cardinality = c.card()
-				cs.BitWidth = c.codes.Width()
-				if c.typ != storage.String {
-					zm = &c.zm
-				}
 			}
-			if zm != nil {
-				cs.ZoneBytes = zoneBytes(enc.Len())
-				cs.ZoneWordsSkipped, cs.ZoneWordsFilled, cs.ZoneWordsEvaluated = zm.Words()
-			}
-		} else {
-			switch col.Type {
-			case storage.Float64:
-				cs.Bytes = int64(len(col.Floats)) * 8
-			case storage.Int64:
-				cs.Bytes = int64(len(col.Ints)) * 8
-			default:
-				cs.Bytes = plainStringBytes(col.Strings)
-			}
-			cs.PlainBytes = cs.Bytes
+		}
+		if zm != nil {
+			cs.ZoneBytes = zoneBytes(enc.Len())
+			cs.ZoneWordsSkipped, cs.ZoneWordsFilled, cs.ZoneWordsEvaluated = zm.Words()
 		}
 		if cs.Bytes > 0 {
 			cs.Ratio = float64(cs.PlainBytes) / float64(cs.Bytes)

@@ -29,7 +29,7 @@ func storeWord(dst *Bitmap, base int, sel uint64, and bool) {
 // An AND pass walks only the set bits of each destination word instead of
 // re-extracting all 64 codes: rows a previous predicate already rejected
 // cannot come back, so the work of a conjunction shrinks with its running
-// selectivity — the bitmap analog of the scalar loop's short-circuit.
+// selectivity — the bitmap analog of a scalar loop's short-circuit.
 func filterCodes(p *PackedInts, cLo, cHi uint64, r0, r1 int, dst *Bitmap, and bool) {
 	if cHi < cLo {
 		dst.ZeroRange(r0, r1)

@@ -5,9 +5,10 @@ import (
 )
 
 // PlainFloats is the passthrough encoding for incompressible float64
-// columns (high-cardinality or NaN-containing). It exists so that a frozen
-// table is uniformly colstore-backed: consumers type-assert one interface
-// and every column answers, compressed or not.
+// columns (high-cardinality or NaN-containing) and the zero-copy view of
+// an unfrozen one (ViewOf). It exists so that every table is uniformly
+// colstore-backed: consumers type-assert one interface and every column
+// answers, compressed or not.
 type PlainFloats struct {
 	vals []float64
 	zm   ZoneMap

@@ -166,15 +166,19 @@ func TestEncodedPartialHistogramMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestMixedEncodingFallsBackToGeneric freezes only one referenced column;
-// the fast path must refuse (neither the scalar loop nor the kernels can
-// run) and the generic path must still produce the plain answer.
-func TestMixedEncodingFallsBackToGeneric(t *testing.T) {
+// TestMixedEncodingTakesFastPath freezes only one referenced column: the
+// frozen column brings its dictionary kernel, the raw ones their views,
+// and the statement runs the one fast path — with the answer of the scalar
+// loop over the raw table and of the generic path.
+func TestMixedEncodingTakesFastPath(t *testing.T) {
 	n := 5_000
 	raw := encTestTable(9, n)
 	frozen, err := colstore.Freeze(raw, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if enc, _ := colstore.Of(frozen.Columns[0]); enc.Encoding() != colstore.Dict {
+		t.Fatalf("xq froze to %v; the test wants a dictionary column beside views", enc.Encoding())
 	}
 	mixed := &storage.Table{
 		Name:     raw.Name,
@@ -184,12 +188,13 @@ func TestMixedEncodingFallsBackToGeneric(t *testing.T) {
 	}
 	plainEng := memEngine(raw)
 	mixEng := memEngine(mixed)
-	q := "SELECT ROUND((xq - 8.1) / 0.15), COUNT(*) FROM enc WHERE y >= 57 GROUP BY ROUND((xq - 8.1) / 0.15) ORDER BY ROUND((xq - 8.1) / 0.15)"
-	// The secondary ORDER BY key forces the plain engine onto the generic
-	// path too: the comparison is generic-vs-generic, isolating what this
-	// test proves (frozen columns read correctly through the Value surface).
-	genericQ := q + ", COUNT(*)"
-	want, err := plainEng.Query(genericQ)
+	// xq is 8.1 + k/1000: a bin width of 0.1501 keeps every value clear of
+	// a bin edge, where the fast path's a·v + b and the generic path's
+	// (v - lo) / w may round a tie apart.
+	const bin = "ROUND((xq - 8.1) / 0.1501)"
+	q := "SELECT " + bin + ", COUNT(*) FROM enc WHERE y >= 57 AND xq < 10.2 GROUP BY " + bin + " ORDER BY " + bin
+	// The secondary ORDER BY key forces the control onto the generic path.
+	want, err := plainEng.Query(q + ", COUNT(*)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +205,19 @@ func TestMixedEncodingFallsBackToGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats.UsedFastPath {
-		t.Fatal("mixed-encoding table took the fast path")
+	if !got.Stats.UsedFastPath {
+		t.Fatal("mixed-encoding table did not take the fast path")
 	}
-	assertSameResult(t, "mixed fallback", got, want)
+	assertSameResult(t, "mixed vs generic", got, want)
+	hq, ok := plainEng.matchHistogram(sql.MustParse(q))
+	if !ok {
+		t.Fatal("statement is not histogram-shaped")
+	}
+	assertSameRows(t, "mixed vs scalar", got.Rows, scalarRows(hq, n, 1))
+	got.Stats.RealTime, want.Stats.RealTime, want.Stats.UsedFastPath = 0, 0, true
+	if got.Stats != want.Stats {
+		t.Fatalf("stats %+v, generic %+v", got.Stats, want.Stats)
+	}
 }
 
 // TestEncodedRoadsHistogram exercises the realistic full-precision road

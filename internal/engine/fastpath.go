@@ -18,68 +18,55 @@ import (
 //	WHERE c1 >= a AND c1 <= b AND ...
 //	GROUP BY ROUND(...) ORDER BY ROUND(...)
 //
-// — and executes it as a single vectorized pass over the column slices.
+// — and executes it as vectorized passes over the columns' colstore forms.
 // This matters because the crossfilter workload issues thousands of these
 // per trace; the generic row-at-a-time path would dominate benchmark wall
 // time without changing any measured model cost (the cost model charges the
 // same pages and tuples either way).
 
-// histQuery is a matched histogram query.
+// histQuery is a matched histogram query, compiled to the one plan every
+// table runs: the predicate ranges as zone-mapped colstore kernels into a
+// per-worker selection bitmap, then the bin column counted a selection
+// word at a time where its zone falls in one bin and decoded per surviving
+// row elsewhere. Frozen columns bring their encoding; unfrozen ones are
+// read through their zero-copy view (colstore.ViewOf), so raw, frozen and
+// mixed tables differ only in which kernel each column owns.
 type histQuery struct {
 	table *storage.Table
 	bin   affine      // bin = round(a·col + b)
 	preds []rangePred // the WHERE conjunction, one closed range per column
 
-	// enc is the vectorized kernel plan, set when every referenced column
-	// is colstore-encoded (always true for frozen tables, which have no
-	// raw slices for the scalar path to read).
-	enc *encodedHist
-}
-
-// encodedHist is the bin column's side of the fast path's plan over
-// encoded columns: the predicate ranges run as colstore kernels into a
-// per-worker selection bitmap, then the bin column is counted a selection
-// word at a time where its zone falls in one bin and decoded per
-// surviving row elsewhere.
-type encodedHist struct {
-	bin      colstore.Column
+	binEnc   colstore.Column
 	binZones *colstore.ZoneMap
 	binRaw   []float64 // the bin column's raw slice when it has one
 }
 
 // binValue is the bin column's float64 image of row i.
-func (e *encodedHist) binValue(i int) float64 {
-	if e.binRaw != nil {
-		return e.binRaw[i]
+func (q *histQuery) binValue(i int) float64 {
+	if q.binRaw != nil {
+		return q.binRaw[i]
 	}
-	return e.bin.Float(i)
+	return q.binEnc.Float(i)
 }
 
-// compileEncoded attaches the kernel plan to q. It reports false for the
-// mixed case — some referenced columns encoded, some raw — where neither
-// the scalar loop (nil slices) nor the kernels (no encoding) can run;
-// matchHistogram then rejects the fast path and the generic row-at-a-time
-// path answers through the Value interface.
-func (q *histQuery) compileEncoded() bool {
-	binEnc, binOK := colstore.Of(q.bin.col)
-	anyEnc := binOK
-	allEnc := binOK
-	for i := range q.preds {
-		p := &q.preds[i]
-		var ok bool
-		p.enc, ok = colstore.Of(p.col)
-		anyEnc = anyEnc || ok
-		allEnc = allEnc && ok
-	}
-	if !anyEnc {
-		return true // fully raw: the scalar path handles it
-	}
-	if !allEnc {
+// compile resolves every referenced column to its colstore form. The
+// matcher has already refused TEXT columns, so ViewOf answers for each; a
+// false return would mean an Encoded implemented outside colstore, which
+// the generic path still reads through Value.
+func (q *histQuery) compile() bool {
+	var ok bool
+	if q.binEnc, ok = colstore.ViewOf(q.bin.col); !ok {
 		return false
 	}
-	e := &encodedHist{bin: binEnc, binZones: colstore.ZonesOf(binEnc)}
-	if fs, ok := binEnc.(colstore.FloatSlice); ok {
-		e.binRaw = fs.RawFloats()
+	for i := range q.preds {
+		p := &q.preds[i]
+		if p.enc, ok = colstore.ViewOf(p.col); !ok {
+			return false
+		}
+	}
+	q.binZones = colstore.ZonesOf(q.binEnc)
+	if fs, ok := q.binEnc.(colstore.FloatSlice); ok {
+		q.binRaw = fs.RawFloats()
 	}
 	// Most-selective predicate first: the later AND passes only touch rows
 	// still selected, so running the narrowest range first collapses the
@@ -89,13 +76,12 @@ func (q *histQuery) compileEncoded() bool {
 	sort.SliceStable(q.preds, func(i, j int) bool {
 		return q.preds[i].estSelectivity() < q.preds[j].estSelectivity()
 	})
-	q.enc = e
 	return true
 }
 
-// estSelectivity estimates the fraction of rows an encoded predicate
-// keeps: the selected share of the column's code space when it is coded,
-// 1.0 (unknown) otherwise.
+// estSelectivity estimates the fraction of rows a predicate keeps: the
+// selected share of the column's code space when it is coded, 1.0
+// (unknown) otherwise.
 func (p *rangePred) estSelectivity() float64 {
 	coded, ok := p.enc.(colstore.Coded)
 	if !ok {
@@ -117,11 +103,11 @@ type affine struct {
 // rangePred is every `col op constant` comparison (op ∈ {>=, <=, >, <})
 // the WHERE clause makes on one column, fused into the closed range
 // [lo, hi] by colstore.RangeFromOp / IntersectRange — the one canonical
-// form both the scalar loop and the kernels compare against. The usual
-// brush shape (>= lo AND <= hi) is one range, so one compare pass.
+// form the kernels compare against. The usual brush shape (>= lo AND
+// <= hi) is one range, so one compare pass.
 type rangePred struct {
 	col    *storage.Column
-	enc    colstore.Column // col's encoded form, set by compileEncoded
+	enc    colstore.Column // col's frozen encoding or view, set by compile
 	lo, hi float64
 }
 
@@ -177,7 +163,7 @@ func (e *Engine) matchHistogram(stmt *sql.SelectStmt) (*histQuery, bool) {
 			return nil, false
 		}
 	}
-	if !q.compileEncoded() {
+	if !q.compile() {
 		return nil, false
 	}
 	return q, true
@@ -353,17 +339,17 @@ func constValue(e sql.Expr) (float64, bool) {
 // [-fastBinOffset, fastBinOffset) spill to a map.
 const fastBinOffset = 4096
 
-// runHistogram executes a matched histogram query as one pass over the
-// column slices. The pass is morsel-parallel (see parallel.go): pages are
-// charged up front by the coordinator exactly as the serial path does, and
-// the int64 bin counts merge exactly, so results and cost accounting are
-// identical at every parallelism level.
+// runHistogram executes a matched histogram query over the whole table.
+// The pass is morsel-parallel (see parallel.go): pages are charged up front
+// by the coordinator exactly as the serial path does, and the int64 bin
+// counts merge exactly, so results and cost accounting are identical at
+// every parallelism level.
 func (e *Engine) runHistogram(ctx context.Context, q *histQuery, stats *ExecStats) (*Result, error) {
 	n := q.table.NumRows()
 	stats.TuplesScanned += n
 	e.chargePages(q.table, 0, n, stats)
 
-	accs := e.getHistAccs(q, n, e.parallelWorkers(n))
+	accs := e.getHistAccs(n, e.parallelWorkers(n))
 	defer e.putHistAccs(accs)
 	acc, err := countHistogram(ctx, q, n, accs)
 	if err != nil {
@@ -433,7 +419,7 @@ func (e *Engine) PartialHistogram(ctx context.Context, stmt *sql.SelectStmt, max
 	if maxRows > 0 && maxRows < n {
 		scan = maxRows
 	}
-	accs := e.getHistAccs(q, scan, 1)
+	accs := e.getHistAccs(scan, 1)
 	defer e.putHistAccs(accs)
 	acc := accs[0]
 	err := morselScanHist(ctx, q, acc, scan)

@@ -159,10 +159,10 @@ func groupAggregate(ctx context.Context, rows [][]storage.Value, groupFns []eval
 }
 
 // histAcc is one worker's histogram accumulator: a dense window around bin
-// zero plus a sparse spill map, mirroring the serial fast path's layout.
-// Encoded plans add a scratch selection bitmap for the filter kernels;
-// workers only ever touch their own morsels' 64-bit words (morsel.Size is a
-// multiple of 64), so sharing one bitmap per worker is race-free.
+// zero plus a sparse spill map, and the scratch selection bitmap the filter
+// kernels write; workers only ever touch their own morsels' 64-bit words
+// (morsel.Size is a multiple of 64), so sharing one bitmap per worker is
+// race-free.
 type histAcc struct {
 	dense  []int64
 	sparse map[int]int64
@@ -182,18 +182,16 @@ func (acc *histAcc) bump(bin int) {
 }
 
 // getHistAccs takes one zeroed accumulator per worker from the engine's
-// pool — the 64 KB dense window and, for an encoded plan, the n-row
-// selection bitmap would otherwise be allocated per worker per statement.
-func (e *Engine) getHistAccs(q *histQuery, n, workers int) []*histAcc {
+// pool — the 64 KB dense window and the n-row selection bitmap would
+// otherwise be allocated per worker per statement.
+func (e *Engine) getHistAccs(n, workers int) []*histAcc {
 	accs := make([]*histAcc, workers)
 	for w := range accs {
 		acc, _ := e.histScratch.Get().(*histAcc)
 		if acc == nil {
 			acc = &histAcc{dense: make([]int64, 2*fastBinOffset), bm: colstore.NewBitmap(0)}
 		}
-		if q.enc != nil {
-			acc.bm.Reset(n)
-		}
+		acc.bm.Reset(n)
 		accs[w] = acc
 	}
 	return accs
@@ -238,53 +236,17 @@ func countHistogram(ctx context.Context, q *histQuery, n int, accs []*histAcc) (
 }
 
 // countHistogramRange applies the range predicates and bins rows [lo, hi)
-// into acc.
+// into acc: each predicate runs as one zone-mapped kernel pass over its
+// column into the worker's selection bitmap (first predicate stores, the
+// rest AND; no predicate selects every row), then the bin column is
+// counted a selection word at a time. round(a·v + b) is monotone in v, so
+// when the bin column's zone minimum and maximum land in the same bin
+// every row of the word does, and the word costs one popcount; a zone that
+// spans a bin edge, holds a NaN (NaN != NaN) or bins outside the dense
+// window decodes its surviving rows one by one. Kernels leave bits past hi
+// zero in the final partial word, so the word walk needs no tail guard.
+// [lo, hi) is a morsel range, so lo is 64-aligned as the kernels require.
 func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
-	if q.enc != nil {
-		countHistogramRangeEncoded(q, acc, lo, hi)
-		return
-	}
-	binFloats := q.bin.col.Floats
-	binInts := q.bin.col.Ints
-	a, b := q.bin.a, q.bin.b
-
-rows:
-	for i := lo; i < hi; i++ {
-		for k := range q.preds {
-			p := &q.preds[k]
-			var x float64
-			if p.col.Type == storage.Float64 {
-				x = p.col.Floats[i]
-			} else {
-				x = float64(p.col.Ints[i])
-			}
-			if !(x >= p.lo && x <= p.hi) {
-				continue rows
-			}
-		}
-		var v float64
-		if binFloats != nil {
-			v = binFloats[i]
-		} else {
-			v = float64(binInts[i])
-		}
-		acc.bump(int(math.Round(a*v + b)))
-	}
-}
-
-// countHistogramRangeEncoded is countHistogramRange over encoded columns:
-// each predicate runs as one zone-mapped kernel pass over its column into
-// the worker's selection bitmap (first predicate stores, the rest AND; no
-// predicate selects every row), then the bin column is counted a selection
-// word at a time. round(a·v + b) is monotone in v, so when the bin
-// column's zone minimum and maximum land in the same bin every row of the
-// word does, and the word costs one popcount; a zone that spans a bin
-// edge, holds a NaN (NaN != NaN) or bins outside the dense window decodes
-// its surviving rows one by one. Kernels leave bits past hi zero in the
-// final partial word, so the word walk needs no tail guard. [lo, hi) is a
-// morsel range, so lo is 64-aligned as the kernels require.
-func countHistogramRangeEncoded(q *histQuery, acc *histAcc, lo, hi int) {
-	e := q.enc
 	a, b := q.bin.a, q.bin.b
 	if len(q.preds) == 0 {
 		acc.bm.FillRange(lo, hi)
@@ -299,7 +261,7 @@ func countHistogramRangeEncoded(q *histQuery, acc *histAcc, lo, hi int) {
 		if x == 0 {
 			continue
 		}
-		zmin, zmax := e.binZones.Bounds(w)
+		zmin, zmax := q.binZones.Bounds(w)
 		if bin := math.Round(a*zmin + b); bin == math.Round(a*zmax+b) && bin >= -fastBinOffset && bin < fastBinOffset {
 			acc.dense[int(bin)+fastBinOffset] += int64(bits.OnesCount64(x))
 			continue
@@ -308,7 +270,7 @@ func countHistogramRangeEncoded(q *histQuery, acc *histAcc, lo, hi int) {
 		for x != 0 {
 			i := base + bits.TrailingZeros64(x)
 			x &= x - 1
-			acc.bump(int(math.Round(a*e.binValue(i) + b)))
+			acc.bump(int(math.Round(a*q.binValue(i) + b)))
 		}
 	}
 }

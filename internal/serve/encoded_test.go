@@ -215,18 +215,23 @@ func TestServeRejectsStringTileColumns(t *testing.T) {
 // TestEncodedMetricsZoneCounters: after one range-filtered histogram the
 // store section shows the filtered column's zone words accounted for —
 // whether the scan ran over the served table or over the in-process
-// shards' re-frozen partitions — and the exposition stays well-formed.
+// shards' partitions, frozen or read through views — and the exposition
+// stays well-formed. On the plain server, whose store section exists only
+// once a scan has built a view, a cold tile then moves the counters of
+// both coordinate columns.
 func TestEncodedMetricsZoneCounters(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		_, enc := newEncodedPair(t, Config{Workers: 1, Shards: shards})
-		const q = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 AND y <= 57.4 " +
-			"GROUP BY ROUND((x - 8.146) / 0.2) ORDER BY ROUND((x - 8.146) / 0.2)"
-		if resp, raw := postJSON(t, enc.URL+"/v1/query", QueryRequest{Session: "s1", SQL: q}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("shards=%d: query status %d body %s", shards, resp.StatusCode, raw)
+	for _, tc := range []struct {
+		name   string
+		plain  bool
+		shards int
+	}{{"encoded", false, 0}, {"encoded-shards", false, 2}, {"plain", true, 0}, {"plain-shards", true, 2}} {
+		plainTS, ts := newEncodedPair(t, Config{Workers: 1, Shards: tc.shards})
+		if tc.plain {
+			ts = plainTS
 		}
 		get := func(path string) []byte {
 			t.Helper()
-			r, err := http.Get(enc.URL + path)
+			r, err := http.Get(ts.URL + path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,29 +242,67 @@ func TestEncodedMetricsZoneCounters(t *testing.T) {
 			}
 			return buf.Bytes()
 		}
-		var st Stats
-		if err := json.Unmarshal(get("/metrics"), &st); err != nil {
-			t.Fatal(err)
+		// zoneWords returns each store column's decided + evaluated words.
+		zoneWords := func() (map[string]int64, Stats) {
+			t.Helper()
+			var st Stats
+			if err := json.Unmarshal(get("/metrics"), &st); err != nil {
+				t.Fatal(err)
+			}
+			words := map[string]int64{}
+			if st.Store != nil {
+				for _, c := range st.Store.Columns {
+					words[c.Name] = c.ZoneWordsSkipped + c.ZoneWordsFilled + c.ZoneWordsEvaluated
+				}
+			}
+			return words, st
 		}
-		wantWords := int64(0)
-		for _, c := range st.Store.Columns {
-			words := c.ZoneWordsSkipped + c.ZoneWordsFilled + c.ZoneWordsEvaluated
-			if c.Name == "y" {
-				wantWords = words
-			} else if words != 0 {
-				t.Fatalf("shards=%d: unfiltered column %q counts %d zone words", shards, c.Name, words)
+
+		const q = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 AND y <= 57.4 " +
+			"GROUP BY ROUND((x - 8.146) / 0.2) ORDER BY ROUND((x - 8.146) / 0.2)"
+		if resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Session: "s1", SQL: q}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: query status %d body %s", tc.name, resp.StatusCode, raw)
+		}
+		words, st := zoneWords()
+		if st.Store == nil {
+			t.Fatalf("%s: no store section after a range-filtered histogram", tc.name)
+		}
+		for name, n := range words {
+			if name != "y" && n != 0 {
+				t.Fatalf("%s: unfiltered column %q counts %d zone words", tc.name, name, n)
 			}
 		}
 		// One pass over y: every 64-row word of every partition, once.
-		if lo, hi := int64(testRows/64), int64(testRows/64+2); wantWords < lo || wantWords > hi {
-			t.Fatalf("shards=%d: column y counts %d zone words, want %d..%d", shards, wantWords, lo, hi)
+		lo, hi := int64(testRows/64), int64(testRows/64+2)
+		if words["y"] < lo || words["y"] > hi {
+			t.Fatalf("%s: column y counts %d zone words, want %d..%d", tc.name, words["y"], lo, hi)
+		}
+
+		if tc.plain {
+			// A cold tile scans the served table itself: latitude (y) then
+			// longitude (x), one pass each.
+			if r, err := http.Get(ts.URL + "/v1/tiles?session=s1&key=7/66/38"); err != nil || r.StatusCode != http.StatusOK {
+				t.Fatalf("%s: tile: %v %v", tc.name, r, err)
+			} else {
+				r.Body.Close()
+			}
+			var after map[string]int64
+			after, st = zoneWords()
+			if after["y"] != words["y"]+int64(testRows+63)/64 || after["x"] != int64(testRows+63)/64 {
+				t.Fatalf("%s: zone words after a cold tile y=%d x=%d, before y=%d", tc.name, after["y"], after["x"], words["y"])
+			}
+			for _, c := range st.Store.Columns {
+				if c.Encoding != "plain" || (c.Bytes > 0 && c.Ratio != 1) {
+					t.Fatalf("%s: view column %+v", tc.name, c)
+				}
+			}
 		}
 		if st.Store.ZoneBytes <= 0 || st.Store.EncodedBytes > st.Store.PlainBytes {
-			t.Fatalf("shards=%d: store bytes implausible: %+v", shards, st.Store)
+			t.Fatalf("%s: store bytes implausible: %+v", tc.name, st.Store)
 		}
 		prom := get("/metrics?format=prometheus")
 		if err := obsv.ValidateExposition(prom); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, series := range []string{
 			"idevald_colstore_zone_bytes",
@@ -268,7 +311,7 @@ func TestEncodedMetricsZoneCounters(t *testing.T) {
 			`idevald_colstore_zone_words_evaluated_total{column="y"}`,
 		} {
 			if !bytes.Contains(prom, []byte(series)) {
-				t.Fatalf("shards=%d: prometheus exposition lacks %s", shards, series)
+				t.Fatalf("%s: prometheus exposition lacks %s", tc.name, series)
 			}
 		}
 	}

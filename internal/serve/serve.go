@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,7 @@ import (
 	"repro/internal/datacube"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/morsel"
 	"repro/internal/obsv"
 	"repro/internal/opt"
 	"repro/internal/planner"
@@ -241,10 +243,9 @@ type Server struct {
 	prog         *progressive.Executor
 	brushMu      sync.Mutex
 	brushCache   *opt.ResultLRU
-	// storeTable is the frozen served table behind the /metrics store
-	// section; shardTables are the in-process shards' re-frozen partitions
-	// of it, which SQL scans in its place.
-	storeTable  *storage.Table
+	// shardTables are the in-process shards' partitions of the served
+	// table, which SQL scans in its place; the /metrics store section adds
+	// their zone counters to the served table's.
 	shardTables []*storage.Table
 
 	mux      *http.ServeMux
@@ -357,14 +358,11 @@ func New(b Backends, cfg Config) (*Server, error) {
 		if s.tileLat == nil || s.tileLng == nil {
 			return nil, fmt.Errorf("serve: tile table %q lacks columns %q/%q", b.Tiles.Name, b.TileLat, b.TileLng)
 		}
-		// The tile path reads coordinates through Float, which panics on
-		// string columns — reject the misconfiguration at build time
-		// instead of on the first tile request.
+		// The tile path range-filters the coordinates, which string
+		// columns cannot answer — reject the misconfiguration at build
+		// time instead of on the first tile request.
 		if s.tileLat.Type == storage.String || s.tileLng.Type == storage.String {
 			return nil, fmt.Errorf("serve: tile columns %q/%q of table %q must be numeric", b.TileLat, b.TileLng, b.Tiles.Name)
-		}
-		if colstore.IsFrozen(b.Tiles) {
-			s.storeTable = b.Tiles
 		}
 	}
 	if b.Cube != nil {
@@ -402,10 +400,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 		}
 		s.coord = coord
 		s.answer = s.answerGather
-		if s.storeTable != nil {
-			for i := 0; i < coord.NumShards(); i++ {
-				s.shardTables = append(s.shardTables, coord.Replica(i).Table)
-			}
+		for i := 0; i < coord.NumShards(); i++ {
+			s.shardTables = append(s.shardTables, coord.Replica(i).Table)
 		}
 	case cfg.Gatherer == nil && cfg.Shards <= 1:
 		if cfg.Planner && (b.Cube == nil || b.Tiles == nil) {
@@ -473,22 +469,35 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the online metrics registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// storeStats is the /metrics store section: the served table's encoding
-// breakdown, its columns' zone-word counters summed with those of the
-// shard partitions. Frozen columns answer in O(1), so a scrape costs
-// O(columns).
+// storeStats is the /metrics store section: the columns of the served
+// table that scans reach through colstore — every column of a frozen
+// table, the viewed ones of an unfrozen table — with their zone-word
+// counters summed with those of the shard partitions. Nil until there is
+// such a column, i.e. before an unfrozen table's first scan. Encodings and
+// views answer in O(1), so a scrape costs O(columns).
 func (s *Server) storeStats() *colstore.TableStats {
-	if s.storeTable == nil {
+	if s.tiles == nil {
 		return nil
 	}
-	st := colstore.StatsOf(s.storeTable)
+	st := colstore.StatsOf(s.tiles)
 	for _, t := range s.shardTables {
-		for i, sc := range colstore.StatsOf(t).Columns {
+		for _, sc := range colstore.StatsOf(t).Columns {
+			i := slices.IndexFunc(st.Columns, func(c colstore.ColumnStats) bool { return c.Name == sc.Name })
+			if i < 0 {
+				// Only the partitions have scanned this column so far.
+				i = len(st.Columns)
+				st.Columns = append(st.Columns, colstore.ColumnStats{
+					Name: sc.Name, Encoding: sc.Encoding, Ratio: sc.Ratio,
+				})
+			}
 			c := &st.Columns[i]
 			c.ZoneWordsSkipped += sc.ZoneWordsSkipped
 			c.ZoneWordsFilled += sc.ZoneWordsFilled
 			c.ZoneWordsEvaluated += sc.ZoneWordsEvaluated
 		}
+	}
+	if len(st.Columns) == 0 {
+		return nil
 	}
 	return &st
 }
@@ -1233,22 +1242,9 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	s.reg.recordTileMiss()
 
 	var count int64
-	admitted, err := rq.run(func(ctx context.Context) error {
-		latLo, latHi, lngLo, lngHi := tileBounds(tile)
-		n := s.tiles.NumRows()
-		for i := 0; i < n; i++ {
-			if i%tileScanCheck == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lat, lng := s.tileLat.Float(i), s.tileLng.Float(i)
-			if lat >= latLo && lat < latHi && lng >= lngLo && lng < lngHi {
-				count++
-			}
-		}
-		s.tileMu.Lock()
-		s.tileCache.Put(cacheKey, count)
-		s.tileMu.Unlock()
-		return nil
+	admitted, err := rq.run(func(ctx context.Context) (err error) {
+		count, err = s.scanTile(ctx, tile, cacheKey)
+		return err
 	})
 	if !admitted {
 		return
@@ -1260,9 +1256,46 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	rq.reply(TileResponse{Seq: seq, Key: tile.String(), Count: count}, seq, false)
 }
 
-// tileScanCheck is the tile scan's cancellation-check stride — one morsel's
-// worth of rows, matching the engine's granularity.
-const tileScanCheck = 16 * 1024
+// scanTile is the tile cache's miss path: count the tile's rows and cache
+// the count. A scan ctx cuts short caches nothing.
+func (s *Server) scanTile(ctx context.Context, tile widget.Tile, cacheKey string) (int64, error) {
+	latLo, latHi, lngLo, lngHi := tileBounds(tile)
+	count, err := s.boxCount(ctx, latLo, latHi, lngLo, lngHi)
+	if err != nil {
+		return 0, err
+	}
+	s.tileMu.Lock()
+	s.tileCache.Put(cacheKey, count)
+	s.tileMu.Unlock()
+	return count, nil
+}
+
+// boxCount counts the rows whose coordinates fall inside a tile's bounds
+// through the same zone step and kernels as the SQL fast path: per morsel,
+// one range pass over the latitude column, one ANDed over the longitude
+// column, and a popcount. A tile is half-open (>= lo, < hi), so each upper
+// bound moves one ULP inward to the kernels' closed form. ctx is checked
+// at every morsel boundary; a cancelled scan returns no count.
+func (s *Server) boxCount(ctx context.Context, latLo, latHi, lngLo, lngHi float64) (int64, error) {
+	lat, okLat := colstore.ViewOf(s.tileLat)
+	lng, okLng := colstore.ViewOf(s.tileLng)
+	if !okLat || !okLng {
+		return 0, fmt.Errorf("serve: tile columns of table %q have no colstore form", s.tiles.Name)
+	}
+	_, latMax := colstore.RangeFromOp("<", latHi)
+	_, lngMax := colstore.RangeFromOp("<", lngHi)
+	n := s.tiles.NumRows()
+	sel := colstore.NewBitmap(n)
+	var count int64
+	if err := morsel.RunCtx(ctx, n, 1, func(_, _, lo, hi int) {
+		lat.FilterRange(latLo, latMax, lo, hi, sel, false)
+		lng.FilterRange(lngLo, lngMax, lo, hi, sel, true)
+		count += int64(sel.CountRange(lo, hi))
+	}); err != nil {
+		return 0, err
+	}
+	return count, nil
+}
 
 // --- /metrics, /healthz, /readyz --------------------------------------------
 

@@ -341,20 +341,24 @@ func TestBrushCoalescing(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, ExecDelay: 80 * time.Millisecond})
 
-	started := make(chan struct{})
 	var inflightStatus int
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		close(started)
 		resp, _ := postJSON(t, ts.URL+"/v1/brush", BrushRequest{
 			Session: "drainer", Seq: 0, Ranges: []*[2]float64{nil, nil, nil},
 		})
 		inflightStatus = resp.StatusCode
 	}()
-	<-started
-	time.Sleep(20 * time.Millisecond) // let the brush reach the worker
+	// Drain only once the worker holds the brush: a Drain that wins the
+	// race refuses the request it is meant to wait for.
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Inflight != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the brush never reached the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // ColumnDef describes one column of a schema.
@@ -57,6 +58,29 @@ type Column struct {
 	// Enc, when non-nil, is the column's frozen encoded representation.
 	// Frozen columns are immutable: append returns an error.
 	Enc Encoded
+
+	// view caches the zero-copy Encoded wrapper scans read an unfrozen
+	// column's raw slice through (colstore.ViewOf builds it). It holds the
+	// slice header of the moment it was built, so append drops it.
+	view atomic.Pointer[Encoded]
+}
+
+// View returns the cached scan view of an unfrozen column, or nil when
+// none has been built since the last append.
+func (c *Column) View() Encoded {
+	if p := c.view.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// CacheView installs v as the column's scan view unless a concurrent
+// caller already installed one, and returns the view that is cached.
+func (c *Column) CacheView(v Encoded) Encoded {
+	if c.view.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return c.View()
 }
 
 // Len returns the number of values in the column.
@@ -121,6 +145,9 @@ func (c *Column) FloatAt(i int) (float64, error) {
 func (c *Column) append(v Value) error {
 	if c.Enc != nil {
 		return fmt.Errorf("storage: column is frozen (encoded columns are immutable)")
+	}
+	if c.view.Load() != nil {
+		c.view.Store(nil) // the view wraps the pre-append slice
 	}
 	if v.Type != c.Type {
 		// Permit int → float widening so generators can be sloppy about
