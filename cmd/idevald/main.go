@@ -227,7 +227,16 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 	// moment /readyz first answers must drain, not kill by default action.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:    addr,
+		Handler: srv.Handler(),
+		// A client that never finishes its headers, or parks an idle
+		// keep-alive connection, must not hold a goroutine and a
+		// descriptor for ever. No read or write timeout: bodies are capped
+		// by the handlers and replies are bounded by the request deadline.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "idevald: serving %s on %s\n", ds, addr)

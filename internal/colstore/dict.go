@@ -93,15 +93,16 @@ func (c *DictColumn) CodeSpan() uint64 {
 func (c *DictColumn) DecodeFloat(code uint64) float64 { return c.keyFloat(int(code)) }
 
 // CodeRange maps [lo, hi] to the inclusive code interval whose values fall
-// in the range. NaN bounds produce an empty interval (both searches fail
-// their NaN comparison), matching the select-nothing contract.
+// in the range. NaN bounds produce an empty interval — a NaN lo fails
+// every `>= lo` and puts l at the end, a NaN hi fails every `<= hi` and
+// puts h at the start — matching the select-nothing contract.
 func (c *DictColumn) CodeRange(lo, hi float64) (cLo, cHi uint64, ok bool) {
 	if c.typ == storage.String {
 		panic("colstore: CodeRange on a TEXT column")
 	}
 	n := c.card()
 	l := sort.Search(n, func(k int) bool { return c.keyFloat(k) >= lo })
-	h := sort.Search(n, func(k int) bool { return c.keyFloat(k) > hi })
+	h := sort.Search(n, func(k int) bool { return !(c.keyFloat(k) <= hi) })
 	if l >= h {
 		return 0, 0, false
 	}

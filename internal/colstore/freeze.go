@@ -350,6 +350,15 @@ type ColumnStats struct {
 	ZoneWordsSkipped   int64 `json:"zone_words_skipped,omitempty"`
 	ZoneWordsFilled    int64 `json:"zone_words_filled,omitempty"`
 	ZoneWordsEvaluated int64 `json:"zone_words_evaluated,omitempty"`
+
+	// SketchBytes is the column's sketch (plain numeric columns, once a
+	// range filter has built it), resident beside Bytes; the SketchRows
+	// counters split the rows of the words zones left undecided into those
+	// FilterRange decided from the one-byte code and those it went on to
+	// compare by value.
+	SketchBytes       int64 `json:"sketch_bytes,omitempty"`
+	SketchRowsDecided int64 `json:"sketch_rows_decided,omitempty"`
+	SketchRowsRefined int64 `json:"sketch_rows_refined,omitempty"`
 }
 
 // TableStats aggregates per-column footprints; Ratio is the table-level
@@ -361,14 +370,15 @@ type TableStats struct {
 	EncodedBytes int64         `json:"encoded_bytes"`
 	PlainBytes   int64         `json:"plain_bytes"`
 	ZoneBytes    int64         `json:"zone_bytes"`
+	SketchBytes  int64         `json:"sketch_bytes"`
 	Ratio        float64       `json:"ratio"`
 }
 
-// StatsOf reports the byte footprint and zone counters of every column a
-// scan can reach through colstore: all of a frozen table's, and of an
-// unfrozen table those with a live view (see ViewOf — encoding "plain",
-// ratio 1). It reads what exists and builds nothing, so a scrape costs
-// O(columns) and a table nothing has scanned yet reports no columns.
+// StatsOf reports the byte footprint and the zone and sketch counters of
+// every column a scan can reach through colstore: all of a frozen table's,
+// and of an unfrozen table those with a live view (see ViewOf — encoding
+// "plain", ratio 1). It reads what exists and builds nothing, so a scrape
+// costs O(columns) and a table nothing has scanned yet reports no columns.
 func StatsOf(t *storage.Table) TableStats {
 	st := TableStats{Table: t.Name, Rows: t.NumRows()}
 	for i, col := range t.Columns {
@@ -382,12 +392,13 @@ func StatsOf(t *storage.Table) TableStats {
 			Bytes:      enc.EncodedBytes(),
 			PlainBytes: enc.PlainBytes(),
 		}
-		var zm *ZoneMap // read in place: a scrape must not build one
+		var zm *ZoneMap // read in place: a scrape must not build one,
+		var sk *Sketch  // nor a sketch
 		switch c := enc.(type) {
 		case *PlainFloats:
-			zm = &c.zm
+			zm, sk = &c.zm, c.sk.p.Load()
 		case *PlainInts:
-			zm = &c.zm
+			zm, sk = &c.zm, c.sk.p.Load()
 		case *ForColumn:
 			zm = &c.zm
 			cs.BitWidth = c.codes.Width()
@@ -402,6 +413,10 @@ func StatsOf(t *storage.Table) TableStats {
 			cs.ZoneBytes = zoneBytes(enc.Len())
 			cs.ZoneWordsSkipped, cs.ZoneWordsFilled, cs.ZoneWordsEvaluated = zm.Words()
 		}
+		if sk != nil {
+			cs.SketchBytes = sk.bytes()
+			cs.SketchRowsDecided, cs.SketchRowsRefined = sk.Rows()
+		}
 		if cs.Bytes > 0 {
 			cs.Ratio = float64(cs.PlainBytes) / float64(cs.Bytes)
 		}
@@ -409,6 +424,7 @@ func StatsOf(t *storage.Table) TableStats {
 		st.EncodedBytes += cs.Bytes
 		st.PlainBytes += cs.PlainBytes
 		st.ZoneBytes += cs.ZoneBytes
+		st.SketchBytes += cs.SketchBytes
 	}
 	if st.EncodedBytes > 0 {
 		st.Ratio = float64(st.PlainBytes) / float64(st.EncodedBytes)

@@ -12,6 +12,7 @@ import (
 type PlainFloats struct {
 	vals []float64
 	zm   ZoneMap
+	sk   lazySketch
 }
 
 // NewPlainFloats wraps a float64 slice (borrowed, not copied).
@@ -30,7 +31,7 @@ func (c *PlainFloats) PlainBytes() int64         { return int64(len(c.vals)) * 8
 func (c *PlainFloats) RawFloats() []float64 { return c.vals }
 
 func (c *PlainFloats) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bool) {
-	c.zones().filter(lo, hi, r0, r1, dst, and, func(u0, u1 int) {
+	filterSketched(c.sketch(), c.zones(), lo, hi, r0, r1, dst, and, func(u0, u1 int, and bool) {
 		filterFloats(c.vals, lo, hi, u0, u1, dst, and)
 	})
 }
@@ -42,6 +43,7 @@ func (c *PlainFloats) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and b
 type PlainInts struct {
 	vals []int64
 	zm   ZoneMap
+	sk   lazySketch
 }
 
 // NewPlainInts wraps an int64 slice (borrowed, not copied).
@@ -57,7 +59,7 @@ func (c *PlainInts) Type() storage.Type        { return storage.Int64 }
 func (c *PlainInts) PlainBytes() int64         { return int64(len(c.vals)) * 8 }
 
 func (c *PlainInts) FilterRange(lo, hi float64, r0, r1 int, dst *Bitmap, and bool) {
-	c.zones().filter(lo, hi, r0, r1, dst, and, func(u0, u1 int) {
+	filterSketched(c.sketch(), c.zones(), lo, hi, r0, r1, dst, and, func(u0, u1 int, and bool) {
 		filterInts(c.vals, lo, hi, u0, u1, dst, and)
 	})
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"repro/internal/colstore"
@@ -39,6 +40,24 @@ type histQuery struct {
 	binEnc   colstore.Column
 	binZones *colstore.ZoneMap
 	binRaw   []float64 // the bin column's raw slice when it has one
+
+	// When the bin column has a sketch: its per-row bucket codes, and per
+	// bucket the dense-window slot every row of the bucket bins to, or -1
+	// where the bucket straddles a bin edge and rows must be decoded.
+	binCodes []uint8
+	binSlot  []int16
+}
+
+// denseSlot returns the dense-window slot shared by every value in
+// [vmin, vmax]: round(a·v + b) is monotone in v, so when both ends round to
+// one bin inside the window everything between does. NaN bounds, a range
+// spanning a bin edge and bins outside the window report false.
+func (q *histQuery) denseSlot(vmin, vmax float64) (int, bool) {
+	bin := math.Round(q.bin.a*vmin + q.bin.b)
+	if bin == math.Round(q.bin.a*vmax+q.bin.b) && bin >= -fastBinOffset && bin < fastBinOffset {
+		return int(bin) + fastBinOffset, true
+	}
+	return 0, false
 }
 
 // binValue is the bin column's float64 image of row i.
@@ -68,11 +87,22 @@ func (q *histQuery) compile() bool {
 	if fs, ok := q.binEnc.(colstore.FloatSlice); ok {
 		q.binRaw = fs.RawFloats()
 	}
+	if sk := colstore.SketchOf(q.binEnc); sk != nil {
+		q.binCodes = sk.Codes()
+		q.binSlot = make([]int16, sk.Buckets())
+		for k := range q.binSlot {
+			q.binSlot[k] = -1
+			if slot, ok := q.denseSlot(sk.Bounds(k)); ok {
+				q.binSlot[k] = int16(slot)
+			}
+		}
+	}
 	// Most-selective predicate first: the later AND passes only touch rows
 	// still selected, so running the narrowest range first collapses the
 	// bitmap early and the rest of the conjunction rides the sparse path.
 	// The code-space fraction is a free selectivity estimate for coded
-	// columns; plain columns (estimate 1.0) keep their written order.
+	// columns, the sketch's bucket counts for plain ones; a column with
+	// neither (estimate 1.0) keeps its written order.
 	sort.SliceStable(q.preds, func(i, j int) bool {
 		return q.preds[i].estSelectivity() < q.preds[j].estSelectivity()
 	})
@@ -80,11 +110,15 @@ func (q *histQuery) compile() bool {
 }
 
 // estSelectivity estimates the fraction of rows a predicate keeps: the
-// selected share of the column's code space when it is coded, 1.0
+// selected share of the column's code space when it is coded, the share of
+// rows in the sketch buckets the range touches when it is sketched, 1.0
 // (unknown) otherwise.
 func (p *rangePred) estSelectivity() float64 {
 	coded, ok := p.enc.(colstore.Coded)
 	if !ok {
+		if sk := colstore.SketchOf(p.enc); sk != nil {
+			return sk.EstimateRange(p.lo, p.hi)
+		}
 		return 1
 	}
 	cLo, cHi, ok := coded.CodeRange(p.lo, p.hi)
@@ -132,14 +166,14 @@ func (e *Engine) matchHistogram(stmt *sql.SelectStmt) (*histQuery, bool) {
 	if !ok || round.Name != "ROUND" || len(round.Args) != 1 {
 		return nil, false
 	}
-	if stmt.GroupBy[0].String() != stmt.Items[0].Expr.String() {
+	if !sql.Equal(stmt.GroupBy[0], round) {
 		return nil, false
 	}
 	if len(stmt.OrderBy) > 1 {
 		return nil, false
 	}
 	if len(stmt.OrderBy) == 1 &&
-		(stmt.OrderBy[0].Desc || stmt.OrderBy[0].Expr.String() != stmt.Items[0].Expr.String()) {
+		(stmt.OrderBy[0].Desc || !sql.Equal(stmt.OrderBy[0].Expr, round)) {
 		return nil, false
 	}
 

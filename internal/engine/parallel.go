@@ -243,8 +243,12 @@ func countHistogram(ctx context.Context, q *histQuery, n int, accs []*histAcc) (
 // when the bin column's zone minimum and maximum land in the same bin
 // every row of the word does, and the word costs one popcount; a zone that
 // spans a bin edge, holds a NaN (NaN != NaN) or bins outside the dense
-// window decodes its surviving rows one by one. Kernels leave bits past hi
-// zero in the final partial word, so the word walk needs no tail guard.
+// window walks its surviving rows one by one. When the bin column has a
+// sketch the same rule has been applied per bucket (compile): a row whose
+// bucket falls in one bin costs a byte read and a counter bump, and only
+// rows of buckets that straddle a bin edge are decoded and rounded.
+// Kernels leave bits past hi zero in the final partial word, so the word
+// walk needs no tail guard.
 // [lo, hi) is a morsel range, so lo is 64-aligned as the kernels require.
 func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
 	a, b := q.bin.a, q.bin.b
@@ -261,15 +265,20 @@ func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
 		if x == 0 {
 			continue
 		}
-		zmin, zmax := q.binZones.Bounds(w)
-		if bin := math.Round(a*zmin + b); bin == math.Round(a*zmax+b) && bin >= -fastBinOffset && bin < fastBinOffset {
-			acc.dense[int(bin)+fastBinOffset] += int64(bits.OnesCount64(x))
+		if slot, ok := q.denseSlot(q.binZones.Bounds(w)); ok {
+			acc.dense[slot] += int64(bits.OnesCount64(x))
 			continue
 		}
 		base := w << 6
 		for x != 0 {
 			i := base + bits.TrailingZeros64(x)
 			x &= x - 1
+			if q.binCodes != nil {
+				if slot := q.binSlot[q.binCodes[i]]; slot >= 0 {
+					acc.dense[slot]++
+					continue
+				}
+			}
 			acc.bump(int(math.Round(a*q.binValue(i) + b)))
 		}
 	}

@@ -156,9 +156,20 @@ func lit(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
+// sketchOf builds the sketch the first n rows of a fixture column get
+// behind their view (nil when they admit none), for placing bin edges.
+func (f *viewFixture) sketchOf(name string, n int) *colstore.Sketch {
+	if vals, ok := f.floats[name]; ok {
+		return colstore.SketchOf(colstore.NewPlainFloats(vals[:n]))
+	}
+	return colstore.SketchOf(colstore.NewPlainInts(f.ints[name][:n]))
+}
+
 // randomStatement draws one histogram-shaped statement over the first n
 // rows: a bin expression over any column (in-window, sparse, negative
-// slope) and 0–3 predicates — closed, strict, one-sided, point, empty and
+// slope, and — on a sketched column — bin edges set exactly on an occupied
+// bucket's observed bound, inside a bucket, and bins narrower than a
+// bucket) and 0–3 predicates — closed, strict, one-sided, point, empty and
 // inverted ranges, half of the bounds set exactly onto a row's value.
 // generic reports whether the row-at-a-time path orders every value the
 // statement touches the way the fast path does (no NaN, no ±Inf).
@@ -181,7 +192,40 @@ func (f *viewFixture) randomStatement(rng *rand.Rand, n int) (fast, forcedGeneri
 		w = 1
 	}
 	var bin string
-	switch rng.Intn(4) {
+	variant := rng.Intn(7)
+	// The edge variants need a bucket to aim at: k is an occupied one.
+	var sk *colstore.Sketch
+	k := 0
+	if variant >= 4 {
+		if sk = f.sketchOf(bc.name, n); sk == nil {
+			variant -= 4
+		} else {
+			for k = rng.Intn(sk.Buckets()); ; k = (k + 1) % sk.Buckets() {
+				if bmin, bmax := sk.Bounds(k); bmin <= bmax {
+					break
+				}
+			}
+		}
+	}
+	switch variant {
+	case 4, 5, 6:
+		// ROUND((v − off) / w) changes bin where v = off + w/2: put that
+		// edge on the bucket's minimum or maximum (4), at its middle (5),
+		// or on the minimum with bins a fifth of a bucket wide, so every
+		// bucket straddles edges (6). A value sitting on an edge is where
+		// the fast path's a·v + b and the generic path's (v − off) / w may
+		// round to different sides, so these statements are held to the
+		// scalar reference only.
+		generic = false
+		bmin, bmax := sk.Bounds(k)
+		edge := []float64{bmin, bmax}[rng.Intn(2)]
+		if variant == 5 {
+			edge = bmin + (bmax-bmin)/2
+		}
+		if variant == 6 {
+			w = (bc.hi - bc.lo) / float64(5*sk.Buckets())
+		}
+		bin = fmt.Sprintf("ROUND((%s - %s) / %s)", bc.name, lit(edge-w/2), lit(w))
 	case 0:
 		bin = fmt.Sprintf("ROUND((%s - %s) / %s)", bc.name, lit(bc.lo), lit(w))
 	case 1:
@@ -325,7 +369,7 @@ func TestViewHistogramMatchesScalarReference(t *testing.T) {
 
 // TestViewSeesAppendedRows: a view holds the slice header of the moment it
 // was built, so an append must drop it. Two goroutines race the first
-// statement (view creation and the zone sync.Once under -race); rows
+// statement (view creation and the zone and sketch sync.Once under -race); rows
 // appended afterwards land in the old last word — whose zone was built over
 // 40 rows — and in a new bin, and the next statement must count them.
 func TestViewSeesAppendedRows(t *testing.T) {
@@ -371,6 +415,10 @@ func TestViewSeesAppendedRows(t *testing.T) {
 	}
 	wg.Wait()
 	old, _ := colstore.ViewOf(tbl.Column("v"))
+	oldSketch := colstore.SketchOf(old)
+	if oldSketch == nil || len(oldSketch.Codes()) != 1024 {
+		t.Fatalf("the first statement left the bin column without a 1000-row sketch: %v", oldSketch)
+	}
 
 	for i := 0; i < 200; i++ {
 		tbl.MustAppendRow(storage.NewFloat(50+float64(i%3)), storage.NewInt(2))
@@ -378,6 +426,13 @@ func TestViewSeesAppendedRows(t *testing.T) {
 	view, ok := colstore.ViewOf(tbl.Column("v"))
 	if !ok || view == old || view.Len() != 1200 {
 		t.Fatalf("view after append: ok=%v same=%v len=%d", ok, view == old, view.Len())
+	}
+	// The sketch went with the view: the new one codes all 1200 rows, the
+	// appended 50–52 among them (the old maximum was below 10).
+	if sk := colstore.SketchOf(view); sk == nil || sk == oldSketch || len(sk.Codes()) != 1216 {
+		t.Fatalf("sketch after append: %v (old %p)", sk, oldSketch)
+	} else if _, max := sk.Bounds(sk.Buckets() - 1); max != 52 {
+		t.Fatalf("sketch after append tops out at %v, want 52", max)
 	}
 	after := reference()
 	if len(after) != len(before)+3 {

@@ -81,6 +81,16 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 		p.CounterVec("colstore_zone_words_skipped_total", "64-row words a range filter decided empty from the zone map.", "column", skipped)
 		p.CounterVec("colstore_zone_words_filled_total", "64-row words a range filter decided full from the zone map.", "column", filled)
 		p.CounterVec("colstore_zone_words_evaluated_total", "64-row words a range filter compared row by row.", "column", evaluated)
+		p.Gauge("colstore_sketch_bytes", "Resident bytes of the column sketches built so far (one code byte per row of a plain column a statement has filtered or binned).", float64(st.Store.SketchBytes))
+		decided, refined := map[string]float64{}, map[string]float64{}
+		for _, c := range st.Store.Columns {
+			if c.SketchBytes > 0 {
+				decided[c.Name] = float64(c.SketchRowsDecided)
+				refined[c.Name] = float64(c.SketchRowsRefined)
+			}
+		}
+		p.CounterVec("colstore_sketch_rows_decided_total", "Rows of zone-undecided words a range filter decided from their sketch code.", "column", decided)
+		p.CounterVec("colstore_sketch_rows_refined_total", "Rows in a sketch bucket cut by a bound, compared by value.", "column", refined)
 	}
 
 	if st.Planner != nil {

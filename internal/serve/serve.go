@@ -245,7 +245,7 @@ type Server struct {
 	brushCache   *opt.ResultLRU
 	// shardTables are the in-process shards' partitions of the served
 	// table, which SQL scans in its place; the /metrics store section adds
-	// their zone counters to the served table's.
+	// their zone and sketch counters to the served table's.
 	shardTables []*storage.Table
 
 	mux      *http.ServeMux
@@ -472,9 +472,10 @@ func (s *Server) Registry() *Registry { return s.reg }
 // storeStats is the /metrics store section: the columns of the served
 // table that scans reach through colstore — every column of a frozen
 // table, the viewed ones of an unfrozen table — with their zone-word
-// counters summed with those of the shard partitions. Nil until there is
-// such a column, i.e. before an unfrozen table's first scan. Encodings and
-// views answer in O(1), so a scrape costs O(columns).
+// counters and sketches summed with those of the shard partitions (which
+// build their own sketches, on their own first range filter). Nil until
+// there is such a column, i.e. before an unfrozen table's first scan.
+// Encodings and views answer in O(1), so a scrape costs O(columns).
 func (s *Server) storeStats() *colstore.TableStats {
 	if s.tiles == nil {
 		return nil
@@ -494,6 +495,10 @@ func (s *Server) storeStats() *colstore.TableStats {
 			c.ZoneWordsSkipped += sc.ZoneWordsSkipped
 			c.ZoneWordsFilled += sc.ZoneWordsFilled
 			c.ZoneWordsEvaluated += sc.ZoneWordsEvaluated
+			c.SketchBytes += sc.SketchBytes
+			c.SketchRowsDecided += sc.SketchRowsDecided
+			c.SketchRowsRefined += sc.SketchRowsRefined
+			st.SketchBytes += sc.SketchBytes
 		}
 	}
 	if len(st.Columns) == 0 {
@@ -636,7 +641,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Session == "" || req.SQL == "" {
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Session == "" || req.SQL == "" {
 		httpError(w, http.StatusBadRequest, "want JSON {session, seq, sql}")
 		return
 	}
@@ -787,7 +795,10 @@ func (s *Server) handleBrush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BrushRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Session == "" {
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Session == "" {
 		httpError(w, http.StatusBadRequest, "want JSON {session, seq, ranges, moved}")
 		return
 	}
@@ -1362,6 +1373,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes bounds a /v1 POST body. The largest legitimate one is a
+// SQL statement of a few hundred bytes; the bound is there so that a
+// client cannot make the server buffer an arbitrary one.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a /v1 POST body into req, reading at most
+// maxBodyBytes of it, and reports whether it parsed. When it did not the
+// reply is written: 413 for an oversized body, else 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
+	default:
+		return true
+	}
+	return false
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -480,3 +480,38 @@ func TestTileCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache hits=%d misses=%d, want 0/2", st.TileCacheHits, st.TileCacheMiss)
 	}
 }
+
+// An oversized body is refused with 413 before any of it is decoded into a
+// request: nothing is issued, and a body just under the bound still gets
+// the handler's own answer.
+func testBodyBound(t *testing.T, path string, fits func(pad string) any) {
+	t.Helper()
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	resp, body := postJSON(t, ts.URL+path, fits(strings.Repeat("x", maxBodyBytes)))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized %s: status %d, body %s", path, resp.StatusCode, body)
+	}
+	if st := srv.Stats(); st.Issued != 0 {
+		t.Fatalf("oversized %s was issued (%d)", path, st.Issued)
+	}
+	resp, body = postJSON(t, ts.URL+path, fits(strings.Repeat("x", maxBodyBytes-1024)))
+	if resp.StatusCode == http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s refused a body under the bound: %s", path, body)
+	}
+	resp, body = postJSON(t, ts.URL+path, fits("s1"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s after the refusals: status %d, body %s", path, resp.StatusCode, body)
+	}
+}
+
+func TestQueryBodyBound(t *testing.T) {
+	testBodyBound(t, "/v1/query", func(pad string) any {
+		return QueryRequest{Session: pad, SQL: "SELECT COUNT(*) FROM dataroad"}
+	})
+}
+
+func TestBrushBodyBound(t *testing.T) {
+	testBodyBound(t, "/v1/brush", func(pad string) any {
+		return BrushRequest{Session: pad, Ranges: []*[2]float64{{9, 10.5}, nil, nil}}
+	})
+}

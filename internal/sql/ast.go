@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -238,6 +239,42 @@ func (s *SelectStmt) String() string {
 		fmt.Fprintf(&sb, " OFFSET %d", s.Offset)
 	}
 	return sb.String()
+}
+
+// Equal reports whether two expressions are the same tree: the same node
+// kinds, operators, names and literal values in the same places. Number
+// literals compare by the number they denote, so `5` equals `5.0`; two
+// integer literals must also agree as integers (past 2^53 their float
+// images collide). It compares the value nodes the parser builds; a nil or
+// pointer node equals nothing.
+func Equal(a, b Expr) bool {
+	switch x := a.(type) {
+	case ColumnRef:
+		y, ok := b.(ColumnRef)
+		return ok && x == y
+	case NumberLit:
+		y, ok := b.(NumberLit)
+		return ok && x.Value == y.Value && (!x.IsInt || !y.IsInt || x.Int == y.Int)
+	case StringLit:
+		y, ok := b.(StringLit)
+		return ok && x == y
+	case Star:
+		_, ok := b.(Star)
+		return ok
+	case BinaryExpr:
+		y, ok := b.(BinaryExpr)
+		return ok && x.Op == y.Op && Equal(x.Left, y.Left) && Equal(x.Right, y.Right)
+	case UnaryExpr:
+		y, ok := b.(UnaryExpr)
+		return ok && x.Op == y.Op && Equal(x.Expr, y.Expr)
+	case FuncCall:
+		y, ok := b.(FuncCall)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Args, y.Args, Equal)
+	case BetweenExpr:
+		y, ok := b.(BetweenExpr)
+		return ok && Equal(x.Expr, y.Expr) && Equal(x.Lo, y.Lo) && Equal(x.Hi, y.Hi)
+	}
+	return false
 }
 
 // Walk visits every expression node in the tree rooted at e, depth-first,

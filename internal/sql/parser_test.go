@@ -297,3 +297,30 @@ func TestSelectStar(t *testing.T) {
 		t.Error("Star lost in String()")
 	}
 }
+
+// TestEqualAgreesWithRendering: Equal replaces comparing String() output
+// in the engine's histogram matcher, so over parsed expressions the two
+// must agree pair by pair — including `5` against `5.0`, which render
+// alike and denote the same number.
+func TestEqualAgreesWithRendering(t *testing.T) {
+	srcs := []string{
+		"x", "y", "t.x", "5", "5.0", "5.5", "9007199254740992", "9007199254740993", "'x'", "'y'",
+		"-x", "NOT x", "x + 1", "1 + x", "x - 1", "(x - 8.146) / 0.2", "(x - 8.146) / 0.25", "(y - 8.146) / 0.2",
+		"ROUND((x - 8.146) / 0.2)", "ROUND((x - 8.146) / 0.20)", "ROUND(x)", "ROUND(x, 1)", "SUM(x)",
+		"COUNT(*)", "COUNT(x)", "x BETWEEN 1 AND 2", "x BETWEEN 1 AND 3", "x >= 1 AND x <= 2", "x >= 1 OR x <= 2",
+	}
+	exprs := make([]Expr, len(srcs))
+	for i, src := range srcs {
+		exprs[i] = MustParse("SELECT " + src + " FROM t").Items[0].Expr
+	}
+	for i, a := range exprs {
+		for j, b := range exprs {
+			if got, want := Equal(a, b), a.String() == b.String(); got != want {
+				t.Errorf("Equal(%s, %s) = %v, renderings equal = %v", srcs[i], srcs[j], got, want)
+			}
+		}
+	}
+	if Equal(nil, nil) || Equal(exprs[0], nil) || Equal(&BinaryExpr{Op: "+"}, &BinaryExpr{Op: "+"}) {
+		t.Error("nil or pointer nodes compared equal")
+	}
+}
