@@ -171,7 +171,7 @@ func BenchmarkFig13LatencySeries(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				lcv = res.LCVPercent()
+				lcv = res.LCVFraction()
 			}
 			b.ReportMetric(lcv*100, "lcv_%")
 		})
@@ -193,7 +193,7 @@ func BenchmarkFig14QIF(b *testing.B) {
 	b.ReportMetric(qif.PerSecond, "queries/s")
 }
 
-func BenchmarkFig15LCVPercent(b *testing.B) {
+func BenchmarkFig15LCVFraction(b *testing.B) {
 	fixtures()
 	events := fixEvents["touch"]
 	eng := engine.New(engine.ProfileMemory)
@@ -206,7 +206,7 @@ func BenchmarkFig15LCVPercent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pct = res.LCVPercent()
+		pct = res.LCVFraction()
 	}
 	b.ReportMetric(pct*100, "lcv_%")
 }

@@ -33,9 +33,12 @@
 // -router N runs the dataset as N supervised shard child processes instead
 // of in-process shards: each child is this same binary re-exec'd (it
 // detects child mode via the environment before flag parsing), rebuilding
-// its partition deterministically and serving raw partial histograms — as
-// binary frames over one persistent connection per child — that the parent
-// gathers and merges. Children are health-checked, restarted
+// its partition deterministically and answering what an in-process shard
+// answers — a brush's partial histograms, a histogram-shaped SQL
+// statement's (bin, count) rows — as binary frames over one persistent
+// connection per child, which the parent gathers and merges. The parent
+// holds no table, so a statement with no merge law and /v1/tiles answer
+// 501 there. Children are health-checked, restarted
 // with capped jittered backoff, and parked dark after crash-looping;
 // /readyz reports the per-shard breakdown. -routerreplicas 2 adds a warm
 // replica per shard for hedged gathers. With -snapshotdir, each child
@@ -143,7 +146,8 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 	var backends serve.Backends
 	if routerN > 1 {
 		// Multi-process mode: the dataset lives in the children, not here.
-		// The parent only needs the global dims to validate and merge.
+		// The parent only needs the global dims to validate and merge; the
+		// fleet answers brushes and histogram statements as a Gatherer.
 		if shards > 1 || planOn {
 			return fmt.Errorf("-router is mutually exclusive with -shards and -planner")
 		}

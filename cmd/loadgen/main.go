@@ -157,7 +157,7 @@ func printReport(r *serve.LoadReport) {
 	fmt.Printf("server:         executed %d  coalesced %d  shed %d  errors %d\n",
 		s.Executed, s.Coalesced, s.Shed, s.Errors)
 	fmt.Printf("frontend:       LCV %d (%.1f%% of issued)  over-constraint(%.*fms) %d\n",
-		s.LCV, 100*s.LCVPercent, 0, s.ConstraintMS, s.OverConstraint)
+		s.LCV, 100*s.LCVFraction, 0, s.ConstraintMS, s.OverConstraint)
 	fmt.Printf("latency:        p50 %.1fms  p95 %.1fms  p99 %.1fms (client-observed)\n",
 		r.P50MS, r.P95MS, r.P99MS)
 	fmt.Printf("responses:      %d/%d (ok %d, shed %d, errors %d)\n",
@@ -183,35 +183,35 @@ func printReport(r *serve.LoadReport) {
 
 // benchSummary is the -json report schema.
 type benchSummary struct {
-	Users      int     `json:"users"`
-	Issued     int     `json:"issued"`
-	Executed   int64   `json:"executed"`
-	Coalesced  int64   `json:"coalesced"`
-	Shed       int64   `json:"shed"`
-	QIFPerSec  float64 `json:"qif_per_sec"`
-	LCVPercent float64 `json:"lcv_percent"`
-	P50MS      float64 `json:"p50_ms"`
-	P95MS      float64 `json:"p95_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	WallMS     float64 `json:"wall_ms"`
-	Retries    int     `json:"client_retries"`
-	Giveups    int     `json:"client_giveups"`
+	Users       int     `json:"users"`
+	Issued      int     `json:"issued"`
+	Executed    int64   `json:"executed"`
+	Coalesced   int64   `json:"coalesced"`
+	Shed        int64   `json:"shed"`
+	QIFPerSec   float64 `json:"qif_per_sec"`
+	LCVFraction float64 `json:"lcv_fraction"`
+	P50MS       float64 `json:"p50_ms"`
+	P95MS       float64 `json:"p95_ms"`
+	P99MS       float64 `json:"p99_ms"`
+	WallMS      float64 `json:"wall_ms"`
+	Retries     int     `json:"client_retries"`
+	Giveups     int     `json:"client_giveups"`
 }
 
 func summary(r *serve.LoadReport) benchSummary {
 	return benchSummary{
-		Users:      len(r.Users),
-		Issued:     r.Issued,
-		Executed:   r.Server.Executed,
-		Coalesced:  r.Server.Coalesced,
-		Shed:       r.Server.Shed,
-		QIFPerSec:  r.QIFPerSec,
-		LCVPercent: r.Server.LCVPercent,
-		P50MS:      r.P50MS,
-		P95MS:      r.P95MS,
-		P99MS:      r.P99MS,
-		WallMS:     float64(r.Wall) / float64(time.Millisecond),
-		Retries:    r.Retries,
-		Giveups:    r.Giveups,
+		Users:       len(r.Users),
+		Issued:      r.Issued,
+		Executed:    r.Server.Executed,
+		Coalesced:   r.Server.Coalesced,
+		Shed:        r.Server.Shed,
+		QIFPerSec:   r.QIFPerSec,
+		LCVFraction: r.Server.LCVFraction,
+		P50MS:       r.P50MS,
+		P95MS:       r.P95MS,
+		P99MS:       r.P99MS,
+		WallMS:      float64(r.Wall) / float64(time.Millisecond),
+		Retries:     r.Retries,
+		Giveups:     r.Giveups,
 	}
 }

@@ -72,7 +72,7 @@ func main() {
 				med := metrics.Percentile(metrics.Durations(res.Latency), 50)
 				fmt.Printf("%-34s %8d %8d %8.0fms %7.1f%%\n",
 					dev.Name+"/"+profile.Name+"/"+policy,
-					res.Offered, res.Executed, med, res.LCVPercent()*100)
+					res.Offered, res.Executed, med, res.LCVFraction()*100)
 			}
 		}
 		fmt.Println()

@@ -65,7 +65,7 @@ func main() {
 		}
 		lat := metrics.Durations(res.Latency)
 		fmt.Printf("%-7s backend: median latency %8.1f ms, LCV %5.1f%% of queries\n",
-			profile.Name, metrics.Percentile(lat, 50), res.LCVPercent()*100)
+			profile.Name, metrics.Percentile(lat, 50), res.LCVFraction()*100)
 
 		// One query's full latency breakdown (§3.1.1's components).
 		srv.Reset()

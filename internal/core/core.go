@@ -62,10 +62,10 @@ func (q Quadrant) String() string {
 
 // Assessment is the evaluation of one run.
 type Assessment struct {
-	Name       string
-	QIF        metrics.QIF
-	LCV        int
-	LCVPercent float64
+	Name        string
+	QIF         metrics.QIF
+	LCV         int
+	LCVFraction float64
 	// LatencyMs summarizes perceived latency in milliseconds.
 	LatencyMs metrics.Summary
 	Quadrant  Quadrant
@@ -88,7 +88,7 @@ func Evaluate(run Run) Assessment {
 	}
 	a.QIF = metrics.MeasureQIF(run.Issues)
 	a.LCV = metrics.LCV(run.Issues, run.Finishes, run.SessionEnd)
-	a.LCVPercent = metrics.LCVPercent(run.Issues, run.Finishes, run.SessionEnd)
+	a.LCVFraction = metrics.LCVFraction(run.Issues, run.Finishes, run.SessionEnd)
 
 	lats := make([]float64, len(run.Issues))
 	for i := range run.Issues {
@@ -112,12 +112,12 @@ func Evaluate(run Run) Assessment {
 	// mean rates hide bursts).
 	slow := capacityMs > 500 ||
 		(issueIntervalMs > 0 && capacityMs > issueIntervalMs) ||
-		a.LCVPercent > 0.25
+		a.LCVFraction > 0.25
 
 	switch {
 	case !slow:
 		a.Quadrant = Good
-	case highQIF && a.LCVPercent > 0.5:
+	case highQIF && a.LCVFraction > 0.5:
 		a.Quadrant = Unresponsive
 	case highQIF:
 		a.Quadrant = OverwhelmedBackend
@@ -140,8 +140,8 @@ func notes(a Assessment, capacityMs float64) []string {
 	if a.Quadrant == OverwhelmedBackend || a.Quadrant == Unresponsive {
 		out = append(out, fmt.Sprintf("frontend issues %.0f q/s but the backend sustains only %.0f q/s — throttle the query issuing frequency or filter queries (Skip, KL)", a.QIF.PerSecond, 1000/capacityMs))
 	}
-	if a.LCVPercent > 0.25 {
-		out = append(out, fmt.Sprintf("%.0f%% of queries violate the latency constraint: results routinely arrive after the user has moved on", a.LCVPercent*100))
+	if a.LCVFraction > 0.25 {
+		out = append(out, fmt.Sprintf("%.0f%% of queries violate the latency constraint: results routinely arrive after the user has moved on", a.LCVFraction*100))
 	}
 	if len(out) == 0 {
 		out = append(out, "within interactive budgets; validate with a user study covering both factor families")
@@ -158,5 +158,5 @@ func Recommend(profile taxonomy.SystemProfile) []taxonomy.Recommendation {
 // String renders the assessment as a compact report.
 func (a Assessment) String() string {
 	return fmt.Sprintf("%s: qif %.1f/s, lcv %d (%.0f%%), latency median %.1f ms (max %.1f ms), quadrant: %s",
-		a.Name, a.QIF.PerSecond, a.LCV, a.LCVPercent*100, a.LatencyMs.Median, a.LatencyMs.Max, a.Quadrant)
+		a.Name, a.QIF.PerSecond, a.LCV, a.LCVFraction*100, a.LatencyMs.Median, a.LatencyMs.Max, a.Quadrant)
 }

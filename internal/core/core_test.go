@@ -55,8 +55,8 @@ func TestEvaluateOverwhelmed(t *testing.T) {
 	if a.Quadrant != Unresponsive {
 		t.Errorf("quadrant = %v, want Unresponsive", a.Quadrant)
 	}
-	if a.LCVPercent < 0.9 {
-		t.Errorf("LCVPercent = %v, want ~1", a.LCVPercent)
+	if a.LCVFraction < 0.9 {
+		t.Errorf("LCVFraction = %v, want ~1", a.LCVFraction)
 	}
 	found := false
 	for _, n := range a.Notes {

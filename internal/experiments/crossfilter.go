@@ -297,7 +297,7 @@ func runFig15(cfg Config, ctx *Context) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				p := res.LCVPercent()
+				p := res.LCVFraction()
 				key := prof.Name + "/" + pol + "/" + dev
 				pct[key] = p
 				r.Printf("%-30s %6.1f%%  (executed %d of %d)", key, p*100, res.Executed, res.Offered)

@@ -31,8 +31,8 @@ type Profile struct {
 	BaseDelay  time.Duration // constant added latency on every op (slow worker)
 	SpikeProb  float64       // probability of a latency spike
 	SpikeDelay time.Duration
-	ErrProb    float64       // probability the op fails with ErrInjected
-	StallProb  float64       // probability of a long stall
+	ErrProb    float64 // probability the op fails with ErrInjected
+	StallProb  float64 // probability of a long stall
 	StallDelay time.Duration
 }
 

@@ -296,9 +296,9 @@ func LCV(issues, finishes []time.Duration, sessionEnd time.Duration) int {
 	return violations
 }
 
-// LCVPercent returns the fraction of queries violating the constraint, in
+// LCVFraction returns the fraction of queries violating the constraint, in
 // [0, 1]. Zero queries yields 0.
-func LCVPercent(issues, finishes []time.Duration, sessionEnd time.Duration) float64 {
+func LCVFraction(issues, finishes []time.Duration, sessionEnd time.Duration) float64 {
 	if len(issues) == 0 {
 		return 0
 	}

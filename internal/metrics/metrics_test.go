@@ -112,11 +112,11 @@ func TestLCV(t *testing.T) {
 	if got := LCV(issues, finishes, ms(200)); got != 3 {
 		t.Errorf("LCV (with end) = %d, want 3", got)
 	}
-	if got := LCVPercent(issues, finishes, ms(200)); got != 0.75 {
-		t.Errorf("LCVPercent = %v", got)
+	if got := LCVFraction(issues, finishes, ms(200)); got != 0.75 {
+		t.Errorf("LCVFraction = %v", got)
 	}
-	if LCVPercent(nil, nil, 0) != 0 {
-		t.Error("LCVPercent(empty) != 0")
+	if LCVFraction(nil, nil, 0) != 0 {
+		t.Error("LCVFraction(empty) != 0")
 	}
 }
 

@@ -193,8 +193,8 @@ func TestLCVAccounting(t *testing.T) {
 	if resSlow.LCV() <= resFast.LCV() {
 		t.Errorf("disk LCV %d not above memory LCV %d", resSlow.LCV(), resFast.LCV())
 	}
-	if p := resSlow.LCVPercent(); p <= 0 || p > 1 {
-		t.Errorf("LCVPercent = %v", p)
+	if p := resSlow.LCVFraction(); p <= 0 || p > 1 {
+		t.Errorf("LCVFraction = %v", p)
 	}
 }
 

@@ -32,9 +32,9 @@ func (r *ReplayResult) LCV() int {
 	return metrics.LCV(r.Issues, r.Finishes, 0)
 }
 
-// LCVPercent returns violations as a fraction of executed queries.
-func (r *ReplayResult) LCVPercent() float64 {
-	return metrics.LCVPercent(r.Issues, r.Finishes, 0)
+// LCVFraction returns violations as a fraction of executed queries.
+func (r *ReplayResult) LCVFraction() float64 {
+	return metrics.LCVFraction(r.Issues, r.Finishes, 0)
 }
 
 // OverConstraint counts executed queries whose user-perceived latency

@@ -13,18 +13,19 @@
 // shard picks its pending connections back up instead of refusing them.
 // Children are stateless: each one deterministically rebuilds the full
 // dataset from (dataset, seed, rows), partitions it exactly as
-// shard.Partition does, keeps only its own partition, and serves raw
-// unscaled partial histograms — over the binary frame data plane of
-// frame.go, on a listener of its own beside the HTTP control plane
-// (/readyz, /healthz, /chaosctl). Statelessness is what makes SIGKILL a
-// recoverable event rather than data loss, and determinism is what makes a
-// restarted shard re-fence onto exactly the records it owned before. With a
-// SnapshotDir configured, the rebuild is a cold path only: the first build
-// of a slot persists the partition as an mmap-able colstore snapshot, and
-// every later restart maps it read-only and is ready in O(columns) — the
-// fence (dataset, seed, rows, mode, shard, encode) plus the snapshot
-// checksum guarantee a warm start serves byte-identical answers or falls
-// back to the rebuild.
+// shard.Partition does, keeps only its own partition as a shard.Replica —
+// the same value an in-process shard worker holds — and serves its raw
+// unscaled answers (brush histograms, SQL histogram rows) over the binary
+// frame data plane of frame.go, on a listener of its own beside the HTTP
+// control plane (/readyz, /healthz, /chaosctl). Statelessness is what
+// makes SIGKILL a recoverable event rather than data loss, and determinism
+// is what makes a restarted shard re-fence onto exactly the records it
+// owned before. With a SnapshotDir configured, the rebuild is a cold path
+// only: the first build of a slot persists the partition as an mmap-able
+// colstore snapshot, and every later restart maps it read-only and is
+// ready in O(columns) — the fence (dataset, seed, rows, mode, shard,
+// encode) plus the snapshot checksum guarantee a warm start serves
+// byte-identical answers or falls back to the rebuild.
 package router
 
 import (
@@ -40,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -116,12 +118,11 @@ type childReady struct {
 	BuildMS   float64 `json:"build_ms,omitempty"`
 }
 
-// child is the shard-child server state.
+// child is the shard-child server state: a shard.Replica behind a socket.
 type child struct {
-	spec   ChildSpec
-	dims   []datacube.Dim
-	prefix *datacube.PrefixCube
-	rows   int // partition rows
+	spec ChildSpec
+	dims []datacube.Dim
+	rep  *shard.Replica // set by build, before ready
 
 	// warm/buildMS describe how the partition came up; snap keeps a
 	// warm-started child's mapping (and every view into it) alive for the
@@ -136,6 +137,9 @@ type child struct {
 	// chaos mode. The control plane keeps answering: a partitioned-but-alive
 	// shard is slow, not dead, and its supervisor must not kill it for it.
 	blackholeUntil atomic.Int64
+	// beforeScan, when set, runs on a histogram op's goroutine ahead of its
+	// scan — the tests' gate for holding one mid-flight.
+	beforeScan func()
 }
 
 // inheritedListener adopts the listening socket the parent passed on fd.
@@ -207,61 +211,54 @@ func runChild(spec ChildSpec) error {
 }
 
 // build brings the child's partition up, preferring the warm path: map the
-// slot's snapshot and reconstruct the colstore views and prefix cube
-// zero-copy in O(columns). Any snapshot problem — absent file, checksum
-// failure, fence mismatch — falls back to the deterministic cold path: the
-// child reconstructs the full dataset, partitions it the way every sibling
-// does, and keeps only its own share (the re-fencing step that makes a
-// restart land on exactly the records the dead instance owned), then
-// writes the snapshot so the next restart of this slot is warm.
+// slot's snapshot and adopt its columns and prefix grid zero-copy in
+// O(columns). Any snapshot problem — absent file, checksum failure, fence
+// mismatch — falls back to the deterministic cold path: the child
+// reconstructs the full dataset, partitions it the way every sibling does,
+// and keeps only its own share (the re-fencing step that makes a restart
+// land on exactly the records the dead instance owned), then writes the
+// snapshot so the next restart of this slot is warm. Either way the
+// partition becomes a replica through the constructor in-process shards use.
 func (c *child) build() error {
 	start := time.Now()
+	opts := shard.Options{Shards: c.spec.Of, Parallelism: c.spec.Parallelism, WithEngine: true}
 	if c.spec.SnapshotDir != "" {
-		if ws, err := tryWarmStart(c.spec); err == nil {
-			c.dims = ws.dims
-			c.prefix = ws.prefix
-			c.rows = ws.snap.Rows()
-			c.snap = ws.snap
-			c.warm = true
-			c.buildMS = float64(time.Since(start)) / float64(time.Millisecond)
-			c.ready.Store(true)
-			return nil
-		} else if !errors.Is(err, fs.ErrNotExist) {
+		ws, err := tryWarmStart(c.spec)
+		switch {
+		case err == nil:
+			// The mapped columns are already in their at-rest encoding, and
+			// the grid is integrated: nothing to freeze or count.
+			if c.rep, err = shard.NewReplica(c.spec.Shard, ws.table, ws.dims, ws.prefix, opts); err != nil {
+				ws.snap.Close()
+				return err
+			}
+			c.dims, c.snap, c.warm = ws.dims, ws.snap, true
+		case !errors.Is(err, fs.ErrNotExist):
 			fmt.Fprintf(os.Stderr, "router child: falling back to rebuild: %v\n", err)
 		}
 	}
-	table, dims, err := datasetTable(c.spec.Dataset, c.spec.Seed, c.spec.Rows)
-	if err != nil {
-		return err
-	}
-	part, err := shard.PartitionOne(table, dims, c.spec.Of, c.spec.Shard, c.spec.Mode, "")
-	if err != nil {
-		return err
-	}
-	if c.spec.Encode {
-		par := c.spec.Parallelism
-		if par <= 0 {
-			par = 1
-		}
-		part, err = colstore.Freeze(part, &colstore.Options{Parallelism: par})
+	if c.rep == nil {
+		table, dims, err := datasetTable(c.spec.Dataset, c.spec.Seed, c.spec.Rows)
 		if err != nil {
-			return fmt.Errorf("router child: freeze: %w", err)
+			return err
+		}
+		part, err := shard.PartitionOne(table, dims, c.spec.Of, c.spec.Shard, c.spec.Mode, "")
+		if err != nil {
+			return err
+		}
+		opts.Encode = c.spec.Encode
+		if c.rep, err = shard.NewReplica(c.spec.Shard, part, dims, nil, opts); err != nil {
+			return fmt.Errorf("router child: %w", err)
+		}
+		c.dims = dims
+		if c.spec.SnapshotDir != "" {
+			if err := writeChildSnapshot(c.spec, c.rep.Table, dims, c.rep.Prefix); err != nil {
+				// Best-effort: a failed write costs the next restart its warm
+				// path, nothing else.
+				fmt.Fprintf(os.Stderr, "router child: snapshot write failed: %v\n", err)
+			}
 		}
 	}
-	prefix, err := datacube.BuildPrefix(part, dims, c.spec.Parallelism)
-	if err != nil {
-		return err
-	}
-	if c.spec.SnapshotDir != "" {
-		if err := writeChildSnapshot(c.spec, part, dims, prefix); err != nil {
-			// Best-effort: a failed write costs the next restart its warm
-			// path, nothing else.
-			fmt.Fprintf(os.Stderr, "router child: snapshot write failed: %v\n", err)
-		}
-	}
-	c.dims = dims
-	c.prefix = prefix
-	c.rows = part.NumRows()
 	c.buildMS = float64(time.Since(start)) / float64(time.Millisecond)
 	c.ready.Store(true)
 	return nil
@@ -325,7 +322,7 @@ func (c *child) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	status := http.StatusServiceUnavailable
 	if c.ready.Load() {
 		body.Status = "ready"
-		body.Records = c.rows
+		body.Records = c.rep.Table.NumRows()
 		body.WarmStart = c.warm
 		body.BuildMS = c.buildMS
 		status = http.StatusOK
@@ -349,17 +346,39 @@ func (c *child) serveData(ln net.Listener) error {
 	}
 }
 
+// maxConnScans bounds the histogram ops one connection runs at once. The
+// parent's admission queue keeps in-flight calls far below it; it is there
+// for scans whose caller gave up (a deadline does not cross the wire), and
+// past it the connection backs up — a slow replica, which the parent
+// hedges around.
+const maxConnScans = 32
+
 // serveFrames is one data connection's loop: read a request frame, answer
-// it from the prefix cube, write the response frame, all in buffers reused
-// for the connection's life. Requests on one connection are answered in
-// order by this one goroutine — an answer is a few microseconds of
-// summed-area lookups, so there is nothing to overlap. It returns when the
+// it from the replica, write the response frame. A brush is a few
+// microseconds of summed-area lookups, so it is answered inline, in order,
+// in buffers reused for the connection's life; a histogram op is a scan of
+// milliseconds and runs on its own goroutine, so the brushes behind it do
+// not wait — call ids let the parent take replies in any order, and wmu
+// keeps their frames whole. It returns, once its scans have, when the
 // stream ends or can no longer be trusted (over-cap length, a payload too
 // short to carry a call id); anything that has an id gets an answer.
 func (c *child) serveFrames(r io.Reader, w io.Writer) {
 	br := bufio.NewReader(r)
 	var rbuf, wbuf []byte
 	var sc *frameScratch // nil until the build is done
+	var wmu sync.Mutex
+	var scans sync.WaitGroup
+	defer scans.Wait()
+	slots := make(chan struct{}, maxConnScans)
+	write := func(frame []byte, start time.Time) error {
+		if frame[frameHeader+8] != statusError {
+			le.PutUint64(frame[serviceNSOffset:], uint64(time.Since(start)))
+		}
+		wmu.Lock()
+		defer wmu.Unlock()
+		_, err := w.Write(frame)
+		return err
+	}
 	for {
 		var err error
 		if rbuf, err = readFrame(br, rbuf); err != nil {
@@ -369,16 +388,33 @@ func (c *child) serveFrames(r io.Reader, w io.Writer) {
 		if len(rbuf) < 8 {
 			return
 		}
-		id := le.Uint64(rbuf)
+		id, req := le.Uint64(rbuf), rbuf[8:]
 		c.holdData()
 		if sc == nil && c.ready.Load() {
 			sc = newFrameScratch(c.dims)
 		}
-		wbuf = c.answerFrame(wbuf[:0], id, rbuf[8:], sc)
-		if wbuf[frameHeader+8] == statusOK {
-			le.PutUint64(wbuf[serviceNSOffset:], uint64(time.Since(start)))
+		switch {
+		case sc == nil:
+			wbuf = appendError(wbuf[:0], id, http.StatusServiceUnavailable, "building")
+		case len(req) == 0:
+			wbuf = appendError(wbuf[:0], id, http.StatusBadRequest, "truncated request")
+		case req[0] == opBrush:
+			wbuf = c.answerBrush(wbuf[:0], id, req[1:], sc)
+		case req[0] == opHistogram:
+			query := string(req[1:]) // rbuf is reused by the next read
+			slots <- struct{}{}
+			scans.Add(1)
+			go func() {
+				defer scans.Done()
+				defer func() { <-slots }()
+				// A failed write shows up on the connection's own next read.
+				_ = write(c.answerHistogram(id, query), start)
+			}()
+			continue
+		default:
+			wbuf = appendError(wbuf[:0], id, http.StatusBadRequest, fmt.Sprintf("unknown op %d", req[0]))
 		}
-		if _, err := w.Write(wbuf); err != nil {
+		if write(wbuf, start) != nil {
 			return
 		}
 	}
@@ -411,21 +447,41 @@ func (c *child) holdData() {
 	}
 }
 
-// answerFrame answers one brush scatter leg into b: per-dimension
+// answerBrush answers one brush scatter leg into b: per-dimension
 // histograms over this partition plus the filtered count, raw and unscaled
-// — or the refusal, as an error frame. A nil sc means still building.
-func (c *child) answerFrame(b []byte, id uint64, req []byte, sc *frameScratch) []byte {
-	if sc == nil {
-		return appendError(b, id, http.StatusServiceUnavailable, "building")
-	}
-	if err := decodeRanges(req, sc.ranges, sc.filters); err != nil {
+// — or the refusal, as an error frame.
+func (c *child) answerBrush(b []byte, id uint64, body []byte, sc *frameScratch) []byte {
+	if err := decodeRanges(body, sc.ranges, sc.filters); err != nil {
 		return appendError(b, id, http.StatusBadRequest, err.Error())
 	}
-	total, err := c.prefix.BrushInto(sc.filters, sc.hists)
+	total, err := c.rep.Brush(sc.filters, sc.hists)
 	if err != nil {
 		return appendError(b, id, http.StatusInternalServerError, err.Error())
 	}
-	return appendOK(b, id, c.spec.Shard, c.spec.Generation, c.rows, total, sc.hists)
+	return appendOK(b, id, c.spec.Shard, c.spec.Generation, c.rep.Table.NumRows(), total, sc.hists)
+}
+
+// answerHistogram answers one histogram scatter leg in a frame of its own:
+// this partition's (bin, count) rows and scan counters, raw and unscaled.
+// A statement with no merge law is refused 501, which the parent reads as
+// "not histogram-shaped".
+func (c *child) answerHistogram(id uint64, query string) []byte {
+	stmt, shaped, err := c.rep.Shaped(query)
+	switch {
+	case err != nil:
+		return appendError(nil, id, http.StatusBadRequest, err.Error())
+	case !shaped:
+		return appendError(nil, id, http.StatusNotImplemented, "not a histogram-shaped statement")
+	}
+	if c.beforeScan != nil {
+		c.beforeScan()
+	}
+	// The connection has no cancel op: a scan runs to its end.
+	ans, err := c.rep.Histogram(context.Background(), stmt)
+	if err != nil {
+		return appendError(nil, id, http.StatusInternalServerError, err.Error())
+	}
+	return appendRows(nil, id, c.spec.Shard, c.spec.Generation, ans)
 }
 
 // handleChaosctl arms the listener blackhole: POST /chaosctl?blackhole_ms=N

@@ -20,10 +20,12 @@ type rpcResult struct {
 	err  error
 }
 
-// pendingCall is a written request awaiting its reply.
+// pendingCall is a written request awaiting its reply; want is the status
+// an answer to its op carries.
 type pendingCall struct {
 	ch    chan<- rpcResult
 	call  int
+	want  byte
 	start time.Time
 }
 
@@ -57,19 +59,19 @@ func newDataConn(rep *replica) *dataConn {
 	return &dataConn{rep: rep, pending: make(map[uint64]pendingCall)}
 }
 
-// send writes one request (ranges is an appendRanges tail) and registers
+// send writes one request (req is its op byte and body) and registers
 // the call; exactly one rpcResult tagged call arrives on ch unless the
 // caller drops the returned id first. ch must have room for it: the reader
 // never blocks on a caller. A non-nil error means nothing was registered.
-func (c *dataConn) send(ctx context.Context, ranges []byte, ch chan<- rpcResult, call int) (uint64, error) {
+func (c *dataConn) send(ctx context.Context, req []byte, ch chan<- rpcResult, call int) (uint64, error) {
 	c.mu.Lock()
-	id, failed, err := c.sendLocked(ctx, ranges, ch, call)
+	id, failed, err := c.sendLocked(ctx, req, ch, call)
 	c.mu.Unlock()
 	failCalls(failed, err)
 	return id, err
 }
 
-func (c *dataConn) sendLocked(ctx context.Context, ranges []byte, ch chan<- rpcResult, call int) (uint64, map[uint64]pendingCall, error) {
+func (c *dataConn) sendLocked(ctx context.Context, req []byte, ch chan<- rpcResult, call int) (uint64, map[uint64]pendingCall, error) {
 	if c.closed {
 		return 0, nil, errConnClosed
 	}
@@ -80,7 +82,7 @@ func (c *dataConn) sendLocked(ctx context.Context, ranges []byte, ch chan<- rpcR
 	}
 	c.nextID++
 	id := c.nextID
-	c.wbuf = appendRequest(c.wbuf[:0], id, ranges)
+	c.wbuf = appendRequest(c.wbuf[:0], id, req)
 	// A peer that stopped reading (frozen, blackholed under heavy traffic)
 	// eventually fills the socket buffer; the write must give up rather
 	// than wedge every caller behind mu.
@@ -89,7 +91,11 @@ func (c *dataConn) sendLocked(ctx context.Context, ranges []byte, ch chan<- rpcR
 		err = fmt.Errorf("router: shard %d replica %d: write: %w", c.rep.shard, c.rep.idx, err)
 		return 0, c.failLocked(), err
 	}
-	c.pending[id] = pendingCall{ch: ch, call: call, start: time.Now()}
+	want := byte(statusOK)
+	if req[0] == opHistogram {
+		want = statusRows
+	}
+	c.pending[id] = pendingCall{ch: ch, call: call, want: want, start: time.Now()}
 	c.rep.fleet.rpcs.Add(1)
 	return id, nil, nil
 }
@@ -151,6 +157,8 @@ func (c *dataConn) readLoop(conn net.Conn) {
 			res.ans, res.err = nil, fmt.Errorf("router: shard %d replica %d: %w", c.rep.shard, c.rep.idx, r.err)
 		case r.shard != c.rep.shard:
 			res.ans, res.err = nil, fmt.Errorf("router: shard %d replica %d answered as shard %d", c.rep.shard, c.rep.idx, r.shard)
+		case r.status != p.want:
+			res.ans, res.err = nil, fmt.Errorf("router: shard %d replica %d answered another op (status %d)", c.rep.shard, c.rep.idx, r.status)
 		default:
 			f.childHist.Observe(time.Duration(r.childNS))
 		}

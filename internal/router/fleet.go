@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,8 +13,10 @@ import (
 	"time"
 
 	"repro/internal/datacube"
+	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/shard"
+	"repro/internal/sql"
 )
 
 // Config parameterizes a Fleet. The zero value of every tuning knob gets a
@@ -157,11 +160,11 @@ type Stats struct {
 }
 
 // Fleet supervises Shards×Replicas shard child processes and implements
-// the serving layer's Gatherer over them: ScatterBrush fans one filter
-// snapshot out (one leg per shard, with per-session affinity and hedging
-// across replicas) and assembles the answers into a shard.Gather, so the
-// serving layer's ladder sees exactly the coverage semantics the in-process
-// coordinator gives it.
+// the serving layer's Gatherer over them: ScatterBrush and QueryHistogram
+// fan one request out (one leg per shard, with affinity and hedging across
+// replicas) and assemble the answers into a shard.Gather, so the serving
+// layer's ladder sees exactly the coverage semantics — and the merges — the
+// in-process coordinator gives it.
 type Fleet struct {
 	cfg  Config
 	dims []datacube.Dim
@@ -478,18 +481,51 @@ func (f *Fleet) Close() {
 }
 
 // ScatterBrush implements the serving layer's Gatherer across the process
-// boundary: one leg per shard (affinity replica first, hedged to a warm
-// sibling when slow, failed over to one at once on error), answers merged
-// into a shard.Gather whose coverage accounting is exactly the in-process
-// coordinator's — a dead shard's records fall out of the covered fraction,
-// and the serving ladder degrades on it the same way.
+// boundary: one brush leg per shard, routed by the session's affinity.
+func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*datacube.Range) (*shard.Gather, error) {
+	return f.scatter(ctx, session, appendRanges(append(make([]byte, 0, 1+4+8*rangeEntry), opBrush), filters))
+}
+
+// QueryHistogram is the Gatherer's SQL face, with the in-process
+// coordinator's contract: the children's raw (bin, count) rows merged by
+// addition beside the record fraction they cover. The children hold the
+// tables, so they judge the shape: one that answers 501 has no merge law
+// for the statement and the bool is false. Affinity is by statement text,
+// which spreads distinct statements over a shard's replicas.
+func (f *Fleet) QueryHistogram(ctx context.Context, query string) (*engine.Result, float64, bool, error) {
+	if _, err := sql.Parse(query); err != nil {
+		return nil, 0, false, err // nothing a child could answer
+	}
+	g, err := f.scatter(ctx, query, append(append(make([]byte, 0, 1+len(query)), opHistogram), query...))
+	if err != nil {
+		return nil, 0, true, err
+	}
+	for _, err := range g.Errs {
+		var ce *childError
+		if errors.As(err, &ce) && ce.code == http.StatusNotImplemented {
+			return nil, 0, false, nil
+		}
+	}
+	if g.Covered() == 0 {
+		return nil, 0, true, g.FirstErr()
+	}
+	return g.MergeHistogram(), g.Fraction(), true, nil
+}
+
+// scatter is the one gather both ops ride: req (an op byte and its body,
+// opaque here) goes to one replica per shard — the affinity key's replica
+// first, hedged to a warm sibling when slow, failed over to one at once on
+// error — and the answers are assembled into a shard.Gather whose coverage
+// accounting is exactly the in-process coordinator's: a dead shard's
+// records fall out of the covered fraction, and the serving ladder degrades
+// on it the same way.
 //
 // The whole gather runs on the calling goroutine: every leg's request is
 // written before any reply is awaited, and one select loop then takes the
 // replies (delivered by the replicas' connection readers), the hedge timer
 // and the deadline. All legs start together under one budget, so one timer
 // hedges them all.
-func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*datacube.Range) (*shard.Gather, error) {
+func (f *Fleet) scatter(ctx context.Context, affinity string, req []byte) (*shard.Gather, error) {
 	if f.closed.Load() {
 		return nil, fmt.Errorf("router: fleet closed")
 	}
@@ -500,11 +536,11 @@ func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*dat
 	}
 	shards, replicas := f.cfg.Shards, f.cfg.Replicas
 	g := gather{
-		f:      f,
-		ctx:    ctx,
-		ranges: appendRanges(make([]byte, 0, 4+8*rangeEntry), filters),
-		legs:   make([]leg, shards),
-		calls:  make([]outCall, 0, shards*replicas),
+		f:     f,
+		ctx:   ctx,
+		req:   req,
+		legs:  make([]leg, shards),
+		calls: make([]outCall, 0, shards*replicas),
 		// Each leg calls each replica at most once and each call delivers at
 		// most one result, so no reader ever blocks on this gather — not even
 		// after it returned.
@@ -514,7 +550,7 @@ func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*dat
 	errs := make([]error, shards)
 	waiting := 0
 	for s := range g.legs {
-		g.legs[s].aff = f.AffinityReplica(s, session)
+		g.legs[s].aff = f.AffinityReplica(s, affinity)
 		if g.call(s) {
 			waiting++
 		} else {
@@ -599,14 +635,14 @@ func (f *Fleet) ScatterBrush(ctx context.Context, session string, filters []*dat
 	return shard.NewGather(answers, errs, f.Records()), nil
 }
 
-// gather is one ScatterBrush's bookkeeping.
+// gather is one scatter's bookkeeping.
 type gather struct {
-	f      *Fleet
-	ctx    context.Context
-	ranges []byte
-	legs   []leg
-	calls  []outCall
-	ch     chan rpcResult
+	f     *Fleet
+	ctx   context.Context
+	req   []byte
+	legs  []leg
+	calls []outCall
+	ch    chan rpcResult
 }
 
 // leg is one shard's share of a gather. Its replicas form a ring starting
@@ -657,7 +693,7 @@ func (g *gather) call(s int) bool {
 		}
 		hedged := l.attempts > 0
 		l.attempts++
-		id, err := rep.data.send(g.ctx, g.ranges, g.ch, len(g.calls))
+		id, err := rep.data.send(g.ctx, g.req, g.ch, len(g.calls))
 		if err != nil {
 			if l.err == nil {
 				l.err = err

@@ -6,29 +6,37 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"repro/internal/datacube"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
-// The data plane: brush partials travel between the router and a shard
-// child as length-prefixed little-endian frames over one persistent
-// connection per replica, multiplexed by call id.
+// The data plane: a partition's two answers (shard.Replica's) travel
+// between the router and a shard child as length-prefixed little-endian
+// frames over one persistent connection per replica, multiplexed by call id.
 //
 //	frame    := u32 len | payload                      len = len(payload) ≤ maxFrame
-//	request  := u64 id | u32 ndims | ndims × (u8 present | f64 lo | f64 hi)
+//	request  := u64 id | u8 op | body
+//	  brush     (op 0) := u32 ndims | ndims × (u8 present | f64 lo | f64 hi)
+//	  histogram (op 1) := the SQL statement text       the rest of the payload
 //	response := u64 id | u8 status | body
-//	  ok     := u32 shard | u32 generation | u64 records | i64 total |
-//	            u64 child_service_ns | u32 ndims | ndims × (u32 bins | bins × i64)
-//	  error  := u16 code | message                     the rest of the payload
+//	  ok     (status 0) := head | i64 total | u32 ndims | ndims × (u32 bins | bins × i64)
+//	  error  (status 1) := u16 code | message          the rest of the payload
+//	  rows   (status 2) := head | u64 scanned | i64 cost_ns | u32 nrows | nrows × (f64 bin | i64 count)
+//	  head   := u32 shard | u32 generation | u64 records | u64 child_service_ns
 //
-// A request names one range per served dimension (present 0 = unfiltered);
-// an ok response is the shard's raw, UNSCALED contribution — partition
-// record count, filtered total, one histogram per dimension — which the
-// router merges by addition into a shard.Gather, so scaling for partial
-// coverage happens once, at the serving layer, exactly as in-process. An
-// error response carries an HTTP-style code (503 building, 400 malformed,
-// 500 cube error) and a short message.
+// A brush request names one range per served dimension (present 0 =
+// unfiltered) and is answered ok; a histogram request is answered rows.
+// Both are the shard's raw, UNSCALED contribution — partition record count
+// and either the filtered total with one histogram per dimension or the
+// engine's ascending (bin, count) rows with its scan counters — which the
+// router hands to shard.NewGather to merge by addition, so scaling for
+// partial coverage happens once, at the serving layer, exactly as
+// in-process. An error response carries an HTTP-style code (503 building,
+// 400 malformed, 501 a statement with no merge law, 500 cube or engine
+// error) and a short message.
 const (
 	// maxFrame caps a frame's declared length in both directions, checked
 	// before any buffer grows to hold it: a corrupt or hostile length costs
@@ -37,14 +45,19 @@ const (
 
 	frameHeader   = 4
 	rangeEntry    = 1 + 8 + 8
+	rowEntry      = 8 + 8
+	opBrush       = 0
+	opHistogram   = 1
 	statusOK      = 0
 	statusError   = 1
+	statusRows    = 2
 	maxErrMessage = 256
 
-	// serviceNSOffset locates child_service_ns in an encoded ok frame
-	// (header included), so the child can stamp it last, after the answer
-	// is computed and encoded.
-	serviceNSOffset = frameHeader + 8 + 1 + 4 + 4 + 8 + 8
+	// replyHead is the head both answer kinds share; serviceNSOffset locates
+	// child_service_ns in an encoded answer frame (header included), so the
+	// child can stamp it last, after the answer is computed and encoded.
+	replyHead       = 4 + 4 + 8 + 8
+	serviceNSOffset = frameHeader + 8 + 1 + 4 + 4 + 8
 )
 
 var le = binary.LittleEndian
@@ -83,7 +96,7 @@ func finishFrame(b []byte) []byte {
 	return b
 }
 
-// appendRanges encodes a request's id-independent tail — ndims and the
+// appendRanges encodes a brush request's body — ndims and the
 // per-dimension ranges — once per scatter; every leg's frame reuses it.
 func appendRanges(b []byte, filters []*datacube.Range) []byte {
 	b = le.AppendUint32(b, uint32(len(filters)))
@@ -101,15 +114,15 @@ func appendRanges(b []byte, filters []*datacube.Range) []byte {
 	return b
 }
 
-// appendRequest builds one request frame from a call id and an
-// appendRanges tail.
-func appendRequest(b []byte, id uint64, ranges []byte) []byte {
-	b = le.AppendUint32(b, uint32(8+len(ranges)))
+// appendRequest builds one request frame from a call id and the request's
+// id-independent tail: the op byte and its body.
+func appendRequest(b []byte, id uint64, req []byte) []byte {
+	b = le.AppendUint32(b, uint32(8+len(req)))
 	b = le.AppendUint64(b, id)
-	return append(b, ranges...)
+	return append(b, req...)
 }
 
-// decodeRanges decodes a request payload's tail (after the id) into
+// decodeRanges decodes a brush request's body (after the op byte) into
 // filters, backed by ranges; both are sized to the served dimension count,
 // and a request naming any other count is refused.
 func decodeRanges(p []byte, ranges []datacube.Range, filters []*datacube.Range) error {
@@ -139,23 +152,42 @@ func decodeRanges(p []byte, ranges []datacube.Range, filters []*datacube.Range) 
 	return nil
 }
 
-// appendOK builds an ok response frame with child_service_ns left zero for
-// the caller to stamp at serviceNSOffset.
-func appendOK(b []byte, id uint64, shardIdx, generation, records int, total int64, hists [][]int64) []byte {
+// appendHead opens an answer frame of the given status with
+// child_service_ns left zero for the caller to stamp at serviceNSOffset.
+func appendHead(b []byte, id uint64, status byte, shardIdx, generation, records int) []byte {
 	b = append(b, 0, 0, 0, 0)
 	b = le.AppendUint64(b, id)
-	b = append(b, statusOK)
+	b = append(b, status)
 	b = le.AppendUint32(b, uint32(shardIdx))
 	b = le.AppendUint32(b, uint32(generation))
 	b = le.AppendUint64(b, uint64(records))
+	return le.AppendUint64(b, 0)
+}
+
+// appendOK builds a brush op's answer frame.
+func appendOK(b []byte, id uint64, shardIdx, generation, records int, total int64, hists [][]int64) []byte {
+	b = appendHead(b, id, statusOK, shardIdx, generation, records)
 	b = le.AppendUint64(b, uint64(total))
-	b = le.AppendUint64(b, 0)
 	b = le.AppendUint32(b, uint32(len(hists)))
 	for _, h := range hists {
 		b = le.AppendUint32(b, uint32(len(h)))
 		for _, v := range h {
 			b = le.AppendUint64(b, uint64(v))
 		}
+	}
+	return finishFrame(b)
+}
+
+// appendRows builds a histogram op's answer frame from the replica's
+// Answer: its scan counters and (bin, count) rows.
+func appendRows(b []byte, id uint64, shardIdx, generation int, a *shard.Answer) []byte {
+	b = appendHead(b, id, statusRows, shardIdx, generation, a.Records)
+	b = le.AppendUint64(b, uint64(a.Scanned))
+	b = le.AppendUint64(b, uint64(a.Cost))
+	b = le.AppendUint32(b, uint32(len(a.Bins)))
+	for _, row := range a.Bins {
+		b = le.AppendUint64(b, math.Float64bits(row[0].F))
+		b = le.AppendUint64(b, uint64(row[1].I))
 	}
 	return finishFrame(b)
 }
@@ -178,6 +210,7 @@ func appendError(b []byte, id uint64, code int, msg string) []byte {
 // condemns the connection, because the stream can no longer be trusted.
 type reply struct {
 	id         uint64
+	status     byte
 	shard      int
 	generation int
 	childNS    int64
@@ -195,16 +228,16 @@ func (e *childError) Error() string { return fmt.Sprintf("status %d: %s", e.code
 
 // decodeReply decodes a response payload. An ok body must carry exactly
 // dims' geometry — the merge adds histograms bin by bin, so a shard
-// answering in any other shape must never reach it.
+// answering in any other shape must never reach it — and a rows body
+// exactly the rows it declares, each bin a whole number.
 func decodeReply(p []byte, dims []datacube.Dim) (reply, error) {
 	var r reply
 	if len(p) < 9 {
 		return r, errors.New("router: truncated response frame")
 	}
-	r.id = le.Uint64(p)
-	status := p[8]
+	r.id, r.status = le.Uint64(p), p[8]
 	p = p[9:]
-	switch status {
+	switch r.status {
 	case statusError:
 		if len(p) < 2 {
 			return r, errors.New("router: truncated error frame")
@@ -215,26 +248,37 @@ func decodeReply(p []byte, dims []datacube.Dim) (reply, error) {
 		}
 		r.err = &childError{code: int(le.Uint16(p)), msg: string(msg)}
 		return r, nil
-	case statusOK:
+	case statusOK, statusRows:
 	default:
-		return r, fmt.Errorf("router: response status %d", status)
+		return r, fmt.Errorf("router: response status %d", r.status)
 	}
-	const fixed = 4 + 4 + 8 + 8 + 8 + 4
-	if len(p) < fixed {
-		return r, errors.New("router: truncated ok frame")
+	if len(p) < replyHead {
+		return r, errors.New("router: truncated answer frame")
 	}
 	r.shard = int(le.Uint32(p))
 	r.generation = int(le.Uint32(p[4:]))
 	records := le.Uint64(p[8:])
-	total := int64(le.Uint64(p[16:]))
-	r.childNS = int64(le.Uint64(p[24:]))
-	ndims := le.Uint32(p[32:])
-	p = p[fixed:]
-	if uint64(ndims) != uint64(len(dims)) {
-		return r, fmt.Errorf("router: response has %d dimensions, want %d", ndims, len(dims))
-	}
+	r.childNS = int64(le.Uint64(p[16:]))
 	if int(records) < 0 || uint64(int(records)) != records {
 		return r, fmt.Errorf("router: response claims %d records", records)
+	}
+	r.ans = &shard.Answer{Records: int(records)}
+	if r.status == statusRows {
+		return r, decodeRows(p[replyHead:], r.ans)
+	}
+	return r, decodeHistograms(p[replyHead:], dims, r.ans)
+}
+
+// decodeHistograms decodes an ok body's tail: total and the histograms.
+func decodeHistograms(p []byte, dims []datacube.Dim, ans *shard.Answer) error {
+	if len(p) < 8+4 {
+		return errors.New("router: truncated ok frame")
+	}
+	ans.Total = int64(le.Uint64(p))
+	ndims := le.Uint32(p[8:])
+	p = p[8+4:]
+	if uint64(ndims) != uint64(len(dims)) {
+		return fmt.Errorf("router: response has %d dimensions, want %d", ndims, len(dims))
 	}
 	bins, want := 0, 0
 	for _, d := range dims {
@@ -242,13 +286,13 @@ func decodeReply(p []byte, dims []datacube.Dim) (reply, error) {
 		want += 4 + 8*d.Bins
 	}
 	if len(p) != want {
-		return r, fmt.Errorf("router: response histograms are %d bytes, want %d", len(p), want)
+		return fmt.Errorf("router: response histograms are %d bytes, want %d", len(p), want)
 	}
-	ans := &shard.Answer{Records: int(records), Total: total, Histograms: make([][]int64, len(dims))}
+	ans.Histograms = make([][]int64, len(dims))
 	backing := make([]int64, bins)
 	for i, d := range dims {
 		if n := le.Uint32(p); uint64(n) != uint64(d.Bins) {
-			return r, fmt.Errorf("router: response dimension %d has %d bins, want %d", i, n, d.Bins)
+			return fmt.Errorf("router: response dimension %d has %d bins, want %d", i, n, d.Bins)
 		}
 		p = p[4:]
 		h := backing[:d.Bins:d.Bins]
@@ -259,6 +303,35 @@ func decodeReply(p []byte, dims []datacube.Dim) (reply, error) {
 		p = p[8*d.Bins:]
 		ans.Histograms[i] = h
 	}
-	r.ans = ans
-	return r, nil
+	return nil
+}
+
+// decodeRows decodes a rows body's tail: scan counters and (bin, count)
+// rows. The row count is checked against the bytes present before anything
+// is allocated for it, so it can never exceed maxFrame/rowEntry.
+func decodeRows(p []byte, ans *shard.Answer) error {
+	if len(p) < 8+8+4 {
+		return errors.New("router: truncated rows frame")
+	}
+	scanned := le.Uint64(p)
+	if int(scanned) < 0 || uint64(int(scanned)) != scanned {
+		return fmt.Errorf("router: response claims %d tuples scanned", scanned)
+	}
+	ans.Scanned = int(scanned)
+	ans.Cost = time.Duration(le.Uint64(p[8:]))
+	nrows := le.Uint32(p[16:])
+	p = p[8+8+4:]
+	if uint64(len(p)) != uint64(nrows)*rowEntry {
+		return fmt.Errorf("router: response declares %d rows in %d bytes", nrows, len(p))
+	}
+	ans.Bins = make([][]storage.Value, nrows)
+	for i := range ans.Bins {
+		bin := math.Float64frombits(le.Uint64(p))
+		if bin != math.Trunc(bin) || math.IsInf(bin, 0) { // NaN != NaN
+			return fmt.Errorf("router: response row %d has bin %v", i, bin)
+		}
+		ans.Bins[i] = []storage.Value{storage.NewFloat(bin), storage.NewInt(int64(le.Uint64(p[8:])))}
+		p = p[rowEntry:]
+	}
+	return nil
 }

@@ -8,11 +8,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datacube"
 	"repro/internal/dataset"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
 // frameDims is the geometry the codec tests decode against: uneven bin
@@ -50,13 +52,13 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 	}
 	for name, filters := range cases {
 		t.Run(name, func(t *testing.T) {
-			p := payload(t, appendRequest(nil, 77, appendRanges(nil, filters)))
-			if id := le.Uint64(p); id != 77 {
-				t.Fatalf("id %d", id)
+			p := payload(t, appendRequest(nil, 77, brushReq(filters)))
+			if id := le.Uint64(p); id != 77 || p[8] != opBrush {
+				t.Fatalf("id %d op %d", id, p[8])
 			}
 			ranges := make([]datacube.Range, len(filters))
 			got := make([]*datacube.Range, len(filters))
-			if err := decodeRanges(p[8:], ranges, got); err != nil {
+			if err := decodeRanges(p[9:], ranges, got); err != nil {
 				t.Fatal(err)
 			}
 			for i, want := range filters {
@@ -91,6 +93,30 @@ func TestFrameRequestRejects(t *testing.T) {
 			}
 		})
 	}
+
+	// The op byte in front of the body: a child refuses, under the call's own
+	// id, a request with no op, an op it does not know, and a body that
+	// belongs to the other op.
+	c := frameChild(t)
+	for name, req := range map[string][]byte{
+		"no op":                    nil,
+		"unknown op":               append([]byte{2}, good...),
+		"ranges under histogram":   append([]byte{opHistogram}, good...),
+		"statement under brush":    append([]byte{opBrush}, "SELECT 1"...),
+		"empty histogram body":     {opHistogram},
+		"histogram, no merge law":  histReq("SELECT x FROM dataroad"),
+		"histogram, unknown table": histReq("SELECT ROUND(x), COUNT(*) FROM nope GROUP BY ROUND(x)"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			c.serveFrames(bytes.NewReader(appendRequest(nil, 5, req)), &out)
+			r, err := decodeReply(payload(t, out.Bytes()), c.dims)
+			var ce *childError
+			if err != nil || r.id != 5 || !errors.As(r.err, &ce) || ce.code < 400 {
+				t.Fatalf("answered %+v (%v), want an error frame under id 5", r, err)
+			}
+		})
+	}
 }
 
 func TestFrameReplyRoundTrip(t *testing.T) {
@@ -120,7 +146,65 @@ func TestFrameReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// frameRows is a histogram op's answer as a replica returns it.
+func frameRows() *shard.Answer {
+	return &shard.Answer{Records: 77, Scanned: 70, Cost: 1500 * time.Microsecond, Bins: [][]storage.Value{
+		{storage.NewFloat(-3), storage.NewInt(4)},
+		{storage.NewFloat(0), storage.NewInt(math.MaxInt64)},
+		{storage.NewFloat(19), storage.NewInt(1)},
+	}}
+}
+
+func TestFrameRowsRoundTrip(t *testing.T) {
+	frame := appendRows(nil, 6, 3, 9, frameRows())
+	le.PutUint64(frame[serviceNSOffset:], 4242)
+	r, err := decodeReply(payload(t, frame), frameDims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reply{id: 6, status: statusRows, shard: 3, generation: 9, childNS: 4242, ans: frameRows()}
+	if !reflect.DeepEqual(r, want) {
+		t.Fatalf("got %+v (%+v), want %+v (%+v)", r, r.ans, want, want.ans)
+	}
+	// An empty result is zero rows, not an error.
+	r, err = decodeReply(payload(t, appendRows(nil, 6, 3, 9, &shard.Answer{Records: 77, Scanned: 77})), frameDims)
+	if err != nil || r.ans.Records != 77 || r.ans.Scanned != 77 || len(r.ans.Bins) != 0 {
+		t.Fatalf("empty rows: %+v (%+v), %v", r, r.ans, err)
+	}
+}
+
 func TestFrameReplyRejects(t *testing.T) {
+	rows := payload(t, appendRows(nil, 1, 0, 1, frameRows()))
+	const rowsFixed = 9 + replyHead + 8 + 8 // offset of nrows in a rows payload
+	setRows := func(n uint32) []byte {
+		p := append([]byte{}, rows...)
+		le.PutUint32(p[rowsFixed:], n)
+		return p
+	}
+	nanBin := append([]byte{}, rows...)
+	le.PutUint64(nanBin[rowsFixed+4:], math.Float64bits(math.NaN()))
+	halfBin := append([]byte{}, rows...)
+	le.PutUint64(halfBin[rowsFixed+4:], math.Float64bits(2.5))
+	hugeScanned := append([]byte{}, rows...)
+	le.PutUint64(hugeScanned[9+replyHead:], math.MaxUint64)
+	for name, p := range map[string][]byte{
+		"rows: truncated fixed":  rows[:rowsFixed+2],
+		"rows: truncated row":    rows[:len(rows)-1],
+		"rows: trailing bytes":   append(append([]byte{}, rows...), 0),
+		"rows: count too small":  setRows(2),
+		"rows: count too large":  setRows(4),
+		"rows: count over cap":   setRows(math.MaxUint32),
+		"rows: NaN bin":          nanBin,
+		"rows: fractional bin":   halfBin,
+		"rows: scanned overflow": hugeScanned,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if r, err := decodeReply(p, frameDims); err == nil {
+				t.Fatalf("accepted as %+v (%+v)", r, r.ans)
+			}
+		})
+	}
+
 	good := payload(t, appendOK(nil, 1, 0, 1, 10, 4, frameHists()))
 	fewerDims := payload(t, appendOK(nil, 1, 0, 1, 10, 4, frameHists()[:2]))
 	swapped := frameHists()
@@ -186,28 +270,34 @@ func TestFrameLengthCap(t *testing.T) {
 func frameChild(t testing.TB) *child {
 	t.Helper()
 	dims := serve.RoadCubeDims()
-	table := dataset.Roads(1, 500)
-	prefix, err := datacube.BuildPrefix(table, dims, 1)
+	rep, err := shard.NewReplica(2, dataset.Roads(1, 500), dims, nil, shard.Options{WithEngine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &child{spec: ChildSpec{Shard: 2, Of: 3, Generation: 5}, dims: dims, prefix: prefix, rows: table.NumRows()}
+	c := &child{spec: ChildSpec{Shard: 2, Of: 3, Generation: 5}, dims: dims, rep: rep}
 	c.ready.Store(true)
 	return c
 }
 
-// TestChildFrameLoop drives serveFrames over a byte stream: good frames get
-// their answers in order, a malformed one gets a 400 under its own id and
-// the stream carries on, and an over-cap length ends it.
+// brushReq and histReq build a request's id-independent tail.
+func brushReq(filters []*datacube.Range) []byte { return appendRanges([]byte{opBrush}, filters) }
+func histReq(query string) []byte               { return append([]byte{opHistogram}, query...) }
+
+// TestChildFrameLoop drives serveFrames over a byte stream: good brush
+// frames get their answers in order, a malformed one gets a 400 under its
+// own id and the stream carries on, and an over-cap length ends it; a
+// histogram op is answered with the engine's rows, off the connection
+// goroutine, so a brush behind it is answered first; the blackhole holds
+// both ops.
 func TestChildFrameLoop(t *testing.T) {
 	c := frameChild(t)
 	filters := []*datacube.Range{{Lo: 9, Hi: 10.5}, nil, nil}
 	var in bytes.Buffer
-	in.Write(appendRequest(nil, 1, appendRanges(nil, filters)))
-	in.Write(appendRequest(nil, 2, appendRanges(nil, filters[:2])))
-	in.Write(appendRequest(nil, 3, appendRanges(nil, make([]*datacube.Range, len(c.dims)))))
+	in.Write(appendRequest(nil, 1, brushReq(filters)))
+	in.Write(appendRequest(nil, 2, brushReq(filters[:2])))
+	in.Write(appendRequest(nil, 3, brushReq(make([]*datacube.Range, len(c.dims)))))
 	in.Write(le.AppendUint32(nil, maxFrame+1))
-	in.Write(appendRequest(nil, 4, appendRanges(nil, filters))) // never reached
+	in.Write(appendRequest(nil, 4, brushReq(filters))) // never reached
 	var out bytes.Buffer
 	c.serveFrames(&in, &out)
 
@@ -226,7 +316,7 @@ func TestChildFrameLoop(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("%d replies, want 3", len(got))
 	}
-	wantTotal, err := c.prefix.Count(filters)
+	wantTotal, err := c.rep.Prefix.Count(filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +332,109 @@ func TestChildFrameLoop(t *testing.T) {
 		t.Fatalf("reply 3: %+v (%+v)", r, r.ans)
 	}
 
-	c.ready.Store(false)
+	// The other op, an unknown op, and a frame that is an id and nothing
+	// else: each answered under its own id, and the stream carries on.
+	const hist = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 GROUP BY ROUND((x - 8.146) / 0.2)"
+	in.Reset()
 	out.Reset()
-	c.serveFrames(bytes.NewReader(appendRequest(nil, 9, appendRanges(nil, filters))), &out)
-	p, err := readFrame(&out, nil)
+	in.Write(appendRequest(nil, 11, histReq(hist)))
+	in.Write(appendRequest(nil, 12, histReq("SELECT x FROM dataroad LIMIT 1")))
+	in.Write(appendRequest(nil, 13, histReq("SELEC nonsense")))
+	in.Write(appendRequest(nil, 14, []byte{9, 1, 2, 3}))
+	in.Write(appendRequest(nil, 15, nil))
+	c.serveFrames(&in, &out)
+	byID := map[uint64]reply{} // histogram ops answer in any order
+	for out.Len() > 0 {
+		p, err := readFrame(&out, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := decodeReply(p, c.dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID[r.id] = r
+	}
+	want, err := c.rep.Engine.Query(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := decodeReply(p, c.dims); err != nil || r.id != 9 || !errors.As(r.err, &ce) || ce.code != 503 {
-		t.Fatalf("frame to a building child: %+v, %v", r, err)
+	if r := byID[11]; r.err != nil || r.status != statusRows || r.shard != 2 || r.generation != 5 || r.childNS <= 0 ||
+		r.ans.Records != 500 || r.ans.Scanned != 500 || r.ans.Cost != want.Stats.ModelCost ||
+		len(want.Rows) == 0 || !reflect.DeepEqual(r.ans.Bins, want.Rows) {
+		t.Fatalf("histogram reply: %+v (%+v), want rows %v", r, r.ans, want.Rows)
+	}
+	for id, code := range map[uint64]int{12: 501, 13: 400, 14: 400, 15: 400} {
+		if r, ok := byID[id]; !ok || !errors.As(r.err, &ce) || ce.code != code {
+			t.Fatalf("reply %d: %+v, want an error frame with code %d", id, r, code)
+		}
+	}
+
+	// A brush behind a scan on the same connection does not wait for it: the
+	// scan is held at its gate until the brush's reply has been written.
+	brushed := make(chan struct{})
+	c.beforeScan = func() { <-brushed }
+	pr, pw := io.Pipe()
+	replies := make(chan reply)
+	go func() {
+		defer close(replies)
+		for {
+			p, err := readFrame(pr, nil)
+			if err != nil {
+				return
+			}
+			r, err := decodeReply(p, c.dims)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			replies <- r
+		}
+	}()
+	in.Reset()
+	in.Write(appendRequest(nil, 21, histReq(hist)))
+	in.Write(appendRequest(nil, 22, brushReq(filters)))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.serveFrames(&in, pw)
+		pw.Close()
+	}()
+	if r := <-replies; r.id != 22 || r.err != nil || r.ans.Total != wantTotal {
+		t.Fatalf("first reply behind a gated scan: %+v, want the brush (id 22)", r)
+	}
+	close(brushed)
+	if r := <-replies; r.id != 21 || r.err != nil || !reflect.DeepEqual(r.ans.Bins, want.Rows) {
+		t.Fatalf("second reply: %+v, want the scan (id 21)", r)
+	}
+	<-done
+	c.beforeScan = nil
+
+	// The blackhole parks both ops: nothing is answered while it holds.
+	const hold = 60 * time.Millisecond
+	c.blackholeUntil.Store(time.Now().Add(hold).UnixNano())
+	for _, req := range [][]byte{brushReq(filters), histReq(hist)} {
+		out.Reset()
+		start := time.Now()
+		c.serveFrames(bytes.NewReader(appendRequest(nil, 31, req)), &out)
+		if el := time.Since(start); el < hold/2 || out.Len() == 0 {
+			t.Fatalf("op %d under the blackhole: answered %d bytes after %v, want it held ~%v", req[0], out.Len(), el, hold)
+		}
+		c.blackholeUntil.Store(time.Now().Add(hold).UnixNano())
+	}
+	c.blackholeUntil.Store(0)
+
+	c.ready.Store(false)
+	for _, req := range [][]byte{brushReq(filters), histReq(hist)} {
+		out.Reset()
+		c.serveFrames(bytes.NewReader(appendRequest(nil, 9, req)), &out)
+		p, err := readFrame(&out, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := decodeReply(p, c.dims); err != nil || r.id != 9 || !errors.As(r.err, &ce) || ce.code != 503 {
+			t.Fatalf("op %d to a building child: %+v, %v", req[0], r, err)
+		}
 	}
 }
 
@@ -262,7 +446,7 @@ func TestChildFrameLoop(t *testing.T) {
 func FuzzPartialFrame(f *testing.F) {
 	c := frameChild(f)
 	filters := []*datacube.Range{{Lo: 9, Hi: 10.5}, nil, nil}
-	request := appendRequest(nil, 1, appendRanges(nil, filters))
+	request := appendRequest(nil, 1, brushReq(filters))
 	hists := make([][]int64, len(c.dims))
 	for i, d := range c.dims {
 		hists[i] = make([]int64, d.Bins)
@@ -274,16 +458,32 @@ func FuzzPartialFrame(f *testing.F) {
 	f.Add(request[:len(request)-5])                                     // truncated
 	f.Add(ok[:serviceNSOffset])                                         // truncated mid-header
 	f.Add(le.AppendUint32(nil, maxFrame+1))                             // oversized length
-	f.Add(appendRequest(nil, 2, appendRanges(nil, filters[:1])))        // wrong ndims
+	f.Add(appendRequest(nil, 2, brushReq(filters[:1])))                 // wrong ndims
 	f.Add(appendOK(nil, 1, 0, 1, 500, 42, hists[:1]))                   // wrong ndims
 	f.Add(append(append([]byte{}, request...), request[:7]...))         // good frame, then a torn one
 	f.Add([]byte{3, 0, 0, 0, 1, 2, 3})                                  // payload too short for an id
 	f.Add(bytes.Repeat([]byte{0xff}, 64))                               // garbage
 	f.Add(append(le.AppendUint32(nil, 12), make([]byte, 12)...))        // id and a zero count
 	f.Add(append(le.AppendUint32(nil, 9), 1, 0, 0, 0, 0, 0, 0, 0, 0xf)) // unknown status
+	const hist = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 GROUP BY ROUND((x - 8.146) / 0.2)"
+	histRequest := appendRequest(nil, 3, histReq(hist))
+	rows := appendRows(nil, 3, 0, 1, frameRows())
+	f.Add(histRequest)
+	f.Add(rows)
+	f.Add(histRequest[:len(histRequest)-9])                         // a statement cut short
+	f.Add(rows[:len(rows)-3])                                       // a row cut short
+	f.Add(appendRequest(nil, 4, histReq("SELECT x FROM dataroad"))) // no merge law
+	f.Add(appendRequest(nil, 5, []byte{7, 1, 2}))                   // unknown op
+	f.Add(append(append([]byte{}, histRequest...), request...))     // a brush behind a scan
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := decodeReply(data, c.dims); err == nil && r.err == nil {
+		if r, err := decodeReply(data, c.dims); err == nil && r.status == statusRows {
+			for i, row := range r.ans.Bins {
+				if len(row) != 2 || row[0].F != math.Trunc(row[0].F) || math.IsInf(row[0].F, 0) {
+					t.Fatalf("accepted row %d = %v", i, row)
+				}
+			}
+		} else if err == nil && r.err == nil {
 			if len(r.ans.Histograms) != len(c.dims) {
 				t.Fatalf("accepted %d histograms for %d dimensions", len(r.ans.Histograms), len(c.dims))
 			}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
 	"repro/internal/obsv"
+	"repro/internal/opt"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -43,6 +44,13 @@ func TestMain(m *testing.M) {
 }
 
 const testRows = 20000
+
+// One scatter contract, checked by the compiler: both transports are the
+// serving layer's Gatherer.
+var (
+	_ serve.Gatherer = (*shard.Coordinator)(nil)
+	_ serve.Gatherer = (*Fleet)(nil)
+)
 
 // oracleServer builds the single-process S=1 road server every differential
 // test compares against.
@@ -128,6 +136,50 @@ func postJSON(t *testing.T, url string, v any) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// postQuery posts one /v1/query and returns the status and the body with
+// model_ms zeroed: the one field that legitimately differs between an
+// unsharded scan and S parallel partial scans.
+func postQuery(t *testing.T, url, session string, seq int64, sql string) (int, []byte) {
+	t.Helper()
+	st, body := postJSON(t, url+"/v1/query", serve.QueryRequest{Session: session, Seq: seq, SQL: sql})
+	if st != http.StatusOK {
+		return st, body
+	}
+	var resp serve.QueryResponse
+	err := json.Unmarshal(body, &resp)
+	if err != nil {
+		t.Fatalf("%s: %v", body, err)
+	}
+	resp.ModelMS = 0
+	if body, err = json.Marshal(resp); err != nil {
+		t.Fatal(err)
+	}
+	return st, body
+}
+
+// randomHistogram draws one statement of the shape scan_shards replays: the
+// paper's filtered histogram over a random target dimension.
+func randomHistogram(t *testing.T, rng *rand.Rand) string {
+	t.Helper()
+	dims := serve.RoadLoadDims()
+	ranges := make([][2]float64, len(dims))
+	for i, d := range dims {
+		lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
+		ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
+	}
+	stmt, err := opt.HistogramQuery("dataroad", dims, ranges, rng.Intn(len(dims)), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt.String()
+}
+
+const (
+	emptyHistogram    = "SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 1000 AND x <= 1001 GROUP BY ROUND((y - 56) / 0.05) ORDER BY ROUND((y - 56) / 0.05)"
+	oneSidedHistogram = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 57.1 GROUP BY ROUND((x - 8.146) / 0.2)"
+	noMergeLaw        = "SELECT x, y FROM dataroad ORDER BY x, y LIMIT 5"
+)
+
 // randomRanges draws one brush filter state over the road dims.
 func randomRanges(rng *rand.Rand) []*[2]float64 {
 	dims := serve.RoadCubeDims()
@@ -143,10 +195,12 @@ func randomRanges(rng *rand.Rand) []*[2]float64 {
 }
 
 // TestFleetMatchesSingleProcessOracle is the acceptance differential: the
-// multi-process router at S ∈ {2, 4} must answer every brush byte-identical
-// to the single-process S=1 oracle — full coverage is the exact answer, and
-// merge-by-addition across process boundaries is the same merge as
-// in-process.
+// multi-process router at S ∈ {1, 2, 4} must answer every brush
+// byte-identical to the single-process S=1 oracle, and every histogram-shaped
+// /v1/query with the oracle's rows (and the rows -shards S answers) — full
+// coverage is the exact answer, and merge-by-addition across process
+// boundaries is the same merge as in-process. A statement with no merge law
+// is the one thing the router, holding no unsharded table, cannot answer.
 func TestFleetMatchesSingleProcessOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -155,9 +209,10 @@ func TestFleetMatchesSingleProcessOracle(t *testing.T) {
 	leakcheck.CheckChildren(t)
 	oracle := oracleServer(t, serve.Config{Workers: 2})
 
-	for _, s := range []int{2, 4} {
+	for _, s := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("S%d", s), func(t *testing.T) {
 			_, routed := fleetServer(t, Config{Shards: s}, serve.Config{Workers: 2})
+			sharded := oracleServer(t, serve.Config{Workers: 2, Shards: s})
 			rng := rand.New(rand.NewSource(int64(9000 + s)))
 			session := fmt.Sprintf("diff-%d", s)
 			for seq := int64(0); seq < 12; seq++ {
@@ -170,6 +225,47 @@ func TestFleetMatchesSingleProcessOracle(t *testing.T) {
 				if !bytes.Equal(body1, body2) {
 					t.Fatalf("seq %d: routed brush differs:\n%s\nvs oracle:\n%s", seq, body2, body1)
 				}
+			}
+
+			stmts := []string{emptyHistogram, oneSidedHistogram}
+			for i := 0; i < 8; i++ {
+				stmts = append(stmts, randomHistogram(t, rng))
+			}
+			for i, sql := range stmts {
+				seq := int64(100 + i)
+				st1, want := postQuery(t, oracle.URL, session, seq, sql)
+				st2, got := postQuery(t, routed.URL, session, seq, sql)
+				st3, inproc := postQuery(t, sharded.URL, session, seq, sql)
+				if st1 != http.StatusOK || st2 != http.StatusOK || st3 != http.StatusOK {
+					t.Fatalf("%s: status %d (oracle) %d (routed: %s) %d (-shards)", sql, st1, st2, got, st3)
+				}
+				if !bytes.Equal(got, want) || !bytes.Equal(inproc, want) {
+					t.Fatalf("%s:\nrouted   %s\n-shards  %s\noracle   %s", sql, got, inproc, want)
+				}
+			}
+			if _, body := postQuery(t, oracle.URL, session, 200, emptyHistogram); !bytes.Contains(body, []byte(`"rows":[]`)) {
+				t.Fatalf("the empty-result statement has rows: %s", body)
+			}
+
+			st1, want := postQuery(t, oracle.URL, session, 201, noMergeLaw)
+			st2, got := postQuery(t, routed.URL, session, 201, noMergeLaw)
+			st3, inproc := postQuery(t, sharded.URL, session, 201, noMergeLaw)
+			if st1 != http.StatusOK || st3 != http.StatusOK || !bytes.Equal(inproc, want) {
+				t.Fatalf("non-histogram statement: oracle %d %s, -shards %d %s", st1, want, st3, inproc)
+			}
+			if st2 != http.StatusNotImplemented || !bytes.Contains(got, []byte("no merge law")) {
+				t.Fatalf("non-histogram statement on the router: %d %s, want 501 saying why", st2, got)
+			}
+			if st, body := postJSON(t, routed.URL+"/v1/query", serve.QueryRequest{Session: session, Seq: 202, SQL: "SELEC x"}); st != http.StatusBadRequest {
+				t.Fatalf("unparsable statement on the router: %d %s, want 400", st, body)
+			}
+			resp, err := http.Get(routed.URL + "/v1/tiles?session=" + session + "&key=7/66/38")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotImplemented {
+				t.Fatalf("/v1/tiles on the router: %d, want 501", resp.StatusCode)
 			}
 		})
 	}
@@ -250,6 +346,40 @@ func TestFleetKillPartialThenRestartExact(t *testing.T) {
 	}
 	if got := f.Stats().Restarts; got < 1 {
 		t.Fatalf("restarts = %d, want >= 1", got)
+	}
+
+	// The query leg, by the same rules: a histogram statement with shard 1
+	// dead is the surviving shard's rows scaled, degraded with exactly its
+	// record share, and exact again — the pre-kill rows — after the restart.
+	query := func(seq int64) serve.QueryResponse {
+		st, body := postQuery(t, ts.URL, "kill", seq, oneSidedHistogram)
+		if st != http.StatusOK {
+			t.Fatalf("query seq %d: status %d: %s", seq, st, body)
+		}
+		var resp serve.QueryResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	qBefore := query(3)
+	if qBefore.Degraded || len(qBefore.Rows) == 0 {
+		t.Fatalf("healthy fleet answered the query degraded=%v with %d rows", qBefore.Degraded, len(qBefore.Rows))
+	}
+	if err := syscall.Kill(f.ReplicaPID(1, 0), syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, f, 1, 0, func(s State) bool { return s != StateReady })
+	qDuring := query(4)
+	if !qDuring.Degraded || qDuring.SampleFraction != want {
+		t.Fatalf("query with shard 1 dead: degraded=%v fraction %v, want exactly %v", qDuring.Degraded, qDuring.SampleFraction, want)
+	}
+	if err := f.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if qAfter := query(5); qAfter.Degraded || fmt.Sprint(qAfter.Rows) != fmt.Sprint(qBefore.Rows) {
+		t.Fatalf("post-restart query (degraded=%v) differs from the pre-kill exact answer:\n%v\nvs\n%v",
+			qAfter.Degraded, qAfter.Rows, qBefore.Rows)
 	}
 }
 
@@ -351,6 +481,41 @@ func TestFleetKillInFlightFailsOver(t *testing.T) {
 	stats := f.Stats()
 	if stats.Hedges < 1 || stats.HedgeWins < 1 {
 		t.Fatalf("hedges=%d hedge_wins=%d, want both >= 1", stats.Hedges, stats.HedgeWins)
+	}
+
+	// The query leg: the same failure with a histogram call in flight, once
+	// the supervisor has seen the first kill and brought that replica back
+	// (its state may still read ready for a moment after the SIGKILL). Its
+	// affinity is by statement, so the doomed replica is the statement's.
+	if err := waitFor(f, "the killed replica's next generation", func() bool {
+		h := f.reps[0][aff].health()
+		return h.Generation >= 2 && h.State == StateReady.String()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitAllReady(t, f)
+	aff = f.AffinityReplica(0, oneSidedHistogram)
+	if st, body := postQuery(t, ts.URL, session, 2, emptyHistogram); st != http.StatusOK {
+		t.Fatalf("warm-up query: status %d: %s", st, body)
+	}
+	if st, body := postQuery(t, ts.URL, session, 3, oneSidedHistogram); st != http.StatusOK {
+		t.Fatalf("warm-up query: status %d: %s", st, body)
+	}
+	blackhole(t, f, 0, aff, time.Minute)
+	go func() { killed <- killWhenInFlight(f, 0, aff) }()
+	st, body = postQuery(t, ts.URL, session, 4, oneSidedHistogram)
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	if st != http.StatusOK {
+		t.Fatalf("query with its primary killed in flight: status %d: %s", st, body)
+	}
+	if _, want := postQuery(t, oracle.URL, session, 4, oneSidedHistogram); !bytes.Equal(body, want) {
+		t.Fatalf("failed-over query differs:\n%s\nvs oracle:\n%s", body, want)
+	}
+	if after := f.Stats(); after.Hedges <= stats.Hedges || after.HedgeWins <= stats.HedgeWins {
+		t.Fatalf("hedges %d -> %d, hedge wins %d -> %d: the query leg did not fail over",
+			stats.Hedges, after.Hedges, stats.HedgeWins, after.HedgeWins)
 	}
 }
 

@@ -82,6 +82,26 @@ func TestFleetSnapshotWarmStartMatchesRebuild(t *testing.T) {
 			for seq := int64(0); seq < 12; seq++ {
 				sameBrush(seq)
 			}
+			// A warm-started child registers the mapped table with its engine
+			// the way a rebuilt one registers its partition: same rows.
+			sameQuery := func(seq int64, sql string) {
+				t.Helper()
+				st1, body1 := postQuery(t, coldTS.URL, session, seq, sql)
+				st2, body2 := postQuery(t, warmTS.URL, session, seq, sql)
+				if st1 != http.StatusOK || st2 != http.StatusOK {
+					t.Fatalf("%s: status %d vs %d (%s)", sql, st1, st2, body2)
+				}
+				if !bytes.Equal(body1, body2) {
+					t.Fatalf("%s: warm-start rows differ:\n%s\nvs rebuild:\n%s", sql, body2, body1)
+				}
+			}
+			sameQuery(20, oneSidedHistogram)
+			if _, body := postQuery(t, warmTS.URL, session, 20, oneSidedHistogram); bytes.Contains(body, []byte(`"rows":[]`)) {
+				t.Fatalf("warm-started children answered no rows: %s", body)
+			}
+			for seq := int64(21); seq < 25; seq++ {
+				sameQuery(seq, randomHistogram(t, rng))
+			}
 
 			// Kill a child whose snapshot is on disk: the generation the
 			// supervisor restarts must map it too, not rebuild.
@@ -102,6 +122,7 @@ func TestFleetSnapshotWarmStartMatchesRebuild(t *testing.T) {
 					st.WarmStarts, s+1, st.RestartWindows)
 			}
 			sameBrush(12)
+			sameQuery(25, oneSidedHistogram)
 		})
 	}
 }

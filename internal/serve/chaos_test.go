@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obsv"
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
+	"repro/internal/obsv"
 )
 
 // newChaosServer is newTestServer with a fault injector and robustness
@@ -179,7 +179,7 @@ func TestBrushCacheTier(t *testing.T) {
 // instead of 503.
 func TestQueryDegradesUnderStall(t *testing.T) {
 	stallAll := fault.New(fault.Profile{Name: "stall-all", StallProb: 1, StallDelay: 300 * time.Millisecond}, 13)
-	_, ts := newChaosServer(t, Config{
+	srv, ts := newChaosServer(t, Config{
 		Workers:          2,
 		Deadlines:        true,
 		DegradeAfter:     15 * time.Millisecond,
@@ -202,6 +202,16 @@ func TestQueryDegradesUnderStall(t *testing.T) {
 	}
 	if len(qr.Rows) == 0 {
 		t.Fatal("degraded query returned no rows")
+	}
+	// The sample rung is part of the one admitted execution: it ran on the
+	// pool worker, inside the execute stage, and was counted once.
+	st := srv.Stats()
+	if st.Executed != 1 || st.Stages["execute"].Count != 1 || st.Degraded != 1 || st.Deadlines != 1 {
+		t.Fatalf("one degraded query: executed=%d execute spans=%d degraded=%d deadlines=%d, want 1 each",
+			st.Executed, st.Stages["execute"].Count, st.Degraded, st.Deadlines)
+	}
+	if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" || !rec[0].Visited(obsv.StageExecute) {
+		t.Fatalf("trace of the degraded query: %+v", rec)
 	}
 
 	// A non-histogram query has no degraded tier: 503 with a retry hint.
@@ -391,17 +401,17 @@ func TestChaosLCVBound(t *testing.T) {
 	baseline := run(false)
 
 	t.Logf("deadlines on:  lcv=%d/%d (%.1f%%) degraded=%d deadline_exceeded=%d p99=%.1fms",
-		withDeadlines.LCV, withDeadlines.Issued, 100*withDeadlines.LCVPercent,
+		withDeadlines.LCV, withDeadlines.Issued, 100*withDeadlines.LCVFraction,
 		withDeadlines.Degraded, withDeadlines.Deadlines, withDeadlines.P99MS)
 	t.Logf("deadlines off: lcv=%d/%d (%.1f%%) p99=%.1fms",
-		baseline.LCV, baseline.Issued, 100*baseline.LCVPercent, baseline.P99MS)
+		baseline.LCV, baseline.Issued, 100*baseline.LCVFraction, baseline.P99MS)
 
-	if withDeadlines.LCVPercent > 0.05 {
-		t.Errorf("deadline-aware LCV = %.1f%%, want <= 5%%", 100*withDeadlines.LCVPercent)
+	if withDeadlines.LCVFraction > 0.05 {
+		t.Errorf("deadline-aware LCV = %.1f%%, want <= 5%%", 100*withDeadlines.LCVFraction)
 	}
-	if baseline.LCVPercent < 0.20 {
+	if baseline.LCVFraction < 0.20 {
 		t.Errorf("baseline LCV = %.1f%%, want > 20%% (stall profile should collapse it)",
-			100*baseline.LCVPercent)
+			100*baseline.LCVFraction)
 	}
 	if withDeadlines.Degraded == 0 {
 		t.Error("deadline run never degraded: the ladder was not exercised")

@@ -79,5 +79,5 @@ func TestLoadgenRace(t *testing.T) {
 	}
 	t.Logf("issued=%d executed=%d coalesced=%d shed=%d lcv=%d (%.1f%%) qif=%.1f/s p95=%.1fms wall=%v",
 		report.Issued, report.Server.Executed, report.Server.Coalesced, report.Server.Shed,
-		report.Server.LCV, 100*report.Server.LCVPercent, report.QIFPerSec, report.P95MS, report.Wall)
+		report.Server.LCV, 100*report.Server.LCVFraction, report.QIFPerSec, report.P95MS, report.Wall)
 }

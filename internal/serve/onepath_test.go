@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,7 +31,7 @@ var answererModes = []struct {
 		return b, base
 	}},
 	{"gatherer", func(t *testing.T, b Backends, base Config) (Backends, Config) {
-		coord, err := shard.New(b.Tiles, RoadCubeDims(), shard.Options{Shards: 2})
+		coord, err := shard.New(b.Tiles, RoadCubeDims(), shard.Options{Shards: 2, WithEngine: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +86,31 @@ func postAll(t *testing.T, tag string, servers []*httptest.Server, req BrushRequ
 	return first
 }
 
+// queryAll sends one statement to every server and requires 200 and
+// identical bodies, model_ms apart (parallel partial scans are not one full
+// scan); it returns the common response.
+func queryAll(t *testing.T, tag string, servers []*httptest.Server, req QueryRequest) QueryResponse {
+	t.Helper()
+	var first QueryResponse
+	for i, ts := range servers {
+		resp, body := postJSON(t, ts.URL+"/v1/query", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s: status %d: %s", tag, answererModes[i].name, resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		qr.ModelMS = 0
+		if i == 0 {
+			first = qr
+		} else if !reflect.DeepEqual(qr, first) {
+			t.Fatalf("%s: %s differs from %s\n%+v\nvs\n%+v", tag, answererModes[i].name, answererModes[0].name, qr, first)
+		}
+	}
+	return first
+}
+
 // TestOneBrushPathAcrossAnswerers: whoever answers — local prefix cube, the
 // planner, two in-process shards, or a coordinator handed in as Gatherer —
 // the same brush script yields byte-identical bodies, and under a stalled
@@ -104,6 +131,21 @@ func TestOneBrushPathAcrossAnswerers(t *testing.T) {
 		postAll(t, "unfiltered", servers, BrushRequest{Session: "one", Seq: seq + 1, Ranges: make([]*[2]float64, 3)})
 		inverted := []*[2]float64{{10.5, 8.2}, nil, nil}
 		postAll(t, "inverted", servers, BrushRequest{Session: "one", Seq: seq + 2, Ranges: inverted})
+
+		// The query script beside it: the gatherer-backed servers scatter the
+		// histogram shapes and merge, the others scan one table; a statement
+		// with no merge law runs unsharded everywhere.
+		for i, sql := range []string{
+			"SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 8.2 AND x <= 10.5 GROUP BY ROUND((y - 56) / 0.05) ORDER BY ROUND((y - 56) / 0.05)",
+			"SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 57.1 GROUP BY ROUND((x - 8.146) / 0.2)",
+			"SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 1000 GROUP BY ROUND((y - 56) / 0.05)",
+			"SELECT x, y FROM dataroad ORDER BY x, y LIMIT 5",
+		} {
+			qr := queryAll(t, sql, servers, QueryRequest{Session: "one", Seq: seq + 3 + int64(i), SQL: sql})
+			if qr.Degraded || (len(qr.Rows) == 0) != (i == 2) {
+				t.Fatalf("%s: degraded=%v with %d rows", sql, qr.Degraded, len(qr.Rows))
+			}
+		}
 	})
 
 	t.Run("ladder", func(t *testing.T) {
@@ -140,6 +182,13 @@ func TestOneBrushPathAcrossAnswerers(t *testing.T) {
 		if partial.Tier != "partial" || !partial.Degraded || partial.SampleFraction <= 0 || partial.SampleFraction > 1 {
 			t.Fatalf("stalled, unseen ranges: tier %q degraded=%v fraction=%g, want a degraded partial",
 				partial.Tier, partial.Degraded, partial.SampleFraction)
+		}
+		// The query path rides the same ladder: stalled, a histogram answers
+		// from the same sample rung on every server.
+		qr := queryAll(t, "query sample", servers, QueryRequest{Session: "rungs", Seq: 3,
+			SQL: "SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 8.2 GROUP BY ROUND((y - 56) / 0.05)"})
+		if !qr.Degraded || qr.SampleFraction <= 0 || qr.SampleFraction > 1 || len(qr.Rows) == 0 {
+			t.Fatalf("stalled query: degraded=%v fraction=%g rows=%d, want a degraded sample", qr.Degraded, qr.SampleFraction, len(qr.Rows))
 		}
 	})
 }

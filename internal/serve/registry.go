@@ -195,7 +195,7 @@ type Stats struct {
 	Shed           int64   `json:"shed"`
 	Errors         int64   `json:"errors"`
 	LCV            int64   `json:"lcv"`
-	LCVPercent     float64 `json:"lcv_percent"`
+	LCVFraction    float64 `json:"lcv_fraction"`
 	OverConstraint int64   `json:"over_constraint"`
 	ConstraintMS   float64 `json:"constraint_ms"`
 	Regressions    int64   `json:"seq_regressions"`
@@ -275,7 +275,7 @@ func (r *Registry) snapshot(queueDepth, inflight int) Stats {
 		Inflight:       inflight,
 	}
 	if s.Issued > 0 {
-		s.LCVPercent = float64(s.LCV) / float64(s.Issued)
+		s.LCVFraction = float64(s.LCV) / float64(s.Issued)
 	}
 	r.mu.Lock()
 	s.QIFPerSec = r.qifLocked()

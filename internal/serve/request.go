@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"math"
 	"net/http"
 	"strconv"
@@ -96,39 +95,26 @@ func (r *request) refuse(err error) {
 }
 
 // run is the middle of a request that is one backend execution of its own
-// (query, tiles): exec runs on a pool worker behind the fault gate, under
-// the budget that started at issue, and its error comes back here. false
-// means the queue refused the request and it has been answered.
-func (r *request) run(exec func(ctx context.Context) error) (bool, error) {
-	s := r.s
-	ctx, cancel := s.budget(r.start)
-	defer cancel()
-	ch := make(chan error, 1)
+// (query, tiles): its whole ladder, fallback rungs included, on a pool
+// worker. admitted false: the queue refused the request, which is answered.
+func (r *request) run(rg rungs) (admitted bool, tier string, frac float64, err error) {
+	done := make(chan struct{})
 	// The queue stage opens before admit: a successful admit hands the trace
 	// to the worker (the queue send is the happens-before edge), and the span
 	// from here to the worker's Enter(StageExecute) is queue wait.
 	r.tr.Enter(obsv.StageQueue)
-	if err := s.admit(func() {
+	if aerr := r.s.admit(func() {
 		r.tr.Enter(obsv.StageExecute)
-		err := s.faultGate(ctx)
-		if err == nil {
-			err = exec(ctx)
-		}
-		if err != nil && ctx.Err() != nil {
-			s.reg.recordDeadline()
-		}
-		if s.cfg.ExecDelay > 0 {
-			time.Sleep(s.cfg.ExecDelay)
-		}
-		s.reg.recordExec()
+		tier, frac, err = r.s.ladder(r.start, rg)
 		r.tr.Enter(obsv.StageMerge)
-		ch <- err
-	}); err != nil {
-		r.refuse(err)
-		return false, nil
+		close(done)
+	}); aerr != nil {
+		r.refuse(aerr)
+		return false, "", 0, nil
 	}
 	r.ran = true
-	return true, <-ch
+	<-done
+	return true, tier, frac, err
 }
 
 // answered takes the request out of its session's in-flight set, records its

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -127,19 +128,16 @@ type Config struct {
 	Shards int
 	// ShardMode selects hash (default) or range partitioning.
 	ShardMode shard.Mode
-	// ShardWorkers is the goroutine-pool size per shard; 0 means 2.
-	ShardWorkers int
 	// ShardFaults optionally fault-gates individual shards (nil entries
 	// inject nothing) — the chaos hook for wedging one shard while the
 	// rest stay healthy. Independent of Fault, which gates whole requests.
 	ShardFaults []*fault.Injector
 
-	// Gatherer, when non-nil, replaces the in-process backends for the
-	// brush path entirely: every brush scatter-gathers through it (the
-	// process-level router hands one in, fronting supervised shard child
-	// processes) and merges by addition exactly as the in-process
-	// coordinator does. Requires GatherDims and no Cube backend. The server
-	// owns the gatherer's lifecycle: Drain closes it.
+	// Gatherer, when non-nil, holds the partitions: every brush and every
+	// histogram-shaped query scatter-gathers through it (the process router
+	// hands one in, fronting supervised shard child processes) and merges by
+	// addition exactly as the in-process coordinator does. Requires
+	// GatherDims and no Cube backend. The server owns it: Drain closes it.
 	Gatherer Gatherer
 	// GatherDims are the served cube dimensions when a Gatherer is
 	// configured — the global domains every shard child bins against.
@@ -154,27 +152,23 @@ const (
 	partialRows = 32768
 )
 
-// Gatherer is the brush scatter-gather backend: fan one filter snapshot out
-// to every shard, collect per-shard partial histograms, and report coverage.
-// *shard.Coordinator implements it with in-process goroutine pools;
-// router.Fleet implements it across supervised child processes — the serving
-// layer's ladder, coalescing, and metrics are identical over either.
+// Gatherer is the scatter contract: fan one request out to every partition,
+// collect their raw answers, and report coverage. *shard.Coordinator
+// implements it with in-process goroutine pools, router.Fleet across child
+// processes; the ladder, coalescing and metrics are the same over either.
 type Gatherer interface {
 	// ScatterBrush scatters one brush snapshot. The session token lets
 	// process-level implementations route with per-session affinity; a ctx
 	// with no deadline blocks for full coverage.
 	ScatterBrush(ctx context.Context, session string, filters []*datacube.Range) (*shard.Gather, error)
+	// QueryHistogram scatters a histogram-shaped SQL query: the covered
+	// partitions' (bin, count) rows summed, raw, and the fraction of all
+	// records they own. The bool is false for any other statement — it has
+	// no merge law and needs an unsharded table.
+	QueryHistogram(ctx context.Context, query string) (*engine.Result, float64, bool, error)
 	// Close releases the gatherer's resources (worker pools, child
 	// processes). Called once, from Drain.
 	Close()
-}
-
-// histogramQuerier is the optional SQL fan-out face of a Gatherer: the
-// in-process coordinator scatters histogram-shaped queries across shard
-// engines. Gatherers without it (the process router) leave /v1/query to the
-// local engine backend.
-type histogramQuerier interface {
-	QueryHistogram(ctx context.Context, query string) (*engine.Result, float64, bool, error)
 }
 
 // HealthReporter is optionally implemented by gatherers that supervise
@@ -198,7 +192,7 @@ type RPCReporter interface {
 // Backends are the data systems the server fronts. Engine serves /v1/query,
 // Cube serves /v1/brush, and Tiles (a table with latitude/longitude
 // columns named TileLat/TileLng) serves /v1/tiles. Nil backends make the
-// corresponding endpoint respond 501.
+// corresponding endpoint respond 501, unless a Gatherer answers it.
 type Backends struct {
 	Engine  *engine.Engine
 	Cube    *datacube.Cube
@@ -384,14 +378,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 		if b.Cube == nil || b.Tiles == nil {
 			return nil, fmt.Errorf("serve: sharded serving needs a cube with a backing table")
 		}
-		opts := shard.Options{
-			Shards:  cfg.Shards,
-			Mode:    cfg.ShardMode,
-			Workers: cfg.ShardWorkers,
-			Faults:  cfg.ShardFaults,
-		}
+		opts := shard.Options{Shards: cfg.Shards, Mode: cfg.ShardMode, Faults: cfg.ShardFaults, WithEngine: b.Engine != nil}
 		if b.Engine != nil {
-			opts.WithEngine = true
 			opts.Profile = b.Engine.Profile()
 		}
 		coord, err := shard.New(b.Tiles, s.cubeDims, opts)
@@ -559,16 +547,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// budget returns the context one request's exact attempt runs under. With
-// Deadlines on it expires degradeAfter past issue, so queue wait counts
-// against it; off, the same code simply runs with no deadline.
-func (s *Server) budget(issued time.Time) (context.Context, context.CancelFunc) {
-	if !s.cfg.Deadlines {
-		return context.Background(), func() {}
-	}
-	return context.WithDeadline(context.Background(), issued.Add(s.degradeAfter))
-}
-
 // isDraining reports whether admission has stopped.
 func (s *Server) isDraining() bool {
 	s.drainMu.RLock()
@@ -618,10 +596,10 @@ type QueryRequest struct {
 	SQL     string `json:"sql"`
 }
 
-// QueryResponse carries the materialized result. Degraded marks a partial
-// answer: the query blew its deadline budget and was answered from a
-// bounded sample instead (SampleFraction of the table, counts scaled up) —
-// only histogram-shaped queries degrade this way.
+// QueryResponse carries the materialized result. Degraded marks an
+// estimate: the query lost shards or its whole budget and was answered from
+// what was covered, or a bounded sample (SampleFraction of the records,
+// counts scaled up) — only histogram-shaped queries degrade this way.
 type QueryResponse struct {
 	Seq            int64    `json:"seq"`
 	Columns        []string `json:"columns"`
@@ -631,12 +609,15 @@ type QueryResponse struct {
 	SampleFraction float64  `json:"sample_fraction,omitempty"`
 }
 
+// errNoMergeLaw is the 501 of a server whose only tables are partitions.
+var errNoMergeLaw = errors.New("serve: not a histogram-shaped statement: its per-shard answers have no merge law, and this server holds no unsharded table to run it on")
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.eng == nil {
+	if s.eng == nil && s.coord == nil {
 		httpError(w, http.StatusNotImplemented, "no engine backend")
 		return
 	}
@@ -653,38 +634,49 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res *engine.Result
-	frac := 1.0 // covered record fraction; < 1 marks a sharded partial
-	admitted, err := rq.run(func(ctx context.Context) (err error) {
-		if hq, ok := s.coord.(histogramQuerier); ok {
-			// Histogram-shaped queries scatter across the shard engines
-			// and merge by addition; any other shape has no merge law
-			// and runs on the unsharded engine below.
-			rq.tr.Enter(obsv.StageScatter)
-			var shaped bool
-			if res, frac, shaped, err = hq.QueryHistogram(ctx, req.SQL); shaped {
-				return err
+	shaped := false // the statement went to the gatherer's partitions
+	admitted, tier, frac, err := rq.run(rungs{
+		exact: func(ctx context.Context) (frac float64, err error) {
+			if s.coord != nil {
+				// Histogram shapes scatter across the partitions' engines and
+				// merge by addition; any other runs unsharded, below.
+				rq.tr.Enter(obsv.StageScatter)
+				if res, frac, shaped, err = s.coord.QueryHistogram(ctx, req.SQL); shaped || err != nil {
+					return frac, err
+				}
 			}
-		}
-		res, err = s.eng.QueryCtx(ctx, req.SQL)
-		frac = 1
-		return err
+			if s.eng == nil {
+				return 0, errNoMergeLaw
+			}
+			res, err = s.eng.QueryCtx(ctx, req.SQL)
+			return 1, err
+		},
+		scale: func(frac float64) {
+			for _, row := range res.Rows {
+				row[1].I = extrapolate(row[1].I, frac)
+			}
+		},
+		// A backend fault on a histogram shape answers from a bounded sample
+		// prefix of the unsharded table; no other shape has a cheap estimate.
+		sample: func(ctx context.Context, err error) (frac float64) {
+			if stmt, perr := sql.Parse(req.SQL); perr == nil && s.eng != nil && isBackendFault(err) {
+				res, frac, _, _ = s.eng.PartialHistogram(ctx, stmt, partialRows)
+			}
+			return frac
+		},
 	})
 	if !admitted {
 		return
 	}
 	if err != nil {
-		// A real SQL/execution error fails 400: the backend is healthy, the
-		// query is not. A backend fault falls to the degrade tier —
-		// histogram-shaped queries answer from a bounded sample, scaled to the
-		// full table — and fails only when the shape has none.
-		res = nil
-		if isBackendFault(err) {
-			res, frac = s.degradeQuery(req.SQL)
+		status := http.StatusBadRequest // a SQL error: the backend is healthy, the query is not
+		if errors.Is(err, errNoMergeLaw) {
+			status = http.StatusNotImplemented
+		} else if shaped {
+			status = http.StatusInternalServerError // a gather that covered nothing
 		}
-		if res == nil {
-			rq.fail(err, http.StatusBadRequest)
-			return
-		}
+		rq.fail(err, status)
+		return
 	}
 	resp := QueryResponse{
 		Seq:     req.Seq,
@@ -692,13 +684,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Rows:    rowsJSON(res.Rows),
 		ModelMS: float64(res.Stats.ModelCost) / float64(time.Millisecond),
 	}
-	if err != nil || frac < 1 {
-		// A sample, or a merge that lost a shard to the deadline: the
-		// histogram estimates the full answer from the fraction it covered.
-		resp.Degraded = true
-		resp.SampleFraction = frac
-		s.reg.recordDegraded()
-		rq.tr.SetTier("partial")
+	if tier == "partial" { // an estimate from the fraction a sample or a short merge covered
+		resp.Degraded, resp.SampleFraction = true, frac
+		rq.tr.SetTier(tier)
 	}
 	rq.reply(resp, req.Seq, false)
 }
@@ -710,21 +698,6 @@ func isBackendFault(err error) bool {
 	return errors.Is(err, fault.ErrInjected) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled)
-}
-
-// degradeQuery answers a histogram-shaped SQL query from a bounded sample
-// prefix, scaled to the table. Non-histogram shapes return nil — they have
-// no cheap unbiased estimate.
-func (s *Server) degradeQuery(sqlText string) (*engine.Result, float64) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, 0
-	}
-	res, frac, ok, err := s.eng.PartialHistogram(context.Background(), stmt, partialRows)
-	if !ok || err != nil {
-		return nil, 0
-	}
-	return res, frac
 }
 
 func rowsJSON(rows [][]storage.Value) [][]any {
@@ -913,10 +886,6 @@ func (s *Server) runBrushes(sess *sessionState) {
 		}
 
 		resp, err := s.execBrushLadder(payload, earliest, stamp)
-		if s.cfg.ExecDelay > 0 {
-			time.Sleep(s.cfg.ExecDelay)
-		}
-		s.reg.recordExec()
 
 		sess.mu.Lock()
 		if payload.Seq < sess.applied {
@@ -1000,89 +969,125 @@ func (s *Server) answerLocal(_ context.Context, req BrushRequest, _ func(obsv.St
 func (s *Server) answerGather(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error) {
 	stamp(obsv.StageScatter)
 	g, err := s.coord.ScatterBrush(ctx, req.Session, brushFilters(req.Ranges))
+	if err == nil && g.Covered() == 0 {
+		err = cmp.Or(g.FirstErr(), errors.New("serve: shard gather covered no shards"))
+	}
 	if err != nil {
 		return nil, 0, err
-	}
-	if g.Covered() == 0 {
-		if err := g.FirstErr(); err != nil {
-			return nil, 0, err
-		}
-		return nil, 0, fmt.Errorf("serve: shard gather covered no shards")
 	}
 	b := g.MergeBrush(s.cubeDims)
 	return &BrushResponse{AppliedSeq: req.Seq, Histograms: b.Histograms, Total: b.Total}, b.Fraction(), nil
 }
 
-// execBrushLadder answers one brush snapshot through the degradation
-// ladder: fault gate, then the answerer. Full coverage is the exact answer.
-// Anything less falls to a cached exact answer for the same ranges; failing
-// that, partial coverage is served as the covered partitions' merge scaled
-// by 1/fraction, and no coverage as a progressive sample estimate — both
-// marked Degraded with the record fraction they saw.
-//
-// Deadlines on, the attempt runs under a budget of degradeAfter from the
-// oldest rider's issue. Deadlines off is the chaos baseline: the same code
-// with no budget (injected stalls are served in full) and no cache or
-// progressive rung to fall to — an attempt that loses a partition to an error
-// is still served scaled and counted degraded, and one that errs fails.
-func (s *Server) execBrushLadder(req BrushRequest, earliest time.Time, stamp func(obsv.Stage)) (*BrushResponse, error) {
-	ctx, cancel := s.budget(earliest)
-	defer cancel()
+// rungs are one endpoint's steps down the degradation ladder, building its
+// answer in variables their closures share. exact answers, raw, over the
+// partitions that answer under ctx and returns the record fraction they own
+// (an error: none answered); cached swaps in a stored exact answer; scale
+// extrapolates exact's answer from frac of the records to all; sample
+// estimates from a bounded sample once err lost every partition, returning
+// the fraction sampled, 0 for no estimate. Only exact is required.
+type rungs struct {
+	exact  func(ctx context.Context) (frac float64, err error)
+	cached func() bool
+	scale  func(frac float64)
+	sample func(ctx context.Context, err error) (frac float64)
+}
 
-	var resp *BrushResponse
-	var frac float64
-	err := s.faultGate(ctx)
-	if err == nil {
-		resp, frac, err = s.answer(ctx, req, stamp)
+// ladder is one backend execution — brush, query or tile — and names the
+// rung that answered. Behind the fault gate, full coverage is exact, "";
+// anything less falls to "cache", failing that to "partial", counted
+// degraded with the record fraction it saw: partial coverage scaled by
+// 1/fraction, no coverage as the sample estimate (bounded work, so it may
+// outrun the budget). An error means no rung answered. Deadlines on, the
+// budget expires degradeAfter past issued, so queue wait counts against it;
+// off (the chaos baseline) it never does and injected stalls are served in
+// full, but losing a partition to an error still degrades.
+func (s *Server) ladder(issued time.Time, r rungs) (tier string, frac float64, err error) {
+	ctx := context.Background()
+	if s.cfg.Deadlines {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, issued.Add(s.degradeAfter))
+		defer cancel()
+	}
+	defer func() {
+		time.Sleep(s.cfg.ExecDelay) // returns at once for the zero default
+		s.reg.recordExec()
+	}()
+	if err = s.faultGate(ctx); err == nil {
+		frac, err = r.exact(ctx)
 	}
 	if err == nil && frac == 1 {
-		if s.cfg.Deadlines {
-			resp.Tier = "exact"
-		}
-		s.brk.success()
-		s.cacheBrush(req, resp)
-		return resp, nil
+		return "", 1, nil
 	}
 	if ctx.Err() != nil {
 		s.reg.recordDeadline()
 	}
-
-	// A cached exact answer for these exact ranges — stale only in the sense
-	// that it was computed earlier; the data is immutable, so it is not
-	// degraded, just cheaper, and it beats any estimate.
-	if cached := s.lookupBrush(req); cached != nil {
-		c := *cached
-		c.AppliedSeq = req.Seq
-		c.Tier = "cache"
-		s.reg.recordBrushCacheHit()
-		s.brk.success()
-		return &c, nil
+	if r.cached != nil && r.cached() {
+		return "cache", 1, nil
 	}
-
 	if err == nil {
-		// Some partitions answered: estimate the rest from them, the same
-		// convention as the progressive sample.
-		scale := 1 / frac
-		for _, h := range resp.Histograms {
-			for i, v := range h {
-				h[i] = int64(float64(v)*scale + 0.5)
-			}
-		}
-		resp.Total = int64(float64(resp.Total)*scale + 0.5)
-		resp.SampleFraction = frac
-	} else if s.prog != nil {
-		// Nothing answered: a bounded-work sample estimate.
-		if partial, perr := s.execBrushPartial(req); perr == nil {
-			resp = partial
-		}
+		r.scale(frac)
+	} else if frac = 0; r.sample != nil {
+		frac = r.sample(context.WithoutCancel(ctx), err)
 	}
-	if resp == nil {
+	if frac == 0 {
+		return "", 0, err
+	}
+	s.reg.recordDegraded()
+	return "partial", frac, nil
+}
+
+// extrapolate estimates a count over all records from one seen over frac of
+// them, rounding half up — the one place partial coverage is scaled.
+func extrapolate(v int64, frac float64) int64 {
+	return int64(float64(v)*(1/frac) + 0.5)
+}
+
+// execBrushLadder answers one brush snapshot through the ladder (its cache
+// and sample rungs exist only with Deadlines on), the budget running from
+// the oldest rider's issue; the breaker hears healthy whenever a rung served.
+func (s *Server) execBrushLadder(req BrushRequest, earliest time.Time, stamp func(obsv.Stage)) (*BrushResponse, error) {
+	var resp *BrushResponse
+	tier, frac, err := s.ladder(earliest, rungs{
+		exact: func(ctx context.Context) (frac float64, err error) {
+			resp, frac, err = s.answer(ctx, req, stamp)
+			return frac, err
+		},
+		cached: func() bool {
+			c := s.lookupBrush(req)
+			if c != nil {
+				resp = c
+			}
+			return c != nil
+		},
+		scale: func(frac float64) {
+			for _, h := range resp.Histograms {
+				for i, v := range h {
+					h[i] = extrapolate(v, frac)
+				}
+			}
+			resp.Total = extrapolate(resp.Total, frac)
+		},
+		sample: func(context.Context, error) (frac float64) {
+			resp, frac = s.execBrushPartial(req)
+			return frac
+		},
+	})
+	if err != nil {
 		s.brk.failure(time.Now())
 		return nil, err
 	}
-	resp.Tier, resp.Degraded = "partial", true
-	s.reg.recordDegraded()
 	s.brk.success()
+	resp.Tier = tier
+	switch tier {
+	case "":
+		if s.cfg.Deadlines {
+			resp.Tier = "exact"
+		}
+		s.cacheBrush(req, resp) // read-only from here on
+	case "partial":
+		resp.Degraded, resp.SampleFraction = true, frac
+	}
 	return resp, nil
 }
 
@@ -1104,8 +1109,8 @@ func brushKey(req BrushRequest) string {
 }
 
 // cacheBrush stores an exact answer under its ranges key, when a rung can
-// ever read it back. The cached value is read-only from then on; the ladder
-// copies the struct before overriding per-request fields.
+// ever read it back. The cached value is read-only from then on; lookupBrush
+// copies the struct for the ladder to override per-request fields.
 func (s *Server) cacheBrush(req BrushRequest, resp *BrushResponse) {
 	if s.brushCache == nil {
 		return
@@ -1115,8 +1120,9 @@ func (s *Server) cacheBrush(req BrushRequest, resp *BrushResponse) {
 	s.brushMu.Unlock()
 }
 
-// lookupBrush returns the cached exact answer for the request's ranges, or
-// nil, counting the outcome either way.
+// lookupBrush returns the request's own copy of the cached exact answer for
+// its ranges, or nil, counting the outcome either way. The data is
+// immutable, so an earlier answer is not degraded, and beats any estimate.
 func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
 	if s.brushCache == nil {
 		return nil
@@ -1128,14 +1134,21 @@ func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
 		s.reg.recordBrushCacheMiss()
 		return nil
 	}
-	return v.(*BrushResponse)
+	s.reg.recordBrushCacheHit()
+	c := *v.(*BrushResponse)
+	c.AppliedSeq = req.Seq
+	return &c
 }
 
-// execBrushPartial is the ladder's last rung: per-dimension scaled sample
-// estimates over the cube's backing table, using the progressive executor's
-// shuffled prefix as a uniform sample. Work is bounded by partialRows per
-// dimension regardless of table size.
-func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, error) {
+// execBrushPartial is the brush ladder's sample rung: per-dimension scaled
+// sample estimates over the cube's backing table, using the progressive
+// executor's shuffled prefix as a uniform sample. Work is bounded by
+// partialRows per dimension regardless of table size. It returns the
+// fraction sampled beside the estimate, nil and 0 when it has none.
+func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, float64) {
+	if s.prog == nil {
+		return nil, 0
+	}
 	resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
 	filters := make(map[string][2]float64, len(s.cubeDims))
 	for i, rg := range req.Ranges {
@@ -1154,7 +1167,7 @@ func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, error) {
 		}
 		snap, err := s.prog.Partial(q, partialRows)
 		if err != nil {
-			return nil, err
+			return nil, 0
 		}
 		resp.SampleFraction = snap.Fraction
 		for b, v := range snap.Estimate {
@@ -1167,7 +1180,7 @@ func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, error) {
 		}
 	}
 	resp.Total = int64(total + 0.5)
-	return resp, nil
+	return resp, resp.SampleFraction
 }
 
 // brushFilters converts a request's wire-format ranges to datacube filters
@@ -1253,10 +1266,10 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	s.reg.recordTileMiss()
 
 	var count int64
-	admitted, err := rq.run(func(ctx context.Context) (err error) {
+	admitted, _, _, err := rq.run(rungs{exact: func(ctx context.Context) (_ float64, err error) {
 		count, err = s.scanTile(ctx, tile, cacheKey)
-		return err
-	})
+		return 1, err
+	}})
 	if !admitted {
 		return
 	}

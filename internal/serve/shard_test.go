@@ -199,6 +199,81 @@ func TestShardedBrushDegradesOnStalledShard(t *testing.T) {
 	}
 }
 
+// TestShardedQueryDegradesOnStalledShard is the query twin of the brush
+// test above, by the same rules: with one of four shards wedged and
+// deadlines on, a histogram query comes back 200 within the budget as a
+// degraded partial whose SampleFraction is exactly the covered shards'
+// record share, counted as degraded and as a blown deadline; healed, it is
+// exact and its rows are the unsharded oracle's.
+func TestShardedQueryDegradesOnStalledShard(t *testing.T) {
+	leakcheck.Check(t)
+	const stalled = 2
+	const rows = 8000
+	faults := make([]*fault.Injector, 4)
+	faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
+	srv, ts := shardTestServer(t, rows, Config{
+		Workers:      2,
+		Shards:       4,
+		ShardFaults:  faults,
+		Deadlines:    true,
+		DegradeAfter: 80 * time.Millisecond,
+	})
+	_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+
+	coord := srv.coord.(*shard.Coordinator)
+	wantFrac := float64(0)
+	for i := 0; i < coord.NumShards(); i++ {
+		if i != stalled {
+			wantFrac += float64(coord.Replica(i).Table.NumRows())
+		}
+	}
+	wantFrac /= float64(coord.Records())
+
+	req := QueryRequest{Session: "chaos", Seq: 5,
+		SQL: "SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 8.2 AND x <= 10.5 GROUP BY ROUND((y - 56) / 0.05) ORDER BY ROUND((y - 56) / 0.05)"}
+	query := func(url string) QueryResponse {
+		t.Helper()
+		st, body := postJSON(t, url+"/v1/query", req)
+		if st.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", st.StatusCode, body)
+		}
+		var resp QueryResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		resp.ModelMS = 0 // parallel partial scans are not one full scan
+		return resp
+	}
+	want := query(oracle.URL)
+	start := time.Now()
+	resp := query(ts.URL)
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("query took %v with a wedged shard", el)
+	}
+	if !resp.Degraded || resp.SampleFraction != wantFrac {
+		t.Fatalf("degraded=%v sample fraction %g, want a degraded partial covering %g", resp.Degraded, resp.SampleFraction, wantFrac)
+	}
+	if len(resp.Rows) == 0 || len(want.Rows) == 0 {
+		t.Fatalf("partial has %d bins, the oracle %d", len(resp.Rows), len(want.Rows))
+	}
+	if st := srv.Stats(); st.Degraded == 0 || st.Deadlines == 0 || st.Executed != 1 {
+		t.Fatalf("registry degraded=%d deadlines=%d executed=%d, want > 0, > 0 and 1", st.Degraded, st.Deadlines, st.Executed)
+	}
+	if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" {
+		t.Fatalf("trace carries no budget verdict: %+v", rec)
+	}
+	if srv.brk.isOpen(time.Now()) || srv.Stats().BreakerTrips != 0 {
+		t.Fatal("a served partial counted against the breaker")
+	}
+
+	// Heal the shard: the same statement is exact again, and byte-identical
+	// to the unsharded oracle.
+	faults[stalled].SetProfile(fault.Profile{})
+	if healed := query(ts.URL); !reflect.DeepEqual(healed, want) {
+		t.Fatalf("healed answer %+v, want the oracle's %+v", healed, want)
+	}
+}
+
 // TestShardLoadgenRace drives 32 concurrent synthetic users through the
 // full HTTP stack of a 4-shard server (run under -race in CI): every
 // request answered, applied sequences monotonic, every session ends on its

@@ -10,7 +10,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/datacube"
 	"repro/internal/engine"
-	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -19,7 +18,6 @@ import (
 // Close under the write lock, and each shard's pool serializes nothing
 // beyond its own task channel.
 type Coordinator struct {
-	opts    Options
 	dims    []datacube.Dim
 	workers []*worker
 	records int // total records across all partitions
@@ -40,29 +38,17 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 	if err != nil {
 		return nil, err
 	}
-	if opts.Encode || colstore.IsFrozen(t) {
-		// Re-encode each partition: partitioning materializes raw rows, so
-		// a frozen source would otherwise silently fan out uncompressed.
-		for i, part := range parts {
-			parts[i], err = colstore.Freeze(part, &colstore.Options{Parallelism: opts.Parallelism})
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: freeze: %w", i, err)
-			}
-		}
-	}
-	c := &Coordinator{opts: opts, dims: dims, records: t.NumRows()}
+	// Partitioning materializes raw rows, so a frozen source would otherwise
+	// silently fan out uncompressed: its partitions are re-encoded.
+	opts.Encode = opts.Encode || colstore.IsFrozen(t)
+	c := &Coordinator{dims: dims, records: t.NumRows()}
 	for id, part := range parts {
-		rep := &Replica{ID: id, Table: part}
-		rep.Prefix, err = datacube.BuildPrefix(part, dims, opts.Parallelism)
+		rep, err := NewReplica(id, part, dims, nil, opts)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
+			return nil, err
 		}
-		if opts.WithEngine {
-			rep.Engine = engine.New(opts.Profile)
-			rep.Engine.SetParallelism(opts.Parallelism)
-			rep.Engine.Register(part)
-		}
-		w := &worker{rep: rep, fault: opts.injector(id), tasks: make(chan *task, taskQueueDepth)}
+		parts[id] = nil // an encoded replica no longer needs its raw rows
+		w := &worker{rep: rep, dims: dims, fault: opts.injector(id), tasks: make(chan *task, taskQueueDepth)}
 		c.workers = append(c.workers, w)
 		for g := 0; g < opts.Workers; g++ {
 			c.wg.Add(1)
@@ -98,27 +84,45 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// scatter enqueues run on every shard's pool and returns the gather
-// channel, buffered to the dispatch count so stragglers answering after an
-// abandoned gather never block.
-func (c *Coordinator) scatter(ctx context.Context, run func(ctx context.Context, r *Replica) (*Answer, error)) (<-chan result, error) {
+// scatter enqueues one copy of req on every shard's pool and gathers the
+// answers under req.ctx: a shard that has not answered when it expires is
+// marked with its error. The result channel is buffered to the dispatch
+// count, so stragglers answering an abandoned gather never block.
+func (c *Coordinator) scatter(req task) (*Gather, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if c.closed.Load() {
+		c.mu.RUnlock()
 		return nil, fmt.Errorf("shard: coordinator closed")
 	}
-	out := make(chan result, len(c.workers))
+	shards := len(c.workers)
+	out := make(chan result, shards)
+	req.out = out
 	for i, w := range c.workers {
-		t := &task{ctx: ctx, run: run, out: out}
+		t := req
 		select {
-		case w.tasks <- t:
-		case <-ctx.Done():
+		case w.tasks <- &t:
+		case <-req.ctx.Done():
 			// The shard's backlog is full and the deadline hit first:
 			// answer for it locally so the gather still sees S results.
-			out <- result{shard: i, err: ctx.Err()}
+			out <- result{shard: i, err: req.ctx.Err()}
 		}
 	}
-	return out, nil
+	c.mu.RUnlock()
+	answers, errs := make([]*Answer, shards), make([]error, shards)
+	for n := 0; n < shards; n++ {
+		select {
+		case r := <-out:
+			answers[r.shard], errs[r.shard] = r.ans, r.err
+		case <-req.ctx.Done():
+			for i := range errs {
+				if answers[i] == nil && errs[i] == nil {
+					errs[i] = req.ctx.Err()
+				}
+			}
+			n = shards
+		}
+	}
+	return NewGather(answers, errs, c.records), nil
 }
 
 // Gather is the outcome of one scatter: per-shard answers (nil where a
@@ -132,13 +136,11 @@ type Gather struct {
 	coveredRecords int // records owned by the shards that answered
 }
 
-// NewGather assembles a Gather from per-shard answers collected outside the
-// in-process coordinator — the constructor the process-level router uses
-// after gathering its children's binary answer frames. totalRecords is the
-// record count across ALL shards (answered or not); coverage accounting follows
-// from which answer slots are non-nil, exactly as the in-process gather
-// computes it, so Fraction and MergeBrush behave identically across the
-// process boundary.
+// NewGather assembles a Gather from per-shard answers, however they were
+// carried — the coordinator's result channel or the process router's reply
+// frames. totalRecords is the record count across ALL shards (answered or
+// not); coverage follows from which answer slots are non-nil, so Fraction
+// and the merges behave identically across the process boundary.
 func NewGather(answers []*Answer, errs []error, totalRecords int) *Gather {
 	g := &Gather{Answers: answers, Errs: errs, records: totalRecords}
 	for _, a := range answers {
@@ -156,37 +158,6 @@ func NewGather(answers []*Answer, errs []error, totalRecords int) *Gather {
 // directly.
 func (c *Coordinator) ScatterBrush(ctx context.Context, _ string, filters []*datacube.Range) (*Gather, error) {
 	return c.Scatter(ctx, filters)
-}
-
-// gather collects up to len(workers) results, stopping early when ctx
-// expires; shards that have not answered by then are marked with ctx's
-// error.
-func (c *Coordinator) gather(ctx context.Context, out <-chan result) *Gather {
-	g := &Gather{
-		Answers: make([]*Answer, len(c.workers)),
-		Errs:    make([]error, len(c.workers)),
-		records: c.records,
-	}
-	for n := 0; n < len(c.workers); n++ {
-		select {
-		case r := <-out:
-			if r.err != nil {
-				g.Errs[r.shard] = r.err
-				continue
-			}
-			g.Answers[r.shard] = r.ans
-			g.covered++
-			g.coveredRecords += r.ans.Records
-		case <-ctx.Done():
-			for i := range g.Errs {
-				if g.Answers[i] == nil && g.Errs[i] == nil {
-					g.Errs[i] = ctx.Err()
-				}
-			}
-			return g
-		}
-	}
-	return g
 }
 
 // Complete reports whether every shard answered.
@@ -218,33 +189,20 @@ func (g *Gather) FirstErr() error {
 // Brush is a merged brush answer: one histogram per dimension plus the
 // filtered total, summed over the covered shards.
 type Brush struct {
-	Histograms     [][]int64
-	Total          int64
-	Shards         int // shard count
-	Covered        int // shards included in the merge
-	Records        int // records across all shards
-	CoveredRecords int // records across the covered shards
+	Histograms [][]int64
+	Total      int64
+	Covered    int     // shards included in the merge
+	fraction   float64 // of all records, owned by the covered shards
 }
 
 // Fraction returns the covered record fraction (1 for an empty dataset).
-func (b *Brush) Fraction() float64 {
-	if b.Records == 0 {
-		return 1
-	}
-	return float64(b.CoveredRecords) / float64(b.Records)
-}
+func (b *Brush) Fraction() float64 { return b.fraction }
 
 // MergeBrush sums the covered shards' histograms element-wise and their
 // totals — the merge law the differential suite proves equal to the
 // unsharded computation whenever coverage is complete.
 func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
-	b := &Brush{
-		Histograms:     datacube.NewHistograms(dims),
-		Shards:         len(g.Answers),
-		Covered:        g.covered,
-		Records:        g.records,
-		CoveredRecords: g.coveredRecords,
-	}
+	b := &Brush{Histograms: datacube.NewHistograms(dims), Covered: g.covered, fraction: g.Fraction()}
 	for _, a := range g.Answers {
 		if a == nil {
 			continue
@@ -265,19 +223,7 @@ func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
 // follows datacube conventions: nil or empty means unfiltered, otherwise
 // one entry per dimension with nil entries unfiltered.
 func (c *Coordinator) Scatter(ctx context.Context, filters []*datacube.Range) (*Gather, error) {
-	run := func(tctx context.Context, r *Replica) (*Answer, error) {
-		a := &Answer{Records: r.Table.NumRows(), Histograms: datacube.NewHistograms(c.dims)}
-		var err error
-		if a.Total, err = r.Prefix.BrushInto(filters, a.Histograms); err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
-	out, err := c.scatter(ctx, run)
-	if err != nil {
-		return nil, err
-	}
-	return c.gather(ctx, out), nil
+	return c.scatter(task{ctx: ctx, filters: filters})
 }
 
 // Brush is the one-shot form of Scatter: gather and merge. Callers that
@@ -295,91 +241,51 @@ func (c *Coordinator) Brush(ctx context.Context, filters []*datacube.Range) (*Br
 // engines and merges the per-shard (bin, count) rows by addition. The bool
 // reports whether the statement matched the fast-path shape — anything
 // else cannot be merged by addition and must run on an unsharded replica.
-// When coverage is partial, counts are scaled by 1/fraction (the
-// PartialHistogram estimation convention) and the fraction is returned;
-// complete gathers return the counts untouched, byte-identical to the
-// unsharded fast path. A gather with zero coverage returns the first
-// shard error.
+// The rows are the covered shards' raw sum beside the record fraction they
+// own: complete gathers are byte-identical to the unsharded fast path, and
+// estimating the whole from a partial one is the serving layer's job. A
+// gather with zero coverage returns the first shard error.
 func (c *Coordinator) QueryHistogram(ctx context.Context, query string) (*engine.Result, float64, bool, error) {
-	if !c.opts.WithEngine {
-		return nil, 0, false, nil
-	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
+	stmt, shaped, err := c.workers[0].rep.Shaped(query)
+	if !shaped {
 		return nil, 0, false, err
 	}
-	if !c.workers[0].rep.Engine.IsHistogramShaped(stmt) {
-		return nil, 0, false, nil
-	}
-	run := func(tctx context.Context, r *Replica) (*Answer, error) {
-		res, err := r.Engine.ExecuteCtx(tctx, stmt)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Columns) != 2 {
-			return nil, fmt.Errorf("shard: histogram query returned %d columns", len(res.Columns))
-		}
-		return &Answer{
-			Records: r.Table.NumRows(),
-			Bins:    res.Rows,
-			Scanned: res.Stats.TuplesScanned,
-			Cost:    res.Stats.ModelCost,
-		}, nil
-	}
-	out, err := c.scatter(ctx, run)
+	g, err := c.scatter(task{ctx: ctx, stmt: stmt})
 	if err != nil {
 		return nil, 0, true, err
 	}
-	g := c.gather(ctx, out)
 	if g.covered == 0 {
 		return nil, 0, true, g.FirstErr()
 	}
-	res := mergeHistResult(g)
-	return res, g.Fraction(), true, nil
+	return g.MergeHistogram(), g.Fraction(), true, nil
 }
 
-// mergeHistResult sums the covered shards' (bin, count) rows and
-// materializes them in the fast path's exact shape: ascending bins, only
+// MergeHistogram sums the covered shards' (bin, count) rows — raw, like
+// MergeBrush — in the fast path's exact shape: ascending bins, only
 // non-empty bins, float bin / int count values. The shards' rows are
 // concatenated, sorted by bin and folded — a few dozen entries, no map per
 // shard. Cost stats sum tuples (work done) and take the max model cost
-// (the shards ran in parallel). Partial coverage scales counts by
-// 1/fraction with round-half-up, matching PartialHistogram.
-func mergeHistResult(g *Gather) *engine.Result {
+// (the shards ran in parallel).
+func (g *Gather) MergeHistogram() *engine.Result {
 	res := &engine.Result{Columns: []string{"bin", "count"}}
-	type binCount struct {
-		bin   int
-		count int64
-	}
-	var all []binCount // every covered shard's rows
+	res.Stats.UsedFastPath = true
+	var all [][]storage.Value // every covered shard's rows
 	for _, a := range g.Answers {
 		if a == nil {
 			continue
 		}
-		for _, row := range a.Bins {
-			all = append(all, binCount{bin: int(row[0].F), count: row[1].I})
-		}
+		all = append(all, a.Bins...)
 		res.Stats.TuplesScanned += a.Scanned
-		if a.Cost > res.Stats.ModelCost {
-			res.Stats.ModelCost = a.Cost
-		}
+		res.Stats.ModelCost = max(res.Stats.ModelCost, a.Cost)
 	}
-	res.Stats.UsedFastPath = true
-	scale := 1.0
-	if frac := g.Fraction(); frac > 0 && frac < 1 {
-		scale = 1 / frac
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].bin < all[j].bin })
+	sort.Slice(all, func(i, j int) bool { return all[i][0].F < all[j][0].F })
 	res.Rows = make([][]storage.Value, 0, len(all))
 	for i := 0; i < len(all); {
-		bin, cnt := all[i].bin, int64(0)
-		for ; i < len(all) && all[i].bin == bin; i++ {
-			cnt += all[i].count
+		bin, cnt := all[i][0].F, int64(0)
+		for ; i < len(all) && all[i][0].F == bin; i++ {
+			cnt += all[i][1].I
 		}
-		if scale != 1 {
-			cnt = int64(float64(cnt)*scale + 0.5)
-		}
-		res.Rows = append(res.Rows, []storage.Value{storage.NewFloat(float64(bin)), storage.NewInt(cnt)})
+		res.Rows = append(res.Rows, []storage.Value{storage.NewFloat(bin), storage.NewInt(cnt)})
 	}
 	return res
 }

@@ -25,12 +25,11 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/datacube"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/storage"
+	"repro/internal/sql"
 )
 
 // Options configures a Coordinator build.
@@ -70,29 +69,22 @@ type Options struct {
 	Faults []*fault.Injector
 }
 
-// Replica is one shard's private copy of the backends, built over its
-// partition only. Prefix is always present; Engine follows the
-// Options.
-type Replica struct {
-	ID     int
-	Table  *storage.Table
-	Engine *engine.Engine
-	Prefix *datacube.PrefixCube
-}
-
 // worker is one shard's task pool: a channel of scatter units drained by a
 // fixed set of goroutines, optionally fault-gated.
 type worker struct {
 	rep   *Replica
+	dims  []datacube.Dim
 	fault *fault.Injector
 	tasks chan *task
 }
 
-// task is one scatter unit bound for a shard.
+// task is one scatter unit bound for a shard: a histogram statement when
+// stmt is set, else a brush under filters.
 type task struct {
-	ctx context.Context
-	run func(ctx context.Context, r *Replica) (*Answer, error)
-	out chan<- result
+	ctx     context.Context
+	filters []*datacube.Range
+	stmt    *sql.SelectStmt
+	out     chan<- result
 }
 
 // result is one shard's gather contribution.
@@ -100,18 +92,6 @@ type result struct {
 	shard int
 	ans   *Answer
 	err   error
-}
-
-// Answer is one shard's contribution to a scatter-gathered request.
-// Exactly one of the payload shapes is populated: Histograms+Total for
-// brush answers, Bins for the engine's ascending (bin, count) histogram rows.
-type Answer struct {
-	Records    int // records in the answering shard's partition
-	Histograms [][]int64
-	Total      int64
-	Bins       [][]storage.Value
-	Scanned    int           // tuples the shard's engine scanned (query path)
-	Cost       time.Duration // the shard engine's modeled latency (query path)
 }
 
 // taskQueueDepth bounds each shard's pending task backlog. The serving
@@ -127,11 +107,7 @@ func (o *Options) normalize(dimCount int) {
 		o.Workers = 2
 	}
 	if o.Parallelism <= 0 {
-		p := runtime.GOMAXPROCS(0) / o.Shards
-		if p < 1 {
-			p = 1
-		}
-		o.Parallelism = p
+		o.Parallelism = max(1, runtime.GOMAXPROCS(0)/o.Shards)
 	}
 	if o.Profile.Name == "" {
 		o.Profile = engine.ProfileMemory
@@ -146,6 +122,20 @@ func (o *Options) injector(shard int) *fault.Injector {
 	return nil
 }
 
+// answer is the in-process carrier of the scatter contract: one of the
+// replica's two answers, as an Answer the gather can merge.
+func (w *worker) answer(t *task) (*Answer, error) {
+	if t.stmt != nil {
+		return w.rep.Histogram(t.ctx, t.stmt)
+	}
+	a := &Answer{Records: w.rep.Table.NumRows(), Histograms: datacube.NewHistograms(w.dims)}
+	var err error
+	if a.Total, err = w.rep.Brush(t.filters, a.Histograms); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // loop drains the shard's task channel until Close. A task whose context
 // already expired is answered with the context error without touching the
 // backends; otherwise the fault gate runs first (an injected stall is cut
@@ -153,17 +143,12 @@ func (o *Options) injector(shard int) *fault.Injector {
 func (w *worker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for t := range w.tasks {
-		res := result{shard: w.rep.ID}
-		switch {
-		case t.ctx.Err() != nil:
-			res.err = t.ctx.Err()
-		default:
-			if w.fault != nil {
-				res.err = w.fault.Do(t.ctx)
-			}
-			if res.err == nil {
-				res.ans, res.err = t.run(t.ctx, w.rep)
-			}
+		res := result{shard: w.rep.ID, err: t.ctx.Err()}
+		if res.err == nil && w.fault != nil {
+			res.err = w.fault.Do(t.ctx)
+		}
+		if res.err == nil {
+			res.ans, res.err = w.answer(t)
 		}
 		// out is buffered to the dispatch count, so a late answer to an
 		// abandoned gather parks in the buffer and is garbage collected
