@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/leakcheck"
 	"repro/internal/morsel"
-	"repro/internal/sql"
 )
 
 // ctxTestQueries exercise every execution path that honors cancellation:
@@ -77,72 +76,5 @@ func TestQueryCtxExpiredDeadline(t *testing.T) {
 	defer cancel()
 	if _, err := eng.QueryCtx(ctx, ctxTestQueries[0]); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestPartialHistogram: the degraded-tier estimator scans a bounded prefix
-// and scales. With the bound at or above the table size it must reproduce
-// the exact histogram; below it, the scaled total must land near the truth.
-func TestPartialHistogram(t *testing.T) {
-	n := 4 * morsel.Size
-	eng := New(ProfileMemory)
-	eng.SetParallelism(2)
-	eng.Register(dataset.Roads(2, n))
-
-	q := ctxTestQueries[0]
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := eng.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	full, frac, ok, err := eng.PartialHistogram(context.Background(), stmt, n)
-	if err != nil || !ok {
-		t.Fatalf("full partial: ok=%v err=%v", ok, err)
-	}
-	if frac != 1 {
-		t.Fatalf("full partial fraction = %g, want 1", frac)
-	}
-	// Compare rows only: the partial path does not reproduce the exact
-	// path's page/cost accounting, just its answer.
-	if len(full.Rows) != len(exact.Rows) {
-		t.Fatalf("full partial rows = %d, want %d", len(full.Rows), len(exact.Rows))
-	}
-	for i := range exact.Rows {
-		for j := range exact.Rows[i] {
-			if !exact.Rows[i][j].Equal(full.Rows[i][j]) {
-				t.Fatalf("full partial row %d col %d = %v, want %v", i, j, full.Rows[i][j], exact.Rows[i][j])
-			}
-		}
-	}
-
-	est, frac, ok, err := eng.PartialHistogram(context.Background(), stmt, n/4)
-	if err != nil || !ok {
-		t.Fatalf("quarter partial: ok=%v err=%v", ok, err)
-	}
-	if frac <= 0 || frac > 0.3 {
-		t.Fatalf("quarter partial fraction = %g, want ~0.25", frac)
-	}
-	sum := func(r *Result) (s float64) {
-		for _, row := range r.Rows {
-			s += row[len(row)-1].AsFloat()
-		}
-		return s
-	}
-	exactTotal, estTotal := sum(exact), sum(est)
-	if estTotal < exactTotal*0.5 || estTotal > exactTotal*1.5 {
-		t.Fatalf("scaled estimate total %.0f vs exact %.0f: not in ±50%%", estTotal, exactTotal)
-	}
-
-	// Non-histogram statements report !ok so callers fall through.
-	other, err := sql.Parse("SELECT x, y FROM dataroad LIMIT 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, _ := eng.PartialHistogram(context.Background(), other, n); ok {
-		t.Fatal("non-histogram statement matched the partial fast path")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -136,36 +135,6 @@ func TestEncodedHistogramMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestEncodedPartialHistogramMatchesPlain checks the degradation tier's
-// serial bounded scan over frozen tables.
-func TestEncodedPartialHistogramMatchesPlain(t *testing.T) {
-	n := 40_000
-	raw := encTestTable(5, n)
-	frozen, err := colstore.Freeze(raw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainEng := memEngine(raw)
-	encEng := memEngine(frozen)
-
-	q := "SELECT ROUND((xq - 8.1) / 0.15), COUNT(*) FROM enc WHERE y >= 56.9 AND y <= 57.4 GROUP BY ROUND((xq - 8.1) / 0.15) ORDER BY ROUND((xq - 8.1) / 0.15)"
-	stmt := sql.MustParse(q)
-	for _, maxRows := range []int{1000, 17_000, n, 2 * n} {
-		want, wf, wok, err := plainEng.PartialHistogram(context.Background(), stmt, maxRows)
-		if err != nil || !wok {
-			t.Fatalf("plain partial: ok=%v err=%v", wok, err)
-		}
-		got, gf, gok, err := encEng.PartialHistogram(context.Background(), stmt, maxRows)
-		if err != nil || !gok {
-			t.Fatalf("encoded partial: ok=%v err=%v", gok, err)
-		}
-		if wf != gf {
-			t.Fatalf("maxRows %d: fraction %v vs %v", maxRows, gf, wf)
-		}
-		assertSameResult(t, fmt.Sprintf("partial maxRows=%d", maxRows), got, want)
-	}
-}
-
 // TestMixedEncodingTakesFastPath freezes only one referenced column: the
 // frozen column brings its dictionary kernel, the raw ones their views,
 // and the statement runs the one fast path — with the answer of the scalar
@@ -213,7 +182,7 @@ func TestMixedEncodingTakesFastPath(t *testing.T) {
 	if !ok {
 		t.Fatal("statement is not histogram-shaped")
 	}
-	assertSameRows(t, "mixed vs scalar", got.Rows, scalarRows(hq, n, 1))
+	assertSameRows(t, "mixed vs scalar", got.Rows, scalarRows(hq, n))
 	got.Stats.RealTime, want.Stats.RealTime, want.Stats.UsedFastPath = 0, 0, true
 	if got.Stats != want.Stats {
 		t.Fatalf("stats %+v, generic %+v", got.Stats, want.Stats)

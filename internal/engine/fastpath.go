@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/colstore"
-	"repro/internal/morsel"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
@@ -389,13 +388,11 @@ func (e *Engine) runHistogram(ctx context.Context, q *histQuery, stats *ExecStat
 	if err != nil {
 		return nil, ctxErr(err)
 	}
-	return histResult(acc, 1), nil
+	return histResult(acc), nil
 }
 
-// histResult materializes a (bin, count) result from an accumulator, scaling
-// counts by scale (1 for exact results). Scaled counts round to the nearest
-// integer so tiny fractions don't vanish.
-func histResult(acc *histAcc, scale float64) *Result {
+// histResult materializes a (bin, count) result from an accumulator.
+func histResult(acc *histAcc) *Result {
 	var bins []int
 	for idx, c := range acc.dense {
 		if c > 0 {
@@ -413,9 +410,6 @@ func histResult(acc *histAcc, scale float64) *Result {
 		if idx := bin + fastBinOffset; idx >= 0 && idx < len(acc.dense) {
 			c = acc.dense[idx]
 		}
-		if scale != 1 {
-			c = int64(float64(c)*scale + 0.5)
-		}
 		rows[i] = []storage.Value{storage.NewFloat(float64(bin)), storage.NewInt(c)}
 	}
 	return &Result{
@@ -432,55 +426,4 @@ func histResult(acc *histAcc, scale float64) *Result {
 func (e *Engine) IsHistogramShaped(stmt *sql.SelectStmt) bool {
 	_, ok := e.matchHistogram(stmt)
 	return ok
-}
-
-// PartialHistogram executes a histogram-shaped statement over only the first
-// maxRows rows of the table, scaling bin counts by n/scanned so the result
-// estimates the full answer. It is the query-path degradation tier: a bounded
-// amount of work no matter how large the table. The scan is serial (the whole
-// point is that it is small) and checks ctx at morsel boundaries.
-//
-// The bool reports whether stmt matched the histogram fast-path shape; only
-// matched statements can be degraded this way. The float64 is the fraction of
-// the table scanned (1 when maxRows >= n).
-func (e *Engine) PartialHistogram(ctx context.Context, stmt *sql.SelectStmt, maxRows int) (*Result, float64, bool, error) {
-	q, ok := e.matchHistogram(stmt)
-	if !ok {
-		return nil, 0, false, nil
-	}
-	n := q.table.NumRows()
-	scan := n
-	if maxRows > 0 && maxRows < n {
-		scan = maxRows
-	}
-	accs := e.getHistAccs(scan, 1)
-	defer e.putHistAccs(accs)
-	acc := accs[0]
-	err := morselScanHist(ctx, q, acc, scan)
-	if err != nil {
-		return nil, 0, true, ctxErr(err)
-	}
-	frac := 1.0
-	scale := 1.0
-	if scan < n && scan > 0 {
-		frac = float64(scan) / float64(n)
-		scale = float64(n) / float64(scan)
-	}
-	res := histResult(acc, scale)
-	res.Stats.TuplesScanned = scan
-	res.Stats.UsedFastPath = true
-	return res, frac, true, nil
-}
-
-// morselScanHist runs countHistogramRange serially over [0, scan) with
-// per-morsel ctx checks.
-func morselScanHist(ctx context.Context, q *histQuery, acc *histAcc, scan int) error {
-	for m := 0; m < morsel.Count(scan); m++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lo, hi := morsel.Bounds(m, scan)
-		countHistogramRange(q, acc, lo, hi)
-	}
-	return ctx.Err()
 }

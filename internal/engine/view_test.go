@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,12 +49,11 @@ rows:
 	}
 }
 
-// scalarRows is scalarHistogram over rows [0, scan) in result form, counts
-// scaled the way PartialHistogram scales a prefix scan.
-func scalarRows(q *histQuery, scan int, scale float64) [][]storage.Value {
+// scalarRows is scalarHistogram over rows [0, n) in result form.
+func scalarRows(q *histQuery, n int) [][]storage.Value {
 	acc := &histAcc{dense: make([]int64, 2*fastBinOffset)}
-	scalarHistogram(q, acc, 0, scan)
-	return histResult(acc, scale).Rows
+	scalarHistogram(q, acc, 0, n)
+	return histResult(acc).Rows
 }
 
 // viewCol describes one fixture column to the statement generator.
@@ -281,15 +279,13 @@ func assertSameRows(t *testing.T, label string, got, want [][]storage.Value) {
 // against code that shares none of it. Raw tables of every awkward length
 // — road floats, Listings ints, NaN-bearing, ±Inf-bearing and constant
 // columns — are read through their zero-copy views by random statements at
-// P ∈ {1,2,4,8}, as full scans and as PartialHistogram prefixes; rows must
-// equal the scalar loop over the raw slices, and rows and cost accounting
+// P ∈ {1,2,4,8}; rows must equal the scalar loop over the raw slices, and rows and cost accounting
 // must equal the forced-generic statement wherever SQL comparison
 // semantics agree (no NaN or ±Inf in a referenced column).
 func TestViewHistogramMatchesScalarReference(t *testing.T) {
 	sizes := []int{0, 1, 63, 64, 65, 16383, 16384, 16385, 100003}
 	fix := newViewFixture(sizes[len(sizes)-1])
 	rng := rand.New(rand.NewSource(2118))
-	ctx := context.Background()
 	for _, n := range sizes {
 		eng := memEngine(fix.table(n))
 		statements, generics, nonEmpty := 32, 0, 0
@@ -300,7 +296,7 @@ func TestViewHistogramMatchesScalarReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("n=%d: not histogram-shaped: %s", n, fast)
 			}
-			want := scalarRows(q, n, 1)
+			want := scalarRows(q, n)
 			if len(want) > 0 {
 				nonEmpty++
 			}
@@ -343,25 +339,6 @@ func TestViewHistogramMatchesScalarReference(t *testing.T) {
 				}
 			}
 
-			for _, maxRows := range []int{1, 63, 64, 100, n / 2, 16384 + 7, n, n + 5} {
-				scan := n
-				if maxRows > 0 && maxRows < n {
-					scan = maxRows
-				}
-				frac, scale := 1.0, 1.0
-				if scan < n && scan > 0 {
-					frac, scale = float64(scan)/float64(n), float64(n)/float64(scan)
-				}
-				got, gotFrac, ok, err := eng.PartialHistogram(ctx, stmt, maxRows)
-				if err != nil || !ok {
-					t.Fatalf("n=%d partial %d: ok=%v err=%v (%s)", n, maxRows, ok, err, fast)
-				}
-				label := fmt.Sprintf("n=%d partial %d %s", n, maxRows, fast)
-				assertSameRows(t, label, got.Rows, scalarRows(q, scan, scale))
-				if gotFrac != frac || got.Stats.TuplesScanned != scan || !got.Stats.UsedFastPath {
-					t.Fatalf("%s: fraction %v (want %v), stats %+v", label, gotFrac, frac, got.Stats)
-				}
-			}
 		}
 		t.Logf("n=%d: %d statements, %d with rows, %d also through the generic path", n, statements, nonEmpty, generics)
 	}
@@ -388,7 +365,7 @@ func TestViewSeesAppendedRows(t *testing.T) {
 		if !ok {
 			t.Fatal("statement is not histogram-shaped")
 		}
-		return scalarRows(q, tbl.NumRows(), 1)
+		return scalarRows(q, tbl.NumRows())
 	}
 
 	before := reference()
@@ -443,12 +420,6 @@ func TestViewSeesAppendedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "after append", got.Rows, after)
-	part, _, _, err := eng.PartialHistogram(context.Background(), stmt, 1100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := eng.matchHistogram(stmt)
-	assertSameRows(t, "prefix after append", part.Rows, scalarRows(q, 1100, 1200.0/1100.0))
 }
 
 // TestRoadRowsStayClusteredUnsharded is TestPartitionsKeepRoadRowsClustered

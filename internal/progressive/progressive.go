@@ -157,84 +157,6 @@ func (e *Executor) Run(q Query, start int) ([]Snapshot, error) {
 	return snaps, nil
 }
 
-// Partial computes one unbiased snapshot from the first maxRows rows of the
-// shuffled visit order — the degraded-serving tier: bounded work regardless
-// of table size, no exact pass, no MSE (reported as -1 since the truth is
-// never computed). The shuffle prefix is a uniform sample, so scaling by the
-// inverse fraction estimates the full histogram.
-func (e *Executor) Partial(q Query, maxRows int) (Snapshot, error) {
-	if maxRows <= 0 {
-		return Snapshot{}, fmt.Errorf("progressive: partial sample %d must be positive", maxRows)
-	}
-	if q.Bins <= 0 {
-		return Snapshot{}, fmt.Errorf("progressive: bins must be positive")
-	}
-	col := e.table.Column(q.Column)
-	if col == nil || col.Type == storage.String {
-		return Snapshot{}, fmt.Errorf("progressive: no numeric column %q", q.Column)
-	}
-	type filterCol struct {
-		col    *storage.Column
-		lo, hi float64
-	}
-	var filters []filterCol
-	for name, rng := range q.Filters {
-		fc := e.table.Column(name)
-		if fc == nil || fc.Type == storage.String {
-			return Snapshot{}, fmt.Errorf("progressive: no numeric filter column %q", name)
-		}
-		filters = append(filters, filterCol{fc, rng[0], rng[1]})
-	}
-
-	n := e.table.NumRows()
-	width := (q.Hi - q.Lo) / float64(q.Bins)
-	if width <= 0 {
-		return Snapshot{}, fmt.Errorf("progressive: empty domain [%g, %g]", q.Lo, q.Hi)
-	}
-	sample := maxRows
-	if sample > n {
-		sample = n
-	}
-
-	counts := make([]float64, q.Bins)
-rows:
-	for _, row := range e.order[:sample] {
-		for _, f := range filters {
-			v := f.col.Float(int(row))
-			if v < f.lo || v > f.hi {
-				continue rows
-			}
-		}
-		v := col.Float(int(row))
-		b := int((v - q.Lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= q.Bins {
-			b = q.Bins - 1
-		}
-		counts[b]++
-	}
-
-	scale := 1.0
-	frac := 1.0
-	if sample < n && sample > 0 {
-		scale = float64(n) / float64(sample)
-		frac = float64(sample) / float64(n)
-	}
-	est := make([]float64, q.Bins)
-	for i, c := range counts {
-		est[i] = c * scale
-	}
-	return Snapshot{
-		SampleRows: sample,
-		Fraction:   frac,
-		Estimate:   est,
-		Cost:       time.Duration(sample) * e.PerTuple,
-		MSE:        -1,
-	}, nil
-}
-
 func normalize(h []float64) []float64 {
 	var sum float64
 	for _, v := range h {

@@ -46,9 +46,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/opt"
 	"repro/internal/planner"
-	"repro/internal/progressive"
 	"repro/internal/shard"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/widget"
 )
@@ -76,9 +74,9 @@ type Config struct {
 	// Deadlines enables deadline-aware execution with the degradation
 	// ladder: each request's backend work runs under a context expiring
 	// DegradeAfter past issue (queue wait included), and a blown budget
-	// falls back exact → cached → progressive partial instead of running to
-	// completion. Disabled, requests run to completion no matter the cost —
-	// the chaos baseline.
+	// falls back exact → cached → the fixed sample's answer, extrapolated,
+	// instead of running to completion. Disabled, requests run to completion
+	// no matter the cost — the chaos baseline.
 	Deadlines bool
 	// DegradeAfter is the per-request budget before degrading; 0 means
 	// Constraint/2 (half the latency constraint spent trying for exact, the
@@ -148,8 +146,12 @@ const (
 	// retryBase is the backoff base for retry attempt k after an injected
 	// backend error (base·2^k, capped, full jitter).
 	retryBase = 2 * time.Millisecond
-	// partialRows is the sample size of the progressive partial tier.
+	// partialRows is the size of the fixed sample behind the ladder's last
+	// rung (the whole table when it has no more rows than this).
 	partialRows = 32768
+	// sampleSeed fixes which rows the sample holds, so two servers over one
+	// table degrade to the same answer.
+	sampleSeed = 1
 )
 
 // Gatherer is the scatter contract: fan one request out to every partition,
@@ -227,14 +229,16 @@ type Server struct {
 	// Degradation ladder state: fault injector and circuit breaker guarding
 	// backend executions, resolved retry/deadline knobs, and the fallback
 	// rungs, which exist only with Deadlines on — the ranges-keyed cache of
-	// exact brush answers (brushCache, nil when off) and the progressive
-	// executor for the partial tier (nil when the served dimensions have no
-	// backing table).
+	// exact brush answers (brushCache, nil when off) and sample, one more
+	// partition: a replica over a fixed uniform sample of the served table
+	// holding sampleFrac of its records (nil when the served dimensions have
+	// no backing table).
 	fault        *fault.Injector
 	brk          *breaker
 	degradeAfter time.Duration
 	maxRetries   int
-	prog         *progressive.Executor
+	sample       *shard.Replica
+	sampleFrac   float64
 	brushMu      sync.Mutex
 	brushCache   *opt.ResultLRU
 	// shardTables are the in-process shards' partitions of the served
@@ -364,6 +368,12 @@ func New(b Backends, cfg Config) (*Server, error) {
 			s.cubeDims = append(s.cubeDims, b.Cube.Dim(d))
 		}
 	}
+	// Every replica built here — the shards', the sample's — gets an engine
+	// of the served engine's profile exactly when there is a served engine.
+	repOpts := shard.Options{WithEngine: b.Engine != nil}
+	if b.Engine != nil {
+		repOpts.Profile = b.Engine.Profile()
+	}
 	// One brush answerer, picked here once. Planner, Shards > 1 and Gatherer
 	// each claim the pick, so each arm requires the others absent.
 	switch {
@@ -378,10 +388,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 		if b.Cube == nil || b.Tiles == nil {
 			return nil, fmt.Errorf("serve: sharded serving needs a cube with a backing table")
 		}
-		opts := shard.Options{Shards: cfg.Shards, Mode: cfg.ShardMode, Faults: cfg.ShardFaults, WithEngine: b.Engine != nil}
-		if b.Engine != nil {
-			opts.Profile = b.Engine.Profile()
-		}
+		opts := repOpts
+		opts.Shards, opts.Mode, opts.Faults = cfg.Shards, cfg.ShardMode, cfg.ShardFaults
 		coord, err := shard.New(b.Tiles, s.cubeDims, opts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard coordinator: %w", err)
@@ -415,8 +423,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("serve: Planner, Shards > 1 and a Gatherer (in place of a Cube) each pick the brush answerer; configure at most one")
 	}
-	// The progressive partial rung samples the served dimensions' backing
-	// table directly; it needs every one of them as a numeric column.
+	// The sample rung bins the served dimensions' backing table; it needs
+	// every one of them as a numeric column.
 	if cfg.Deadlines && b.Tiles != nil && len(s.cubeDims) > 0 {
 		usable := true
 		for _, d := range s.cubeDims {
@@ -426,7 +434,14 @@ func New(b Backends, cfg Config) (*Server, error) {
 			}
 		}
 		if usable {
-			s.prog = progressive.NewExecutor(b.Tiles, 1)
+			var err error
+			if s.sample, err = sampleReplica(b.Tiles, s.cubeDims, repOpts); err != nil {
+				return nil, fmt.Errorf("serve: sample rung: %w", err)
+			}
+			s.sampleFrac = 1 // of an empty table, as Gather.Fraction has it
+			if n := b.Tiles.NumRows(); n > 0 {
+				s.sampleFrac = float64(s.sample.Table.NumRows()) / float64(n)
+			}
 		}
 	}
 	s.mux = http.NewServeMux()
@@ -656,13 +671,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				row[1].I = extrapolate(row[1].I, frac)
 			}
 		},
-		// A backend fault on a histogram shape answers from a bounded sample
-		// prefix of the unsharded table; no other shape has a cheap estimate.
-		sample: func(ctx context.Context, err error) (frac float64) {
-			if stmt, perr := sql.Parse(req.SQL); perr == nil && s.eng != nil && isBackendFault(err) {
-				res, frac, _, _ = s.eng.PartialHistogram(ctx, stmt, partialRows)
+		// Only a backend fault on a histogram shape is answered from the
+		// sample; no other shape merges, and a SQL error is the client's.
+		sample: func(ctx context.Context, rep *shard.Replica, err error) bool {
+			if !isBackendFault(err) {
+				return false
 			}
-			return frac
+			stmt, shaped, _ := rep.Shaped(req.SQL)
+			if !shaped {
+				return false
+			}
+			a, err := rep.Histogram(ctx, stmt)
+			if err != nil {
+				return false
+			}
+			res = shard.NewGather([]*shard.Answer{a}, nil, a.Records).MergeHistogram()
+			return true
 		},
 	})
 	if !admitted {
@@ -982,26 +1006,27 @@ func (s *Server) answerGather(ctx context.Context, req BrushRequest, stamp func(
 // rungs are one endpoint's steps down the degradation ladder, building its
 // answer in variables their closures share. exact answers, raw, over the
 // partitions that answer under ctx and returns the record fraction they own
-// (an error: none answered); cached swaps in a stored exact answer; scale
-// extrapolates exact's answer from frac of the records to all; sample
-// estimates from a bounded sample once err lost every partition, returning
-// the fraction sampled, 0 for no estimate. Only exact is required.
+// (an error: none answered); cached swaps in a stored exact answer; sample,
+// once err lost every partition, answers the same way from rep — the sample
+// partition — and reports whether it did; scale extrapolates either raw
+// answer from frac of the records to all. Only exact is required.
 type rungs struct {
 	exact  func(ctx context.Context) (frac float64, err error)
 	cached func() bool
+	sample func(ctx context.Context, rep *shard.Replica, err error) bool
 	scale  func(frac float64)
-	sample func(ctx context.Context, err error) (frac float64)
 }
 
 // ladder is one backend execution — brush, query or tile — and names the
 // rung that answered. Behind the fault gate, full coverage is exact, "";
-// anything less falls to "cache", failing that to "partial", counted
-// degraded with the record fraction it saw: partial coverage scaled by
-// 1/fraction, no coverage as the sample estimate (bounded work, so it may
-// outrun the budget). An error means no rung answered. Deadlines on, the
-// budget expires degradeAfter past issued, so queue wait counts against it;
-// off (the chaos baseline) it never does and injected stalls are served in
-// full, but losing a partition to an error still degrades.
+// anything less falls to "cache", failing that to "partial": an exact answer
+// over a subset of the records — the partitions that answered, or with none
+// the fixed sample (bounded work, so it may outrun the budget) — scaled by
+// 1/fraction and counted degraded with that fraction. An error means no rung
+// answered. Deadlines on, the budget expires degradeAfter past issued, so
+// queue wait counts against it; off (the chaos baseline) it never does and
+// injected stalls are served in full, but losing a partition to an error
+// still degrades.
 func (s *Server) ladder(issued time.Time, r rungs) (tier string, frac float64, err error) {
 	ctx := context.Background()
 	if s.cfg.Deadlines {
@@ -1025,20 +1050,23 @@ func (s *Server) ladder(issued time.Time, r rungs) (tier string, frac float64, e
 	if r.cached != nil && r.cached() {
 		return "cache", 1, nil
 	}
-	if err == nil {
-		r.scale(frac)
-	} else if frac = 0; r.sample != nil {
-		frac = r.sample(context.WithoutCancel(ctx), err)
+	if err != nil {
+		frac = 0
+		if r.sample != nil && s.sample != nil && r.sample(context.WithoutCancel(ctx), s.sample, err) {
+			frac = s.sampleFrac
+		}
 	}
 	if frac == 0 {
 		return "", 0, err
 	}
+	r.scale(frac)
 	s.reg.recordDegraded()
 	return "partial", frac, nil
 }
 
 // extrapolate estimates a count over all records from one seen over frac of
-// them, rounding half up — the one place partial coverage is scaled.
+// them, rounding half up — the one place a count is scaled, whether frac is
+// the partitions that answered or the sample.
 func extrapolate(v int64, frac float64) int64 {
 	return int64(float64(v)*(1/frac) + 0.5)
 }
@@ -1068,9 +1096,11 @@ func (s *Server) execBrushLadder(req BrushRequest, earliest time.Time, stamp fun
 			}
 			resp.Total = extrapolate(resp.Total, frac)
 		},
-		sample: func(context.Context, error) (frac float64) {
-			resp, frac = s.execBrushPartial(req)
-			return frac
+		sample: func(_ context.Context, rep *shard.Replica, _ error) bool {
+			resp = &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
+			var err error
+			resp.Total, err = rep.Brush(brushFilters(req.Ranges), resp.Histograms)
+			return err == nil
 		},
 	})
 	if err != nil {
@@ -1140,47 +1170,34 @@ func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
 	return &c
 }
 
-// execBrushPartial is the brush ladder's sample rung: per-dimension scaled
-// sample estimates over the cube's backing table, using the progressive
-// executor's shuffled prefix as a uniform sample. Work is bounded by
-// partialRows per dimension regardless of table size. It returns the
-// fraction sampled beside the estimate, nil and 0 when it has none.
-func (s *Server) execBrushPartial(req BrushRequest) (*BrushResponse, float64) {
-	if s.prog == nil {
-		return nil, 0
-	}
-	resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
-	filters := make(map[string][2]float64, len(s.cubeDims))
-	for i, rg := range req.Ranges {
-		if rg != nil {
-			filters[s.cubeDims[i].Name] = [2]float64{rg[0], rg[1]}
+// sampleReplica builds the ladder's last partition: min(partialRows, n) rows
+// of t drawn uniformly without replacement under a fixed seed and kept in
+// table order (so zones and sketches still skip), behind the replica every
+// partition gets. It costs the same ≈1 MB whatever n is.
+func sampleReplica(t *storage.Table, dims []datacube.Dim, opts shard.Options) (*shard.Replica, error) {
+	n := t.NumRows()
+	sample := storage.NewTable(t.Name, t.Schema)
+	sample.PageRows = t.PageRows
+	for _, row := range sampleRows(n, min(partialRows, n)) {
+		if err := sample.AppendRow(t.Row(row)...); err != nil {
+			return nil, fmt.Errorf("row %d: %w", row, err)
 		}
 	}
-	var total float64
-	for d, dim := range s.cubeDims {
-		q := progressive.Query{
-			Column:  dim.Name,
-			Lo:      dim.Lo,
-			Hi:      dim.Hi,
-			Bins:    dim.Bins,
-			Filters: filters,
-		}
-		snap, err := s.prog.Partial(q, partialRows)
-		if err != nil {
-			return nil, 0
-		}
-		resp.SampleFraction = snap.Fraction
-		for b, v := range snap.Estimate {
-			resp.Histograms[d][b] = int64(v + 0.5)
-		}
-		if d == 0 {
-			for _, v := range snap.Estimate {
-				total += v
-			}
+	return shard.NewReplica(0, sample, dims, nil, opts)
+}
+
+// sampleRows draws k of the row indexes [0, n) uniformly without replacement,
+// ascending, in one pass and no memory beyond the k picks (selection
+// sampling: row i is taken with probability still-needed / still-left).
+func sampleRows(n, k int) []int {
+	rng := rand.New(rand.NewSource(sampleSeed))
+	rows := make([]int, 0, k)
+	for i := 0; len(rows) < k; i++ {
+		if rng.Intn(n-i) < k-len(rows) {
+			rows = append(rows, i)
 		}
 	}
-	resp.Total = int64(total + 0.5)
-	return resp, resp.SampleFraction
+	return rows
 }
 
 // brushFilters converts a request's wire-format ranges to datacube filters
@@ -1228,9 +1245,15 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "session required")
 		return
 	}
-	seq, _ := strconv.ParseInt(q.Get("seq"), 10, 64)
-	var tile widget.Tile
+	var seq int64
 	var err error
+	if v := q.Get("seq"); v != "" { // absent means 0
+		if seq, err = strconv.ParseInt(v, 10, 64); err != nil {
+			httpError(w, http.StatusBadRequest, "seq must be an integer")
+			return
+		}
+	}
+	var tile widget.Tile
 	if key := q.Get("key"); key != "" {
 		tile, err = widget.ParseTile(key)
 	} else {

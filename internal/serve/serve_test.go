@@ -182,6 +182,20 @@ func TestTilesHandler(t *testing.T) {
 	if tr2.Count != 0 {
 		t.Errorf("antipodal tile count = %d, want 0", tr2.Count)
 	}
+	if tr2.Seq != 0 {
+		t.Errorf("absent seq read as %d, want 0", tr2.Seq)
+	}
+
+	// A seq that is present but no integer is the client's mistake, as on the
+	// JSON endpoints — not seq 0.
+	resp3, err := http.Get(ts.URL + "/v1/tiles?session=s1&seq=abc&key=4/1/7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Errorf("seq=abc status = %d, want 400", resp3.StatusCode)
+	}
 }
 
 func TestHealthzAndMetrics(t *testing.T) {

@@ -33,7 +33,7 @@ type Coordinator struct {
 // domains, never its partition's own min/max — bin edges must agree across
 // shards or histogram addition is meaningless.
 func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, error) {
-	opts.normalize(len(dims))
+	opts.normalize()
 	parts, err := Partition(t, dims, opts.Shards, opts.Mode, opts.RangeDim)
 	if err != nil {
 		return nil, err

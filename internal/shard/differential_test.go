@@ -238,7 +238,7 @@ func TestModeAndOptionDefaults(t *testing.T) {
 		t.Error("Mode.String wrong")
 	}
 	var o Options
-	o.normalize(3)
+	o.normalize()
 	if o.Shards != 1 || o.Workers != 2 || o.Parallelism < 1 {
 		t.Errorf("normalized zero options: %+v", o)
 	}

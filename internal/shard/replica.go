@@ -44,7 +44,7 @@ type Answer struct {
 // is a grid already integrated over part (a warm start's mapped snapshot)
 // and is adopted instead of counted again.
 func NewReplica(id int, part *storage.Table, dims []datacube.Dim, prefix *datacube.PrefixCube, opts Options) (*Replica, error) {
-	opts.normalize(len(dims))
+	opts.normalize()
 	var err error
 	if opts.Encode {
 		if part, err = colstore.Freeze(part, &colstore.Options{Parallelism: opts.Parallelism}); err != nil {

@@ -99,7 +99,7 @@ type result struct {
 // buffer only smooths bursts across sessions.
 const taskQueueDepth = 256
 
-func (o *Options) normalize(dimCount int) {
+func (o *Options) normalize() {
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
@@ -112,7 +112,6 @@ func (o *Options) normalize(dimCount int) {
 	if o.Profile.Name == "" {
 		o.Profile = engine.ProfileMemory
 	}
-	_ = dimCount
 }
 
 func (o *Options) injector(shard int) *fault.Injector {
