@@ -24,7 +24,7 @@
 // only: the first build of a slot persists the partition as an mmap-able
 // colstore snapshot, and every later restart maps it read-only and is
 // ready in O(columns) — the fence (dataset, seed, rows, mode, shard,
-// encode) plus the snapshot checksum guarantee a warm start serves
+// encode, row layout) plus the snapshot checksum guarantee a warm start serves
 // byte-identical answers or falls back to the rebuild.
 package router
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/datacube"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -23,10 +24,12 @@ import (
 // concurrent write loses the CRC race and reads as corrupt). On top of
 // that, the fence map pins the serving contract: dataset, seed, rows,
 // partition mode, shard/of, and encode flag must all equal the child's
-// spec, so a snapshot left over from a different run shape is refused even
-// though the file itself is intact. Any refusal at either layer falls back
-// to the deterministic rebuild path — the pre-snapshot behavior — and the
-// rebuild then rewrites the snapshot for the next restart.
+// spec, and the row layout must be the one shard.Partition produces now,
+// so a snapshot left over from a different run shape or an older layout
+// is refused even though the file itself is intact. Any refusal at either
+// layer falls back to the deterministic rebuild path — the pre-snapshot
+// behavior — and the rebuild then rewrites the snapshot for the next
+// restart.
 
 // snapDimsSection holds the shard's cube dimensions as JSON — global
 // domains, so a warm-started child never needs the full table to derive
@@ -39,7 +42,7 @@ const snapPrefixSection = "prefix"
 
 // childFence is the warm-start contract a snapshot must match before a
 // child trusts it: every spec field that changes what the partition
-// contains or how it is encoded.
+// contains, how its rows are laid out, or how it is encoded.
 func childFence(spec ChildSpec) map[string]string {
 	return map[string]string{
 		"dataset": spec.Dataset,
@@ -49,6 +52,7 @@ func childFence(spec ChildSpec) map[string]string {
 		"shard":   strconv.Itoa(spec.Shard),
 		"of":      strconv.Itoa(spec.Of),
 		"encode":  strconv.FormatBool(spec.Encode),
+		"layout":  shard.Layout,
 	}
 }
 

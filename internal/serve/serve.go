@@ -1171,18 +1171,12 @@ func (s *Server) lookupBrush(req BrushRequest) *BrushResponse {
 }
 
 // sampleReplica builds the ladder's last partition: min(partialRows, n) rows
-// of t drawn uniformly without replacement under a fixed seed and kept in
-// table order (so zones and sketches still skip), behind the replica every
-// partition gets. It costs the same ≈1 MB whatever n is.
+// of t drawn uniformly without replacement under a fixed seed, gathered in
+// ascending table order by storage.Table.Take (so zones and sketches still
+// skip), behind the replica every partition gets. It costs the same ≈1 MB
+// whatever n is.
 func sampleReplica(t *storage.Table, dims []datacube.Dim, opts shard.Options) (*shard.Replica, error) {
-	n := t.NumRows()
-	sample := storage.NewTable(t.Name, t.Schema)
-	sample.PageRows = t.PageRows
-	for _, row := range sampleRows(n, min(partialRows, n)) {
-		if err := sample.AppendRow(t.Row(row)...); err != nil {
-			return nil, fmt.Errorf("row %d: %w", row, err)
-		}
-	}
+	sample := t.Take(sampleRows(t.NumRows(), min(partialRows, t.NumRows())))
 	return shard.NewReplica(0, sample, dims, nil, opts)
 }
 

@@ -32,3 +32,31 @@ func BenchmarkBrushScatter(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPartition times the full two-shard split of 500k road rows —
+// assignment, layout order and column gather — the setup cost every
+// sharded server pays once. Reported per input row.
+func BenchmarkPartition(b *testing.B) {
+	roads := dataset.Roads(1, 500000)
+	dims := roadDims()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Partition(roads, dims, 2, Hash, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roads.NumRows()), "ns/row")
+}
+
+// BenchmarkPartitionOne times one shard's cold rebuild at the paper's road
+// cardinality: what a restarting router child pays before it serves.
+func BenchmarkPartitionOne(b *testing.B) {
+	roads := dataset.Roads(1, dataset.RoadCount)
+	dims := roadDims()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PartitionOne(roads, dims, 2, 0, Hash, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

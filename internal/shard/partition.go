@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/datacube"
@@ -57,23 +58,25 @@ func splitmix64(x uint64) uint64 {
 // exactly once — the property that makes per-shard histograms merge back
 // to the unsharded answer by plain addition. dims are the spatial
 // dimensions partitioning hashes or ranges over; rangeDim names the Range
-// mode's sort dimension ("" means dims[0]). Row order within a shard
-// preserves the original table's row order, so every per-shard structure
-// is deterministic.
+// mode's sort dimension ("" means dims[0]). Within a shard, rows are laid
+// out by layout: along a Z-order curve over dims' histogram-bin cells, so
+// the scan kernels' 64-row zones mostly fall inside one bin. A partition
+// only answers order-free requests — prefix-cube brushes and (bin, count)
+// rows merged by addition — so the order is unobservable, and it is a pure
+// function of the table, which keeps every per-shard structure
+// deterministic.
 func Partition(t *storage.Table, dims []datacube.Dim, shards int, mode Mode, rangeDim string) ([]*storage.Table, error) {
 	assign, err := assignRows(t, dims, shards, mode, rangeDim)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*storage.Table, shards)
-	for s := range parts {
-		parts[s] = storage.NewTable(t.Name, t.Schema)
-		parts[s].PageRows = t.PageRows
-	}
+	owned := make([][]int, shards)
 	for row, s := range assign {
-		if err := parts[s].AppendRow(t.Row(row)...); err != nil {
-			return nil, fmt.Errorf("shard: partition row %d: %w", row, err)
-		}
+		owned[s] = append(owned[s], row)
+	}
+	parts := make([]*storage.Table, shards)
+	for s, rows := range owned {
+		parts[s] = t.Take(layout(t, dims, rows))
 	}
 	return parts, nil
 }
@@ -91,17 +94,126 @@ func PartitionOne(t *storage.Table, dims []datacube.Dim, shards, index int, mode
 	if err != nil {
 		return nil, err
 	}
-	part := storage.NewTable(t.Name, t.Schema)
-	part.PageRows = t.PageRows
+	var rows []int
 	for row, s := range assign {
-		if s != index {
-			continue
-		}
-		if err := part.AppendRow(t.Row(row)...); err != nil {
-			return nil, fmt.Errorf("shard: partition row %d: %w", row, err)
+		if s == index {
+			rows = append(rows, row)
 		}
 	}
-	return part, nil
+	return t.Take(layout(t, dims, rows)), nil
+}
+
+// Layout names the row order layout produces. Anything persisted from a
+// partition (a router child's snapshot) records it, so a partition laid out
+// by another version is rebuilt rather than served in a stale order. Change
+// it whenever layout's order changes.
+const Layout = "zorder-bins-v1"
+
+// layout orders one shard's rows (ascending table rows, as assignRows
+// hands them out) by a Morton key over dims, ties broken by table row. Each
+// of the k dimensions owns share = 64/k key bits and contributes
+//
+//	q = clamp(⌊((v − Lo)/(Hi − Lo)·Bins + ½)·2^(share − binBits)⌋)
+//
+// where binBits holds the bin indexes 0…Bins. The bin index of the
+// histogram fast path's ROUND((v − Lo)/step) sits in q's high bits, so the
+// curve's cell edges are exactly that query's bin edges and every bin cell
+// is one contiguous run of the curve; the low sub-bin bits keep the curve
+// local inside a cell. (With more bin bits than share, the low bin bits
+// are dropped instead.) NaN sorts as the domain's low edge, ±Inf and
+// out-of-domain values clamp to its edges, and a dimension with Hi ≤ Lo
+// contributes nothing.
+func layout(t *storage.Table, dims []datacube.Dim, rows []int) []int {
+	k := len(dims)
+	share := 64 / k
+	top := ^uint64(0) >> (64 - share)
+	spread := spreadTable(k)
+	keys := make([]uint64, len(rows))
+	for i, d := range dims {
+		if d.Hi <= d.Lo {
+			continue
+		}
+		col := t.Column(d.Name)
+		scale := math.Ldexp(float64(d.Bins)/(d.Hi-d.Lo), share-bits.Len(uint(d.Bins)))
+		half := math.Ldexp(0.5, share-bits.Len(uint(d.Bins)))
+		for j, row := range rows {
+			f := (col.Float(row)-d.Lo)*scale + half
+			var q uint64
+			switch {
+			case !(f >= 0): // NaN, or below the domain
+			case f >= float64(top):
+				q = top
+			default:
+				q = uint64(f)
+			}
+			keys[j] |= spreadBits(spread, q, k) << i
+		}
+	}
+	return radixSortByKey(keys, rows)
+}
+
+// spreadTable returns, for each byte value, its 8 bits moved to every
+// stride-th bit position (bit b to b·stride) — the lookup form of
+// magic-bit spreading, for any dimension count. Positions past bit 63
+// fall off; the key's share never reaches them.
+func spreadTable(stride int) *[256]uint64 {
+	var tab [256]uint64
+	for v := range tab {
+		for b := 0; b < 8 && b*stride < 64; b++ {
+			if v&(1<<b) != 0 {
+				tab[v] |= 1 << (b * stride)
+			}
+		}
+	}
+	return &tab
+}
+
+// spreadBits moves bit b of q to bit b·stride, a byte at a time.
+func spreadBits(tab *[256]uint64, q uint64, stride int) uint64 {
+	var out uint64
+	for shift := 0; q != 0 && shift*stride < 64; shift += 8 {
+		out |= tab[q&0xff] << (shift * stride)
+		q >>= 8
+	}
+	return out
+}
+
+// radixSortByKey returns rows reordered by ascending keys (rows[i] carries
+// keys[i]) with a stable LSD radix sort, one byte per pass — so equal keys
+// keep rows' order. A pass whose byte is the same for every key is skipped.
+// Both slices are used as scratch.
+func radixSortByKey(keys []uint64, rows []int) []int {
+	n := len(keys)
+	if n == 0 {
+		return rows
+	}
+	var counts [8][256]int
+	for _, key := range keys {
+		for p := range counts {
+			counts[p][byte(key>>(8*p))]++
+		}
+	}
+	order := rows
+	tmpKeys, tmpOrder := make([]uint64, n), make([]int, n)
+	for p := range counts {
+		c := &counts[p]
+		if c[byte(keys[0]>>(8*p))] == n {
+			continue
+		}
+		pos := 0
+		for b, cnt := range c {
+			c[b] = pos
+			pos += cnt
+		}
+		for i, key := range keys {
+			dst := c[byte(key>>(8*p))]
+			c[byte(key>>(8*p))]++
+			tmpKeys[dst], tmpOrder[dst] = key, order[i]
+		}
+		keys, tmpKeys = tmpKeys, keys
+		order, tmpOrder = tmpOrder, order
+	}
+	return order
 }
 
 // assignRows computes each row's shard index — the single source of truth

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/datacube"
 	"repro/internal/dataset"
 	"repro/internal/storage"
 )
@@ -61,18 +64,21 @@ func requireSameRows(t *testing.T, a, b *storage.Table) {
 }
 
 // TestPartitionsKeepRoadRowsClustered guards the input property the zone
-// maps live on: road rows arrive segment by segment and both partitioners
-// keep row order, so most 64-row words of a partition sit wholly inside or
-// outside a brush-sized range. At the benchmark's size and split, a
-// predicate keeping the middle 40% of a dimension's domain must leave
-// fewer than half of the words to the row kernel (measured: 32–36% under
-// hash, 13–21% under range); a generator or partitioner change that
-// shuffles rows fails here, not as a silent return of scan_shards to full
-// scans.
+// maps live on: each partition lays its rows out along a Z-order curve over
+// the histogram-bin cells, so most 64-row words sit wholly inside or
+// outside a brush-sized range, and most lie inside one ROUND bin of the
+// histogram fast path. At the benchmark's size and split, a predicate
+// keeping the middle 40% of a dimension's domain must leave fewer than 20%
+// of the words to the row kernel under hash and 10% under range (measured:
+// 5–12% and 3–7%; table order left 32–36% and 13–21%), and at least 60% of
+// each dimension's words under hash must fall inside one bin (measured
+// 0.66/0.74/0.83; table order 0.44/0.42/0.13). A layout change that loses
+// the bin alignment fails here, not as a silent slowdown of scan_shards.
 func TestPartitionsKeepRoadRowsClustered(t *testing.T) {
 	roads := dataset.Roads(1, 500000)
 	dims := roadDims()
 	for _, mode := range []Mode{Hash, Range} {
+		maxUndecided := map[Mode]float64{Hash: 0.20, Range: 0.10}[mode]
 		parts, err := Partition(roads, dims, 2, mode, "")
 		if err != nil {
 			t.Fatal(err)
@@ -89,11 +95,146 @@ func TestPartitionsKeepRoadRowsClustered(t *testing.T) {
 				w := d.Hi - d.Lo
 				col.FilterRange(d.Lo+0.3*w, d.Lo+0.7*w, 0, n, dst, false)
 				skipped, filled, evaluated := colstore.ZonesOf(col).Words()
-				if total := skipped + filled + evaluated; 2*evaluated >= total {
-					t.Errorf("%s shard %d dim %s: %d of %d words undecided (skipped %d, filled %d)",
-						mode, i, d.Name, evaluated, total, skipped, filled)
+				total := skipped + filled + evaluated
+				if share := float64(evaluated) / float64(total); share >= maxUndecided {
+					t.Errorf("%s shard %d dim %s: %.2f of %d words undecided (skipped %d, filled %d), want < %.2f",
+						mode, i, d.Name, share, total, skipped, filled, maxUndecided)
+				}
+				if mode != Hash {
+					continue
+				}
+				if one := oneBinZoneShare(part.Column(d.Name), d); one < 0.60 {
+					t.Errorf("%s shard %d dim %s: %.2f of zones inside one ROUND bin, want >= 0.60", mode, i, d.Name, one)
 				}
 			}
 		}
+	}
+}
+
+// oneBinZoneShare is the share of col's 64-row zones whose values all
+// round to the same histogram bin, ROUND((v − Lo)/step) with step the
+// dimension's bin width — the zones a histogram binning pass decides whole.
+func oneBinZoneShare(col *storage.Column, d datacube.Dim) float64 {
+	step := (d.Hi - d.Lo) / float64(d.Bins)
+	n := col.Len()
+	zones, one := 0, 0
+	for lo := 0; lo < n; lo += 64 {
+		bin := math.Round((col.Float(lo) - d.Lo) / step)
+		same := true
+		for r := lo + 1; r < min(lo+64, n); r++ {
+			if math.Round((col.Float(r)-d.Lo)/step) != bin {
+				same = false
+				break
+			}
+		}
+		zones++
+		if same {
+			one++
+		}
+	}
+	return float64(one) / float64(zones)
+}
+
+// TestPartitionLayoutEdgeCases drives the layout key through every corner
+// on a small table: NaN, ±Inf and out-of-domain values, a dimension with
+// Hi ≤ Lo, bin counts needing more bits than a dimension's share of the
+// key, and 1, 3 or 6 dimensions. Whatever the key does, each shard must be
+// a permutation of exactly the rows assignRows gave it, two calls must
+// build identical tables, and PartitionOne must still be Partition's slice.
+func TestPartitionLayoutEdgeCases(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	schema := storage.Schema{{Name: "id", Type: storage.Int64}}
+	for _, name := range names {
+		schema = append(schema, storage.ColumnDef{Name: name, Type: storage.Float64})
+	}
+	tbl := storage.NewTable("edge", schema)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e300, 1e300, -0.0, 0.5, 1}
+	for r := 0; r < 700; r++ {
+		row := []storage.Value{storage.NewInt(int64(r))}
+		for c := range names {
+			v := math.Mod(float64(r*(2*c+7)+c)*0.013, 1.3) - 0.15 // a little past [0, 1] both ways
+			if (r+c)%11 == 0 {
+				v = specials[(r/11+c)%len(specials)]
+			}
+			row = append(row, storage.NewFloat(v))
+		}
+		tbl.MustAppendRow(row...)
+	}
+	dims := []datacube.Dim{
+		{Name: "a", Lo: 0, Hi: 1, Bins: 20},
+		{Name: "b", Lo: 0, Hi: 1, Bins: 1 << 20}, // 21 bin bits: more than a 6-dim share
+		{Name: "c", Lo: 1, Hi: 1, Bins: 20},      // Hi ≤ Lo
+		{Name: "d", Lo: 0, Hi: 1, Bins: 1},
+		{Name: "e", Lo: 2, Hi: -2, Bins: 20}, // Hi < Lo
+		{Name: "f", Lo: -0.5, Hi: 0.5, Bins: 1000},
+	}
+	for _, k := range []int{1, 3, 6} {
+		for _, mode := range []Mode{Hash, Range} {
+			for _, shards := range []int{1, 3} {
+				t.Run(fmt.Sprintf("dims%d-%s-S%d", k, mode, shards), func(t *testing.T) {
+					use := dims[:k]
+					assign, err := assignRows(tbl, use, shards, mode, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					parts, err := Partition(tbl, use, shards, mode, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					again, err := Partition(tbl, use, shards, mode, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s, part := range parts {
+						requireSameRows(t, part, again[s])
+						one, err := PartitionOne(tbl, use, shards, s, mode, "")
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameRows(t, part, one)
+						var want, got []int
+						for row, owner := range assign {
+							if owner == s {
+								want = append(want, row)
+							}
+						}
+						for r := 0; r < part.NumRows(); r++ {
+							got = append(got, int(part.Column("id").Ints[r]))
+						}
+						slices.Sort(got)
+						if !slices.Equal(got, want) {
+							t.Fatalf("shard %d holds rows %v, assignRows gave it %v", s, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPartitionLayoutTiesKeepTableOrder: when every row has the same key —
+// here, every dimension has Hi ≤ Lo — the layout is table order.
+func TestPartitionLayoutTiesKeepTableOrder(t *testing.T) {
+	roads := dataset.Roads(5, 3000)
+	dims := roadDims()
+	for i := range dims {
+		dims[i].Hi = dims[i].Lo
+	}
+	parts, err := Partition(roads, dims, 2, Hash, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := assignRows(roads, dims, 2, Hash, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, part := range parts {
+		var rows []int
+		for row, owner := range assign {
+			if owner == s {
+				rows = append(rows, row)
+			}
+		}
+		requireSameRows(t, part, roads.Take(rows))
 	}
 }

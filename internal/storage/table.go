@@ -267,6 +267,42 @@ func (t *Table) Row(i int) []Value {
 	return out
 }
 
+// Take returns a new table holding t's rows in the order listed (a row may
+// repeat), with t's name, schema and page size. Each column is gathered
+// through the list in one pass, from raw slices or through the encoding of
+// a frozen column alike; the result is always raw.
+func (t *Table) Take(rows []int) *Table {
+	out := NewTable(t.Name, t.Schema)
+	out.PageRows = t.PageRows
+	for c, col := range t.Columns {
+		dst := out.Columns[c]
+		switch col.Type {
+		case Int64:
+			dst.Ints = gather(col.Ints, col.Enc, func(v Value) int64 { return v.I }, rows)
+		case Float64:
+			dst.Floats = gather(col.Floats, col.Enc, func(v Value) float64 { return v.F }, rows)
+		default:
+			dst.Strings = gather(col.Strings, col.Enc, func(v Value) string { return v.S }, rows)
+		}
+	}
+	return out
+}
+
+// gather copies raw[rows[i]] — or, for a frozen column, field(enc.Value(rows[i])).
+func gather[T any](raw []T, enc Encoded, field func(Value) T, rows []int) []T {
+	out := make([]T, len(rows))
+	if enc == nil {
+		for i, r := range rows {
+			out[i] = raw[r]
+		}
+		return out
+	}
+	for i, r := range rows {
+		out[i] = field(enc.Value(r))
+	}
+	return out
+}
+
 // BuildIndex builds (or rebuilds) a sorted index on the named column and
 // returns it: row IDs ordered by ascending column value. Index lookups back
 // range scans and the planner's selectivity estimates.
