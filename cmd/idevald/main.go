@@ -10,7 +10,7 @@
 //	        [-constraint 500ms] [-execdelay 0] [-log FILE] [-seed N]
 //	        [-deadlines] [-degradeafter 250ms]   # degradation ladder
 //	        [-chaos PROFILE] [-chaosseed N]      # fault injection
-//	        [-shards N] [-shardmode hash|range]  # scatter-gather serving
+//	        [-shards N]                          # scatter-gather serving
 //	        [-router N] [-routerreplicas R]      # multi-process shard fleet
 //	        [-snapshotdir DIR]                   # warm child restarts via mmap
 //	        [-encode]                            # compressed columnar storage
@@ -67,7 +67,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -95,7 +94,6 @@ func main() {
 	chaos := flag.String("chaos", "", "inject faults from this profile (spikes|errors|stall|slow|mixed)")
 	chaosSeed := flag.Int64("chaosseed", 1, "fault injection seed")
 	shards := flag.Int("shards", 0, "partition the dataset across N scatter-gather shards (0 or 1 = unsharded)")
-	shardMode := flag.String("shardmode", "hash", "shard partitioning: hash or range")
 	routerN := flag.Int("router", 0, "supervise N shard child processes and gather across them (0 = in-process)")
 	routerReplicas := flag.Int("routerreplicas", 1, "child replicas per shard in -router mode (2 enables hedged gathers)")
 	snapshotDir := flag.String("snapshotdir", "", "in -router mode, persist each shard's partition snapshot here so restarted children warm-start via mmap instead of rebuilding")
@@ -105,7 +103,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*addr, *ds, *rows, *workers, *queue, *constraint, *execDelay, *logPath, *seed,
-		*deadlines, *degradeAfter, *chaos, *chaosSeed, *shards, *shardMode, *encode,
+		*deadlines, *degradeAfter, *chaos, *chaosSeed, *shards, *encode,
 		*planOn, *debugAddr, *routerN, *routerReplicas, *snapshotDir); err != nil {
 		fmt.Fprintln(os.Stderr, "idevald:", err)
 		os.Exit(1)
@@ -126,7 +124,7 @@ func buildBackends(ds string, rows int, seed int64) (serve.Backends, error) {
 }
 
 func run(addr, ds string, rows int, workers, queue int, constraint, execDelay time.Duration, logPath string, seed int64,
-	deadlines bool, degradeAfter time.Duration, chaos string, chaosSeed int64, shards int, shardMode string, encode bool,
+	deadlines bool, degradeAfter time.Duration, chaos string, chaosSeed int64, shards int, encode bool,
 	planOn bool, debugAddr string, routerN, routerReplicas int, snapshotDir string) error {
 	if debugAddr != "" {
 		// http.DefaultServeMux carries the net/http/pprof registrations from
@@ -151,17 +149,12 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 		if shards > 1 || planOn {
 			return fmt.Errorf("-router is mutually exclusive with -shards and -planner")
 		}
-		mode, err := shard.ParseMode(shardMode)
-		if err != nil {
-			return err
-		}
 		fleet, err := router.New(router.Config{
 			Shards:      routerN,
 			Replicas:    routerReplicas,
 			Dataset:     ds,
 			Rows:        rows,
 			Seed:        seed,
-			Mode:        mode,
 			Encode:      encode,
 			SnapshotDir: snapshotDir,
 			ChildStderr: os.Stderr,
@@ -171,8 +164,8 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 		}
 		cfg.Gatherer = fleet
 		cfg.GatherDims = fleet.Dims()
-		fmt.Fprintf(os.Stderr, "idevald: supervising %d shard processes x %d replicas (%s-partitioned)\n",
-			routerN, fleet.Stats().Replicas, mode)
+		fmt.Fprintf(os.Stderr, "idevald: supervising %d shard processes x %d replicas\n",
+			routerN, fleet.Stats().Replicas)
 	} else {
 		fmt.Fprintf(os.Stderr, "idevald: building %s dataset...\n", ds)
 		var err error
@@ -191,13 +184,8 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 		}
 	}
 	if shards > 1 {
-		mode, err := shard.ParseMode(shardMode)
-		if err != nil {
-			return err
-		}
 		cfg.Shards = shards
-		cfg.ShardMode = mode
-		fmt.Fprintf(os.Stderr, "idevald: scatter-gather over %d %s-partitioned shards\n", shards, mode)
+		fmt.Fprintf(os.Stderr, "idevald: scatter-gather over %d shards\n", shards)
 	}
 	if planOn {
 		cfg.Planner = true

@@ -15,7 +15,7 @@
 //	loadgen [-rows N]                       # or spin up an in-process server
 //	        [-users 32] [-adjust 4] [-events 40] [-timescale 0.05]
 //	        [-workers N] [-queue N] [-execdelay 2ms] [-sqlevery 0]
-//	        [-shards N] [-shardmode hash]
+//	        [-shards N]
 //	        [-seed 1] [-json report.json]
 //	        [-deadlines] [-degradeafter 250ms]  # deadline-aware serving
 package main
@@ -33,7 +33,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -54,11 +53,10 @@ func main() {
 	deadlines := flag.Bool("deadlines", false, "enable deadline-aware execution with the degradation ladder")
 	degradeAfter := flag.Duration("degradeafter", 0, "per-request budget before degrading (0 = constraint/2)")
 	shards := flag.Int("shards", 0, "shard the in-process server's dataset across N scatter-gather shards")
-	shardMode := flag.String("shardmode", "hash", "shard partitioning for -shards: hash or range")
 	flag.Parse()
 
 	if err := run(*addr, *users, *adjust, *events, *timescale, *seed, *sqlEvery, *jsonOut,
-		*rows, *workers, *queue, *execDelay, *deadlines, *degradeAfter, *shards, *shardMode); err != nil {
+		*rows, *workers, *queue, *execDelay, *deadlines, *degradeAfter, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -66,7 +64,7 @@ func main() {
 
 func run(addr string, users, adjust, events int, timescale float64, seed int64, sqlEvery int,
 	jsonOut string, rows int, workers, queue int, execDelay time.Duration,
-	deadlines bool, degradeAfter time.Duration, shards int, shardMode string) error {
+	deadlines bool, degradeAfter time.Duration, shards int) error {
 	baseURL := addr
 	if baseURL == "" {
 		fmt.Fprintf(os.Stderr, "loadgen: building in-process road server (%d rows)...\n", rows)
@@ -76,15 +74,7 @@ func run(addr string, users, adjust, events int, timescale float64, seed int64, 
 		}
 		cfg := serve.Config{
 			Workers: workers, QueueDepth: queue, Constraint: metrics.DefaultConstraint, ExecDelay: execDelay,
-			Deadlines: deadlines, DegradeAfter: degradeAfter,
-		}
-		if shards > 1 {
-			mode, err := shard.ParseMode(shardMode)
-			if err != nil {
-				return err
-			}
-			cfg.Shards = shards
-			cfg.ShardMode = mode
+			Deadlines: deadlines, DegradeAfter: degradeAfter, Shards: shards,
 		}
 		srv, err := serve.New(backends, cfg)
 		if err != nil {

@@ -76,26 +76,6 @@ func (b *Bitmap) CountRange(r0, r1 int) int {
 	return n + bits.OnesCount64(b.words[w1]&last)
 }
 
-// ForEachSet calls fn for every selected row in [r0, r1), ascending.
-// r0 must be a multiple of 64 (the kernel alignment contract).
-func (b *Bitmap) ForEachSet(r0, r1 int, fn func(i int)) {
-	if r1 > b.n {
-		r1 = b.n
-	}
-	for w := r0 >> 6; w<<6 < r1; w++ {
-		x := b.words[w]
-		base := w << 6
-		for x != 0 {
-			i := base + bits.TrailingZeros64(x)
-			if i >= r1 {
-				break
-			}
-			fn(i)
-			x &= x - 1
-		}
-	}
-}
-
 // FillRange selects rows [r0, r1). r0 must be a multiple of 64 and r1 a
 // multiple of 64 or the row count.
 func (b *Bitmap) FillRange(r0, r1 int) {

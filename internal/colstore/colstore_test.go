@@ -97,21 +97,6 @@ func TestBitmapBasics(t *testing.T) {
 			t.Fatalf("CountRange(%d, %d) = %d, want %d", r0, r1, got, cnt)
 		}
 	}
-	var visited []int
-	b.ForEachSet(0, n, func(i int) { visited = append(visited, i) })
-	j := 0
-	for i, v := range ref {
-		if !v {
-			continue
-		}
-		if j >= len(visited) || visited[j] != i {
-			t.Fatalf("ForEachSet order mismatch at set-bit %d", j)
-		}
-		j++
-	}
-	if j != len(visited) {
-		t.Fatalf("ForEachSet visited %d rows, want %d", len(visited), j)
-	}
 }
 
 func TestRangeFromOpMatchesComparison(t *testing.T) {

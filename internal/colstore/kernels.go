@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/morsel"
@@ -169,9 +168,4 @@ func Select(n int, preds []RangePred, parallelism int) *Bitmap {
 		}
 	})
 	return dst
-}
-
-// nanRange reports whether a closed range is the select-nothing range.
-func nanRange(lo, hi float64) bool {
-	return math.IsNaN(lo) || math.IsNaN(hi)
 }

@@ -762,10 +762,6 @@ func (s *Snapshot) Fence() map[string]string { return s.fence }
 // Rows returns the table's row count.
 func (s *Snapshot) Rows() int { return s.table.NumRows() }
 
-// Mapped reports whether the snapshot is served from an mmap region (true)
-// or a heap copy (the non-unix fallback).
-func (s *Snapshot) Mapped() bool { return s.mapped }
-
 // Bytes returns the snapshot file's total size.
 func (s *Snapshot) Bytes() int64 { return int64(len(s.buf)) }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/taxonomy"
 )
 
 // Run is one recorded interactive session against a backend: parallel
@@ -147,12 +146,6 @@ func notes(a Assessment, capacityMs float64) []string {
 		out = append(out, "within interactive budgets; validate with a user study covering both factor families")
 	}
 	return out
-}
-
-// Recommend exposes the Table 3 metric advisor alongside the quantitative
-// assessment so a single import drives both halves of the methodology.
-func Recommend(profile taxonomy.SystemProfile) []taxonomy.Recommendation {
-	return taxonomy.RecommendMetrics(profile)
 }
 
 // String renders the assessment as a compact report.

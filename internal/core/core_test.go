@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/taxonomy"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -117,17 +115,6 @@ func TestQuadrantStrings(t *testing.T) {
 			t.Errorf("bad quadrant string %q", s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestRecommendPassthrough(t *testing.T) {
-	recs := Recommend(taxonomy.SystemProfile{HighFrameRateDevice: true, ConsecutiveQueries: true})
-	got := map[string]bool{}
-	for _, r := range recs {
-		got[r.Metric.Name] = true
-	}
-	if !got[taxonomy.QIFMetric] || !got[taxonomy.LCVMetric] {
-		t.Errorf("facade advisor missing novel metrics: %v", got)
 	}
 }
 

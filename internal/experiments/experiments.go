@@ -20,7 +20,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/session"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // Config scales a reproduction run. Full reproduces the paper's sizes;
@@ -291,9 +290,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // fmtRange renders [lo, hi].
 func fmtRange(lo, hi float64) string { return fmt.Sprintf("[%.3g, %.3g]", lo, hi) }
-
-// issuesOf extracts slider-trace issue times.
-func issuesOf(evs []trace.SliderEvent) []time.Duration { return trace.SliderTimes(evs) }
 
 // sortedKeys returns map keys sorted for deterministic iteration.
 func sortedKeys[V any](m map[string]V) []string {

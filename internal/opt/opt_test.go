@@ -380,36 +380,3 @@ func TestPrefetchersEmptyHistory(t *testing.T) {
 		}
 	}
 }
-
-// --- throttle / debounce -----------------------------------------------------
-
-func TestThrottle(t *testing.T) {
-	times := []time.Duration{0, 5 * time.Millisecond, 12 * time.Millisecond, 40 * time.Millisecond, 45 * time.Millisecond}
-	got := Throttle(times, 10*time.Millisecond)
-	want := []int{0, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Throttle = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Throttle = %v, want %v", got, want)
-		}
-	}
-	all := Throttle(times, 0)
-	if len(all) != len(times) {
-		t.Error("zero gap did not pass everything")
-	}
-}
-
-func TestDebounce(t *testing.T) {
-	times := []time.Duration{0, 5 * time.Millisecond, 100 * time.Millisecond, 104 * time.Millisecond}
-	got := Debounce(times, 50*time.Millisecond)
-	// idx1 followed by 95ms gap → passes; idx3 is last → passes.
-	want := []int{1, 3}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Debounce = %v, want %v", got, want)
-	}
-	if got := Debounce(nil, time.Second); len(got) != 0 {
-		t.Error("Debounce(nil) nonempty")
-	}
-}

@@ -207,28 +207,6 @@ func (x *TemplateIndex) countRows(binFns []func(row int) int, passAll []int64, v
 	}
 }
 
-// Matches reports whether a brush snapshot belongs to this template: same
-// moved dimension and identical fixed bin boxes (the moved window is
-// free).
-func (x *TemplateIndex) Matches(moved int, filters []*datacube.Range) bool {
-	if moved != x.moved || len(filters) != len(x.dims) {
-		return false
-	}
-	for i, d := range x.dims {
-		if i == moved {
-			continue
-		}
-		lo, hi := 0, d.Bins-1
-		if filters[i] != nil {
-			lo, hi = d.BinRange(*filters[i])
-		}
-		if lo != x.fixedLo[i] || hi != x.fixedHi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AnswerInto computes every dimension's histogram and the filtered total
 // for a snapshot matching the template, into hists (one pre-sized slice
 // per dimension). Results are bit-identical to the prefix cube's: each

@@ -365,8 +365,8 @@ func TestPlannerBudgetEviction(t *testing.T) {
 	compareAnswer(t, "post-eviction", wantTotal, total, want, hists)
 }
 
-// TestTemplateIndexUnits: the index sizes itself plausibly and Matches
-// tracks template identity.
+// TestTemplateIndexUnits: the index sizes itself plausibly and answers any
+// position of the moved window.
 func TestTemplateIndexUnits(t *testing.T) {
 	tbl, dims := testTable(t, 5000)
 	filters := dragStep(dims, 1, 0, 8)
@@ -390,17 +390,6 @@ func TestTemplateIndexUnits(t *testing.T) {
 	}
 	if idx.Moved() != 1 {
 		t.Errorf("Moved = %d", idx.Moved())
-	}
-	if !idx.Matches(1, filters) {
-		t.Error("index rejects its own template")
-	}
-	if idx.Matches(0, filters) {
-		t.Error("index matches a different moved dimension")
-	}
-	other := dragStep(dims, 1, 0, 8)
-	other[0].Lo = dims[0].Lo // widened fixed box: different template
-	if idx.Matches(1, other) {
-		t.Error("index matches a different fixed box")
 	}
 
 	// The moved window itself may vary freely, including to empty.

@@ -23,8 +23,8 @@
 // owned before. With a SnapshotDir configured, the rebuild is a cold path
 // only: the first build of a slot persists the partition as an mmap-able
 // colstore snapshot, and every later restart maps it read-only and is
-// ready in O(columns) — the fence (dataset, seed, rows, mode, shard,
-// encode, row layout) plus the snapshot checksum guarantee a warm start serves
+// ready in O(columns) — the fence (dataset, seed, rows, shard, encode,
+// row layout) plus the snapshot checksum guarantee a warm start serves
 // byte-identical answers or falls back to the rebuild.
 package router
 
@@ -73,15 +73,14 @@ const (
 // ChildSpec tells a shard child which partition it owns. It rides ChildEnv
 // as JSON across exec.
 type ChildSpec struct {
-	Dataset     string     `json:"dataset"`
-	Rows        int        `json:"rows"`
-	Seed        int64      `json:"seed"`
-	Shard       int        `json:"shard"`
-	Of          int        `json:"of"`
-	Mode        shard.Mode `json:"mode"`
-	Encode      bool       `json:"encode,omitempty"`
-	Parallelism int        `json:"parallelism,omitempty"`
-	Generation  int        `json:"generation"`
+	Dataset     string `json:"dataset"`
+	Rows        int    `json:"rows"`
+	Seed        int64  `json:"seed"`
+	Shard       int    `json:"shard"`
+	Of          int    `json:"of"`
+	Encode      bool   `json:"encode,omitempty"`
+	Parallelism int    `json:"parallelism,omitempty"`
+	Generation  int    `json:"generation"`
 
 	// SnapshotDir, when set, enables warm restarts: the child first tries
 	// to mmap its partition snapshot from this directory (falling back to
@@ -242,7 +241,7 @@ func (c *child) build() error {
 		if err != nil {
 			return err
 		}
-		part, err := shard.PartitionOne(table, dims, c.spec.Of, c.spec.Shard, c.spec.Mode, "")
+		part, err := shard.PartitionOne(table, dims, c.spec.Of, c.spec.Shard)
 		if err != nil {
 			return err
 		}

@@ -30,12 +30,11 @@ type Config struct {
 	// hedge to a warm sibling when the affinity replica is slow.
 	Replicas int
 
-	// Dataset, Rows, Seed, Mode, Encode describe the served partitioning;
+	// Dataset, Rows, Seed, Encode describe the served partitioning;
 	// children rebuild it deterministically from exactly these values.
 	Dataset string
 	Rows    int
 	Seed    int64
-	Mode    shard.Mode
 	Encode  bool
 
 	// SnapshotDir, when set, enables warm restarts: children try to mmap
@@ -331,10 +330,6 @@ func (f *Fleet) ShardRecords(i int) int {
 	}
 	return f.shardRecords[i]
 }
-
-// ReplicaAddr returns the stable control-plane (HTTP) address of a replica
-// slot — chaos and tests target children through it.
-func (f *Fleet) ReplicaAddr(shardIdx, idx int) string { return f.reps[shardIdx][idx].addr }
 
 // ReplicaPID returns the replica's current child PID (0 while down).
 func (f *Fleet) ReplicaPID(shardIdx, idx int) int { return f.reps[shardIdx][idx].currentPID() }

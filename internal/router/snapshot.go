@@ -23,7 +23,7 @@ import (
 // (bad magic, version skew, truncation, any checksum mismatch — a torn
 // concurrent write loses the CRC race and reads as corrupt). On top of
 // that, the fence map pins the serving contract: dataset, seed, rows,
-// partition mode, shard/of, and encode flag must all equal the child's
+// shard/of, and encode flag must all equal the child's
 // spec, and the row layout must be the one shard.Partition produces now,
 // so a snapshot left over from a different run shape or an older layout
 // is refused even though the file itself is intact. Any refusal at either
@@ -48,7 +48,6 @@ func childFence(spec ChildSpec) map[string]string {
 		"dataset": spec.Dataset,
 		"rows":    strconv.Itoa(spec.Rows),
 		"seed":    strconv.FormatInt(spec.Seed, 10),
-		"mode":    spec.Mode.String(),
 		"shard":   strconv.Itoa(spec.Shard),
 		"of":      strconv.Itoa(spec.Of),
 		"encode":  strconv.FormatBool(spec.Encode),
@@ -64,8 +63,8 @@ func snapshotPath(dir string, spec ChildSpec) string {
 	if spec.Encode {
 		enc = 1
 	}
-	return filepath.Join(dir, fmt.Sprintf("%s-r%d-seed%d-%s-s%dof%d-e%d.snap",
-		spec.Dataset, spec.Rows, spec.Seed, spec.Mode, spec.Shard, spec.Of, enc))
+	return filepath.Join(dir, fmt.Sprintf("%s-r%d-seed%d-s%dof%d-e%d.snap",
+		spec.Dataset, spec.Rows, spec.Seed, spec.Shard, spec.Of, enc))
 }
 
 // fenceMatches reports whether a snapshot's stored fence equals the spec's.

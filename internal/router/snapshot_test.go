@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -349,64 +350,76 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestChildFenceRefusesOldLayout: a snapshot whose fence predates the row
-// layout key — what a build laid out in table order wrote — is refused
-// like any stale run shape, rebuilt, and rewritten under the current fence,
-// so the slot's next restart is warm again in the current layout.
+// TestChildFenceRefusesOldLayout: a snapshot whose fence differs from the
+// current one — it predates the row layout key (what a build laid out in
+// table order wrote), or it still carries the partitioning mode key that
+// range sharding needed — is refused like any stale run shape, rebuilt, and
+// rewritten under the current fence, so the slot's next restart is warm
+// again in the current layout.
 func TestChildFenceRefusesOldLayout(t *testing.T) {
-	spec := ChildSpec{Dataset: "road", Rows: 3000, Seed: 1, Shard: 1, Of: 2, Mode: shard.Hash,
-		Encode: true, SnapshotDir: t.TempDir()}
-	path := snapshotPath(spec.SnapshotDir, spec)
+	for _, tc := range []struct {
+		name  string
+		stale func(fence map[string]string)
+	}{
+		{"no-layout", func(fence map[string]string) { delete(fence, "layout") }},
+		{"mode-key", func(fence map[string]string) { fence["mode"] = "hash" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := ChildSpec{Dataset: "road", Rows: 3000, Seed: 1, Shard: 1, Of: 2,
+				Encode: true, SnapshotDir: t.TempDir()}
+			path := snapshotPath(spec.SnapshotDir, spec)
 
-	cold := &child{spec: spec}
-	if err := cold.build(); err != nil {
-		t.Fatal(err)
-	}
-	if cold.warm {
-		t.Fatal("first build warm-started with no snapshot on disk")
-	}
-	oldFence := childFence(spec)
-	if oldFence["layout"] != shard.Layout {
-		t.Fatalf("fence layout %q, want %q", oldFence["layout"], shard.Layout)
-	}
-	delete(oldFence, "layout")
-	dimsJSON, err := json.Marshal(cold.dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := colstore.WriteSnapshot(path, cold.rep.Table, oldFence, []colstore.SnapshotSection{
-		{Name: snapDimsSection, JSON: dimsJSON},
-		{Name: snapPrefixSection, Int64s: cold.rep.Prefix.Sums()},
-	}); err != nil {
-		t.Fatal(err)
-	}
+			cold := &child{spec: spec}
+			if err := cold.build(); err != nil {
+				t.Fatal(err)
+			}
+			if cold.warm {
+				t.Fatal("first build warm-started with no snapshot on disk")
+			}
+			oldFence := childFence(spec)
+			if oldFence["layout"] != shard.Layout {
+				t.Fatalf("fence layout %q, want %q", oldFence["layout"], shard.Layout)
+			}
+			tc.stale(oldFence)
+			dimsJSON, err := json.Marshal(cold.dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := colstore.WriteSnapshot(path, cold.rep.Table, oldFence, []colstore.SnapshotSection{
+				{Name: snapDimsSection, JSON: dimsJSON},
+				{Name: snapPrefixSection, Int64s: cold.rep.Prefix.Sums()},
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	rebuilt := &child{spec: spec}
-	if err := rebuilt.build(); err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.warm {
-		t.Fatal("a snapshot without the layout fence was warm-started")
-	}
-	snap, err := colstore.OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := snap.Fence()["layout"]
-	snap.Close()
-	if got != shard.Layout {
-		t.Fatalf("rebuild left a snapshot fenced with layout %q, want %q", got, shard.Layout)
-	}
+			rebuilt := &child{spec: spec}
+			if err := rebuilt.build(); err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt.warm {
+				t.Fatalf("a snapshot fenced %v was warm-started", oldFence)
+			}
+			snap, err := colstore.OpenSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := snap.Fence()
+			snap.Close()
+			if !reflect.DeepEqual(got, childFence(spec)) {
+				t.Fatalf("rebuild left a snapshot fenced %v, want %v", got, childFence(spec))
+			}
 
-	warm := &child{spec: spec}
-	if err := warm.build(); err != nil {
-		t.Fatal(err)
-	}
-	defer warm.snap.Close()
-	if !warm.warm {
-		t.Fatal("the rewritten snapshot was not warm-started")
-	}
-	if w, r := warm.rep.Table.NumRows(), rebuilt.rep.Table.NumRows(); w != r {
-		t.Fatalf("warm start holds %d records, rebuild %d", w, r)
+			warm := &child{spec: spec}
+			if err := warm.build(); err != nil {
+				t.Fatal(err)
+			}
+			defer warm.snap.Close()
+			if !warm.warm {
+				t.Fatal("the rewritten snapshot was not warm-started")
+			}
+			if w, r := warm.rep.Table.NumRows(), rebuilt.rep.Table.NumRows(); w != r {
+				t.Fatalf("warm start holds %d records, rebuild %d", w, r)
+			}
+		})
 	}
 }

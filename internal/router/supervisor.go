@@ -178,7 +178,6 @@ func (r *replica) spawn() (*exec.Cmd, <-chan error, error) {
 		Seed:        f.cfg.Seed,
 		Shard:       r.shard,
 		Of:          f.cfg.Shards,
-		Mode:        f.cfg.Mode,
 		Encode:      f.cfg.Encode,
 		Parallelism: defaultParallelism(f.cfg.Shards * f.replicas()),
 		Generation:  gen,

@@ -124,8 +124,6 @@ type Config struct {
 	// a cube with a backing table whose columns include every cube
 	// dimension.
 	Shards int
-	// ShardMode selects hash (default) or range partitioning.
-	ShardMode shard.Mode
 	// ShardFaults optionally fault-gates individual shards (nil entries
 	// inject nothing) — the chaos hook for wedging one shard while the
 	// rest stay healthy. Independent of Fault, which gates whole requests.
@@ -389,7 +387,7 @@ func New(b Backends, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: sharded serving needs a cube with a backing table")
 		}
 		opts := repOpts
-		opts.Shards, opts.Mode, opts.Faults = cfg.Shards, cfg.ShardMode, cfg.ShardFaults
+		opts.Shards, opts.Faults = cfg.Shards, cfg.ShardFaults
 		coord, err := shard.New(b.Tiles, s.cubeDims, opts)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard coordinator: %w", err)
@@ -1229,6 +1227,10 @@ func tileBounds(t widget.Tile) (latLo, latHi, lngLo, lngHi float64) {
 }
 
 func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
 	if s.tiles == nil {
 		httpError(w, http.StatusNotImplemented, "no tile backend")
 		return
@@ -1247,20 +1249,13 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var tile widget.Tile
-	if key := q.Get("key"); key != "" {
-		tile, err = widget.ParseTile(key)
-	} else {
-		tile.Z, err = strconv.Atoi(q.Get("z"))
-		if err == nil {
-			tile.X, err = strconv.Atoi(q.Get("x"))
-		}
-		if err == nil {
-			tile.Y, err = strconv.Atoi(q.Get("y"))
-		}
+	key := q.Get("key")
+	if key == "" {
+		key = q.Get("z") + "/" + q.Get("x") + "/" + q.Get("y")
 	}
+	tile, err := widget.ParseTile(key)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "want key=z/x/y or z=&x=&y=")
+		httpError(w, http.StatusBadRequest, "want key=z/x/y or z=&x=&y= naming an existing tile: "+err.Error())
 		return
 	}
 	rq := s.begin(w, session, seq, "tile")

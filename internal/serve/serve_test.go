@@ -478,6 +478,41 @@ func TestTileCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestTilesRejectsBadKeys: a key that is not an existing tile's z/x/y, in
+// either form, is the client's mistake — a 400 before the request is
+// counted, scanned or cached — and a method other than GET or HEAD is a
+// 405, as on the JSON endpoints.
+func TestTilesRejectsBadKeys(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	before := srv.Stats()
+	for _, q := range []string{
+		"key=4/1/7/9", "key=4/1/7abc", "key=-1/0/0", "key=40/0/0", "key=2/9/9", "key=1100/0/0",
+		"z=2&x=9&y=9", "z=-1&x=0&y=0", "z=4&x=1", "z=%2B4&x=1&y=7",
+	} {
+		resp, err := http.Get(ts.URL + "/v1/tiles?session=s1&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/tiles?session=s1&key=0/0/0", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST status %d, want 405", resp.StatusCode)
+	}
+	after := srv.Stats()
+	if after.TileCacheMiss != before.TileCacheMiss || after.TileCacheHits != before.TileCacheHits || after.Issued != before.Issued {
+		t.Errorf("rejected tiles counted: misses %d→%d, hits %d→%d, issued %d→%d",
+			before.TileCacheMiss, after.TileCacheMiss, before.TileCacheHits, after.TileCacheHits, before.Issued, after.Issued)
+	}
+}
+
 // TestTileCacheDisabled: a negative TileCacheSize turns the cache off;
 // identical requests recompute every time.
 func TestTileCacheDisabled(t *testing.T) {

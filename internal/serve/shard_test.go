@@ -56,65 +56,63 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 	dims := RoadCubeDims()
 	loadDims := RoadLoadDims()
 
-	for _, mode := range []shard.Mode{shard.Hash, shard.Range} {
-		for _, s := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("%v/S%d", mode, s), func(t *testing.T) {
-				_, sharded := shardTestServer(t, rows, Config{Workers: 2, Shards: s, ShardMode: mode})
-				rng := rand.New(rand.NewSource(int64(1000*s) + int64(mode)))
-				session := fmt.Sprintf("diff-%v-%d", mode, s)
+	for _, s := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("hash/S%d", s), func(t *testing.T) {
+			_, sharded := shardTestServer(t, rows, Config{Workers: 2, Shards: s})
+			rng := rand.New(rand.NewSource(int64(1000 * s)))
+			session := fmt.Sprintf("diff-hash-%d", s)
 
-				for seq := int64(0); seq < 15; seq++ {
-					ranges := make([]*[2]float64, len(dims))
-					for i, d := range dims {
-						if rng.Intn(4) == 0 {
-							continue
-						}
-						lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
-						ranges[i] = &[2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
+			for seq := int64(0); seq < 15; seq++ {
+				ranges := make([]*[2]float64, len(dims))
+				for i, d := range dims {
+					if rng.Intn(4) == 0 {
+						continue
 					}
-					req := BrushRequest{Session: session, Seq: seq, Ranges: ranges}
-					st1, body1 := postJSON(t, oracle.URL+"/v1/brush", req)
-					st2, body2 := postJSON(t, sharded.URL+"/v1/brush", req)
-					if st1.StatusCode != http.StatusOK || st2.StatusCode != http.StatusOK {
-						t.Fatalf("seq %d: status %d vs %d", seq, st1.StatusCode, st2.StatusCode)
-					}
-					if !bytes.Equal(body1, body2) {
-						t.Fatalf("seq %d: sharded brush body differs:\n%s\nvs oracle:\n%s", seq, body2, body1)
-					}
+					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
+					ranges[i] = &[2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
 				}
+				req := BrushRequest{Session: session, Seq: seq, Ranges: ranges}
+				st1, body1 := postJSON(t, oracle.URL+"/v1/brush", req)
+				st2, body2 := postJSON(t, sharded.URL+"/v1/brush", req)
+				if st1.StatusCode != http.StatusOK || st2.StatusCode != http.StatusOK {
+					t.Fatalf("seq %d: status %d vs %d", seq, st1.StatusCode, st2.StatusCode)
+				}
+				if !bytes.Equal(body1, body2) {
+					t.Fatalf("seq %d: sharded brush body differs:\n%s\nvs oracle:\n%s", seq, body2, body1)
+				}
+			}
 
-				for seq := int64(0); seq < 8; seq++ {
-					ranges := make([][2]float64, len(dims))
-					for i, d := range dims {
-						lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
-						ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
-					}
-					stmt, err := opt.HistogramQuery("dataroad", loadDims, ranges, rng.Intn(len(dims)), dims[0].Bins)
-					if err != nil {
-						t.Fatal(err)
-					}
-					req := QueryRequest{Session: session, Seq: seq, SQL: stmt.String()}
-					st1, body1 := postJSON(t, oracle.URL+"/v1/query", req)
-					st2, body2 := postJSON(t, sharded.URL+"/v1/query", req)
-					if st1.StatusCode != http.StatusOK || st2.StatusCode != http.StatusOK {
-						t.Fatalf("query seq %d: status %d vs %d", seq, st1.StatusCode, st2.StatusCode)
-					}
-					var want, got QueryResponse
-					if err := json.Unmarshal(body1, &want); err != nil {
-						t.Fatal(err)
-					}
-					if err := json.Unmarshal(body2, &got); err != nil {
-						t.Fatal(err)
-					}
-					if got.Degraded || got.SampleFraction != 0 {
-						t.Fatalf("query seq %d: degraded sharded answer with no fault injected", seq)
-					}
-					if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-						t.Fatalf("query seq %d: rows differ\nsharded: %v\noracle:  %v", seq, got.Rows, want.Rows)
-					}
+			for seq := int64(0); seq < 8; seq++ {
+				ranges := make([][2]float64, len(dims))
+				for i, d := range dims {
+					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
+					ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
 				}
-			})
-		}
+				stmt, err := opt.HistogramQuery("dataroad", loadDims, ranges, rng.Intn(len(dims)), dims[0].Bins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := QueryRequest{Session: session, Seq: seq, SQL: stmt.String()}
+				st1, body1 := postJSON(t, oracle.URL+"/v1/query", req)
+				st2, body2 := postJSON(t, sharded.URL+"/v1/query", req)
+				if st1.StatusCode != http.StatusOK || st2.StatusCode != http.StatusOK {
+					t.Fatalf("query seq %d: status %d vs %d", seq, st1.StatusCode, st2.StatusCode)
+				}
+				var want, got QueryResponse
+				if err := json.Unmarshal(body1, &want); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(body2, &got); err != nil {
+					t.Fatal(err)
+				}
+				if got.Degraded || got.SampleFraction != 0 {
+					t.Fatalf("query seq %d: degraded sharded answer with no fault injected", seq)
+				}
+				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("query seq %d: rows differ\nsharded: %v\noracle:  %v", seq, got.Rows, want.Rows)
+				}
+			}
+		})
 	}
 }
 

@@ -41,7 +41,7 @@ func BenchmarkPartition(b *testing.B) {
 	dims := roadDims()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(roads, dims, 2, Hash, ""); err != nil {
+		if _, err := Partition(roads, dims, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkPartitionOne(b *testing.B) {
 	dims := roadDims()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PartitionOne(roads, dims, 2, 0, Hash, ""); err != nil {
+		if _, err := PartitionOne(roads, dims, 2, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ type Coordinator struct {
 // shards or histogram addition is meaningless.
 func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, error) {
 	opts.normalize()
-	parts, err := Partition(t, dims, opts.Shards, opts.Mode, opts.RangeDim)
+	parts, err := Partition(t, dims, opts.Shards)
 	if err != nil {
 		return nil, err
 	}

@@ -63,55 +63,53 @@ func randomFilters(rng *rand.Rand, dims []datacube.Dim) []*datacube.Range {
 }
 
 // TestPartitionDisjointCover proves the partitioning invariant the merge
-// law rests on: every record lands in exactly one shard, in both modes, at
-// every shard count.
+// law rests on: every record lands in exactly one shard, at every shard
+// count.
 func TestPartitionDisjointCover(t *testing.T) {
 	roads := dataset.Roads(31, 5000)
 	dims := roadDims()
-	for _, mode := range []Mode{Hash, Range} {
-		for _, s := range shardCounts {
-			parts, err := Partition(roads, dims, s, mode, "")
+	for _, s := range shardCounts {
+		parts, err := Partition(roads, dims, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != s {
+			t.Fatalf("S=%d: %d partitions", s, len(parts))
+		}
+		total := 0
+		for _, p := range parts {
+			total += p.NumRows()
+		}
+		if total != roads.NumRows() {
+			t.Fatalf("S=%d: partitions cover %d of %d rows", s, total, roads.NumRows())
+		}
+		// Per-dimension histogram sums must reconstruct the unsharded
+		// histogram exactly — the addition law at the cube level.
+		oracle, err := datacube.BuildPrefix(roads, dims, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for target := range dims {
+			want, err := oracle.Histogram(target, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(parts) != s {
-				t.Fatalf("%v S=%d: %d partitions", mode, s, len(parts))
-			}
-			total := 0
+			got := make([]int64, dims[target].Bins)
 			for _, p := range parts {
-				total += p.NumRows()
-			}
-			if total != roads.NumRows() {
-				t.Fatalf("%v S=%d: partitions cover %d of %d rows", mode, s, total, roads.NumRows())
-			}
-			// Per-dimension histogram sums must reconstruct the unsharded
-			// histogram exactly — the addition law at the cube level.
-			oracle, err := datacube.BuildPrefix(roads, dims, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for target := range dims {
-				want, err := oracle.Histogram(target, nil)
+				pc, err := datacube.BuildPrefix(p, dims, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := make([]int64, dims[target].Bins)
-				for _, p := range parts {
-					pc, err := datacube.BuildPrefix(p, dims, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					h, err := pc.Histogram(target, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for b, v := range h {
-						got[b] += v
-					}
+				h, err := pc.Histogram(target, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v S=%d target %d: summed %v want %v", mode, s, target, got, want)
+				for b, v := range h {
+					got[b] += v
 				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("S=%d target %d: summed %v want %v", s, target, got, want)
 			}
 		}
 	}
@@ -120,7 +118,7 @@ func TestPartitionDisjointCover(t *testing.T) {
 // TestShardedMatchesUnsharded is the tentpole proof: for randomized brushes
 // and filters, the sharded scatter-gather merge is byte-identical to the
 // unsharded oracle on both backends — prefix cube and SQL engine — at
-// S ∈ {1, 2, 4, 8} in both partitioning modes.
+// S ∈ {1, 2, 4, 8}.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	const rows = 6000
 	roads := dataset.Roads(47, rows)
@@ -138,105 +136,90 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		loadDims[i] = opt.CrossfilterDim{Column: d.Name, Lo: d.Lo, Hi: d.Hi}
 	}
 
-	for _, mode := range []Mode{Hash, Range} {
-		for _, s := range shardCounts {
-			t.Run(fmt.Sprintf("%v/S%d", mode, s), func(t *testing.T) {
-				coord, err := New(roads, dims, Options{
-					Shards: s, Mode: mode, WithEngine: true,
-				})
+	for _, s := range shardCounts {
+		t.Run(fmt.Sprintf("hash/S%d", s), func(t *testing.T) {
+			coord, err := New(roads, dims, Options{
+				Shards: s, WithEngine: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			rng := rand.New(rand.NewSource(int64(100 * s)))
+			ctx := context.Background()
+
+			// Prefix-cube path: histograms plus corner counts.
+			for trial := 0; trial < 40; trial++ {
+				filters := randomFilters(rng, dims)
+				got, err := coord.Brush(ctx, filters)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer coord.Close()
-				rng := rand.New(rand.NewSource(int64(100*s) + int64(mode)))
-				ctx := context.Background()
-
-				// Prefix-cube path: histograms plus corner counts.
-				for trial := 0; trial < 40; trial++ {
-					filters := randomFilters(rng, dims)
-					got, err := coord.Brush(ctx, filters)
+				if got.Covered != s || got.Fraction() != 1 {
+					t.Fatalf("trial %d: coverage %d/%d fraction %g", trial, got.Covered, s, got.Fraction())
+				}
+				wantTotal, err := oraclePrefix.Count(filters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Total != wantTotal {
+					t.Fatalf("trial %d: total %d want %d (filters %+v)", trial, got.Total, wantTotal, filters)
+				}
+				for target := range dims {
+					want, err := oraclePrefix.Histogram(target, filters)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Covered != s || got.Fraction() != 1 {
-						t.Fatalf("trial %d: coverage %d/%d fraction %g", trial, got.Covered, s, got.Fraction())
-					}
-					wantTotal, err := oraclePrefix.Count(filters)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Total != wantTotal {
-						t.Fatalf("trial %d: total %d want %d (filters %+v)", trial, got.Total, wantTotal, filters)
-					}
-					for target := range dims {
-						want, err := oraclePrefix.Histogram(target, filters)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got.Histograms[target], want) {
-							t.Fatalf("trial %d target %d: %v want %v", trial, target, got.Histograms[target], want)
-						}
+					if !reflect.DeepEqual(got.Histograms[target], want) {
+						t.Fatalf("trial %d target %d: %v want %v", trial, target, got.Histograms[target], want)
 					}
 				}
+			}
 
-				// Engine path: histogram-shaped SQL scatters and merges to
-				// the exact unsharded fast-path result, rows and values.
-				for trial := 0; trial < 20; trial++ {
-					ranges := make([][2]float64, len(dims))
-					for i, d := range dims {
-						lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
-						ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
-					}
-					stmt, err := opt.HistogramQuery(roads.Name, loadDims, ranges, rng.Intn(len(dims)), crossfilter.DefaultBins)
-					if err != nil {
-						t.Fatal(err)
-					}
-					query := stmt.String()
-					want, err := oracleEng.QueryCtx(ctx, query)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, frac, ok, err := coord.QueryHistogram(ctx, query)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						t.Fatalf("trial %d: query not histogram-shaped: %s", trial, query)
-					}
-					if frac != 1 {
-						t.Fatalf("trial %d: fraction %g", trial, frac)
-					}
-					if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-						t.Fatalf("trial %d: sharded rows %v want %v (query %s)", trial, got.Rows, want.Rows, query)
-					}
-					if got.Stats.TuplesScanned != want.Stats.TuplesScanned {
-						t.Fatalf("trial %d: scanned %d want %d", trial, got.Stats.TuplesScanned, want.Stats.TuplesScanned)
-					}
-					if !got.Stats.UsedFastPath {
-						t.Fatalf("trial %d: merged result not marked fast-path", trial)
-					}
+			// Engine path: histogram-shaped SQL scatters and merges to
+			// the exact unsharded fast-path result, rows and values.
+			for trial := 0; trial < 20; trial++ {
+				ranges := make([][2]float64, len(dims))
+				for i, d := range dims {
+					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
+					ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
 				}
+				stmt, err := opt.HistogramQuery(roads.Name, loadDims, ranges, rng.Intn(len(dims)), crossfilter.DefaultBins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				query := stmt.String()
+				want, err := oracleEng.QueryCtx(ctx, query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, frac, ok, err := coord.QueryHistogram(ctx, query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					t.Fatalf("trial %d: query not histogram-shaped: %s", trial, query)
+				}
+				if frac != 1 {
+					t.Fatalf("trial %d: fraction %g", trial, frac)
+				}
+				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("trial %d: sharded rows %v want %v (query %s)", trial, got.Rows, want.Rows, query)
+				}
+				if got.Stats.TuplesScanned != want.Stats.TuplesScanned {
+					t.Fatalf("trial %d: scanned %d want %d", trial, got.Stats.TuplesScanned, want.Stats.TuplesScanned)
+				}
+				if !got.Stats.UsedFastPath {
+					t.Fatalf("trial %d: merged result not marked fast-path", trial)
+				}
+			}
 
-			})
-		}
+		})
 	}
 }
 
-// TestModeAndOptionDefaults pins ParseMode and Options normalization.
-func TestModeAndOptionDefaults(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{{"", Hash, true}, {"hash", Hash, true}, {"range", Range, true}, {"bogus", Hash, false}} {
-		got, err := ParseMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if Hash.String() != "hash" || Range.String() != "range" {
-		t.Error("Mode.String wrong")
-	}
+// TestOptionDefaults pins Options normalization.
+func TestOptionDefaults(t *testing.T) {
 	var o Options
 	o.normalize()
 	if o.Shards != 1 || o.Workers != 2 || o.Parallelism < 1 {
@@ -251,19 +234,13 @@ func TestModeAndOptionDefaults(t *testing.T) {
 func TestPartitionErrors(t *testing.T) {
 	roads := dataset.Roads(1, 200)
 	dims := roadDims()
-	if _, err := Partition(roads, dims, 0, Hash, ""); err == nil {
+	if _, err := Partition(roads, dims, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := Partition(roads, nil, 2, Hash, ""); err == nil {
+	if _, err := Partition(roads, nil, 2); err == nil {
 		t.Error("no dims accepted")
 	}
-	if _, err := Partition(roads, []datacube.Dim{{Name: "nope"}}, 2, Hash, ""); err == nil {
+	if _, err := Partition(roads, []datacube.Dim{{Name: "nope"}}, 2); err == nil {
 		t.Error("missing column accepted")
-	}
-	if _, err := Partition(roads, dims, 2, Range, "nope"); err == nil {
-		t.Error("unknown range dim accepted")
-	}
-	if _, err := Partition(roads, dims, 2, Mode(99), ""); err == nil {
-		t.Error("unknown mode accepted")
 	}
 }

@@ -4,45 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/datacube"
 	"repro/internal/storage"
 )
-
-// Mode selects the partitioning function.
-type Mode int
-
-const (
-	// Hash assigns each record by a splitmix64 hash of its values in the
-	// spatial dimensions — uniform shard sizes regardless of data skew,
-	// records with identical spatial coordinates colocated.
-	Hash Mode = iota
-	// Range assigns contiguous runs of the records sorted by one spatial
-	// dimension — shard-local value locality (a narrow brush on the range
-	// dimension touches few shards), balanced by splitting at equal-count
-	// positions rather than equal-width intervals.
-	Range
-)
-
-// String returns the mode's flag spelling.
-func (m Mode) String() string {
-	if m == Range {
-		return "range"
-	}
-	return "hash"
-}
-
-// ParseMode resolves a -shardmode flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "hash":
-		return Hash, nil
-	case "range":
-		return Range, nil
-	}
-	return Hash, fmt.Errorf("shard: unknown mode %q (want hash or range)", s)
-}
 
 // splitmix64 is the SplitMix64 finalizer — the same mix internal/fault
 // uses for its deterministic schedules; here it spreads spatial
@@ -57,16 +22,15 @@ func splitmix64(x uint64) uint64 {
 // Partition splits t into shards disjoint sub-tables covering every record
 // exactly once — the property that makes per-shard histograms merge back
 // to the unsharded answer by plain addition. dims are the spatial
-// dimensions partitioning hashes or ranges over; rangeDim names the Range
-// mode's sort dimension ("" means dims[0]). Within a shard, rows are laid
+// dimensions whose values assignRows hashes. Within a shard, rows are laid
 // out by layout: along a Z-order curve over dims' histogram-bin cells, so
 // the scan kernels' 64-row zones mostly fall inside one bin. A partition
 // only answers order-free requests — prefix-cube brushes and (bin, count)
 // rows merged by addition — so the order is unobservable, and it is a pure
 // function of the table, which keeps every per-shard structure
 // deterministic.
-func Partition(t *storage.Table, dims []datacube.Dim, shards int, mode Mode, rangeDim string) ([]*storage.Table, error) {
-	assign, err := assignRows(t, dims, shards, mode, rangeDim)
+func Partition(t *storage.Table, dims []datacube.Dim, shards int) ([]*storage.Table, error) {
+	assign, err := assignRows(t, dims, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +50,11 @@ func Partition(t *storage.Table, dims []datacube.Dim, shards int, mode Mode, ran
 // shards. Restarting shard children use it to cold-rebuild just their own
 // partition, which bounds a rebuild's extra memory at one shard instead of
 // the whole dataset.
-func PartitionOne(t *storage.Table, dims []datacube.Dim, shards, index int, mode Mode, rangeDim string) (*storage.Table, error) {
+func PartitionOne(t *storage.Table, dims []datacube.Dim, shards, index int) (*storage.Table, error) {
 	if index < 0 || index >= shards {
 		return nil, fmt.Errorf("shard: index %d out of range for %d shards", index, shards)
 	}
-	assign, err := assignRows(t, dims, shards, mode, rangeDim)
+	assign, err := assignRows(t, dims, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +182,10 @@ func radixSortByKey(keys []uint64, rows []int) []int {
 
 // assignRows computes each row's shard index — the single source of truth
 // for both Partition and PartitionOne, so the full and single-shard builds
-// cannot diverge.
-func assignRows(t *storage.Table, dims []datacube.Dim, shards int, mode Mode, rangeDim string) ([]int, error) {
+// cannot diverge. A row goes to the shard a splitmix64 hash of its values in
+// dims picks: uniform shard sizes regardless of data skew, and records with
+// identical spatial coordinates colocated.
+func assignRows(t *storage.Table, dims []datacube.Dim, shards int) ([]int, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard (got %d)", shards)
 	}
@@ -234,44 +200,13 @@ func assignRows(t *storage.Table, dims []datacube.Dim, shards int, mode Mode, ra
 		}
 		cols[i] = col
 	}
-	n := t.NumRows()
-	assign := make([]int, n)
-	switch mode {
-	case Hash:
-		for row := 0; row < n; row++ {
-			h := uint64(0x9e3779b97f4a7c15)
-			for _, col := range cols {
-				h = splitmix64(h ^ math.Float64bits(col.Float(row)))
-			}
-			assign[row] = int(h % uint64(shards))
+	assign := make([]int, t.NumRows())
+	for row := range assign {
+		h := uint64(0x9e3779b97f4a7c15)
+		for _, col := range cols {
+			h = splitmix64(h ^ math.Float64bits(col.Float(row)))
 		}
-	case Range:
-		col := cols[0]
-		if rangeDim != "" {
-			col = nil
-			for i, d := range dims {
-				if d.Name == rangeDim {
-					col = cols[i]
-				}
-			}
-			if col == nil {
-				return nil, fmt.Errorf("shard: range dimension %q is not a partitioning dimension", rangeDim)
-			}
-		}
-		// Equal-count cuts over the sorted order: shard k owns sorted
-		// positions [k·n/S, (k+1)·n/S) — balanced even under heavy skew.
-		order := make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return col.Float(int(order[a])) < col.Float(int(order[b]))
-		})
-		for pos, row := range order {
-			assign[row] = pos * shards / n
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown mode %d", mode)
+		assign[row] = int(h % uint64(shards))
 	}
 	return assign, nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestPartitionOneMatchesPartition proves the single-shard build is the
-// full build's slice: for every (shards, mode) combination, PartitionOne(i)
+// full build's slice: for every shard count, PartitionOne(i)
 // must be row-for-row identical to Partition(...)[i] — the property a
 // restarting child's cold rebuild depends on to re-fence onto exactly the
 // records its dead predecessor owned, without materializing every sibling.
@@ -21,28 +21,26 @@ func TestPartitionOneMatchesPartition(t *testing.T) {
 	roads := dataset.Roads(83, 4000)
 	dims := roadDims()
 	for _, shards := range []int{1, 2, 4, 7} {
-		for _, mode := range []Mode{Hash, Range} {
-			t.Run(fmt.Sprintf("S%d-%s", shards, mode), func(t *testing.T) {
-				parts, err := Partition(roads, dims, shards, mode, "")
+		t.Run(fmt.Sprintf("S%d-hash", shards), func(t *testing.T) {
+			parts, err := Partition(roads, dims, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < shards; i++ {
+				one, err := PartitionOne(roads, dims, shards, i)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < shards; i++ {
-					one, err := PartitionOne(roads, dims, shards, i, mode, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameRows(t, parts[i], one)
-				}
-			})
-		}
+				requireSameRows(t, parts[i], one)
+			}
+		})
 	}
 }
 
 func TestPartitionOneIndexOutOfRange(t *testing.T) {
 	roads := dataset.Roads(1, 100)
 	for _, idx := range []int{-1, 2, 99} {
-		if _, err := PartitionOne(roads, roadDims(), 2, idx, Hash, ""); err == nil {
+		if _, err := PartitionOne(roads, roadDims(), 2, idx); err == nil {
 			t.Fatalf("index %d of 2 accepted", idx)
 		}
 	}
@@ -69,43 +67,36 @@ func requireSameRows(t *testing.T, a, b *storage.Table) {
 // outside a brush-sized range, and most lie inside one ROUND bin of the
 // histogram fast path. At the benchmark's size and split, a predicate
 // keeping the middle 40% of a dimension's domain must leave fewer than 20%
-// of the words to the row kernel under hash and 10% under range (measured:
-// 5–12% and 3–7%; table order left 32–36% and 13–21%), and at least 60% of
-// each dimension's words under hash must fall inside one bin (measured
-// 0.66/0.74/0.83; table order 0.44/0.42/0.13). A layout change that loses
+// of the words to the row kernel (measured 5–12%; table order left
+// 32–36%), and at least 60% of each dimension's words must fall inside one
+// bin (measured 0.66/0.74/0.83; table order 0.44/0.42/0.13). A layout change that loses
 // the bin alignment fails here, not as a silent slowdown of scan_shards.
 func TestPartitionsKeepRoadRowsClustered(t *testing.T) {
 	roads := dataset.Roads(1, 500000)
 	dims := roadDims()
-	for _, mode := range []Mode{Hash, Range} {
-		maxUndecided := map[Mode]float64{Hash: 0.20, Range: 0.10}[mode]
-		parts, err := Partition(roads, dims, 2, mode, "")
+	parts, err := Partition(roads, dims, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, part := range parts {
+		frozen, err := colstore.Freeze(part, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, part := range parts {
-			frozen, err := colstore.Freeze(part, nil)
-			if err != nil {
-				t.Fatal(err)
+		n := frozen.NumRows()
+		dst := colstore.NewBitmap(n)
+		for _, d := range dims {
+			col, _ := colstore.Of(frozen.Column(d.Name))
+			w := d.Hi - d.Lo
+			col.FilterRange(d.Lo+0.3*w, d.Lo+0.7*w, 0, n, dst, false)
+			skipped, filled, evaluated := colstore.ZonesOf(col).Words()
+			total := skipped + filled + evaluated
+			if share := float64(evaluated) / float64(total); share >= 0.20 {
+				t.Errorf("shard %d dim %s: %.2f of %d words undecided (skipped %d, filled %d), want < 0.20",
+					i, d.Name, share, total, skipped, filled)
 			}
-			n := frozen.NumRows()
-			dst := colstore.NewBitmap(n)
-			for _, d := range dims {
-				col, _ := colstore.Of(frozen.Column(d.Name))
-				w := d.Hi - d.Lo
-				col.FilterRange(d.Lo+0.3*w, d.Lo+0.7*w, 0, n, dst, false)
-				skipped, filled, evaluated := colstore.ZonesOf(col).Words()
-				total := skipped + filled + evaluated
-				if share := float64(evaluated) / float64(total); share >= maxUndecided {
-					t.Errorf("%s shard %d dim %s: %.2f of %d words undecided (skipped %d, filled %d), want < %.2f",
-						mode, i, d.Name, share, total, skipped, filled, maxUndecided)
-				}
-				if mode != Hash {
-					continue
-				}
-				if one := oneBinZoneShare(part.Column(d.Name), d); one < 0.60 {
-					t.Errorf("%s shard %d dim %s: %.2f of zones inside one ROUND bin, want >= 0.60", mode, i, d.Name, one)
-				}
+			if one := oneBinZoneShare(part.Column(d.Name), d); one < 0.60 {
+				t.Errorf("shard %d dim %s: %.2f of zones inside one ROUND bin, want >= 0.60", i, d.Name, one)
 			}
 		}
 	}
@@ -169,45 +160,43 @@ func TestPartitionLayoutEdgeCases(t *testing.T) {
 		{Name: "f", Lo: -0.5, Hi: 0.5, Bins: 1000},
 	}
 	for _, k := range []int{1, 3, 6} {
-		for _, mode := range []Mode{Hash, Range} {
-			for _, shards := range []int{1, 3} {
-				t.Run(fmt.Sprintf("dims%d-%s-S%d", k, mode, shards), func(t *testing.T) {
-					use := dims[:k]
-					assign, err := assignRows(tbl, use, shards, mode, "")
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("dims%d-hash-S%d", k, shards), func(t *testing.T) {
+				use := dims[:k]
+				assign, err := assignRows(tbl, use, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts, err := Partition(tbl, use, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, err := Partition(tbl, use, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s, part := range parts {
+					requireSameRows(t, part, again[s])
+					one, err := PartitionOne(tbl, use, shards, s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					parts, err := Partition(tbl, use, shards, mode, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					again, err := Partition(tbl, use, shards, mode, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					for s, part := range parts {
-						requireSameRows(t, part, again[s])
-						one, err := PartitionOne(tbl, use, shards, s, mode, "")
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameRows(t, part, one)
-						var want, got []int
-						for row, owner := range assign {
-							if owner == s {
-								want = append(want, row)
-							}
-						}
-						for r := 0; r < part.NumRows(); r++ {
-							got = append(got, int(part.Column("id").Ints[r]))
-						}
-						slices.Sort(got)
-						if !slices.Equal(got, want) {
-							t.Fatalf("shard %d holds rows %v, assignRows gave it %v", s, got, want)
+					requireSameRows(t, part, one)
+					var want, got []int
+					for row, owner := range assign {
+						if owner == s {
+							want = append(want, row)
 						}
 					}
-				})
-			}
+					for r := 0; r < part.NumRows(); r++ {
+						got = append(got, int(part.Column("id").Ints[r]))
+					}
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("shard %d holds rows %v, assignRows gave it %v", s, got, want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -220,11 +209,11 @@ func TestPartitionLayoutTiesKeepTableOrder(t *testing.T) {
 	for i := range dims {
 		dims[i].Hi = dims[i].Lo
 	}
-	parts, err := Partition(roads, dims, 2, Hash, "")
+	parts, err := Partition(roads, dims, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := assignRows(roads, dims, 2, Hash, "")
+	assign, err := assignRows(roads, dims, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package shard implements sharded scatter-gather serving: a dataset
-// partitioned across N shard workers (hash or range on the spatial
-// dimensions), each owning its own engine and prefix-cube replica over its
+// partitioned across N shard workers (hashed on the spatial dimensions),
+// each owning its own engine and prefix-cube replica over its
 // partition, behind a coordinator that fans each brush or histogram query
 // out to every shard and merges the per-shard answers.
 //
@@ -38,10 +38,6 @@ type Options struct {
 	// replica — the degenerate case the differential tests use as a
 	// self-check, since S=1 sharding must also equal the oracle).
 	Shards int
-	// Mode selects hash (default) or range partitioning.
-	Mode Mode
-	// RangeDim names the Range mode's sort dimension ("" means dims[0]).
-	RangeDim string
 	// Workers is the goroutine-pool size per shard; 0 means 2.
 	Workers int
 	// Parallelism is each replica's morsel parallelism for builds and

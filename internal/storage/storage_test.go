@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -62,58 +61,6 @@ func TestPages(t *testing.T) {
 	}
 	if tbl.PageOf(0) != 0 || tbl.PageOf(29) != 0 || tbl.PageOf(30) != 1 || tbl.PageOf(99) != 3 {
 		t.Error("PageOf boundaries wrong")
-	}
-}
-
-func TestIndexAndRange(t *testing.T) {
-	tbl := testTable(t)
-	if _, err := tbl.BuildIndex("nope"); err == nil {
-		t.Error("BuildIndex on missing column succeeded")
-	}
-	if _, err := tbl.BuildIndex("score"); err != nil {
-		t.Fatal(err)
-	}
-	// score runs 100 down to 1; rows with score in [95,97] are ids 3,4,5.
-	rows, err := tbl.RangeRows("score", NewFloat(95), NewFloat(97))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("RangeRows returned %d rows, want 3", len(rows))
-	}
-	seen := map[int32]bool{}
-	for _, r := range rows {
-		seen[r] = true
-	}
-	for _, want := range []int32{3, 4, 5} {
-		if !seen[want] {
-			t.Errorf("row %d missing from range result %v", want, rows)
-		}
-	}
-	if _, err := tbl.RangeRows("id", NewInt(0), NewInt(1)); err == nil {
-		t.Error("RangeRows on unindexed column succeeded")
-	}
-	// Empty range.
-	rows, _ = tbl.RangeRows("score", NewFloat(1000), NewFloat(2000))
-	if len(rows) != 0 {
-		t.Errorf("empty range returned %d rows", len(rows))
-	}
-	// Inverted range is empty, not a panic.
-	rows, _ = tbl.RangeRows("score", NewFloat(97), NewFloat(95))
-	if len(rows) != 0 {
-		t.Errorf("inverted range returned %d rows", len(rows))
-	}
-}
-
-func TestIndexInvalidatedByAppend(t *testing.T) {
-	tbl := testTable(t)
-	tbl.BuildIndex("id")
-	if tbl.Index("id") == nil {
-		t.Fatal("index not retained")
-	}
-	tbl.MustAppendRow(NewInt(100), NewFloat(0), NewString("z"))
-	if tbl.Index("id") != nil {
-		t.Error("index survived append")
 	}
 }
 
@@ -245,36 +192,5 @@ func TestBufferPoolProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: RangeRows result matches a brute-force filter for random data.
-func TestRangeRowsMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		tbl := NewTable("r", Schema{{Name: "v", Type: Float64}})
-		n := 1 + rng.Intn(500)
-		for i := 0; i < n; i++ {
-			tbl.MustAppendRow(NewFloat(rng.Float64() * 100))
-		}
-		if _, err := tbl.BuildIndex("v"); err != nil {
-			t.Fatal(err)
-		}
-		lo := rng.Float64() * 100
-		hi := lo + rng.Float64()*50
-		got, err := tbl.RangeRows("v", NewFloat(lo), NewFloat(hi))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		col := tbl.Column("v")
-		for i := 0; i < n; i++ {
-			if v := col.Floats[i]; v >= lo && v <= hi {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: RangeRows found %d rows, brute force %d", trial, len(got), want)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -179,8 +178,6 @@ type Table struct {
 	// PageRows is the number of rows per storage page, used by the disk
 	// profile for I/O accounting. Defaults to DefaultPageRows.
 	PageRows int
-
-	indexes map[string][]int32 // column name → row ids sorted by value
 }
 
 // DefaultPageRows is the default page granularity: with ~100-byte tuples
@@ -237,7 +234,6 @@ func (t *Table) AppendRow(values ...Value) error {
 			return fmt.Errorf("column %q: %w", t.Schema[i].Name, err)
 		}
 	}
-	t.indexes = nil // appended data invalidates indexes
 	return nil
 }
 
@@ -301,54 +297,6 @@ func gather[T any](raw []T, enc Encoded, field func(Value) T, rows []int) []T {
 		out[i] = field(enc.Value(r))
 	}
 	return out
-}
-
-// BuildIndex builds (or rebuilds) a sorted index on the named column and
-// returns it: row IDs ordered by ascending column value. Index lookups back
-// range scans and the planner's selectivity estimates.
-func (t *Table) BuildIndex(column string) ([]int32, error) {
-	col := t.Column(column)
-	if col == nil {
-		return nil, fmt.Errorf("storage: no column %q in table %q", column, t.Name)
-	}
-	ids := make([]int32, t.NumRows())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		return col.Value(int(ids[a])).Compare(col.Value(int(ids[b]))) < 0
-	})
-	if t.indexes == nil {
-		t.indexes = make(map[string][]int32)
-	}
-	t.indexes[column] = ids
-	return ids, nil
-}
-
-// Index returns a previously built index for the column, or nil.
-func (t *Table) Index(column string) []int32 {
-	return t.indexes[column]
-}
-
-// RangeRows returns the row IDs whose value in the indexed column lies in
-// [lo, hi]. The column must have been indexed with BuildIndex. The returned
-// slice aliases the index; callers must not modify it.
-func (t *Table) RangeRows(column string, lo, hi Value) ([]int32, error) {
-	idx := t.indexes[column]
-	if idx == nil {
-		return nil, fmt.Errorf("storage: column %q of table %q is not indexed", column, t.Name)
-	}
-	col := t.Column(column)
-	start := sort.Search(len(idx), func(i int) bool {
-		return col.Value(int(idx[i])).Compare(lo) >= 0
-	})
-	end := sort.Search(len(idx), func(i int) bool {
-		return col.Value(int(idx[i])).Compare(hi) > 0
-	})
-	if start > end {
-		start = end
-	}
-	return idx[start:end], nil
 }
 
 // MinMax returns the minimum and maximum values of a numeric column as

@@ -1,6 +1,6 @@
 // Package storage implements the columnar table storage substrate: typed
 // columns, schemas, row builders, page-grained layout with a buffer pool
-// (used by the disk-resident engine profile), and sorted column indexes.
+// (used by the disk-resident engine profile).
 //
 // The storage layer is deliberately simple — append-only, fully typed, no
 // nulls — because the paper's workloads are read-only analytical scans over

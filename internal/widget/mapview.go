@@ -40,11 +40,23 @@ type Tile struct{ Z, X, Y int }
 // String renders the tile as z/x/y.
 func (t Tile) String() string { return fmt.Sprintf("%d/%d/%d", t.Z, t.X, t.Y) }
 
-// ParseTile parses a z/x/y tile key produced by Tile.String.
+// maxTileZoom is the deepest zoom a tile key may name; 2^30 tiles a side
+// still fits an int everywhere.
+const maxTileZoom = 30
+
+// ParseTile parses a z/x/y tile key produced by Tile.String. The key must
+// be exactly that rendering (no sign, padding or trailing text) of a tile
+// that exists: 0 ≤ z ≤ maxTileZoom and 0 ≤ x, y < 2^z.
 func ParseTile(s string) (Tile, error) {
 	var t Tile
 	if _, err := fmt.Sscanf(s, "%d/%d/%d", &t.Z, &t.X, &t.Y); err != nil {
 		return Tile{}, fmt.Errorf("widget: bad tile key %q: %w", s, err)
+	}
+	if t.String() != s {
+		return Tile{}, fmt.Errorf("widget: bad tile key %q: want z/x/y", s)
+	}
+	if t.Z < 0 || t.Z > maxTileZoom || t.X < 0 || t.X >= 1<<t.Z || t.Y < 0 || t.Y >= 1<<t.Z {
+		return Tile{}, fmt.Errorf("widget: tile %q does not exist (want 0 ≤ z ≤ %d, 0 ≤ x, y < 2^z)", s, maxTileZoom)
 	}
 	return t, nil
 }

@@ -48,9 +48,6 @@ func NewScrollView(numTuples int, tupleHeight float64, inertial bool) *ScrollVie
 // Pos returns the current scrollTop in pixels.
 func (s *ScrollView) Pos() float64 { return s.pos }
 
-// Velocity returns the current coasting velocity in px/frame.
-func (s *ScrollView) Velocity() float64 { return s.vel }
-
 // TupleAt converts a pixel offset to a tuple index, clamped to the list.
 func (s *ScrollView) TupleAt(px float64) int {
 	i := int(px / s.TupleHeight)
