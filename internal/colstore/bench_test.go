@@ -172,7 +172,7 @@ func BenchmarkDerivedDataBuild(b *testing.B) {
 	b.Run("zones", func(b *testing.B) {
 		b.SetBytes(int64(n))
 		for i := 0; i < b.N; i++ {
-			zonesOfValues(vals)
+			zoneBounds(NewPlainFloats(vals))
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
 	})

@@ -351,6 +351,15 @@ type ColumnStats struct {
 	ZoneWordsFilled    int64 `json:"zone_words_filled,omitempty"`
 	ZoneWordsEvaluated int64 `json:"zone_words_evaluated,omitempty"`
 
+	// RunBytes is the column's bounds in the table's cell-run directory
+	// (see Runs); the Runs counters are what histogram statements reading
+	// the column did with its runs: skipped, summed whole without reading
+	// a row, or sent to the row kernels.
+	RunBytes    int64 `json:"run_bytes,omitempty"`
+	RunsSkipped int64 `json:"runs_skipped,omitempty"`
+	RunsSummed  int64 `json:"runs_summed,omitempty"`
+	RunsScanned int64 `json:"runs_scanned,omitempty"`
+
 	// SketchBytes is the column's sketch (plain numeric columns, once a
 	// range filter has built it), resident beside Bytes; the SketchRows
 	// counters split the rows of the words zones left undecided into those
@@ -371,16 +380,22 @@ type TableStats struct {
 	PlainBytes   int64         `json:"plain_bytes"`
 	ZoneBytes    int64         `json:"zone_bytes"`
 	SketchBytes  int64         `json:"sketch_bytes"`
+	RunBytes     int64         `json:"run_bytes"` // the whole directory, run starts included
 	Ratio        float64       `json:"ratio"`
 }
 
-// StatsOf reports the byte footprint and the zone and sketch counters of
-// every column a scan can reach through colstore: all of a frozen table's,
-// and of an unfrozen table those with a live view (see ViewOf — encoding
-// "plain", ratio 1). It reads what exists and builds nothing, so a scrape
-// costs O(columns) and a table nothing has scanned yet reports no columns.
+// StatsOf reports the byte footprint and the zone, sketch and run
+// counters of every column a scan can reach through colstore: all of a
+// frozen table's, and of an unfrozen table those with a live view (see
+// ViewOf — encoding "plain", ratio 1). It reads what exists and builds
+// nothing, so a scrape costs O(columns) and a table nothing has scanned
+// yet reports no columns.
 func StatsOf(t *storage.Table) TableStats {
 	st := TableStats{Table: t.Name, Rows: t.NumRows()}
+	runs := RunsOf(t)
+	if runs != nil {
+		st.RunBytes = runs.bytes()
+	}
 	for i, col := range t.Columns {
 		enc, ok := peekView(col)
 		if !ok {
@@ -416,6 +431,11 @@ func StatsOf(t *storage.Table) TableStats {
 		if sk != nil {
 			cs.SketchBytes = sk.bytes()
 			cs.SketchRowsDecided, cs.SketchRowsRefined = sk.Rows()
+		}
+		if runs != nil && runs.cols[i] != nil {
+			rb := runs.cols[i]
+			cs.RunBytes = rb.bytes()
+			cs.RunsSkipped, cs.RunsSummed, cs.RunsScanned = rb.Counts()
 		}
 		if cs.Bytes > 0 {
 			cs.Ratio = float64(cs.PlainBytes) / float64(cs.Bytes)

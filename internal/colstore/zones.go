@@ -57,17 +57,17 @@ func ZonesOf(col Column) *ZoneMap {
 }
 
 func (c *PlainFloats) zones() *ZoneMap {
-	c.zm.once.Do(func() { c.zm.mm = zonesOfValues(c.vals) })
+	c.zm.once.Do(func() { c.zm.mm = zoneBounds(c) })
 	return &c.zm
 }
 
 func (c *PlainInts) zones() *ZoneMap {
-	c.zm.once.Do(func() { c.zm.mm = zonesOfValues(c.vals) })
+	c.zm.once.Do(func() { c.zm.mm = zoneBounds(c) })
 	return &c.zm
 }
 
 func (c *ForColumn) zones() *ZoneMap {
-	c.zm.once.Do(func() { c.zm.mm = zonesOfCodes(c.codes, c.DecodeFloat) })
+	c.zm.once.Do(func() { c.zm.mm = zoneBounds(c) })
 	return &c.zm
 }
 
@@ -75,21 +75,45 @@ func (c *DictColumn) zones() *ZoneMap {
 	if c.typ == storage.String {
 		return nil
 	}
-	c.zm.once.Do(func() { c.zm.mm = zonesOfCodes(c.codes, c.DecodeFloat) })
+	c.zm.once.Do(func() { c.zm.mm = zoneBounds(c) })
 	return &c.zm
 }
 
-// zonesOfValues builds the bounds of a raw numeric slice.
-func zonesOfValues[T float64 | int64](vals []T) []float64 {
-	mm := make([]float64, 2*zoneCount(len(vals)))
-	for w := 0; 2*w < len(mm); w++ {
-		end := (w + 1) * zoneRows
-		if end > len(vals) {
-			end = len(vals)
+// zoneBounds is boundsOf over col's 64-row words.
+func zoneBounds(col Column) []float64 {
+	n := col.Len()
+	return boundsOf(col, zoneCount(n), func(w int) (int, int) {
+		return w * zoneRows, min((w+1)*zoneRows, n)
+	})
+}
+
+// boundsOf returns the minimum and maximum float64 image of col over each
+// of segs row segments, seg(k) giving segment k's [start, end): out[2k],
+// out[2k+1]. A segment holding a NaN gets NaN bounds. Nil for TEXT.
+func boundsOf(col Column, segs int, seg func(k int) (int, int)) []float64 {
+	switch c := col.(type) {
+	case *PlainFloats:
+		return boundsOfValues(c.vals, segs, seg)
+	case *PlainInts:
+		return boundsOfValues(c.vals, segs, seg)
+	case *ForColumn:
+		return boundsOfCodes(c.codes, c.DecodeFloat, segs, seg)
+	case *DictColumn:
+		if c.typ != storage.String {
+			return boundsOfCodes(c.codes, c.DecodeFloat, segs, seg)
 		}
+	}
+	return nil
+}
+
+// boundsOfValues is boundsOf over a raw numeric slice.
+func boundsOfValues[T float64 | int64](vals []T, segs int, seg func(k int) (int, int)) []float64 {
+	mm := make([]float64, 2*segs)
+	for k := 0; k < segs; k++ {
+		s, e := seg(k)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		nan := false
-		for _, x := range vals[w*zoneRows : end] {
+		for _, x := range vals[s:e] {
 			v := float64(x)
 			nan = nan || v != v
 			if v < lo {
@@ -102,24 +126,20 @@ func zonesOfValues[T float64 | int64](vals []T) []float64 {
 		if nan {
 			lo, hi = math.NaN(), math.NaN()
 		}
-		mm[2*w], mm[2*w+1] = lo, hi
+		mm[2*k], mm[2*k+1] = lo, hi
 	}
 	return mm
 }
 
-// zonesOfCodes builds the bounds of an order-preserving coded column: the
-// extreme codes of a word decode to its extreme values, and codes never
+// boundsOfCodes is boundsOf over an order-preserving coded column: the
+// extreme codes of a segment decode to its extreme values, and codes never
 // represent NaN.
-func zonesOfCodes(p *PackedInts, decode func(code uint64) float64) []float64 {
-	n := p.Len()
-	mm := make([]float64, 2*zoneCount(n))
-	for w := 0; 2*w < len(mm); w++ {
-		end := (w + 1) * zoneRows
-		if end > n {
-			end = n
-		}
+func boundsOfCodes(p *PackedInts, decode func(code uint64) float64, segs int, seg func(k int) (int, int)) []float64 {
+	mm := make([]float64, 2*segs)
+	for k := 0; k < segs; k++ {
+		s, e := seg(k)
 		lo, hi := ^uint64(0), uint64(0)
-		for i := w * zoneRows; i < end; i++ {
+		for i := s; i < e; i++ {
 			c := p.Get(i)
 			if c < lo {
 				lo = c
@@ -128,7 +148,7 @@ func zonesOfCodes(p *PackedInts, decode func(code uint64) float64) []float64 {
 				hi = c
 			}
 		}
-		mm[2*w], mm[2*w+1] = decode(lo), decode(hi)
+		mm[2*k], mm[2*k+1] = decode(lo), decode(hi)
 	}
 	return mm
 }

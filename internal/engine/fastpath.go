@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/colstore"
@@ -30,7 +31,9 @@ import (
 // word at a time where its zone falls in one bin and decoded per surviving
 // row elsewhere. Frozen columns bring their encoding; unfrozen ones are
 // read through their zero-copy view (colstore.ViewOf), so raw, frozen and
-// mixed tables differ only in which kernel each column owns.
+// mixed tables differ only in which kernel each column owns. A table with
+// a cell-run directory runs the same plan over only the runs whose bounds
+// do not decide them (countHistogramRange).
 type histQuery struct {
 	table *storage.Table
 	bin   affine      // bin = round(a·col + b)
@@ -45,6 +48,12 @@ type histQuery struct {
 	// where the bucket straddles a bin edge and rows must be decoded.
 	binCodes []uint8
 	binSlot  []int16
+
+	// The table's cell-run directory, nil when it keeps none, and the run
+	// bounds of every distinct column the statement reads: the bin
+	// column's first. Each predicate carries its own column's.
+	runs    *colstore.Runs
+	runCols []*colstore.RunBounds
 }
 
 // denseSlot returns the dense-window slot shared by every value in
@@ -96,6 +105,17 @@ func (q *histQuery) compile() bool {
 			}
 		}
 	}
+	if runs := colstore.RunsOf(q.table); runs != nil {
+		q.runs = runs
+		q.runCols = []*colstore.RunBounds{runs.Column(slices.Index(q.table.Columns, q.bin.col))}
+		for i := range q.preds {
+			p := &q.preds[i]
+			p.runs = runs.Column(slices.Index(q.table.Columns, p.col))
+			if !slices.Contains(q.runCols, p.runs) {
+				q.runCols = append(q.runCols, p.runs)
+			}
+		}
+	}
 	// Most-selective predicate first: the later AND passes only touch rows
 	// still selected, so running the narrowest range first collapses the
 	// bitmap early and the rest of the conjunction rides the sparse path.
@@ -140,7 +160,8 @@ type affine struct {
 // <= hi) is one range, so one compare pass.
 type rangePred struct {
 	col    *storage.Column
-	enc    colstore.Column // col's frozen encoding or view, set by compile
+	enc    colstore.Column     // col's frozen encoding or view, set by compile
+	runs   *colstore.RunBounds // col's bounds in the table's directory, if any
 	lo, hi float64
 }
 
@@ -394,8 +415,8 @@ func (e *Engine) runHistogram(ctx context.Context, q *histQuery, stats *ExecStat
 // histResult materializes a (bin, count) result from an accumulator.
 func histResult(acc *histAcc) *Result {
 	var bins []int
-	for idx, c := range acc.dense {
-		if c > 0 {
+	for idx := acc.lo; idx <= acc.hi; idx++ {
+		if acc.dense[idx] > 0 {
 			bins = append(bins, idx-fastBinOffset)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"sort"
 
 	"repro/internal/colstore"
 	"repro/internal/morsel"
@@ -164,15 +165,26 @@ func groupAggregate(ctx context.Context, rows [][]storage.Value, groupFns []eval
 // (morsel.Size is a multiple of 64), so sharing one bitmap per worker is
 // race-free.
 type histAcc struct {
-	dense  []int64
+	dense []int64
+	// Every non-zero dense slot lies in [lo, hi], so reading and clearing
+	// the counts walks that window rather than all of dense. Pooled
+	// accumulators start empty (hi < lo); a zero histAcc's [0, 0] is a
+	// wider window, which is just as true.
+	lo, hi int
 	sparse map[int]int64
 	bm     *colstore.Bitmap
+}
+
+// add counts c rows in dense slot slot.
+func (acc *histAcc) add(slot int, c int64) {
+	acc.dense[slot] += c
+	acc.lo, acc.hi = min(acc.lo, slot), max(acc.hi, slot)
 }
 
 // bump counts one row in bin.
 func (acc *histAcc) bump(bin int) {
 	if idx := bin + fastBinOffset; idx >= 0 && idx < len(acc.dense) {
-		acc.dense[idx]++
+		acc.add(idx, 1)
 	} else {
 		if acc.sparse == nil {
 			acc.sparse = make(map[int]int64)
@@ -189,7 +201,7 @@ func (e *Engine) getHistAccs(n, workers int) []*histAcc {
 	for w := range accs {
 		acc, _ := e.histScratch.Get().(*histAcc)
 		if acc == nil {
-			acc = &histAcc{dense: make([]int64, 2*fastBinOffset), bm: colstore.NewBitmap(0)}
+			acc = &histAcc{dense: make([]int64, 2*fastBinOffset), lo: 2 * fastBinOffset, hi: -1, bm: colstore.NewBitmap(0)}
 		}
 		acc.bm.Reset(n)
 		accs[w] = acc
@@ -201,7 +213,10 @@ func (e *Engine) getHistAccs(n, workers int) []*histAcc {
 // statement. Nothing may read them afterwards.
 func (e *Engine) putHistAccs(accs []*histAcc) {
 	for _, acc := range accs {
-		clear(acc.dense)
+		if acc.lo <= acc.hi {
+			clear(acc.dense[acc.lo : acc.hi+1])
+		}
+		acc.lo, acc.hi = len(acc.dense), -1
 		acc.sparse = nil
 		e.histScratch.Put(acc)
 	}
@@ -222,8 +237,10 @@ func countHistogram(ctx context.Context, q *histQuery, n int, accs []*histAcc) (
 	}
 	out := accs[0]
 	for _, acc := range accs[1:] {
-		for i, c := range acc.dense {
-			out.dense[i] += c
+		for i := acc.lo; i <= acc.hi; i++ {
+			if c := acc.dense[i]; c != 0 {
+				out.add(i, c)
+			}
 		}
 		for bin, c := range acc.sparse {
 			if out.sparse == nil {
@@ -235,38 +252,143 @@ func countHistogram(ctx context.Context, q *histQuery, n int, accs []*histAcc) (
 	return out, nil
 }
 
-// countHistogramRange applies the range predicates and bins rows [lo, hi)
-// into acc: each predicate runs as one zone-mapped kernel pass over its
-// column into the worker's selection bitmap (first predicate stores, the
-// rest AND; no predicate selects every row), then the bin column is
-// counted a selection word at a time. round(a·v + b) is monotone in v, so
-// when the bin column's zone minimum and maximum land in the same bin
-// every row of the word does, and the word costs one popcount; a zone that
-// spans a bin edge, holds a NaN (NaN != NaN) or bins outside the dense
-// window walks its surviving rows one by one. When the bin column has a
-// sketch the same rule has been applied per bucket (compile): a row whose
-// bucket falls in one bin costs a byte read and a counter bump, and only
-// rows of buckets that straddle a bin edge are decoded and rounded.
-// Kernels leave bits past hi zero in the final partial word, so the word
-// walk needs no tail guard.
+// countHistogramRange bins the rows of [lo, hi) that pass the range
+// predicates into acc, run by run through the table's cell-run directory.
+// Each run, clipped to [lo, hi), is decided from its exact per-column
+// bounds against the statement's own ranges and affine bin:
+//
+//   - skipped when some predicate's range is disjoint from the run's bounds;
+//   - summed whole — its length added to one slot — when every predicate
+//     contains the bounds and the bin column's minimum and maximum round to
+//     the same bin inside the dense window (round(a·v + b) is monotone in
+//     v, so every row between does too);
+//   - otherwise counted by countRows, which applies only the predicates
+//     that cut the run and, when the run's bin bounds share one slot,
+//     counts its survivors there without binning them. Consecutive such
+//     runs go as one span, keeping what all of them share.
+//
+// NaN bounds fail every test and leave their run to countRows, whose
+// kernels own NaN semantics; a grid misaligned to the layout, a strict
+// bound or a predicate off the layout's dims only turns more runs into
+// countRows spans. A table without a directory is one run that every
+// predicate cuts: countRows over the whole morsel.
 // [lo, hi) is a morsel range, so lo is 64-aligned as the kernels require.
 func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
-	a, b := q.bin.a, q.bin.b
-	if len(q.preds) == 0 {
-		acc.bm.FillRange(lo, hi)
+	if q.runs == nil {
+		countRows(q, acc, lo, hi, 0, -1)
+		return
 	}
+	starts := q.runs.Starts()
+	runs := len(starts) - 1
+	k := sort.Search(runs, func(k int) bool { return starts[k+1] > lo })
+	var skipped, summed, scanned int64
+	spanLo, spanHi := 0, 0 // the pending countRows span
+	var spanInside uint64
+	spanSlot := -1
+	for ; k < runs && starts[k] < hi; k++ {
+		s, e := max(starts[k], lo), min(starts[k+1], hi)
+		var inside uint64 // bit j: predicate j contains the run
+		cut, skip := false, false
+		for j := range q.preds {
+			p := &q.preds[j]
+			vmin, vmax := p.runs.Bounds(k)
+			if vmax < p.lo || vmin > p.hi {
+				skip = true
+				break
+			}
+			if vmin >= p.lo && vmax <= p.hi {
+				inside |= 1 << j
+			} else {
+				cut = true
+			}
+		}
+		if skip {
+			skipped++
+			continue
+		}
+		slot, one := q.denseSlot(q.runCols[0].Bounds(k))
+		if !one {
+			slot = -1
+		} else if !cut {
+			acc.add(slot, int64(e-s))
+			summed++
+			continue
+		}
+		scanned++
+		if spanLo < spanHi && spanHi == s {
+			spanHi, spanInside = e, spanInside&inside
+			if slot != spanSlot {
+				spanSlot = -1
+			}
+			continue
+		}
+		if spanLo < spanHi {
+			countRows(q, acc, spanLo, spanHi, spanInside, spanSlot)
+		}
+		spanLo, spanHi, spanInside, spanSlot = s, e, inside, slot
+	}
+	if spanLo < spanHi {
+		countRows(q, acc, spanLo, spanHi, spanInside, spanSlot)
+	}
+	for _, c := range q.runCols {
+		c.Record(skipped, summed, scanned)
+	}
+}
+
+// countRows applies the predicates not flagged in inside (bit j set:
+// predicate j holds for every row, and a predicate past the 64th is never
+// flagged) and bins rows [s, e) into acc. Each predicate runs as one
+// zone-mapped kernel pass over its column into the worker's selection
+// bitmap (first predicate stores, the rest AND; none selects every row)
+// over the whole 64-row words [s, e) touches — which stay inside the
+// worker's morsel — and the words are then masked to [s, e). With slot
+// >= 0 every row of [s, e) bins to that dense slot, and the survivors are
+// one popcount per word; otherwise the bin column is counted a selection
+// word at a time. round(a·v + b) is monotone in v, so when the bin
+// column's zone minimum and maximum land in the same bin every row of the
+// word does, and the word costs one popcount; a zone that spans a bin
+// edge, holds a NaN (NaN != NaN) or bins outside the dense window walks
+// its surviving rows one by one. When the bin column has a sketch the same
+// rule has been applied per bucket (compile): a row whose bucket falls in
+// one bin costs a byte read and a counter bump, and only rows of buckets
+// that straddle a bin edge are decoded and rounded. Kernels leave bits
+// past the row count zero in the final partial word, so the word walk
+// needs no tail guard.
+func countRows(q *histQuery, acc *histAcc, s, e int, inside uint64, slot int) {
+	a, b := q.bin.a, q.bin.b
+	r0, r1 := s&^63, min((e+63)&^63, acc.bm.Len())
+	filtered := false
 	for k := range q.preds {
+		if inside>>k&1 != 0 {
+			continue
+		}
 		p := &q.preds[k]
-		p.enc.FilterRange(p.lo, p.hi, lo, hi, acc.bm, k > 0)
+		p.enc.FilterRange(p.lo, p.hi, r0, r1, acc.bm, filtered)
+		filtered = true
+	}
+	if !filtered {
+		acc.bm.FillRange(r0, r1)
 	}
 	words := acc.bm.Words()
-	for w := lo >> 6; w<<6 < hi; w++ {
+	words[r0>>6] &= ^uint64(0) << (s & 63)
+	if e&63 != 0 {
+		words[(e-1)>>6] &= ^uint64(0) >> (64 - e&63)
+	}
+	if slot >= 0 {
+		var c int
+		for w := r0 >> 6; w<<6 < r1; w++ {
+			c += bits.OnesCount64(words[w])
+		}
+		acc.add(slot, int64(c))
+		return
+	}
+	for w := r0 >> 6; w<<6 < r1; w++ {
 		x := words[w]
 		if x == 0 {
 			continue
 		}
 		if slot, ok := q.denseSlot(q.binZones.Bounds(w)); ok {
-			acc.dense[slot] += int64(bits.OnesCount64(x))
+			acc.add(slot, int64(bits.OnesCount64(x)))
 			continue
 		}
 		base := w << 6
@@ -275,7 +397,7 @@ func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
 			x &= x - 1
 			if q.binCodes != nil {
 				if slot := q.binSlot[q.binCodes[i]]; slot >= 0 {
-					acc.dense[slot]++
+					acc.add(int(slot), 1)
 					continue
 				}
 			}

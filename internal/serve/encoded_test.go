@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -313,6 +314,86 @@ func TestEncodedMetricsZoneCounters(t *testing.T) {
 			if !bytes.Contains(prom, []byte(series)) {
 				t.Fatalf("%s: prometheus exposition lacks %s", tc.name, series)
 			}
+		}
+	}
+}
+
+// TestEncodedShardsRunCounters: on a -shards 2 -encode server over enough
+// road rows that each partition keeps its cell-run directory, the store
+// section shows the directories' bytes before any statement, and one
+// filtered histogram on the partitions' own bin grid moves the run
+// counters of the two columns it reads — skipping, summing and scanning
+// runs — and leaves the third column's at zero; the exposition carries
+// them and stays well-formed.
+func TestEncodedShardsRunCounters(t *testing.T) {
+	leakcheck.Check(t)
+	backends, err := RoadBackends(1, 300000, engine.ProfileMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backends, err = EncodeBackends(backends); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(backends, Config{Workers: 1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	})
+	if st := srv.Stats().Store; st == nil || st.RunBytes <= 0 {
+		t.Fatalf("no directory bytes on a sharded encoded server: %+v", st)
+	}
+
+	x, y := RoadCubeDims()[0], RoadCubeDims()[1]
+	bin := fmt.Sprintf("ROUND((x - %v) / %v)", x.Lo, (x.Hi-x.Lo)/float64(x.Bins))
+	q := fmt.Sprintf("SELECT %s, COUNT(*) FROM dataroad WHERE y >= %v AND y <= %v GROUP BY %s ORDER BY %s",
+		bin, y.Lo+0.3*(y.Hi-y.Lo), y.Lo+0.7*(y.Hi-y.Lo), bin, bin)
+	if resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Session: "s1", SQL: q}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d body %s", resp.StatusCode, raw)
+	}
+	st := srv.Stats().Store
+	var skipped, summed, scanned int64
+	for _, c := range st.Columns {
+		if c.RunBytes <= 0 {
+			t.Fatalf("column %q has no directory bounds: %+v", c.Name, c)
+		}
+		runs := c.RunsSkipped + c.RunsSummed + c.RunsScanned
+		if (c.Name == "z") != (runs == 0) {
+			t.Fatalf("column %q counts %d runs after a statement on x and y", c.Name, runs)
+		}
+		if c.Name == "y" {
+			skipped, summed, scanned = c.RunsSkipped, c.RunsSummed, c.RunsScanned
+		}
+	}
+	if skipped == 0 || summed == 0 || scanned == 0 {
+		t.Fatalf("runs skipped %d, summed %d, scanned %d: want every decision", skipped, summed, scanned)
+	}
+
+	r, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var prom bytes.Buffer
+	if _, err := prom.ReadFrom(r.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := obsv.ValidateExposition(prom.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		"idevald_colstore_run_bytes",
+		`idevald_colstore_runs_skipped_total{column="y"}`,
+		`idevald_colstore_runs_summed_total{column="y"}`,
+		`idevald_colstore_runs_scanned_total{column="y"}`,
+	} {
+		if !bytes.Contains(prom.Bytes(), []byte(series)) {
+			t.Fatalf("prometheus exposition lacks %s", series)
 		}
 	}
 }

@@ -91,6 +91,18 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 		}
 		p.CounterVec("colstore_sketch_rows_decided_total", "Rows of zone-undecided words a range filter decided from their sketch code.", "column", decided)
 		p.CounterVec("colstore_sketch_rows_refined_total", "Rows in a sketch bucket cut by a bound, compared by value.", "column", refined)
+		p.Gauge("colstore_run_bytes", "Resident bytes of the cell-run directories (run starts and per-run column bounds) of the served table and its partitions.", float64(st.Store.RunBytes))
+		runSkipped, runSummed, runScanned := map[string]float64{}, map[string]float64{}, map[string]float64{}
+		for _, c := range st.Store.Columns {
+			if c.RunBytes > 0 {
+				runSkipped[c.Name] = float64(c.RunsSkipped)
+				runSummed[c.Name] = float64(c.RunsSummed)
+				runScanned[c.Name] = float64(c.RunsScanned)
+			}
+		}
+		p.CounterVec("colstore_runs_skipped_total", "Cell runs a histogram statement reading the column skipped from their bounds.", "column", runSkipped)
+		p.CounterVec("colstore_runs_summed_total", "Cell runs a histogram statement reading the column counted whole from their bounds.", "column", runSummed)
+		p.CounterVec("colstore_runs_scanned_total", "Cell runs a histogram statement reading the column sent to the row kernels.", "column", runScanned)
 	}
 
 	if st.Planner != nil {

@@ -473,17 +473,21 @@ func (s *Server) Registry() *Registry { return s.reg }
 // storeStats is the /metrics store section: the columns of the served
 // table that scans reach through colstore — every column of a frozen
 // table, the viewed ones of an unfrozen table — with their zone-word
-// counters and sketches summed with those of the shard partitions (which
-// build their own sketches, on their own first range filter). Nil until
-// there is such a column, i.e. before an unfrozen table's first scan.
-// Encodings and views answer in O(1), so a scrape costs O(columns).
+// counters, sketches and cell-run counters summed with those of the shard
+// partitions (which build their own sketches, on their own first range
+// filter, and carry the cell-run directories). Nil until there is such a
+// column, i.e. before an unfrozen table's first scan. Encodings and views
+// answer in O(1), so a scrape costs O(columns).
 func (s *Server) storeStats() *colstore.TableStats {
 	if s.tiles == nil {
 		return nil
 	}
 	st := colstore.StatsOf(s.tiles)
 	for _, t := range s.shardTables {
-		for _, sc := range colstore.StatsOf(t).Columns {
+		ps := colstore.StatsOf(t)
+		st.SketchBytes += ps.SketchBytes
+		st.RunBytes += ps.RunBytes
+		for _, sc := range ps.Columns {
 			i := slices.IndexFunc(st.Columns, func(c colstore.ColumnStats) bool { return c.Name == sc.Name })
 			if i < 0 {
 				// Only the partitions have scanned this column so far.
@@ -499,7 +503,10 @@ func (s *Server) storeStats() *colstore.TableStats {
 			c.SketchBytes += sc.SketchBytes
 			c.SketchRowsDecided += sc.SketchRowsDecided
 			c.SketchRowsRefined += sc.SketchRowsRefined
-			st.SketchBytes += sc.SketchBytes
+			c.RunBytes += sc.RunBytes
+			c.RunsSkipped += sc.RunsSkipped
+			c.RunsSummed += sc.RunsSummed
+			c.RunsScanned += sc.RunsScanned
 		}
 	}
 	if len(st.Columns) == 0 {

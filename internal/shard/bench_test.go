@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/datacube"
 	"repro/internal/dataset"
+	"repro/internal/opt"
 )
 
 // BenchmarkBrushScatter times one full scatter-gather brush merge against
@@ -59,4 +61,49 @@ func BenchmarkPartitionOne(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReplicaHistogram times scan_shards' request body below HTTP: a
+// filtered 20-bin histogram statement scatter-gathered over two encoded
+// partitions of 500k road rows. The statements are a fixed draw of
+// opt.HistogramQuery slider states — each dimension unfiltered or cut to
+// a random 10–90% of its domain, the bin on a rotating dimension — so
+// runs and commits compare like for like. Reported per statement.
+func BenchmarkReplicaHistogram(b *testing.B) {
+	dims := roadDims()
+	coord, err := New(dataset.Roads(1, 500000), dims, Options{Shards: 2, Encode: true, WithEngine: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Close()
+	var load []opt.CrossfilterDim
+	for _, d := range dims {
+		load = append(load, opt.CrossfilterDim{Column: d.Name, Lo: d.Lo, Hi: d.Hi})
+	}
+	rng := rand.New(rand.NewSource(34))
+	stmts := make([]string, 48)
+	for i := range stmts {
+		ranges := make([][2]float64, len(dims))
+		for j, d := range dims {
+			ranges[j] = [2]float64{d.Lo, d.Hi}
+			if rng.Intn(3) > 0 {
+				w := (d.Hi - d.Lo) * (0.1 + 0.8*rng.Float64())
+				lo := d.Lo + rng.Float64()*(d.Hi-d.Lo-w)
+				ranges[j] = [2]float64{lo, lo + w}
+			}
+		}
+		stmt, err := opt.HistogramQuery("dataroad", load, ranges, i%len(dims), 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stmts[i] = stmt.String()
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := coord.QueryHistogram(ctx, stmts[i%len(stmts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/stmt")
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/colstore"
 	"repro/internal/datacube"
 	"repro/internal/storage"
 )
@@ -89,31 +90,88 @@ const Layout = "zorder-bins-v1"
 // contributes nothing.
 func layout(t *storage.Table, dims []datacube.Dim, rows []int) []int {
 	k := len(dims)
-	share := 64 / k
-	top := ^uint64(0) >> (64 - share)
 	spread := spreadTable(k)
 	keys := make([]uint64, len(rows))
 	for i, d := range dims {
 		if d.Hi <= d.Lo {
 			continue
 		}
-		col := t.Column(d.Name)
-		scale := math.Ldexp(float64(d.Bins)/(d.Hi-d.Lo), share-bits.Len(uint(d.Bins)))
-		half := math.Ldexp(0.5, share-bits.Len(uint(d.Bins)))
+		col, q := t.Column(d.Name), newQuantizer(d, 64/k)
 		for j, row := range rows {
-			f := (col.Float(row)-d.Lo)*scale + half
-			var q uint64
-			switch {
-			case !(f >= 0): // NaN, or below the domain
-			case f >= float64(top):
-				q = top
-			default:
-				q = uint64(f)
-			}
-			keys[j] |= spreadBits(spread, q, k) << i
+			keys[j] |= spreadBits(spread, q.key(col.Float(row)), k) << i
 		}
 	}
 	return radixSortByKey(keys, rows)
+}
+
+// quantizer computes one dimension's share of layout's key.
+type quantizer struct {
+	lo, scale, half float64
+	top             uint64 // the largest share-bit value
+	cell            uint   // low sub-bin bits: key >> cell is the bin cell
+}
+
+func newQuantizer(d datacube.Dim, share int) quantizer {
+	sub := share - bits.Len(uint(d.Bins))
+	return quantizer{
+		lo:    d.Lo,
+		scale: math.Ldexp(float64(d.Bins)/(d.Hi-d.Lo), sub),
+		half:  math.Ldexp(0.5, sub),
+		top:   ^uint64(0) >> (64 - share),
+		cell:  uint(max(sub, 0)),
+	}
+}
+
+// key is q for value v: NaN and values below the domain are 0, values
+// at or past the top clamp to it.
+func (q quantizer) key(v float64) uint64 {
+	f := (v-q.lo)*q.scale + q.half
+	switch {
+	case !(f >= 0): // NaN, or below the domain
+		return 0
+	case f >= float64(q.top):
+		return q.top
+	}
+	return uint64(int64(f)) // exact: 0 <= f < top < 2^63, and cheaper than uint64(f)
+}
+
+// cellStarts returns the first row of every maximal run of t's rows that
+// share one layout cell — the same bin, by layout's own arithmetic, on
+// every dim — in t's order. Over a partition layout ordered, the runs are
+// exactly its non-empty cells; over a table in any other order they are
+// as short as its rows are unclustered.
+func cellStarts(t *storage.Table, dims []datacube.Dim) []int {
+	n := t.NumRows()
+	edge := make([]bool, n) // edge[row]: row's cell differs from row-1's
+	for _, d := range dims {
+		if d.Hi <= d.Lo {
+			continue
+		}
+		col, q := t.Column(d.Name), newQuantizer(d, 64/len(dims))
+		vals, ok := colstore.FloatSliceOf(col)
+		if !ok && col.Enc == nil && col.Type == storage.Float64 {
+			vals, ok = col.Floats, true
+		}
+		if !ok {
+			vals = make([]float64, n)
+			for row := range vals {
+				vals[row] = col.Float(row)
+			}
+		}
+		prev := uint64(0)
+		for row, v := range vals {
+			c := q.key(v) >> q.cell
+			edge[row] = edge[row] || c != prev
+			prev = c
+		}
+	}
+	var starts []int
+	for row, e := range edge {
+		if row == 0 || e {
+			starts = append(starts, row)
+		}
+	}
+	return starts
 }
 
 // spreadTable returns, for each byte value, its 8 bits moved to every

@@ -227,3 +227,45 @@ func TestPartitionLayoutTiesKeepTableOrder(t *testing.T) {
 		requireSameRows(t, part, roads.Take(rows))
 	}
 }
+
+// TestReplicaRunsOnlyWhereRowsCluster: NewReplica keeps a cell-run
+// directory over a laid-out partition, raw or encoded — one run per
+// non-empty layout cell, so layout left every cell contiguous — and none
+// over the same table in generation order, whose cells change every few
+// rows (the serving layer's sample replica is such a table).
+func TestReplicaRunsOnlyWhereRowsCluster(t *testing.T) {
+	roads := dataset.Roads(1, 200000)
+	dims := roadDims()
+	parts, err := Partition(roads, dims, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[[3]uint64]bool{}
+	for row := 0; row < parts[0].NumRows(); row++ {
+		var c [3]uint64
+		for i, d := range dims {
+			q := newQuantizer(d, 64/len(dims))
+			c[i] = q.key(parts[0].Column(d.Name).Float(row)) >> q.cell
+		}
+		cells[c] = true
+	}
+	for _, encode := range []bool{false, true} {
+		rep, err := NewReplica(0, parts[0], dims, nil, Options{Encode: encode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs := colstore.RunsOf(rep.Table); runs == nil || runs.Len() != len(cells) {
+			t.Fatalf("encode=%v: directory %v over %d non-empty cells", encode, runs, len(cells))
+		}
+	}
+	rep, err := NewReplica(0, roads, dims, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := colstore.RunsOf(rep.Table); runs != nil {
+		t.Fatalf("table order kept a directory of %d runs over %d rows", runs.Len(), roads.NumRows())
+	}
+	if n := len(cellStarts(roads, dims)); n <= (roads.NumRows()+63)/64 {
+		t.Fatalf("table order has only %d cell runs over %d rows; the guard went untested", n, roads.NumRows())
+	}
+}

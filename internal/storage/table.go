@@ -178,7 +178,26 @@ type Table struct {
 	// PageRows is the number of rows per storage page, used by the disk
 	// profile for I/O accounting. Defaults to DefaultPageRows.
 	PageRows int
+
+	// runs is the table's cell-run directory, when one was attached.
+	runs RunDirectory
 }
+
+// RunDirectory is derived per-table data that scans may consult: the
+// table cut into runs of consecutive rows with per-run column bounds
+// (implemented by internal/colstore). It describes the rows of the moment
+// it was built, so an append drops it.
+type RunDirectory interface {
+	// Len returns the number of runs.
+	Len() int
+}
+
+// Runs returns the table's run directory, or nil when it has none.
+func (t *Table) Runs() RunDirectory { return t.runs }
+
+// SetRuns attaches d as the table's run directory (nil detaches it). Set
+// it before the table is shared: queries read it without locking.
+func (t *Table) SetRuns(d RunDirectory) { t.runs = d }
 
 // DefaultPageRows is the default page granularity: with ~100-byte tuples
 // this approximates an 8 KiB heap page.
@@ -229,6 +248,7 @@ func (t *Table) AppendRow(values ...Value) error {
 	if len(values) != len(t.Schema) {
 		return fmt.Errorf("storage: AppendRow got %d values for %d columns", len(values), len(t.Schema))
 	}
+	t.runs = nil // the directory describes the rows before this one
 	for i, v := range values {
 		if err := t.Columns[i].append(v); err != nil {
 			return fmt.Errorf("column %q: %w", t.Schema[i].Name, err)
