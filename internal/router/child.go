@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/colstore"
-	"repro/internal/crossfilter"
 	"repro/internal/datacube"
 	"repro/internal/dataset"
 	"repro/internal/serve"
@@ -278,26 +277,11 @@ func datasetTable(ds string, seed int64, rows int) (*storage.Table, []datacube.D
 			rows = dataset.DefaultListingCount
 		}
 		table := dataset.Listings(seed, rows)
-		dims, err := listingsDims(table)
+		dims, err := serve.ListingsCubeDims(table)
 		return table, dims, err
 	default:
 		return nil, nil, fmt.Errorf("router: unknown dataset %q", ds)
 	}
-}
-
-// listingsDims derives the listings cube dimensions from the full table's
-// min/max — which is why a child builds the full table before partitioning:
-// global domains cannot be computed from one partition.
-func listingsDims(table *storage.Table) ([]datacube.Dim, error) {
-	dims := make([]datacube.Dim, 0, 3)
-	for _, name := range []string{"lat", "lng", "price"} {
-		lo, hi, ok := table.MinMax(name)
-		if !ok {
-			return nil, fmt.Errorf("router: listings table lacks column %q", name)
-		}
-		dims = append(dims, datacube.Dim{Name: name, Lo: lo, Hi: hi, Bins: crossfilter.DefaultBins})
-	}
-	return dims, nil
 }
 
 // DatasetDims returns the global cube dimensions the fleet serves for a

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/opt"
+	"repro/internal/storage"
 )
 
 // EncodeBackends freezes the backends' table into colstore's compressed
@@ -62,6 +63,21 @@ func RoadCubeDims() []datacube.Dim {
 	}
 }
 
+// ListingsCubeDims returns the listings cube's dimensions in serving order,
+// their domains the whole table's min/max: global domains cannot come from
+// one partition, so whoever partitions the table derives them first.
+func ListingsCubeDims(table *storage.Table) ([]datacube.Dim, error) {
+	dims := make([]datacube.Dim, 0, 3)
+	for _, name := range []string{"lat", "lng", "price"} {
+		lo, hi, ok := table.MinMax(name)
+		if !ok {
+			return nil, fmt.Errorf("serve: listings table lacks column %q", name)
+		}
+		dims = append(dims, datacube.Dim{Name: name, Lo: lo, Hi: hi, Bins: crossfilter.DefaultBins})
+	}
+	return dims, nil
+}
+
 // RoadLoadDims returns the road dimensions in opt's workload form, the
 // shape LoadConfig wants.
 func RoadLoadDims() []opt.CrossfilterDim {
@@ -81,10 +97,9 @@ func ListingsBackends(seed int64, rows int, prof engine.Profile) (Backends, erro
 	table := dataset.Listings(seed, rows)
 	eng := engine.New(prof)
 	eng.Register(table)
-	dims := make([]datacube.Dim, 0, 3)
-	for _, name := range []string{"lat", "lng", "price"} {
-		lo, hi, _ := table.MinMax(name)
-		dims = append(dims, datacube.Dim{Name: name, Lo: lo, Hi: hi, Bins: crossfilter.DefaultBins})
+	dims, err := ListingsCubeDims(table)
+	if err != nil {
+		return Backends{}, err
 	}
 	cube, err := datacube.Build(table, dims)
 	if err != nil {

@@ -318,6 +318,38 @@ func TestEncodedMetricsZoneCounters(t *testing.T) {
 	}
 }
 
+// TestShardedStoreZoneBytes: on a plain -shards 2 server, which never scans
+// its unsharded table for a histogram statement, the store section's zone
+// bytes — the table's and each column's — are the partitions' summed, once
+// one histogram has built their zone maps.
+func TestShardedStoreZoneBytes(t *testing.T) {
+	leakcheck.Check(t)
+	srv, ts := shardTestServer(t, testRows, Config{Workers: 1, Shards: 2})
+	const q = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 AND y <= 57.4 " +
+		"GROUP BY ROUND((x - 8.146) / 0.2)"
+	if resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Session: "s1", SQL: q}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d body %s", resp.StatusCode, raw)
+	}
+	var want int64
+	wantCol := map[string]int64{}
+	for _, part := range srv.shardTables {
+		ps := colstore.StatsOf(part)
+		want += ps.ZoneBytes
+		for _, c := range ps.Columns {
+			wantCol[c.Name] += c.ZoneBytes
+		}
+	}
+	st := srv.Stats().Store
+	if st == nil || want <= 0 || st.ZoneBytes != want {
+		t.Fatalf("store zone bytes %+v, want the partitions' %d", st, want)
+	}
+	for _, c := range st.Columns {
+		if c.ZoneBytes != wantCol[c.Name] {
+			t.Fatalf("column %q zone bytes %d, want the partitions' %d", c.Name, c.ZoneBytes, wantCol[c.Name])
+		}
+	}
+}
+
 // TestEncodedShardsRunCounters: on a -shards 2 -encode server over enough
 // road rows that each partition keeps its cell-run directory, the store
 // section shows the directories' bytes before any statement, and one

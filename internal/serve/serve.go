@@ -42,7 +42,6 @@ import (
 	"repro/internal/datacube"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/morsel"
 	"repro/internal/obsv"
 	"repro/internal/opt"
 	"repro/internal/planner"
@@ -191,8 +190,9 @@ type RPCReporter interface {
 
 // Backends are the data systems the server fronts. Engine serves /v1/query,
 // Cube serves /v1/brush, and Tiles (a table with latitude/longitude
-// columns named TileLat/TileLng) serves /v1/tiles. Nil backends make the
-// corresponding endpoint respond 501, unless a Gatherer answers it.
+// columns named TileLat/TileLng) is what /v1/tiles counts, by SQL. Nil
+// backends make the corresponding endpoint respond 501, unless a Gatherer
+// answers it.
 type Backends struct {
 	Engine  *engine.Engine
 	Cube    *datacube.Cube
@@ -210,8 +210,8 @@ type Server struct {
 	eng     *engine.Engine
 	prefix  *datacube.PrefixCube
 	tiles   *storage.Table
-	tileLat *storage.Column
-	tileLng *storage.Column
+	tileLat string
+	tileLng string
 
 	tileMu    sync.Mutex
 	tileCache *opt.ResultLRU
@@ -316,6 +316,8 @@ func New(b Backends, cfg Config) (*Server, error) {
 		reg:       NewRegistry(cfg.Constraint),
 		eng:       b.Engine,
 		tiles:     b.Tiles,
+		tileLat:   b.TileLat,
+		tileLng:   b.TileLng,
 		queue:     make(chan func(), cfg.QueueDepth),
 		sessions:  make(map[string]*sessionState),
 		tileCache: opt.NewResultLRU(tileCacheSize),
@@ -349,15 +351,14 @@ func New(b Backends, cfg Config) (*Server, error) {
 		s.brushCache = opt.NewResultLRU(brushCacheSize)
 	}
 	if b.Tiles != nil {
-		s.tileLat = b.Tiles.Column(b.TileLat)
-		s.tileLng = b.Tiles.Column(b.TileLng)
-		if s.tileLat == nil || s.tileLng == nil {
+		lat, lng := b.Tiles.Column(b.TileLat), b.Tiles.Column(b.TileLng)
+		if lat == nil || lng == nil {
 			return nil, fmt.Errorf("serve: tile table %q lacks columns %q/%q", b.Tiles.Name, b.TileLat, b.TileLng)
 		}
 		// The tile path range-filters the coordinates, which string
 		// columns cannot answer — reject the misconfiguration at build
 		// time instead of on the first tile request.
-		if s.tileLat.Type == storage.String || s.tileLng.Type == storage.String {
+		if lat.Type == storage.String || lng.Type == storage.String {
 			return nil, fmt.Errorf("serve: tile columns %q/%q of table %q must be numeric", b.TileLat, b.TileLng, b.Tiles.Name)
 		}
 	}
@@ -472,7 +473,7 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // storeStats is the /metrics store section: the columns of the served
 // table that scans reach through colstore — every column of a frozen
-// table, the viewed ones of an unfrozen table — with their zone-word
+// table, the viewed ones of an unfrozen table — with their zone maps and
 // counters, sketches and cell-run counters summed with those of the shard
 // partitions (which build their own sketches, on their own first range
 // filter, and carry the cell-run directories). Nil until there is such a
@@ -485,6 +486,7 @@ func (s *Server) storeStats() *colstore.TableStats {
 	st := colstore.StatsOf(s.tiles)
 	for _, t := range s.shardTables {
 		ps := colstore.StatsOf(t)
+		st.ZoneBytes += ps.ZoneBytes
 		st.SketchBytes += ps.SketchBytes
 		st.RunBytes += ps.RunBytes
 		for _, sc := range ps.Columns {
@@ -497,6 +499,7 @@ func (s *Server) storeStats() *colstore.TableStats {
 				})
 			}
 			c := &st.Columns[i]
+			c.ZoneBytes += sc.ZoneBytes
 			c.ZoneWordsSkipped += sc.ZoneWordsSkipped
 			c.ZoneWordsFilled += sc.ZoneWordsFilled
 			c.ZoneWordsEvaluated += sc.ZoneWordsEvaluated
@@ -653,7 +656,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if rq == nil {
 		return
 	}
-	var res *engine.Result
+	res, tier, frac, ok := s.runSQL(rq, req.SQL)
+	if !ok {
+		return
+	}
+	resp := QueryResponse{
+		Seq:     req.Seq,
+		Columns: res.Columns,
+		Rows:    rowsJSON(res.Rows),
+		ModelMS: float64(res.Stats.ModelCost) / float64(time.Millisecond),
+	}
+	if tier == "partial" { // an estimate from the fraction a sample or a short merge covered
+		resp.Degraded, resp.SampleFraction = true, frac
+	}
+	rq.reply(resp, req.Seq, false)
+}
+
+// runSQL runs one statement — a /v1/query's, or a /v1/tiles miss's box
+// count — down the query rungs on a pool worker: a histogram shape scatters
+// to the partitions, anything else runs unsharded, and under a backend fault
+// the sample answers. ok false: the request was refused or failed, and is
+// answered.
+func (s *Server) runSQL(rq *request, query string) (res *engine.Result, tier string, frac float64, ok bool) {
 	shaped := false // the statement went to the gatherer's partitions
 	admitted, tier, frac, err := rq.run(rungs{
 		exact: func(ctx context.Context) (frac float64, err error) {
@@ -661,14 +685,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				// Histogram shapes scatter across the partitions' engines and
 				// merge by addition; any other runs unsharded, below.
 				rq.tr.Enter(obsv.StageScatter)
-				if res, frac, shaped, err = s.coord.QueryHistogram(ctx, req.SQL); shaped || err != nil {
+				if res, frac, shaped, err = s.coord.QueryHistogram(ctx, query); shaped || err != nil {
 					return frac, err
 				}
 			}
 			if s.eng == nil {
 				return 0, errNoMergeLaw
 			}
-			res, err = s.eng.QueryCtx(ctx, req.SQL)
+			res, err = s.eng.QueryCtx(ctx, query)
 			return 1, err
 		},
 		scale: func(frac float64) {
@@ -682,7 +706,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if !isBackendFault(err) {
 				return false
 			}
-			stmt, shaped, _ := rep.Shaped(req.SQL)
+			stmt, shaped, _ := rep.Shaped(query)
 			if !shaped {
 				return false
 			}
@@ -695,7 +719,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		},
 	})
 	if !admitted {
-		return
+		return nil, "", 0, false
 	}
 	if err != nil {
 		status := http.StatusBadRequest // a SQL error: the backend is healthy, the query is not
@@ -705,19 +729,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusInternalServerError // a gather that covered nothing
 		}
 		rq.fail(err, status)
-		return
+		return nil, "", 0, false
 	}
-	resp := QueryResponse{
-		Seq:     req.Seq,
-		Columns: res.Columns,
-		Rows:    rowsJSON(res.Rows),
-		ModelMS: float64(res.Stats.ModelCost) / float64(time.Millisecond),
-	}
-	if tier == "partial" { // an estimate from the fraction a sample or a short merge covered
-		resp.Degraded, resp.SampleFraction = true, frac
+	if tier == "partial" {
 		rq.tr.SetTier(tier)
 	}
-	rq.reply(resp, req.Seq, false)
+	return res, tier, frac, true
 }
 
 // isBackendFault distinguishes faults of the backend (injected errors,
@@ -1216,11 +1233,14 @@ func brushFilters(ranges []*[2]float64) []*datacube.Range {
 // --- /v1/tiles --------------------------------------------------------------
 
 // TileResponse is one map-tile fetch: the record count inside the tile's
-// geographic bounds — the aggregate a tile renderer needs.
+// geographic bounds — the aggregate a tile renderer needs. Degraded and
+// SampleFraction mean what they do on QueryResponse.
 type TileResponse struct {
-	Seq   int64  `json:"seq"`
-	Key   string `json:"key"`
-	Count int64  `json:"count"`
+	Seq            int64   `json:"seq"`
+	Key            string  `json:"key"`
+	Count          int64   `json:"count"`
+	Degraded       bool    `json:"degraded,omitempty"`
+	SampleFraction float64 `json:"sample_fraction,omitempty"`
 }
 
 // tileBounds returns the web-mercator lat/lng bounds of tile z/x/y.
@@ -1238,7 +1258,7 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if s.tiles == nil {
+	if s.tiles == nil || (s.eng == nil && s.coord == nil) {
 		httpError(w, http.StatusNotImplemented, "no tile backend")
 		return
 	}
@@ -1284,60 +1304,36 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.recordTileMiss()
 
-	var count int64
-	admitted, _, _, err := rq.run(rungs{exact: func(ctx context.Context) (_ float64, err error) {
-		count, err = s.scanTile(ctx, tile, cacheKey)
-		return 1, err
-	}})
-	if !admitted {
-		return
-	}
-	if err != nil {
-		rq.fail(err, http.StatusInternalServerError)
-		return
-	}
-	rq.reply(TileResponse{Seq: seq, Key: tile.String(), Count: count}, seq, false)
-}
-
-// scanTile is the tile cache's miss path: count the tile's rows and cache
-// the count. A scan ctx cuts short caches nothing.
-func (s *Server) scanTile(ctx context.Context, tile widget.Tile, cacheKey string) (int64, error) {
+	// A miss is a one-bin histogram statement down the query ladder; only
+	// an exact count is cached.
 	latLo, latHi, lngLo, lngHi := tileBounds(tile)
-	count, err := s.boxCount(ctx, latLo, latHi, lngLo, lngHi)
-	if err != nil {
-		return 0, err
+	res, tier, frac, ok := s.runSQL(rq, boxQuery(s.tiles.Name, s.tileLat, s.tileLng, latLo, latHi, lngLo, lngHi))
+	if !ok {
+		return
 	}
-	s.tileMu.Lock()
-	s.tileCache.Put(cacheKey, count)
-	s.tileMu.Unlock()
-	return count, nil
+	resp := TileResponse{Seq: seq, Key: tile.String()}
+	for _, row := range res.Rows {
+		resp.Count += row[1].I
+	}
+	if tier == "partial" {
+		resp.Degraded, resp.SampleFraction = true, frac
+	} else {
+		s.tileMu.Lock()
+		s.tileCache.Put(cacheKey, resp.Count)
+		s.tileMu.Unlock()
+	}
+	rq.reply(resp, seq, false)
 }
 
-// boxCount counts the rows whose coordinates fall inside a tile's bounds
-// through the same zone step and kernels as the SQL fast path: per morsel,
-// one range pass over the latitude column, one ANDed over the longitude
-// column, and a popcount. A tile is half-open (>= lo, < hi), so each upper
-// bound moves one ULP inward to the kernels' closed form. ctx is checked
-// at every morsel boundary; a cancelled scan returns no count.
-func (s *Server) boxCount(ctx context.Context, latLo, latHi, lngLo, lngHi float64) (int64, error) {
-	lat, okLat := colstore.ViewOf(s.tileLat)
-	lng, okLng := colstore.ViewOf(s.tileLng)
-	if !okLat || !okLng {
-		return 0, fmt.Errorf("serve: tile columns of table %q have no colstore form", s.tiles.Name)
-	}
-	_, latMax := colstore.RangeFromOp("<", latHi)
-	_, lngMax := colstore.RangeFromOp("<", lngHi)
-	n := s.tiles.NumRows()
-	sel := colstore.NewBitmap(n)
-	var count int64
-	if err := morsel.RunCtx(ctx, n, 1, func(_, _, lo, hi int) {
-		lat.FilterRange(latLo, latMax, lo, hi, sel, false)
-		lng.FilterRange(lngLo, lngMax, lo, hi, sel, true)
-		count += int64(sel.CountRange(lo, hi))
-	}); err != nil {
-		return 0, err
-	}
-	return count, nil
+// boxQuery is the statement counting table's rows inside the half-open box
+// [latLo, latHi) × [lngLo, lngHi): a histogram whose every kept row bins to
+// ROUND(lat * 0) = 0, so its one row (none for an empty box) holds the
+// count, and whose shape partitions answer and merge by addition. %g prints
+// the shortest form that parses back to the same float.
+func boxQuery(table, lat, lng string, latLo, latHi, lngLo, lngHi float64) string {
+	bin := "ROUND(" + lat + " * 0)"
+	return fmt.Sprintf("SELECT %s, COUNT(*) FROM %s WHERE %s >= %g AND %s < %g AND %s >= %g AND %s < %g GROUP BY %s",
+		bin, table, lat, latLo, lat, latHi, lng, lngLo, lng, lngHi, bin)
 }
 
 // --- /metrics, /healthz, /readyz --------------------------------------------

@@ -272,6 +272,72 @@ func TestShardedQueryDegradesOnStalledShard(t *testing.T) {
 	}
 }
 
+// TestShardedTileDegradesOnStalledShard is the tile twin of the query test
+// above: a cold tile's count scatters to the partitions like any histogram
+// statement, so with one of four shards wedged and deadlines on it comes
+// back 200 as a degraded estimate whose SampleFraction is exactly the
+// covered shards' record share, and the cache keeps nothing. Healed, the
+// same tile is exact, byte-identical to the unsharded server's body, and
+// cached.
+func TestShardedTileDegradesOnStalledShard(t *testing.T) {
+	leakcheck.Check(t)
+	const stalled = 2
+	const rows = 8000
+	const key = "6/33/19" // inside the road bounds
+	faults := make([]*fault.Injector, 4)
+	faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
+	srv, ts := shardTestServer(t, rows, Config{
+		Workers:      2,
+		Shards:       4,
+		ShardFaults:  faults,
+		Deadlines:    true,
+		DegradeAfter: 80 * time.Millisecond,
+	})
+	_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+
+	coord := srv.coord.(*shard.Coordinator)
+	wantFrac := float64(0)
+	for i := 0; i < coord.NumShards(); i++ {
+		if i != stalled {
+			wantFrac += float64(coord.Replica(i).Table.NumRows())
+		}
+	}
+	wantFrac /= float64(coord.Records())
+	cached := func() bool { return tileCached(srv, key) }
+
+	want, exact := getTile(t, oracle.URL, key)
+	if exact.Count == 0 {
+		t.Fatalf("tile %s holds no rows; pick one inside the road bounds", key)
+	}
+	start := time.Now()
+	_, partial := getTile(t, ts.URL, key)
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("tile took %v with a wedged shard", el)
+	}
+	if !partial.Degraded || partial.SampleFraction != wantFrac || partial.Count <= 0 {
+		t.Fatalf("tile %+v, want a degraded estimate covering %g", partial, wantFrac)
+	}
+	if cached() {
+		t.Fatal("a degraded count was cached")
+	}
+	if st := srv.Stats(); st.Degraded != 1 || st.Deadlines != 1 || st.TileCacheMiss != 1 {
+		t.Fatalf("registry degraded=%d deadlines=%d tile misses=%d, want 1 each", st.Degraded, st.Deadlines, st.TileCacheMiss)
+	}
+	if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" {
+		t.Fatalf("trace carries no budget verdict: %+v", rec)
+	}
+
+	faults[stalled].SetProfile(fault.Profile{})
+	for i := 0; i < 2; i++ { // a miss, then a hit from the cache
+		if got, _ := getTile(t, ts.URL, key); !bytes.Equal(got, want) {
+			t.Fatalf("healed fetch %d: %s, want the unsharded server's %s", i, got, want)
+		}
+	}
+	if st := srv.Stats(); !cached() || st.TileCacheHits != 1 || st.TileCacheMiss != 2 {
+		t.Fatalf("healed: cached=%v, tile hits %d misses %d, want true, 1, 2", cached(), st.TileCacheHits, st.TileCacheMiss)
+	}
+}
+
 // TestShardLoadgenRace drives 32 concurrent synthetic users through the
 // full HTTP stack of a 4-shard server (run under -race in CI): every
 // request answered, applied sequences monotonic, every session ends on its
