@@ -186,3 +186,18 @@ func BenchmarkDerivedDataBuild(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
 	})
 }
+
+// BenchmarkFreeze prices Freeze on the 500k-row road table every
+// `-encode` server freezes at startup (three float columns, none of which
+// a dictionary pays for), zones included, in ns per row.
+func BenchmarkFreeze(b *testing.B) {
+	t := dataset.Roads(1, 500000)
+	n := t.NumRows()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Freeze(t, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+}

@@ -267,8 +267,11 @@ func TestFreezeEncodingSelection(t *testing.T) {
 // encodeFloats: for the float fixtures of the differential and snapshot
 // suites (dictionary, plain, NaN-bearing, ±0.0 and ±Inf entries), and for
 // every cardinality of a small column (so the exact row where a
-// dictionary stops paying is crossed), the encoding chosen is the one the
-// full distinct count followed by the byte test would choose.
+// dictionary stops paying is crossed), and for 1<<16-row columns where the
+// hashed lower bound (floatBucketsReach) has room to engage, the encoding
+// chosen is the one the full distinct count followed by the byte test
+// would choose. The all-distinct columns, small-integer floats among them,
+// must also be rejected by the lower bound alone, without the map.
 func TestEncodeFloatsEarlyDecisionMatchesFullCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := map[string][]float64{"empty": nil}
@@ -289,6 +292,35 @@ func TestEncodeFloatsEarlyDecisionMatchesFullCount(t *testing.T) {
 			vals[i] = float64(i%card) * 0.5
 		}
 		cases[fmt.Sprintf("card%d", card)] = vals
+	}
+	const big = 1 << 16
+	breakEven := big // the largest cardinality a dictionary pays at by default
+	for breakEven > 1 && float64(big*8) < DefaultMinRatio*float64(packedBytes(big, dictWidth(breakEven))+int64(breakEven)*8) {
+		breakEven--
+	}
+	for _, card := range []int{breakEven, breakEven + 1} {
+		vals := make([]float64, big)
+		for i := range vals {
+			vals[i] = float64(i%card) * 0.37
+		}
+		cases[fmt.Sprintf("big/card%d", card)] = vals
+	}
+	distinct := make([]float64, big)
+	smallInts := make([]float64, big)
+	for i := range distinct {
+		distinct[i] = rng.Float64()
+		smallInts[i] = float64(i + 1)
+	}
+	cases["big/distinct"] = distinct
+	cases["big/distinct+NaN"] = append(append([]float64(nil), distinct...), math.NaN())
+	cases["big/small-ints"] = smallInts
+	bounded := []string{"big/distinct", "big/distinct+NaN", "big/small-ints"}
+	for _, name := range bounded {
+		vals := cases[name]
+		o := (&Options{}).normalized()
+		if !floatBucketsReach(vals, floatDictLimit(len(vals), &o)) {
+			t.Errorf("%s: the hashed lower bound did not rule the dictionary out", name)
+		}
 	}
 	opts := []Options{{}, {MinRatio: 1.01}, {MinRatio: 3}, {MaxDictCard: 50}}
 	for name, vals := range cases {

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -111,15 +112,19 @@ func encodeColumn(col *storage.Column, o *Options) Column {
 // pattern (so -0.0 and +0.0 decode back exactly) and NaN disqualifies the
 // column — NaN has no sorted position, and the kernels' compare semantics
 // already match the oracle through the Plain path. Whether a dictionary
-// pays depends only on the row count and the cardinality, and its bytes
-// only grow with cardinality, so the collection loop stops at the first
-// distinct value that prices the dictionary out: a high-cardinality column
-// is rejected without collecting, materialising or sorting a dictionary.
+// pays depends only on the row count and the cardinality, so the
+// collection loop stops at the first distinct value that reaches
+// floatDictLimit: a high-cardinality column is rejected without
+// materialising or sorting a dictionary. Before that loop, a hashed pass
+// (floatBucketsReach) can reject the column without building the map.
 func encodeFloats(vals []float64, o *Options) Column {
 	if len(vals) == 0 {
 		return NewPlainFloats(vals)
 	}
-	plainBytes := int64(len(vals)) * 8
+	limit := floatDictLimit(len(vals), o)
+	if floatBucketsReach(vals, limit) {
+		return NewPlainFloats(vals)
+	}
 	distinct := make(map[uint64]uint32, 1024)
 	for _, v := range vals {
 		if math.IsNaN(v) {
@@ -127,8 +132,7 @@ func encodeFloats(vals []float64, o *Options) Column {
 		}
 		bits := math.Float64bits(v)
 		if _, ok := distinct[bits]; !ok {
-			card := len(distinct) + 1
-			if card > o.MaxDictCard || !dictPays(plainBytes, len(vals), card, o.MinRatio) {
+			if len(distinct)+1 >= limit {
 				return NewPlainFloats(vals)
 			}
 			distinct[bits] = 0
@@ -151,7 +155,7 @@ func encodeFloats(vals []float64, o *Options) Column {
 	c := &DictColumn{
 		typ:        storage.Float64,
 		fvals:      dict,
-		plainBytes: plainBytes,
+		plainBytes: int64(len(vals)) * 8,
 		dictBytes:  int64(card) * 8,
 	}
 	for code, v := range dict {
@@ -161,6 +165,53 @@ func encodeFloats(vals []float64, o *Options) Column {
 		return uint64(distinct[math.Float64bits(vals[i])])
 	})
 	return c
+}
+
+// floatDictLimit is the smallest cardinality that rules a dictionary out
+// for an n-row float column — past MaxDictCard or failing dictPays — or
+// n+1 when every cardinality a column of n rows can have still pays.
+// dictPays only gets harder to satisfy as the cardinality grows, so the
+// first failure is found by binary search.
+func floatDictLimit(n int, o *Options) int {
+	plainBytes := int64(n) * 8
+	return 1 + sort.Search(n, func(i int) bool {
+		card := i + 1
+		return card > o.MaxDictCard || !dictPays(plainBytes, n, card, o.MinRatio)
+	})
+}
+
+// floatBucketsReach reports whether vals holds a NaN or at least limit
+// distinct values, proven without a map: each value's bit pattern is
+// mixed by splitmix64's finalizer (so floats that differ only in their
+// exponent and high mantissa bits, like small integers, spread too) to a
+// bucket of a bitmap sized at 4–8 bits per row, and the count of buckets
+// filled so far is a lower bound on the distinct values seen, because
+// equal values share a bucket.
+// A false return decides nothing: the exact count has to run.
+func floatBucketsReach(vals []float64, limit int) bool {
+	if limit > len(vals) {
+		return false
+	}
+	logBuckets := max(6, uint(bits.Len(uint(len(vals)-1)))+2)
+	seen := make([]uint64, 1<<(logBuckets-6))
+	filled := 0
+	for _, v := range vals {
+		if math.IsNaN(v) {
+			return true
+		}
+		h := math.Float64bits(v)
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h = (h ^ h>>31) >> (64 - logBuckets)
+		w, b := h>>6, uint64(1)<<(h&63)
+		if seen[w]&b == 0 {
+			seen[w] |= b
+			if filled++; filled >= limit {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // dictWidth is the packed code width of a card-entry dictionary.

@@ -286,7 +286,9 @@ func (t *Table) Row(i int) []Value {
 // Take returns a new table holding t's rows in the order listed (a row may
 // repeat), with t's name, schema and page size. Each column is gathered
 // through the list in one pass, from raw slices or through the encoding of
-// a frozen column alike; the result is always raw.
+// a frozen column alike; the result is always raw. A frozen float column
+// whose encoding is backed by a raw slice (colstore's FloatSlice
+// capability) is gathered from that slice, not boxed value by value.
 func (t *Table) Take(rows []int) *Table {
 	out := NewTable(t.Name, t.Schema)
 	out.PageRows = t.PageRows
@@ -296,7 +298,11 @@ func (t *Table) Take(rows []int) *Table {
 		case Int64:
 			dst.Ints = gather(col.Ints, col.Enc, func(v Value) int64 { return v.I }, rows)
 		case Float64:
-			dst.Floats = gather(col.Floats, col.Enc, func(v Value) float64 { return v.F }, rows)
+			raw, enc := col.Floats, col.Enc
+			if fs, ok := enc.(interface{ RawFloats() []float64 }); ok {
+				raw, enc = fs.RawFloats(), nil
+			}
+			dst.Floats = gather(raw, enc, func(v Value) float64 { return v.F }, rows)
 		default:
 			dst.Strings = gather(col.Strings, col.Enc, func(v Value) string { return v.S }, rows)
 		}
