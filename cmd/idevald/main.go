@@ -26,6 +26,11 @@
 // drain gracefully: admission stops (new requests get 503), in-flight,
 // queued, and pending coalesced work completes, then the process exits.
 //
+// Without -shards or -router the server is a one-replica gather: its one
+// partition is the served table itself, in table order, behind the served
+// engine, so brushes, histogram statements and tile misses ride the same
+// scatter contract as -shards N (S = 1 is a partition).
+//
 // -debug-addr starts a second HTTP listener with net/http/pprof handlers
 // at /debug/pprof/ — kept off the serving mux so profiling endpoints are
 // never exposed on the public address.

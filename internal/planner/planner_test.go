@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datacube"
 	"repro/internal/dataset"
+	"repro/internal/oracle"
 	"repro/internal/storage"
 )
 
@@ -32,74 +33,6 @@ func newHists(dims []datacube.Dim) [][]int64 {
 		h[d] = make([]int64, dims[d].Bins)
 	}
 	return h
-}
-
-// oraBin is the oracle's own copy of the bin arithmetic — written out
-// independently so a bug in the production binOf cannot cancel against
-// itself.
-func oraBin(d datacube.Dim, v float64) int {
-	if d.Hi <= d.Lo {
-		return 0
-	}
-	b := int((v - d.Lo) / (d.Hi - d.Lo) * float64(d.Bins))
-	if b < 0 {
-		return 0
-	}
-	if b >= d.Bins {
-		return d.Bins - 1
-	}
-	return b
-}
-
-func oraBinRange(d datacube.Dim, r datacube.Range) (int, int) {
-	lo, hi := oraBin(d, r.Lo), oraBin(d, r.Hi)
-	if hi > lo && d.Lo+(d.Hi-d.Lo)*float64(hi)/float64(d.Bins) == r.Hi {
-		hi--
-	}
-	return lo, hi
-}
-
-// oracleAnswer is the single-threaded reference: one plain loop over every
-// row, no morsels, no precomputed structures. Everything the planner
-// returns must match it bit for bit.
-func oracleAnswer(tbl *storage.Table, dims []datacube.Dim, filters []*datacube.Range) (int64, [][]int64) {
-	nd := len(dims)
-	hists := newHists(dims)
-	lo, hi := make([]int, nd), make([]int, nd)
-	for i, d := range dims {
-		lo[i], hi[i] = 0, d.Bins-1
-		if filters[i] != nil {
-			lo[i], hi[i] = oraBinRange(d, *filters[i])
-			if lo[i] > hi[i] {
-				return 0, hists
-			}
-		}
-	}
-	cols := make([]*storage.Column, nd)
-	for i, d := range dims {
-		cols[i] = tbl.Column(d.Name)
-	}
-	var total int64
-	bins := make([]int, nd)
-	for row := 0; row < tbl.NumRows(); row++ {
-		pass := true
-		for i, d := range dims {
-			b := oraBin(d, cols[i].Float(row))
-			if b < lo[i] || b > hi[i] {
-				pass = false
-				break
-			}
-			bins[i] = b
-		}
-		if !pass {
-			continue
-		}
-		total++
-		for i := range dims {
-			hists[i][bins[i]]++
-		}
-	}
-	return total, hists
 }
 
 func compareAnswer(t *testing.T, tag string, wantTotal, gotTotal int64, want, got [][]int64) {
@@ -212,7 +145,7 @@ func TestPlannerDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantTotal, wantHists := oracleAnswer(tbl, dims, filters)
+					wantTotal, wantHists := oracle.Brush(tbl, dims, filters)
 					compareAnswer(t, fmt.Sprintf("step %d (%v)", step, choice), wantTotal, total, wantHists, hists)
 					if want == MatIndex && step == steps/2 {
 						pl.WaitBuilds()
@@ -273,7 +206,7 @@ func TestPlannerSwapInMidSession(t *testing.T) {
 					errs <- err
 					return
 				}
-				wantTotal, want := oracleAnswer(tbl, dims, filters)
+				wantTotal, want := oracle.Brush(tbl, dims, filters)
 				if wantTotal != total {
 					errs <- fmt.Errorf("moved %d step %d: total %d, oracle %d", moved, step, total, wantTotal)
 					return
@@ -336,7 +269,7 @@ func TestPlannerBudgetEviction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTotal, want := oracleAnswer(tbl, dims, filters)
+			wantTotal, want := oracle.Brush(tbl, dims, filters)
 			compareAnswer(t, fmt.Sprintf("tpl %d step %d", tpl, step), wantTotal, total, want, hists)
 		}
 		pl.WaitBuilds()
@@ -361,7 +294,7 @@ func TestPlannerBudgetEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTotal, want := oracleAnswer(tbl, dims, filters)
+	wantTotal, want := oracle.Brush(tbl, dims, filters)
 	compareAnswer(t, "post-eviction", wantTotal, total, want, hists)
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
 	"repro/internal/obsv"
+	"repro/internal/tracefmt"
 )
 
 // newChaosServer is newTestServer with a fault injector and robustness
@@ -502,4 +503,35 @@ func TestChaosStallAttribution(t *testing.T) {
 		t.Errorf("execute stage max %.1fms, want >= 500ms (the stall must appear in the stage histogram)", es.MaxMS)
 	}
 	t.Logf("lcv=%d lcv_by_stage=%v execute p99=%.1fms", st.LCV, st.LCVByStage, st.Stages["execute"].P99MS)
+}
+
+// TestUnshapedStatementTracedAsExecute: a statement with no merge law runs
+// on the served table, not on the partitions, so its engine run is the
+// execute stage's, never the scatter stage's — whether or not the server is
+// sharded. ExecDelay, spent after the run in the stage the run ended in,
+// makes the attribution independent of how fast the engine is.
+func TestUnshapedStatementTracedAsExecute(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	for _, shards := range []int{1, 2} {
+		_, ts := shardTestServer(t, 4000, Config{Workers: 1, Shards: shards, ExecDelay: delay})
+		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{
+			Session: "s", SQL: "SELECT COUNT(*), SUM(x) FROM dataroad WHERE x >= 9",
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("S=%d: status %d: %s", shards, resp.StatusCode, body)
+		}
+		r, err := http.Get(ts.URL + "/v1/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := tracefmt.ReadTraceRecords(r.Body)
+		r.Body.Close()
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("S=%d: %d trace records, err %v", shards, len(recs), err)
+		}
+		st := recs[0].StagesMS
+		if st["execute"] < float64(delay.Milliseconds()) || st["execute"] <= st["scatter"] {
+			t.Fatalf("S=%d: stages %v: the unsharded run must be charged to execute", shards, st)
+		}
+	}
 }

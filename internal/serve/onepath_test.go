@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datacube"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/oracle"
 	"repro/internal/shard"
 )
 
@@ -21,7 +24,7 @@ var answererModes = []struct {
 	name string
 	mk   func(t *testing.T, b Backends, base Config) (Backends, Config)
 }{
-	{"prefix", func(_ *testing.T, b Backends, base Config) (Backends, Config) { return b, base }},
+	{"unsharded", func(_ *testing.T, b Backends, base Config) (Backends, Config) { return b, base }},
 	{"planner", func(_ *testing.T, b Backends, base Config) (Backends, Config) {
 		base.Planner, base.PlannerHotStreak = true, 3
 		return b, base
@@ -111,26 +114,44 @@ func queryAll(t *testing.T, tag string, servers []*httptest.Server, req QueryReq
 	return first
 }
 
-// TestOneBrushPathAcrossAnswerers: whoever answers — local prefix cube, the
-// planner, two in-process shards, or a coordinator handed in as Gatherer —
-// the same brush script yields byte-identical bodies, and under a stalled
-// backend with Deadlines on the same rungs answer in the same order.
+// TestOneBrushPathAcrossAnswerers: whoever answers — the unsharded
+// server's one replica, the planner, two in-process shards, or a
+// coordinator handed in as Gatherer — the same brush script yields
+// byte-identical bodies, each equal to the row-at-a-time oracle over the
+// served table, and under a stalled backend with Deadlines on the same
+// rungs answer in the same order.
 func TestOneBrushPathAcrossAnswerers(t *testing.T) {
 	t.Run("exact", func(t *testing.T) {
 		servers := answererServers(t, func() Config { return Config{Workers: 2} })
+		served := dataset.Roads(1, testRows) // the table RoadBackends serves
+		// postAll, then the common body against the oracle: shared code
+		// cannot hide a binning fault that every answerer would share.
+		post := func(tag string, req BrushRequest) {
+			t.Helper()
+			got := decodeBrush(t, postAll(t, tag, servers, req))
+			filters := make([]*datacube.Range, len(req.Ranges))
+			for i, rg := range req.Ranges {
+				if rg != nil {
+					filters[i] = &datacube.Range{Lo: rg[0], Hi: rg[1]}
+				}
+			}
+			total, hists := oracle.Brush(served, RoadCubeDims(), filters)
+			if got.Total != total || !reflect.DeepEqual(got.Histograms, hists) {
+				t.Fatalf("%s: total %d %v, oracle %d %v", tag, got.Total, got.Histograms, total, hists)
+			}
+		}
 		const steps = 12
 		seq := int64(0)
 		for step := 0; step < steps; step++ {
-			postAll(t, fmt.Sprintf("drag %d", step), servers,
-				BrushRequest{Session: "one", Seq: seq, Ranges: dragBrushRanges(step, steps), Moved: 0})
+			post(fmt.Sprintf("drag %d", step), BrushRequest{Session: "one", Seq: seq, Ranges: dragBrushRanges(step, steps), Moved: 0})
 			seq++
 		}
 		jump := dragBrushRanges(3, steps)
 		jump[2] = nil
-		postAll(t, "jump", servers, BrushRequest{Session: "one", Seq: seq, Ranges: jump, Moved: 1})
-		postAll(t, "unfiltered", servers, BrushRequest{Session: "one", Seq: seq + 1, Ranges: make([]*[2]float64, 3)})
+		post("jump", BrushRequest{Session: "one", Seq: seq, Ranges: jump, Moved: 1})
+		post("unfiltered", BrushRequest{Session: "one", Seq: seq + 1, Ranges: make([]*[2]float64, 3)})
 		inverted := []*[2]float64{{10.5, 8.2}, nil, nil}
-		postAll(t, "inverted", servers, BrushRequest{Session: "one", Seq: seq + 2, Ranges: inverted})
+		post("inverted", BrushRequest{Session: "one", Seq: seq + 2, Ranges: inverted})
 
 		// The query script beside it: the gatherer-backed servers scatter the
 		// histogram shapes and merge, the others scan one table; a statement

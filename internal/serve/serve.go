@@ -119,9 +119,9 @@ type Config struct {
 	// table (Backends.Tiles) is partitioned across this many shard
 	// replicas, each with its own prefix cube (and engine, when the
 	// backends include one), and brush/histogram-query requests fan out to
-	// every shard and merge by addition. 0 or 1 serves unsharded. Requires
-	// a cube with a backing table whose columns include every cube
-	// dimension.
+	// every shard and merge by addition. 0 or 1 gathers from one replica
+	// that is the served table itself. Requires a cube with a backing table
+	// whose columns include every cube dimension.
 	Shards int
 	// ShardFaults optionally fault-gates individual shards (nil entries
 	// inject nothing) — the chaos hook for wedging one shard while the
@@ -189,10 +189,10 @@ type RPCReporter interface {
 }
 
 // Backends are the data systems the server fronts. Engine serves /v1/query,
-// Cube serves /v1/brush, and Tiles (a table with latitude/longitude
-// columns named TileLat/TileLng) is what /v1/tiles counts, by SQL. Nil
-// backends make the corresponding endpoint respond 501, unless a Gatherer
-// answers it.
+// Cube (over Tiles, its backing table) serves /v1/brush, and Tiles (a table
+// with latitude/longitude columns named TileLat/TileLng) is what /v1/tiles
+// counts, by SQL. Nil backends make the corresponding endpoint respond 501,
+// unless a Gatherer answers it.
 type Backends struct {
 	Engine  *engine.Engine
 	Cube    *datacube.Cube
@@ -208,7 +208,6 @@ type Server struct {
 	reg *Registry
 
 	eng     *engine.Engine
-	prefix  *datacube.PrefixCube
 	tiles   *storage.Table
 	tileLat string
 	tileLng string
@@ -216,11 +215,11 @@ type Server struct {
 	tileMu    sync.Mutex
 	tileCache *opt.ResultLRU
 
-	// The brush path: answer is whoever answers a brush snapshot, picked
-	// once in New — the local structures (plan, else prefix) or coord's
-	// scatter-gather — and the ladder runs over it without asking which.
+	// The brush path: coord's scatter-gather, or plan when the planner is
+	// on (coord still takes its statements); nil coord means no brush
+	// backend. Unsharded, coord gathers from one replica that is the served
+	// table.
 	cubeDims []datacube.Dim
-	answer   brushAnswerer
 	coord    Gatherer
 	plan     *planner.Planner
 
@@ -382,11 +381,16 @@ func New(b Backends, cfg Config) (*Server, error) {
 		}
 		s.cubeDims = append([]datacube.Dim(nil), cfg.GatherDims...)
 		s.coord = cfg.Gatherer
-		s.answer = s.answerGather
-	case cfg.Gatherer == nil && !cfg.Planner && cfg.Shards > 1:
-		if b.Cube == nil || b.Tiles == nil {
-			return nil, fmt.Errorf("serve: sharded serving needs a cube with a backing table")
+	case cfg.Gatherer != nil || (cfg.Planner && cfg.Shards > 1):
+		return nil, fmt.Errorf("serve: Planner, Shards > 1 and a Gatherer (in place of a Cube) each pick the brush answerer; configure at most one")
+	case b.Cube == nil:
+		if cfg.Planner || cfg.Shards > 1 {
+			return nil, fmt.Errorf("serve: planner and sharded serving need a cube with a backing table")
 		}
+		// no brush backend: /v1/brush answers 501
+	case b.Tiles == nil:
+		return nil, fmt.Errorf("serve: a cube needs its backing table (Backends.Tiles)")
+	case cfg.Shards > 1:
 		opts := repOpts
 		opts.Shards, opts.Faults = cfg.Shards, cfg.ShardFaults
 		coord, err := shard.New(b.Tiles, s.cubeDims, opts)
@@ -394,33 +398,27 @@ func New(b Backends, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: shard coordinator: %w", err)
 		}
 		s.coord = coord
-		s.answer = s.answerGather
 		for i := 0; i < coord.NumShards(); i++ {
 			s.shardTables = append(s.shardTables, coord.Replica(i).Table)
 		}
-	case cfg.Gatherer == nil && cfg.Shards <= 1:
-		if cfg.Planner && (b.Cube == nil || b.Tiles == nil) {
-			return nil, fmt.Errorf("serve: planner needs a cube with a backing table")
-		}
-		if b.Cube == nil {
-			break // no brush backend: /v1/brush answers 501
-		}
-		// The summed-area form answers every brush in O(bins·2^(d-1))
-		// lookups; the dense cube stays as the differential oracle.
-		s.prefix = datacube.NewPrefix(b.Cube)
+	default:
+		// S = 1 is a partition: one replica that is the served table in
+		// table order (non-histogram SQL sees row order) behind the served
+		// engine, its prefix integrated from the dense cube — not NewReplica,
+		// whose cell-run pass finds too many runs in table order to keep.
+		rep := &shard.Replica{Table: b.Tiles, Engine: b.Engine, Prefix: datacube.NewPrefix(b.Cube)}
+		s.coord = shard.Start([]*shard.Replica{rep}, s.cubeDims, shard.Options{Workers: cfg.Workers})
 		if cfg.Planner {
 			pl, err := planner.New(b.Tiles, b.Cube, s.cubeDims, planner.Config{
 				HotStreak: cfg.PlannerHotStreak,
-				Prefix:    s.prefix,
+				Prefix:    rep.Prefix,
 			})
 			if err != nil {
+				s.coord.Close()
 				return nil, fmt.Errorf("serve: planner: %w", err)
 			}
 			s.plan = pl
 		}
-		s.answer = s.answerLocal
-	default:
-		return nil, fmt.Errorf("serve: Planner, Shards > 1 and a Gatherer (in place of a Cube) each pick the brush answerer; configure at most one")
 	}
 	// The sample rung bins the served dimensions' backing table; it needs
 	// every one of them as a numeric column.
@@ -674,20 +672,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // runSQL runs one statement — a /v1/query's, or a /v1/tiles miss's box
 // count — down the query rungs on a pool worker: a histogram shape scatters
-// to the partitions, anything else runs unsharded, and under a backend fault
-// the sample answers. ok false: the request was refused or failed, and is
-// answered.
+// to the partitions, anything else runs on the served table, and under a
+// backend fault the sample answers. ok false: the request was refused or
+// failed, and is answered.
 func (s *Server) runSQL(rq *request, query string) (res *engine.Result, tier string, frac float64, ok bool) {
 	shaped := false // the statement went to the gatherer's partitions
 	admitted, tier, frac, err := rq.run(rungs{
 		exact: func(ctx context.Context) (frac float64, err error) {
 			if s.coord != nil {
 				// Histogram shapes scatter across the partitions' engines and
-				// merge by addition; any other runs unsharded, below.
+				// merge by addition; any other runs unsharded, below, and its
+				// time is the execute stage's again.
 				rq.tr.Enter(obsv.StageScatter)
 				if res, frac, shaped, err = s.coord.QueryHistogram(ctx, query); shaped || err != nil {
 					return frac, err
 				}
+				rq.tr.Enter(obsv.StageExecute)
 			}
 			if s.eng == nil {
 				return 0, errNoMergeLaw
@@ -809,7 +809,7 @@ func (s *Server) handleBrush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.answer == nil {
+	if s.coord == nil {
 		httpError(w, http.StatusNotImplemented, "no cube backend")
 		return
 	}
@@ -984,37 +984,28 @@ func (s *Server) faultGate(ctx context.Context) error {
 	}
 }
 
-// brushAnswerer answers one brush snapshot exactly over the partitions that
-// answer under ctx: their merged histograms and total, raw and unscaled, and
-// the fraction of all records they own. stamp marks stage transitions on
-// every rider's trace. An error means no partition answered.
-type brushAnswerer func(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error)
-
-// answerLocal is the one-partition answerer: the planner's cheapest
-// structure, else the prefix cube (bit-identical either way), on the calling
-// goroutine. One partition that always answers covers everything.
-func (s *Server) answerLocal(_ context.Context, req BrushRequest, _ func(obsv.Stage)) (*BrushResponse, float64, error) {
+// answer answers one brush snapshot exactly over the partitions that answer
+// under ctx: their merged histograms and total, raw and unscaled, and the
+// fraction of all records they own. The planner answers on the calling
+// goroutine — its session template's index if built, else the S = 1
+// replica's prefix cube, bit-identical either way — and covers everything.
+// Every other server scatters through coord (in-process partition pools, one
+// replica at S = 1, or the process router's children) and merges by
+// addition; a shard that misses ctx's deadline or fails lowers the covered
+// fraction. stamp marks stage transitions on every rider's trace. An error
+// means no partition answered.
+func (s *Server) answer(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error) {
 	filters := brushFilters(req.Ranges)
-	resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
-	var err error
 	if s.plan != nil {
-		resp.Total, _, err = s.plan.Answer(req.Session, req.Moved, filters, resp.Histograms)
-	} else {
-		resp.Total, err = s.prefix.BrushInto(filters, resp.Histograms)
+		resp := &BrushResponse{AppliedSeq: req.Seq, Histograms: datacube.NewHistograms(s.cubeDims)}
+		var err error
+		if resp.Total, _, err = s.plan.Answer(req.Session, req.Moved, filters, resp.Histograms); err != nil {
+			return nil, 0, err
+		}
+		return resp, 1, nil
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp, 1, nil
-}
-
-// answerGather is the many-partition answerer: scatter the snapshot through
-// coord (in-process shard pools or the process router's children) and merge
-// what came back by addition. A shard that misses ctx's deadline or fails
-// lowers the covered fraction; none covered is an error.
-func (s *Server) answerGather(ctx context.Context, req BrushRequest, stamp func(obsv.Stage)) (*BrushResponse, float64, error) {
 	stamp(obsv.StageScatter)
-	g, err := s.coord.ScatterBrush(ctx, req.Session, brushFilters(req.Ranges))
+	g, err := s.coord.ScatterBrush(ctx, req.Session, filters)
 	if err == nil && g.Covered() == 0 {
 		err = cmp.Or(g.FirstErr(), errors.New("serve: shard gather covered no shards"))
 	}

@@ -564,3 +564,51 @@ func TestBrushBodyBound(t *testing.T) {
 		return BrushRequest{Session: pad, Ranges: []*[2]float64{{9, 10.5}, nil, nil}}
 	})
 }
+
+// discardWriter is a ResponseWriter that keeps only the status, so a
+// benchmark's allocations are the handler's own.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(status int)      { d.status = status }
+
+// rereadBody is a request body the benchmark rewinds instead of
+// reallocating.
+type rereadBody struct{ bytes.Reader }
+
+func (*rereadBody) Close() error { return nil }
+
+// BenchmarkBrushHandler times one brush through Server.Handler().ServeHTTP
+// over RoadBackends with the default config — decode, session slot, the
+// worker pool, the answerer, the reply — with no socket beneath it. Run it
+// with -benchmem: allocations per brush are the serve layer's own.
+func BenchmarkBrushHandler(b *testing.B) {
+	backends, err := RoadBackends(1, testRows, engine.ProfileMemory)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(backends, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = srv.Drain(context.Background()) }()
+	raw := []byte(`{"session":"bench","seq":0,"ranges":[[8.2,10.5],null,[0,40]],"moved":0}`)
+	body := &rereadBody{}
+	r := httptest.NewRequest(http.MethodPost, "/v1/brush", body)
+	w := &discardWriter{h: http.Header{}}
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(raw)
+		r.Body = body
+		h.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("brush %d: status %d", i, w.status)
+		}
+	}
+}

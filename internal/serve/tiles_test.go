@@ -16,24 +16,12 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
+	"repro/internal/oracle"
 	"repro/internal/shard"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/widget"
 )
-
-// scalarBoxCount is the per-row loop — two Column.Float reads and the
-// half-open test per row — kept as the box-count statement's oracle.
-func scalarBoxCount(lat, lng *storage.Column, latLo, latHi, lngLo, lngHi float64) int64 {
-	var count int64
-	for i, n := 0, lat.Len(); i < n; i++ {
-		la, ln := lat.Float(i), lng.Float(i)
-		if la >= latLo && la < latHi && ln >= lngLo && ln < lngHi {
-			count++
-		}
-	}
-	return count
-}
 
 // boxTotal sums a box-count statement's rows: one, or none for an empty box.
 func boxTotal(res *engine.Result) int64 {
@@ -101,7 +89,7 @@ func TestTileCountKernelMatchesScalar(t *testing.T) {
 		check := func(label string, aLo, aHi, oLo, oHi float64) int64 {
 			t.Helper()
 			checked++
-			want := scalarBoxCount(lat, lng, aLo, aHi, oLo, oHi)
+			want := oracle.BoxCount(lat, lng, aLo, aHi, oLo, oHi)
 			q := boxQuery(backends.Tiles.Name, "y", "x", aLo, aHi, oLo, oHi)
 			for _, p := range paths {
 				res, frac, err := p.count(q)
@@ -217,7 +205,7 @@ func TestTileMissCutShortCachesNothing(t *testing.T) {
 	srv, ts := shardTestServer(t, rows, Config{
 		Workers: 1, Deadlines: true, DegradeAfter: 80 * time.Millisecond, Fault: stall,
 	})
-	_, oracle := shardTestServer(t, rows, Config{Workers: 1})
+	_, plain := shardTestServer(t, rows, Config{Workers: 1})
 	const key = "0/0/0"
 	fetch := func(url string) ([]byte, TileResponse) { return getTile(t, url, key) }
 	cached := func() bool { return tileCached(srv, key) }
@@ -236,7 +224,7 @@ func TestTileMissCutShortCachesNothing(t *testing.T) {
 	}
 
 	stall.SetProfile(fault.Profile{})
-	want, _ := fetch(oracle.URL)
+	want, _ := fetch(plain.URL)
 	for i := 0; i < 2; i++ { // a miss, then a hit from the cache
 		if got, _ := fetch(ts.URL); string(got) != string(want) {
 			t.Fatalf("healed fetch %d: %s, want the plain server's %s", i, got, want)
@@ -281,7 +269,7 @@ func FuzzBoxQuery(f *testing.F) {
 				}
 			}
 		}
-		want := scalarBoxCount(tbl.Column("lat"), tbl.Column("lng"), latLo, latHi, lngLo, lngHi)
+		want := oracle.BoxCount(tbl.Column("lat"), tbl.Column("lng"), latLo, latHi, lngLo, lngHi)
 		q := boxQuery(tbl.Name, "lat", "lng", latLo, latHi, lngLo, lngHi)
 		stmt, err := sql.Parse(q)
 		if err != nil {

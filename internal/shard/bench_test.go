@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/datacube"
 	"repro/internal/dataset"
 	"repro/internal/opt"
+	"repro/internal/storage"
 )
 
 // BenchmarkBrushScatter times one full scatter-gather brush merge against
@@ -27,9 +29,11 @@ func BenchmarkBrushScatter(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coord.Brush(ctx, filters); err != nil {
+				g, err := coord.ScatterBrush(ctx, "", filters)
+				if err != nil {
 					b.Fatal(err)
 				}
+				g.MergeBrush(dims)
 			}
 		})
 	}
@@ -37,17 +41,28 @@ func BenchmarkBrushScatter(b *testing.B) {
 
 // BenchmarkPartition times the full two-shard split of 500k road rows —
 // assignment, layout order and column gather — the setup cost every
-// sharded server pays once. Reported per input row.
+// sharded server pays once: from a raw table, and from the frozen one every
+// -encode server partitions. Reported per input row.
 func BenchmarkPartition(b *testing.B) {
-	roads := dataset.Roads(1, 500000)
-	dims := roadDims()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Partition(roads, dims, 2); err != nil {
-			b.Fatal(err)
-		}
+	raw := dataset.Roads(1, 500000)
+	frozen, err := colstore.Freeze(raw, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roads.NumRows()), "ns/row")
+	dims := roadDims()
+	for _, src := range []struct {
+		name string
+		t    *storage.Table
+	}{{"raw", raw}, {"frozen", frozen}} {
+		b.Run(src.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Partition(src.t, dims, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*src.t.NumRows()), "ns/row")
+		})
+	}
 }
 
 // BenchmarkPartitionOne times one shard's cold rebuild at the paper's road

@@ -43,14 +43,14 @@ func TestStalledShardPartialGather(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	g, err := coord.Scatter(ctx, filters)
+	g, err := coord.ScatterBrush(ctx, "", filters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("gather took %v, deadline ignored", el)
 	}
-	if g.Complete() {
+	if g.Covered() == len(g.Answers) {
 		t.Fatal("gather complete despite a wedged shard")
 	}
 	if g.Covered() != 3 {
@@ -96,10 +96,11 @@ func TestStalledShardPartialGather(t *testing.T) {
 	// Clearing the fault heals the fleet: the next full-deadline gather is
 	// complete and byte-identical to the oracle again.
 	faults[stalled].SetProfile(fault.Profile{})
-	healed, err := coord.Brush(context.Background(), filters)
+	hg, err := coord.ScatterBrush(context.Background(), "", filters)
 	if err != nil {
 		t.Fatal(err)
 	}
+	healed := hg.MergeBrush(dims)
 	if healed.Covered != 4 || healed.Fraction() != 1 {
 		t.Fatalf("healed coverage %d fraction %g", healed.Covered, healed.Fraction())
 	}
@@ -131,9 +132,11 @@ func TestCoordinatorShutdown(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := coord.Brush(context.Background(), nil); err != nil {
+				g, err := coord.ScatterBrush(context.Background(), "", nil)
+				if err != nil {
 					return // closed underneath us — expected
 				}
+				g.MergeBrush(dims)
 			}
 		}()
 	}
@@ -142,7 +145,7 @@ func TestCoordinatorShutdown(t *testing.T) {
 	coord.Close() // idempotent
 	wg.Wait()
 
-	if _, err := coord.Scatter(context.Background(), nil); err == nil {
+	if _, err := coord.ScatterBrush(context.Background(), "", nil); err == nil {
 		t.Fatal("scatter accepted after Close")
 	}
 	if _, _, _, err := coord.QueryHistogram(context.Background(), "SELECT 1"); err == nil {
@@ -163,7 +166,7 @@ func TestExpiredContextSkipsWork(t *testing.T) {
 	defer coord.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g, err := coord.Scatter(ctx, nil)
+	g, err := coord.ScatterBrush(ctx, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

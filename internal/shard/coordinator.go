@@ -18,7 +18,6 @@ import (
 // Close under the write lock, and each shard's pool serializes nothing
 // beyond its own task channel.
 type Coordinator struct {
-	dims    []datacube.Dim
 	workers []*worker
 	records int // total records across all partitions
 
@@ -41,13 +40,25 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 	// Partitioning materializes raw rows, so a frozen source would otherwise
 	// silently fan out uncompressed: its partitions are re-encoded.
 	opts.Encode = opts.Encode || colstore.IsFrozen(t)
-	c := &Coordinator{dims: dims, records: t.NumRows()}
+	reps := make([]*Replica, len(parts))
 	for id, part := range parts {
-		rep, err := NewReplica(id, part, dims, nil, opts)
-		if err != nil {
+		if reps[id], err = NewReplica(id, part, dims, nil, opts); err != nil {
 			return nil, err
 		}
 		parts[id] = nil // an encoded replica no longer needs its raw rows
+	}
+	return Start(reps, dims, opts), nil
+}
+
+// Start starts a coordinator over replicas the caller built, reps[i] with
+// ID i, each behind a pool of opts.Workers goroutines gated by
+// opts.Faults[i]. The replicas must partition the served records, every
+// one binning against the same global dims.
+func Start(reps []*Replica, dims []datacube.Dim, opts Options) *Coordinator {
+	opts.normalize()
+	c := &Coordinator{}
+	for id, rep := range reps {
+		c.records += rep.Table.NumRows()
 		w := &worker{rep: rep, dims: dims, fault: opts.injector(id), tasks: make(chan *task, taskQueueDepth)}
 		c.workers = append(c.workers, w)
 		for g := 0; g < opts.Workers; g++ {
@@ -55,7 +66,7 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 			go w.loop(&c.wg)
 		}
 	}
-	return c, nil
+	return c
 }
 
 // NumShards returns the shard count.
@@ -152,16 +163,15 @@ func NewGather(answers []*Answer, errs []error, totalRecords int) *Gather {
 	return g
 }
 
-// ScatterBrush adapts Scatter to the serving layer's Gatherer interface.
-// The session is ignored: in-process shards share one address space, so
-// there is no affinity to route — every scatter reaches every shard pool
-// directly.
+// ScatterBrush fans a prefix-cube brush request (all-dimension histograms
+// plus the filtered count) out to every shard and gathers under ctx.
+// filters follows datacube conventions: nil or empty means unfiltered,
+// otherwise one entry per dimension with nil entries unfiltered. The
+// session is ignored: in-process shards share one address space, so there
+// is no affinity to route — every scatter reaches every shard pool directly.
 func (c *Coordinator) ScatterBrush(ctx context.Context, _ string, filters []*datacube.Range) (*Gather, error) {
-	return c.Scatter(ctx, filters)
+	return c.scatter(task{ctx: ctx, filters: filters})
 }
-
-// Complete reports whether every shard answered.
-func (g *Gather) Complete() bool { return g.covered == len(g.Answers) }
 
 // Covered returns the number of shards that answered.
 func (g *Gather) Covered() int { return g.covered }
@@ -216,25 +226,6 @@ func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
 		}
 	}
 	return b
-}
-
-// Scatter fans a prefix-cube brush request (all-dimension histograms plus
-// the filtered count) out to every shard and gathers under ctx. filters
-// follows datacube conventions: nil or empty means unfiltered, otherwise
-// one entry per dimension with nil entries unfiltered.
-func (c *Coordinator) Scatter(ctx context.Context, filters []*datacube.Range) (*Gather, error) {
-	return c.scatter(task{ctx: ctx, filters: filters})
-}
-
-// Brush is the one-shot form of Scatter: gather and merge. Callers that
-// need coverage-sensitive handling (degradation ladders) use Scatter and
-// inspect the Gather.
-func (c *Coordinator) Brush(ctx context.Context, filters []*datacube.Range) (*Brush, error) {
-	g, err := c.Scatter(ctx, filters)
-	if err != nil {
-		return nil, err
-	}
-	return g.MergeBrush(c.dims), nil
 }
 
 // QueryHistogram scatters a histogram-shaped SQL query across the shard

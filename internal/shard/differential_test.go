@@ -151,10 +151,11 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			// Prefix-cube path: histograms plus corner counts.
 			for trial := 0; trial < 40; trial++ {
 				filters := randomFilters(rng, dims)
-				got, err := coord.Brush(ctx, filters)
+				g, err := coord.ScatterBrush(ctx, "", filters)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := g.MergeBrush(dims)
 				if got.Covered != s || got.Fraction() != 1 {
 					t.Fatalf("trial %d: coverage %d/%d fraction %g", trial, got.Covered, s, got.Fraction())
 				}

@@ -69,14 +69,15 @@ func TestEncodedShardsMatchPlain(t *testing.T) {
 				// Prefix-cube brushes.
 				for trial := 0; trial < 25; trial++ {
 					filters := randomFilters(rng, dims)
-					want, err := plain.Brush(ctx, filters)
+					wantG, err := plain.ScatterBrush(ctx, "", filters)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := enc.Brush(ctx, filters)
+					gotG, err := enc.ScatterBrush(ctx, "", filters)
 					if err != nil {
 						t.Fatal(err)
 					}
+					want, got := wantG.MergeBrush(dims), gotG.MergeBrush(dims)
 					if got.Total != want.Total || !reflect.DeepEqual(got.Histograms, want.Histograms) {
 						t.Fatalf("trial %d: brush diverged: %+v want %+v", trial, got, want)
 					}
