@@ -268,7 +268,7 @@ func TestFreezeEncodingSelection(t *testing.T) {
 // suites (dictionary, plain, NaN-bearing, ±0.0 and ±Inf entries), and for
 // every cardinality of a small column (so the exact row where a
 // dictionary stops paying is crossed), and for 1<<16-row columns where the
-// hashed lower bound (floatBucketsReach) has room to engage, the encoding
+// hashed lower bound (bucketsReach) has room to engage, the encoding
 // chosen is the one the full distinct count followed by the byte test
 // would choose. The all-distinct columns, small-integer floats among them,
 // must also be rejected by the lower bound alone, without the map.
@@ -318,7 +318,7 @@ func TestEncodeFloatsEarlyDecisionMatchesFullCount(t *testing.T) {
 	for _, name := range bounded {
 		vals := cases[name]
 		o := (&Options{}).normalized()
-		if !floatBucketsReach(vals, floatDictLimit(len(vals), &o)) {
+		if !bucketsReach(wordsOf(vals), dictLimit(len(vals), math.MaxInt64, &o), true) {
 			t.Errorf("%s: the hashed lower bound did not rule the dictionary out", name)
 		}
 	}
@@ -343,6 +343,75 @@ func TestEncodeFloatsEarlyDecisionMatchesFullCount(t *testing.T) {
 			if got := encodeFloats(vals, &o).Encoding(); got != want {
 				t.Errorf("%s (card %d, MinRatio %v, MaxDictCard %d): encoded %v, the full count says %v",
 					name, card, o.MinRatio, o.MaxDictCard, got, want)
+			}
+		}
+	}
+}
+
+// TestEncodeIntsEarlyDecisionMatchesFullCount is the same check for int
+// columns, whose distinct count stops once a dictionary can beat neither
+// plain nor frame-of-reference packing: 1<<16-row columns at the
+// cardinality where a dictionary stops paying and one past it — spread
+// past FOR's magnitude, so only the dictionary competes, and packed into a
+// narrow span, where FOR wins — and all-distinct columns, wide and narrow.
+// The chosen encoding must be the one the full distinct count followed by
+// the byte comparison chooses; the all-distinct wide column must be ruled
+// out by the hashed lower bound alone.
+func TestEncodeIntsEarlyDecisionMatchesFullCount(t *testing.T) {
+	const big = 1 << 16
+	breakEven := big
+	for breakEven > 1 && float64(big*8) < DefaultMinRatio*float64(dictBytes(big, breakEven)) {
+		breakEven--
+	}
+	cases := map[string][]int64{"empty": nil}
+	for _, card := range []int{breakEven, breakEven + 1} {
+		wide, narrow := make([]int64, big), make([]int64, big)
+		for i := range wide {
+			wide[i] = int64(i%card) * 1e15
+			narrow[i] = int64(i % card)
+		}
+		cases[fmt.Sprintf("wide/card%d", card)] = wide
+		cases[fmt.Sprintf("narrow/card%d", card)] = narrow
+	}
+	rng := rand.New(rand.NewSource(12))
+	wide, narrow := make([]int64, big), make([]int64, big)
+	for i := range wide {
+		wide[i] = int64(rng.Uint64())
+		narrow[i] = int64(i)
+	}
+	cases["wide/distinct"] = wide
+	cases["narrow/distinct"] = narrow
+	o := (&Options{}).normalized()
+	if !bucketsReach(wordsOf(wide), dictLimit(big, math.MaxInt64, &o), false) {
+		t.Error("wide/distinct: the hashed lower bound did not rule the dictionary out")
+	}
+	for name, vals := range cases {
+		for _, o := range []Options{{}, {MinRatio: 1.01}, {MinRatio: 3}, {MaxDictCard: 50}} {
+			o = o.normalized()
+			distinct := map[int64]struct{}{}
+			minV, maxV := int64(math.MaxInt64), int64(math.MinInt64)
+			for _, v := range vals {
+				distinct[v] = struct{}{}
+				minV, maxV = min(minV, v), max(maxV, v)
+			}
+			plainBytes := int64(len(vals)) * 8
+			forBytes, dictB := int64(math.MaxInt64), int64(math.MaxInt64)
+			if len(vals) > 0 && minV >= -forMaxMagnitude && maxV <= forMaxMagnitude && WidthFor(uint64(maxV-minV)) <= forMaxWidth {
+				forBytes = packedBytes(len(vals), WidthFor(uint64(maxV-minV)))
+			}
+			if len(distinct) <= o.MaxDictCard {
+				dictB = dictBytes(len(vals), len(distinct))
+			}
+			want := ForPacked
+			switch best := min(forBytes, dictB); {
+			case len(vals) == 0 || float64(plainBytes) < o.MinRatio*float64(best):
+				want = Plain
+			case dictB < forBytes:
+				want = Dict
+			}
+			if got := encodeInts(vals, &o).Encoding(); got != want {
+				t.Errorf("%s (card %d, MinRatio %v, MaxDictCard %d): encoded %v, the full count says %v",
+					name, len(distinct), o.MinRatio, o.MaxDictCard, got, want)
 			}
 		}
 	}

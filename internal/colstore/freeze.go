@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
+	"unsafe"
 
 	"repro/internal/morsel"
 	"repro/internal/storage"
@@ -112,31 +113,15 @@ func encodeColumn(col *storage.Column, o *Options) Column {
 // pattern (so -0.0 and +0.0 decode back exactly) and NaN disqualifies the
 // column — NaN has no sorted position, and the kernels' compare semantics
 // already match the oracle through the Plain path. Whether a dictionary
-// pays depends only on the row count and the cardinality, so the
-// collection loop stops at the first distinct value that reaches
-// floatDictLimit: a high-cardinality column is rejected without
-// materialising or sorting a dictionary. Before that loop, a hashed pass
-// (floatBucketsReach) can reject the column without building the map.
+// pays depends only on the row count and the cardinality, so the distinct
+// count stops early (distinctBelow).
 func encodeFloats(vals []float64, o *Options) Column {
 	if len(vals) == 0 {
 		return NewPlainFloats(vals)
 	}
-	limit := floatDictLimit(len(vals), o)
-	if floatBucketsReach(vals, limit) {
+	distinct := distinctBelow(wordsOf(vals), dictLimit(len(vals), math.MaxInt64, o), true)
+	if distinct == nil {
 		return NewPlainFloats(vals)
-	}
-	distinct := make(map[uint64]uint32, 1024)
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			return NewPlainFloats(vals)
-		}
-		bits := math.Float64bits(v)
-		if _, ok := distinct[bits]; !ok {
-			if len(distinct)+1 >= limit {
-				return NewPlainFloats(vals)
-			}
-			distinct[bits] = 0
-		}
 	}
 	card := len(distinct)
 	dict := make([]float64, 0, card)
@@ -167,39 +152,73 @@ func encodeFloats(vals []float64, o *Options) Column {
 	return c
 }
 
-// floatDictLimit is the smallest cardinality that rules a dictionary out
-// for an n-row float column — past MaxDictCard or failing dictPays — or
-// n+1 when every cardinality a column of n rows can have still pays.
-// dictPays only gets harder to satisfy as the cardinality grows, so the
-// first failure is found by binary search.
-func floatDictLimit(n int, o *Options) int {
+// wordsOf returns vals' 8-byte images in place: a float's bit pattern, an
+// int's two's complement — what dictionaries key on.
+func wordsOf[T float64 | int64](vals []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
+}
+
+// dictLimit is the smallest cardinality that rules a dictionary out for an
+// n-row column of 8-byte values — past MaxDictCard, failing dictPays, or
+// no smaller than alt, the bytes of the best other encoding — or n+1 when
+// every cardinality a column of n rows can have is still chosen. Each
+// condition only gets easier to meet as the cardinality grows, so the
+// first is found by binary search.
+func dictLimit(n int, alt int64, o *Options) int {
 	plainBytes := int64(n) * 8
 	return 1 + sort.Search(n, func(i int) bool {
 		card := i + 1
-		return card > o.MaxDictCard || !dictPays(plainBytes, n, card, o.MinRatio)
+		return card > o.MaxDictCard || !dictPays(plainBytes, n, card, o.MinRatio) || dictBytes(n, card) >= alt
 	})
 }
 
-// floatBucketsReach reports whether vals holds a NaN or at least limit
-// distinct values, proven without a map: each value's bit pattern is
-// mixed by splitmix64's finalizer (so floats that differ only in their
-// exponent and high mantissa bits, like small integers, spread too) to a
-// bucket of a bitmap sized at 4–8 bits per row, and the count of buckets
-// filled so far is a lower bound on the distinct values seen, because
-// equal values share a bucket.
-// A false return decides nothing: the exact count has to run.
-func floatBucketsReach(vals []float64, limit int) bool {
-	if limit > len(vals) {
+// distinctBelow returns the distinct values of words, each keyed to 0, or
+// nil once they are proven to number limit or more — or, with float set,
+// to hold a NaN image. A hashed pass (bucketsReach) can prove it without
+// building the map; otherwise the map's count stops at the first distinct
+// value that reaches limit, so a high-cardinality column is rejected
+// without materialising or sorting a dictionary.
+func distinctBelow(words []uint64, limit int, float bool) map[uint64]uint32 {
+	if bucketsReach(words, limit, float) {
+		return nil
+	}
+	distinct := make(map[uint64]uint32, 1024)
+	for _, w := range words {
+		if float && isNaNBits(w) {
+			return nil
+		}
+		if _, ok := distinct[w]; !ok {
+			if len(distinct)+1 >= limit {
+				return nil
+			}
+			distinct[w] = 0
+		}
+	}
+	return distinct
+}
+
+// isNaNBits reports whether w is the bit pattern of a float64 NaN: every
+// exponent bit set and a non-zero mantissa.
+func isNaNBits(w uint64) bool { return w&^(1<<63) > 0x7ff0000000000000 }
+
+// bucketsReach reports whether words hold at least limit distinct values
+// — or, with float set, a NaN image — proven without a map: each word is
+// mixed by splitmix64's finalizer (so values that differ only in their
+// high bits, like small integers as floats, spread too) to a bucket of a
+// bitmap sized at 4–8 bits per row, and the count of buckets filled so far
+// is a lower bound on the distinct values seen, because equal values share
+// a bucket. A false return decides nothing: the exact count has to run.
+func bucketsReach(words []uint64, limit int, float bool) bool {
+	if limit > len(words) {
 		return false
 	}
-	logBuckets := max(6, uint(bits.Len(uint(len(vals)-1)))+2)
+	logBuckets := max(6, uint(bits.Len(uint(len(words)-1)))+2)
 	seen := make([]uint64, 1<<(logBuckets-6))
 	filled := 0
-	for _, v := range vals {
-		if math.IsNaN(v) {
+	for _, h := range words {
+		if float && isNaNBits(h) {
 			return true
 		}
-		h := math.Float64bits(v)
 		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 		h = (h ^ h>>27) * 0x94d049bb133111eb
 		h = (h ^ h>>31) >> (64 - logBuckets)
@@ -217,18 +236,23 @@ func floatBucketsReach(vals []float64, limit int) bool {
 // dictWidth is the packed code width of a card-entry dictionary.
 func dictWidth(card int) uint { return WidthFor(uint64(max(card-1, 0))) }
 
+// dictBytes is the footprint of an n-row column of 8-byte values coded
+// against a card-entry dictionary: the packed codes and the entries.
+func dictBytes(n, card int) int64 { return packedBytes(n, dictWidth(card)) + int64(card)*8 }
+
 // dictPays reports whether an n-row column of 8-byte values with card
 // distinct values is at least minRatio times smaller dictionary-coded
 // than its plainBytes.
 func dictPays(plainBytes int64, n, card int, minRatio float64) bool {
-	return float64(plainBytes) >= minRatio*float64(packedBytes(n, dictWidth(card))+int64(card)*8)
+	return float64(plainBytes) >= minRatio*float64(dictBytes(n, card))
 }
 
 // encodeInts picks between frame-of-reference packing (contiguous-ish
 // ranges), a dictionary (low cardinality over a wide or huge-magnitude
 // range), and plain. ForPacked requires every value within ±2^52 — the
 // magnitude where float64(int64) stays exact, which the bound translation
-// depends on — and a useful width.
+// depends on — and a useful width. The distinct count stops as soon as a
+// dictionary can no longer beat both (distinctBelow).
 func encodeInts(vals []int64, o *Options) Column {
 	plainBytes := int64(len(vals)) * 8
 	if len(vals) == 0 {
@@ -253,49 +277,32 @@ func encodeInts(vals []int64, o *Options) Column {
 		}
 	}
 
-	var dictBytes int64 = math.MaxInt64
-	var dict []int64
-	distinct := make(map[int64]uint32, 1024)
-	for _, v := range vals {
-		if _, ok := distinct[v]; !ok {
-			if len(distinct) >= o.MaxDictCard {
-				distinct = nil
-				break
-			}
-			distinct[v] = 0
-		}
-	}
-	if distinct != nil {
-		dict = make([]int64, 0, len(distinct))
-		for v := range distinct {
-			dict = append(dict, v)
+	if distinct := distinctBelow(wordsOf(vals), dictLimit(len(vals), forBytes, o), false); distinct != nil {
+		dict := make([]int64, 0, len(distinct))
+		for w := range distinct {
+			dict = append(dict, int64(w))
 		}
 		sort.Slice(dict, func(a, b int) bool { return dict[a] < dict[b] })
-		dictBytes = packedBytes(len(vals), dictWidth(len(dict))) + int64(len(dict))*8
-	}
-
-	best := minInt64(forBytes, dictBytes)
-	if float64(plainBytes) < o.MinRatio*float64(best) {
-		return NewPlainInts(vals)
-	}
-	if forBytes <= dictBytes {
-		c := &ForColumn{ref: minV, span: span}
-		c.codes = packCodes(len(vals), forWidth, o.Parallelism, func(i int) uint64 {
-			return uint64(vals[i]) - uint64(minV)
+		for code, v := range dict {
+			distinct[uint64(v)] = uint32(code)
+		}
+		c := &DictColumn{
+			typ:        storage.Int64,
+			ivals:      dict,
+			plainBytes: plainBytes,
+			dictBytes:  int64(len(dict)) * 8,
+		}
+		c.codes = packCodes(len(vals), dictWidth(len(dict)), o.Parallelism, func(i int) uint64 {
+			return uint64(distinct[uint64(vals[i])])
 		})
 		return c
 	}
-	for code, v := range dict {
-		distinct[v] = uint32(code)
+	if float64(plainBytes) < o.MinRatio*float64(forBytes) {
+		return NewPlainInts(vals)
 	}
-	c := &DictColumn{
-		typ:        storage.Int64,
-		ivals:      dict,
-		plainBytes: plainBytes,
-		dictBytes:  int64(len(dict)) * 8,
-	}
-	c.codes = packCodes(len(vals), dictWidth(len(dict)), o.Parallelism, func(i int) uint64 {
-		return uint64(distinct[vals[i]])
+	c := &ForColumn{ref: minV, span: span}
+	c.codes = packCodes(len(vals), forWidth, o.Parallelism, func(i int) uint64 {
+		return uint64(vals[i]) - uint64(minV)
 	})
 	return c
 }
@@ -431,8 +438,14 @@ type TableStats struct {
 	PlainBytes   int64         `json:"plain_bytes"`
 	ZoneBytes    int64         `json:"zone_bytes"`
 	SketchBytes  int64         `json:"sketch_bytes"`
-	RunBytes     int64         `json:"run_bytes"` // the whole directory, run starts included
+	RunBytes     int64         `json:"run_bytes"` // the whole directory, run starts and grid included
 	Ratio        float64       `json:"ratio"`
+
+	// RunsDecided counts the runs histogram statements decided one by one
+	// from their bounds; GridStatements the statements whose interior the
+	// directory's cell grid counted instead (see Grid).
+	RunsDecided    int64 `json:"runs_decided,omitempty"`
+	GridStatements int64 `json:"grid_statements,omitempty"`
 }
 
 // StatsOf reports the byte footprint and the zone, sketch and run
@@ -446,6 +459,7 @@ func StatsOf(t *storage.Table) TableStats {
 	runs := RunsOf(t)
 	if runs != nil {
 		st.RunBytes = runs.bytes()
+		st.RunsDecided, st.GridStatements = runs.decided.Load(), runs.gridded.Load()
 	}
 	for i, col := range t.Columns {
 		enc, ok := peekView(col)
@@ -501,11 +515,4 @@ func StatsOf(t *storage.Table) TableStats {
 		st.Ratio = float64(st.PlainBytes) / float64(st.EncodedBytes)
 	}
 	return st
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

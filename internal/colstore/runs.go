@@ -22,6 +22,9 @@ import (
 type Runs struct {
 	starts []int        // len R+1: run k is rows [starts[k], starts[k+1])
 	cols   []*RunBounds // per table column; nil for TEXT
+	grid   *Grid        // the runs on their layout's cell grid, if attached
+
+	decided, gridded atomic.Int64
 }
 
 // RunBounds is one column's bounds in a directory, and what histogram
@@ -83,10 +86,19 @@ func (r *Runs) Starts() []int { return r.starts }
 // Column returns the bounds of table column c, nil for a TEXT column.
 func (r *Runs) Column(c int) *RunBounds { return r.cols[c] }
 
-// bytes is the directory's resident footprint: the run starts and every
-// column's bounds.
+// Record counts runs a histogram statement decided one by one.
+func (r *Runs) Record(decided int64) { r.decided.Add(decided) }
+
+// RecordGrid counts a statement whose interior the grid counted.
+func (r *Runs) RecordGrid() { r.gridded.Add(1) }
+
+// bytes is the directory's resident footprint: the run starts, every
+// column's bounds and the grid.
 func (r *Runs) bytes() int64 {
 	b := int64(len(r.starts)) * 8
+	if r.grid != nil {
+		b += r.grid.bytes()
+	}
 	for _, c := range r.cols {
 		if c != nil {
 			b += c.bytes()

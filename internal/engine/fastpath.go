@@ -54,6 +54,111 @@ type histQuery struct {
 	// column's first. Each predicate carries its own column's.
 	runs    *colstore.Runs
 	runCols []*colstore.RunBounds
+
+	// When the directory's grid counted the statement's interior
+	// (planCells): the runs left to decide one by one, ascending.
+	// Otherwise the decision loop walks every run.
+	shell   []int32
+	onShell bool
+}
+
+// run returns the i-th run the decision loop walks.
+func (q *histQuery) run(i int) int {
+	if q.onShell {
+		return int(q.shell[i])
+	}
+	return i
+}
+
+// planCells counts the statement's interior from the directory's cell
+// grid (colstore.Grid) into acc, and leaves the decision loop only the
+// shell. Every slab of every grid dimension is decided once, from its
+// bounds: excluded when the dimension's predicate is disjoint from them;
+// inside when the predicate contains them or the dimension has none and,
+// on the bin column's dimension, both ends round to one dense slot
+// (denseSlot); shell otherwise — NaN bounds fail every comparison. The
+// interior, the runs inside on every dimension, is one box count per
+// inside bin slab over the other dimensions' inside slabs. The runs in an
+// excluded slab are counted skipped without a visit, the interior's
+// summed. A table without a grid, a predicate or a bin column off it, or
+// a dimension whose inside slabs are not one interval leaves the walk
+// over every run as it was.
+func (q *histQuery) planCells(acc *histAcc) {
+	if q.runs == nil || q.runs.Grid() == nil {
+		return
+	}
+	g := q.runs.Grid()
+	d := g.Dims()
+	target := g.DimOf(slices.Index(q.table.Columns, q.bin.col))
+	if target < 0 {
+		return
+	}
+	preds := make([]*rangePred, d)
+	for i := range q.preds {
+		p := &q.preds[i]
+		j := g.DimOf(slices.Index(q.table.Columns, p.col))
+		if j < 0 {
+			return
+		}
+		preds[j] = p
+	}
+	slabs := 0
+	for j := range d {
+		slabs += g.Slabs(j)
+	}
+	state, flat := make([][]colstore.SlabState, d), make([]colstore.SlabState, slabs)
+	slots := make([]int, g.Slabs(target))
+	box := make([]int, 2*d)
+	lo, hi := box[:d], box[d:]
+	for j := range state {
+		state[j], flat = flat[:g.Slabs(j)], flat[g.Slabs(j):]
+		lo[j], hi[j] = len(state[j]), -1
+		for c := range state[j] {
+			vmin, vmax, ok := g.Slab(j, c)
+			s := colstore.SlabInside
+			if p := preds[j]; !ok || p != nil && (vmax < p.lo || vmin > p.hi) {
+				s = colstore.SlabExcluded // an empty slab holds no run
+			} else if p != nil && !(vmin >= p.lo && vmax <= p.hi) {
+				s = colstore.SlabShell
+			}
+			if j == target && s == colstore.SlabInside {
+				if slots[c], ok = q.denseSlot(vmin, vmax); !ok {
+					s = colstore.SlabShell
+				}
+			}
+			if state[j][c] = s; s == colstore.SlabInside {
+				lo[j], hi[j] = min(lo[j], c), c
+			}
+		}
+	}
+	for j := range state {
+		if j == target {
+			continue
+		}
+		for c := lo[j]; c <= hi[j]; c++ {
+			if _, _, ok := g.Slab(j, c); ok && state[j][c] != colstore.SlabInside {
+				return
+			}
+		}
+	}
+	var interior int64
+	for c, s := range state[target] {
+		if s != colstore.SlabInside {
+			continue
+		}
+		lo[target], hi[target] = c, c
+		rows, runs := g.Count(lo, hi)
+		if rows > 0 {
+			acc.add(slots[c], rows)
+		}
+		interior += runs
+	}
+	q.shell, q.onShell = g.Shell(state, nil), true
+	excluded := int64(q.runs.Len()) - interior - int64(len(q.shell))
+	for _, c := range q.runCols {
+		c.Record(excluded, interior, 0)
+	}
+	q.runs.RecordGrid()
 }
 
 // denseSlot returns the dense-window slot shared by every value in
@@ -405,6 +510,7 @@ func (e *Engine) runHistogram(ctx context.Context, q *histQuery, stats *ExecStat
 
 	accs := e.getHistAccs(n, e.parallelWorkers(n))
 	defer e.putHistAccs(accs)
+	q.planCells(accs[0])
 	acc, err := countHistogram(ctx, q, n, accs)
 	if err != nil {
 		return nil, ctxErr(err)

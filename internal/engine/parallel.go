@@ -253,9 +253,10 @@ func countHistogram(ctx context.Context, q *histQuery, n int, accs []*histAcc) (
 }
 
 // countHistogramRange bins the rows of [lo, hi) that pass the range
-// predicates into acc, run by run through the table's cell-run directory.
-// Each run, clipped to [lo, hi), is decided from its exact per-column
-// bounds against the statement's own ranges and affine bin:
+// predicates into acc, run by run through the table's cell-run directory:
+// every run, or only the shell when the grid has counted the rest
+// (planCells). Each run, clipped to [lo, hi), is decided from its exact
+// per-column bounds against the statement's own ranges and affine bin:
 //
 //   - skipped when some predicate's range is disjoint from the run's bounds;
 //   - summed whole — its length added to one slot — when every predicate
@@ -279,13 +280,17 @@ func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
 		return
 	}
 	starts := q.runs.Starts()
-	runs := len(starts) - 1
-	k := sort.Search(runs, func(k int) bool { return starts[k+1] > lo })
+	walk := len(starts) - 1
+	if q.onShell {
+		walk = len(q.shell)
+	}
+	i := sort.Search(walk, func(i int) bool { return starts[q.run(i)+1] > lo })
 	var skipped, summed, scanned int64
 	spanLo, spanHi := 0, 0 // the pending countRows span
 	var spanInside uint64
 	spanSlot := -1
-	for ; k < runs && starts[k] < hi; k++ {
+	for ; i < walk && starts[q.run(i)] < hi; i++ {
+		k := q.run(i)
 		s, e := max(starts[k], lo), min(starts[k+1], hi)
 		var inside uint64 // bit j: predicate j contains the run
 		cut, skip := false, false
@@ -333,6 +338,7 @@ func countHistogramRange(q *histQuery, acc *histAcc, lo, hi int) {
 	for _, c := range q.runCols {
 		c.Record(skipped, summed, scanned)
 	}
+	q.runs.Record(skipped + summed + scanned)
 }
 
 // countRows applies the predicates not flagged in inside (bit j set:

@@ -1,6 +1,7 @@
 // Package oracle holds reference answers that share no code with what they
 // check: plain row-at-a-time loops over storage.Column values, with the
-// binning rule written out here rather than called from datacube. Serving,
+// binning rules written out here (DESIGN.md, "Binning rules") rather than
+// called from datacube or the engine. Serving,
 // shard and planner tests compare their answers with these, so a bug in a
 // production structure cannot cancel against itself.
 //
@@ -10,6 +11,9 @@
 package oracle
 
 import (
+	"math"
+	"sort"
+
 	"repro/internal/datacube"
 	"repro/internal/storage"
 )
@@ -98,4 +102,58 @@ func BoxCount(lat, lng *storage.Column, latLo, latHi, lngLo, lngHi float64) int6
 		}
 	}
 	return count
+}
+
+// Histogram is the answer to the histogram statement opt.HistogramQuery
+// writes for (dims, ranges, target, bins), one row at a time:
+//
+//	SELECT ROUND((t - Lo) / step), COUNT(*) FROM tbl
+//	WHERE d₀ >= ranges[0][0] AND d₀ <= ranges[0][1] AND …
+//	GROUP BY … ORDER BY …
+//
+// with t = dims[target].Name, Lo = dims[target].Lo and step =
+// (dims[target].Hi − Lo)/bins; the dims' own Bins are not read. A row
+// passes when every dim's value v has lo ≤ v ≤ hi (NaN never does). Its
+// bin is the statement's ROUND rule: the expression reduces to a·v + b
+// with a = 1/step and b = −Lo/step, and the bin is that value rounded to
+// the nearest integer, halves away from zero, converted to int as Go
+// converts a float. The rows come back as (bin, count) pairs in ascending
+// bin order, empty bins omitted.
+func Histogram(tbl *storage.Table, dims []datacube.Dim, ranges [][2]float64, target, bins int) [][2]int64 {
+	cols := make([]*storage.Column, len(dims))
+	for i, d := range dims {
+		cols[i] = tbl.Column(d.Name)
+	}
+	step := (dims[target].Hi - dims[target].Lo) / float64(bins)
+	a, b := 1/step, -dims[target].Lo/step
+	counts := map[int64]int64{}
+	for row := 0; row < tbl.NumRows(); row++ {
+		pass := true
+		for i, col := range cols {
+			if v := col.Float(row); !(v >= ranges[i][0] && v <= ranges[i][1]) {
+				pass = false
+				break
+			}
+		}
+		if pass {
+			counts[int64(roundHalfAway(a*cols[target].Float(row)+b))]++
+		}
+	}
+	out := make([][2]int64, 0, len(counts))
+	for bin, c := range counts {
+		out = append(out, [2]int64{bin, c})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// roundHalfAway rounds f to the nearest integer, halves away from zero:
+// the integer part, plus one step away from zero when the fraction left
+// (exact in float64) is a half or more. NaN and ±Inf come back as they are.
+func roundHalfAway(f float64) float64 {
+	t := math.Trunc(f)
+	if math.Abs(f-t) >= 0.5 {
+		t += math.Copysign(1, f)
+	}
+	return t
 }

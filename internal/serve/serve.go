@@ -487,6 +487,8 @@ func (s *Server) storeStats() *colstore.TableStats {
 		st.ZoneBytes += ps.ZoneBytes
 		st.SketchBytes += ps.SketchBytes
 		st.RunBytes += ps.RunBytes
+		st.RunsDecided += ps.RunsDecided
+		st.GridStatements += ps.GridStatements
 		for _, sc := range ps.Columns {
 			i := slices.IndexFunc(st.Columns, func(c colstore.ColumnStats) bool { return c.Name == sc.Name })
 			if i < 0 {

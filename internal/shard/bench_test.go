@@ -114,6 +114,7 @@ func BenchmarkReplicaHistogram(b *testing.B) {
 		stmts[i] = stmt.String()
 	}
 	ctx := context.Background()
+	decided, kernelRows := replicaCounts(coord)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := coord.QueryHistogram(ctx, stmts[i%len(stmts)]); err != nil {
@@ -121,4 +122,21 @@ func BenchmarkReplicaHistogram(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/stmt")
+	d, k := replicaCounts(coord)
+	b.ReportMetric(float64(d-decided)/float64(b.N), "decisions/stmt")
+	b.ReportMetric(float64(k-kernelRows)/float64(b.N), "kernel-rows/stmt")
+}
+
+// replicaCounts sums over coord's partitions the runs histogram statements
+// decided one by one, and the rows of the 64-row words the range kernels
+// were handed (zone words skipped, filled or evaluated, times 64).
+func replicaCounts(coord *Coordinator) (decided, kernelRows int64) {
+	for i := range coord.NumShards() {
+		st := colstore.StatsOf(coord.Replica(i).Table)
+		decided += st.RunsDecided
+		for _, c := range st.Columns {
+			kernelRows += 64 * (c.ZoneWordsSkipped + c.ZoneWordsFilled + c.ZoneWordsEvaluated)
+		}
+	}
+	return decided, kernelRows
 }

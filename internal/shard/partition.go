@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/colstore"
 	"repro/internal/datacube"
@@ -35,7 +36,14 @@ func Partition(t *storage.Table, dims []datacube.Dim, shards int) ([]*storage.Ta
 	if err != nil {
 		return nil, err
 	}
+	sizes := make([]int, shards)
+	for _, s := range assign {
+		sizes[s]++
+	}
 	owned := make([][]int, shards)
+	for s, n := range sizes {
+		owned[s] = make([]int, 0, n)
+	}
 	for row, s := range assign {
 		owned[s] = append(owned[s], row)
 	}
@@ -72,22 +80,22 @@ func PartitionOne(t *storage.Table, dims []datacube.Dim, shards, index int) (*st
 // partition (a router child's snapshot) records it, so a partition laid out
 // by another version is rebuilt rather than served in a stale order. Change
 // it whenever layout's order changes.
-const Layout = "zorder-bins-v1"
+const Layout = "zorder-cells-v2"
 
 // layout orders one shard's rows (ascending table rows, as assignRows
-// hands them out) by a Morton key over dims, ties broken by table row. Each
-// of the k dimensions owns share = 64/k key bits and contributes
+// hands them out) by a Morton key over dims' layout cells, ties broken by
+// table row. Dimension d's cell is
 //
-//	q = clamp(⌊((v − Lo)/(Hi − Lo)·Bins + ½)·2^(share − binBits)⌋)
+//	clamp(⌊(v − Lo)/(Hi − Lo)·Bins + ½⌋, 0, Bins)
 //
-// where binBits holds the bin indexes 0…Bins. The bin index of the
-// histogram fast path's ROUND((v − Lo)/step) sits in q's high bits, so the
-// curve's cell edges are exactly that query's bin edges and every bin cell
-// is one contiguous run of the curve; the low sub-bin bits keep the curve
-// local inside a cell. (With more bin bits than share, the low bin bits
-// are dropped instead.) NaN sorts as the domain's low edge, ±Inf and
+// — the bin index of the histogram fast path's ROUND((v − Lo)/step) — so
+// every cell is one contiguous run of the curve, and inside a cell the
+// rows keep table order. (When the bin index needs more bits than the
+// dimension's share of the 64-bit key, its low bits are dropped and a cell
+// is a run of bins.) NaN sorts as the domain's low edge, ±Inf and
 // out-of-domain values clamp to its edges, and a dimension with Hi ≤ Lo
-// contributes nothing.
+// contributes nothing. The keys hold only cell bits — 15 of them for three
+// 20-bin dimensions — so the radix sort runs two byte passes, not eight.
 func layout(t *storage.Table, dims []datacube.Dim, rows []int) []int {
 	k := len(dims)
 	spread := spreadTable(k)
@@ -96,34 +104,34 @@ func layout(t *storage.Table, dims []datacube.Dim, rows []int) []int {
 		if d.Hi <= d.Lo {
 			continue
 		}
-		col, q := t.Column(d.Name), newQuantizer(d, 64/k)
+		vals, q := floatsOf(t.Column(d.Name)), newQuantizer(d, 64/k)
 		for j, row := range rows {
-			keys[j] |= spreadBits(spread, q.key(col.Float(row)), k) << i
+			keys[j] |= spreadBits(spread, q.key(vals[row]), k) << i
 		}
 	}
 	return radixSortByKey(keys, rows)
 }
 
-// quantizer computes one dimension's share of layout's key.
+// quantizer computes one dimension's layout cell.
 type quantizer struct {
 	lo, scale, half float64
-	top             uint64 // the largest share-bit value
-	cell            uint   // low sub-bin bits: key >> cell is the bin cell
+	top             uint64 // the last cell
 }
 
+// newQuantizer returns d's quantizer for a key share of share bits: the
+// ROUND bin, shifted right by the bits it needs past share.
 func newQuantizer(d datacube.Dim, share int) quantizer {
-	sub := share - bits.Len(uint(d.Bins))
+	drop := max(bits.Len(uint(d.Bins))-share, 0)
 	return quantizer{
 		lo:    d.Lo,
-		scale: math.Ldexp(float64(d.Bins)/(d.Hi-d.Lo), sub),
-		half:  math.Ldexp(0.5, sub),
-		top:   ^uint64(0) >> (64 - share),
-		cell:  uint(max(sub, 0)),
+		scale: math.Ldexp(float64(d.Bins)/(d.Hi-d.Lo), -drop),
+		half:  math.Ldexp(0.5, -drop),
+		top:   uint64(d.Bins) >> drop,
 	}
 }
 
-// key is q for value v: NaN and values below the domain are 0, values
-// at or past the top clamp to it.
+// key is v's cell: NaN and values below the domain are 0, values at or
+// past the last cell clamp to it.
 func (q quantizer) key(v float64) uint64 {
 	f := (v-q.lo)*q.scale + q.half
 	switch {
@@ -135,8 +143,25 @@ func (q quantizer) key(v float64) uint64 {
 	return uint64(int64(f)) // exact: 0 <= f < top < 2^63, and cheaper than uint64(f)
 }
 
+// floatsOf returns col's float64 image as a slice: the column's own raw
+// slice when it has one (an unfrozen FLOAT column, or a frozen plain
+// passthrough), otherwise a copy decoded through Column.Float.
+func floatsOf(col *storage.Column) []float64 {
+	if vals, ok := colstore.FloatSliceOf(col); ok {
+		return vals
+	}
+	if col.Enc == nil && col.Type == storage.Float64 {
+		return col.Floats
+	}
+	vals := make([]float64, col.Len())
+	for row := range vals {
+		vals[row] = col.Float(row)
+	}
+	return vals
+}
+
 // cellStarts returns the first row of every maximal run of t's rows that
-// share one layout cell — the same bin, by layout's own arithmetic, on
+// share one layout cell — the same cell, by layout's own arithmetic, on
 // every dim — in t's order. Over a partition layout ordered, the runs are
 // exactly its non-empty cells; over a table in any other order they are
 // as short as its rows are unclustered.
@@ -147,20 +172,9 @@ func cellStarts(t *storage.Table, dims []datacube.Dim) []int {
 		if d.Hi <= d.Lo {
 			continue
 		}
-		col, q := t.Column(d.Name), newQuantizer(d, 64/len(dims))
-		vals, ok := colstore.FloatSliceOf(col)
-		if !ok && col.Enc == nil && col.Type == storage.Float64 {
-			vals, ok = col.Floats, true
-		}
-		if !ok {
-			vals = make([]float64, n)
-			for row := range vals {
-				vals[row] = col.Float(row)
-			}
-		}
-		prev := uint64(0)
-		for row, v := range vals {
-			c := q.key(v) >> q.cell
+		q, prev := newQuantizer(d, 64/len(dims)), uint64(0)
+		for row, v := range floatsOf(t.Column(d.Name)) {
+			c := q.key(v)
 			edge[row] = edge[row] || c != prev
 			prev = c
 		}
@@ -172,6 +186,28 @@ func cellStarts(t *storage.Table, dims []datacube.Dim) []int {
 		}
 	}
 	return starts
+}
+
+// placeRuns puts each run of t's directory on the grid of dims' layout
+// cells, reading its cell from its first row (cellStarts made every run
+// one cell), and attaches the grid. A dimension with Hi ≤ Lo is one cell.
+func placeRuns(t *storage.Table, dims []datacube.Dim, runs *colstore.Runs) {
+	starts := runs.Starts()
+	cols, sizes := make([]int, len(dims)), make([]int, len(dims))
+	cells := make([]int32, runs.Len()*len(dims))
+	for j, d := range dims {
+		col := t.Column(d.Name)
+		cols[j], sizes[j] = slices.Index(t.Columns, col), 1
+		if d.Hi <= d.Lo {
+			continue
+		}
+		q := newQuantizer(d, 64/len(dims))
+		sizes[j] = int(q.top) + 1
+		for k := range runs.Len() {
+			cells[k*len(dims)+j] = int32(q.key(col.Float(starts[k])))
+		}
+	}
+	runs.AttachGrid(cols, sizes, cells)
 }
 
 // spreadTable returns, for each byte value, its 8 bits moved to every
@@ -202,14 +238,19 @@ func spreadBits(tab *[256]uint64, q uint64, stride int) uint64 {
 
 // radixSortByKey returns rows reordered by ascending keys (rows[i] carries
 // keys[i]) with a stable LSD radix sort, one byte per pass — so equal keys
-// keep rows' order. A pass whose byte is the same for every key is skipped.
-// Both slices are used as scratch.
+// keep rows' order. Only the bytes some key sets are counted, and a pass
+// whose byte is the same for every key is skipped. Both slices are used as
+// scratch.
 func radixSortByKey(keys []uint64, rows []int) []int {
 	n := len(keys)
 	if n == 0 {
 		return rows
 	}
-	var counts [8][256]int
+	var set uint64
+	for _, key := range keys {
+		set |= key
+	}
+	counts := make([][256]int, (bits.Len64(set)+7)/8)
 	for _, key := range keys {
 		for p := range counts {
 			counts[p][byte(key>>(8*p))]++
@@ -250,19 +291,19 @@ func assignRows(t *storage.Table, dims []datacube.Dim, shards int) ([]int, error
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("shard: no partitioning dimensions")
 	}
-	cols := make([]*storage.Column, len(dims))
+	cols := make([][]float64, len(dims))
 	for i, d := range dims {
 		col := t.Column(d.Name)
 		if col == nil || col.Type == storage.String {
 			return nil, fmt.Errorf("shard: no numeric column %q in table %q", d.Name, t.Name)
 		}
-		cols[i] = col
+		cols[i] = floatsOf(col)
 	}
 	assign := make([]int, t.NumRows())
 	for row := range assign {
 		h := uint64(0x9e3779b97f4a7c15)
-		for _, col := range cols {
-			h = splitmix64(h ^ math.Float64bits(col.Float(row)))
+		for _, vals := range cols {
+			h = splitmix64(h ^ math.Float64bits(vals[row]))
 		}
 		assign[row] = int(h % uint64(shards))
 	}

@@ -63,14 +63,15 @@ func requireSameRows(t *testing.T, a, b *storage.Table) {
 
 // TestPartitionsKeepRoadRowsClustered guards the input property the zone
 // maps live on: each partition lays its rows out along a Z-order curve over
-// the histogram-bin cells, so most 64-row words sit wholly inside or
-// outside a brush-sized range, and most lie inside one ROUND bin of the
-// histogram fast path. At the benchmark's size and split, a predicate
-// keeping the middle 40% of a dimension's domain must leave fewer than 20%
-// of the words to the row kernel (measured 5–12%; table order left
-// 32–36%), and at least 60% of each dimension's words must fall inside one
-// bin (measured 0.66/0.74/0.83; table order 0.44/0.42/0.13). A layout change that loses
-// the bin alignment fails here, not as a silent slowdown of scan_shards.
+// the histogram-bin cells, in table order inside a cell, so most 64-row
+// words sit wholly inside or outside a brush-sized range, and most lie
+// inside one ROUND bin of the histogram fast path. At the benchmark's size
+// and split, a predicate keeping the middle 40% of a dimension's domain
+// must leave fewer than 20% of the words to the row kernel (measured
+// 8–12%; table order left 32–36%), and at least 60% of each
+// dimension's words must fall inside one bin (measured 0.66/0.74/0.83;
+// table order 0.44/0.42/0.13). A layout change that loses the bin
+// alignment fails here, not as a silent slowdown of scan_shards.
 func TestPartitionsKeepRoadRowsClustered(t *testing.T) {
 	roads := dataset.Roads(1, 500000)
 	dims := roadDims()
@@ -245,7 +246,7 @@ func TestReplicaRunsOnlyWhereRowsCluster(t *testing.T) {
 		var c [3]uint64
 		for i, d := range dims {
 			q := newQuantizer(d, 64/len(dims))
-			c[i] = q.key(parts[0].Column(d.Name).Float(row)) >> q.cell
+			c[i] = q.key(parts[0].Column(d.Name).Float(row))
 		}
 		cells[c] = true
 	}

@@ -40,9 +40,9 @@ type Answer struct {
 // NewReplica builds shard id's serving state over its partition, in the one
 // order every transport uses: freeze when encoding, the cell-run directory
 // over dims' layout cells (kept only where part's rows cluster by cell, as
-// a laid-out partition's do), the prefix cube over dims — the GLOBAL
-// domains, never the partition's own min/max, or bin edges would not agree
-// across shards — then the engine. A non-nil prefix is a grid already
+// a laid-out partition's do) with its runs placed on the cell grid, the
+// prefix cube over dims — the GLOBAL domains, never the partition's own
+// min/max, or bin edges would not agree across shards — then the engine. A non-nil prefix is a grid already
 // integrated over part (a warm start's mapped snapshot) and is adopted
 // instead of counted again.
 func NewReplica(id int, part *storage.Table, dims []datacube.Dim, prefix *datacube.PrefixCube, opts Options) (*Replica, error) {
@@ -53,7 +53,9 @@ func NewReplica(id int, part *storage.Table, dims []datacube.Dim, prefix *datacu
 			return nil, fmt.Errorf("shard %d: freeze: %w", id, err)
 		}
 	}
-	colstore.AttachRuns(part, cellStarts(part, dims))
+	if runs := colstore.AttachRuns(part, cellStarts(part, dims)); runs != nil {
+		placeRuns(part, dims, runs)
+	}
 	if prefix == nil {
 		if prefix, err = datacube.BuildPrefix(part, dims, opts.Parallelism); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", id, err)
