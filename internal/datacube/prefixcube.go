@@ -204,7 +204,7 @@ func NewHistograms(dims []Dim) [][]int64 {
 // under filters into hists (NewHistograms-shaped) plus the filtered count —
 // O(bins·2^(d-1)) lookups per histogram. Answers over disjoint partitions
 // merge by element-wise addition, which is what lets the local server, the
-// shard pools and the router children all answer with this one call.
+// coordinator's shard legs and the router children all answer with this one call.
 func (p *PrefixCube) BrushInto(filters []*Range, hists [][]int64) (int64, error) {
 	if len(hists) != len(p.dims) {
 		return 0, fmt.Errorf("datacube: %d histograms for %d dimensions", len(hists), len(p.dims))

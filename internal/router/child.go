@@ -14,7 +14,7 @@
 // Children are stateless: each one deterministically rebuilds the full
 // dataset from (dataset, seed, rows), partitions it exactly as
 // shard.Partition does, keeps only its own partition as a shard.Replica —
-// the same value an in-process shard worker holds — and serves its raw
+// what an in-process coordinator holds per shard — and serves its raw
 // unscaled answers (brush histograms, SQL histogram rows) over the binary
 // frame data plane of frame.go, on a listener of its own beside the HTTP
 // control plane (/readyz, /healthz, /chaosctl). Statelessness is what

@@ -153,8 +153,9 @@ const (
 
 // Gatherer is the scatter contract: fan one request out to every partition,
 // collect their raw answers, and report coverage. *shard.Coordinator
-// implements it with in-process goroutine pools, router.Fleet across child
-// processes; the ladder, coalescing and metrics are the same over either.
+// implements it in process — shard 0's leg on the calling serve worker, one
+// goroutine per further shard — router.Fleet across child processes; the
+// ladder, coalescing and metrics are the same over either.
 type Gatherer interface {
 	// ScatterBrush scatters one brush snapshot. The session token lets
 	// process-level implementations route with per-session affinity; a ctx
@@ -165,8 +166,9 @@ type Gatherer interface {
 	// records they own. The bool is false for any other statement — it has
 	// no merge law and needs an unsharded table.
 	QueryHistogram(ctx context.Context, query string) (*engine.Result, float64, bool, error)
-	// Close releases the gatherer's resources (worker pools, child
-	// processes). Called once, from Drain.
+	// Close releases the gatherer's resources (child processes; the
+	// in-process coordinator only refuses later scatters). Called once,
+	// from Drain.
 	Close()
 }
 
@@ -407,7 +409,7 @@ func New(b Backends, cfg Config) (*Server, error) {
 		// engine, its prefix integrated from the dense cube — not NewReplica,
 		// whose cell-run pass finds too many runs in table order to keep.
 		rep := &shard.Replica{Table: b.Tiles, Engine: b.Engine, Prefix: datacube.NewPrefix(b.Cube)}
-		s.coord = shard.Start([]*shard.Replica{rep}, s.cubeDims, shard.Options{Workers: cfg.Workers})
+		s.coord = shard.Start([]*shard.Replica{rep}, s.cubeDims, shard.Options{})
 		if cfg.Planner {
 			pl, err := planner.New(b.Tiles, b.Cube, s.cubeDims, planner.Config{
 				HotStreak: cfg.PlannerHotStreak,
@@ -556,8 +558,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		// The worker pool is gone, so no scatter can be in flight: the
-		// shard pools can drain too, and the planner's background builds
-		// can be waited out (no brush will ever trigger a new one).
+		// gatherer can be closed, and the planner's background builds can
+		// be waited out (no brush will ever trigger a new one).
 		if s.coord != nil {
 			s.coord.Close()
 		}
@@ -991,8 +993,8 @@ func (s *Server) faultGate(ctx context.Context) error {
 // fraction of all records they own. The planner answers on the calling
 // goroutine — its session template's index if built, else the S = 1
 // replica's prefix cube, bit-identical either way — and covers everything.
-// Every other server scatters through coord (in-process partition pools, one
-// replica at S = 1, or the process router's children) and merges by
+// Every other server scatters through coord (in-process partition legs, one
+// replica answered inline at S = 1, or the process router's children) and merges by
 // addition; a shard that misses ctx's deadline or fails lowers the covered
 // fraction. stamp marks stage transitions on every rider's trace. An error
 // means no partition answered.

@@ -120,80 +120,85 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 // with one of four shards wedged and deadlines on, a brush comes back 200
 // within the budget as a Degraded partial whose SampleFraction is exactly
 // the covered shards' record share, with the request's own applied_seq
-// preserved.
+// preserved. Shard 0 and shard 2 each take a turn as the wedged one: shard
+// 0's leg runs on the serving worker itself, so its stall ends the gather
+// with the other legs' answers already waiting, and they must still count.
 func TestShardedBrushDegradesOnStalledShard(t *testing.T) {
-	leakcheck.Check(t)
-	const stalled = 2
-	faults := make([]*fault.Injector, 4)
-	faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
-	srv, ts := shardTestServer(t, 8000, Config{
-		Workers:        2,
-		Shards:         4,
-		ShardFaults:    faults,
-		Deadlines:      true,
-		DegradeAfter:   80 * time.Millisecond,
-		BrushCacheSize: -1, // force the partial tier; the cache tier would win
-	})
+	for _, stalled := range []int{0, 2} {
+		t.Run(fmt.Sprintf("stalled=%d", stalled), func(t *testing.T) {
+			leakcheck.Check(t)
+			faults := make([]*fault.Injector, 4)
+			faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
+			srv, ts := shardTestServer(t, 8000, Config{
+				Workers:        2,
+				Shards:         4,
+				ShardFaults:    faults,
+				Deadlines:      true,
+				DegradeAfter:   80 * time.Millisecond,
+				BrushCacheSize: -1, // force the partial tier; the cache tier would win
+			})
 
-	coord := srv.coord.(*shard.Coordinator)
-	wantFrac := float64(0)
-	for i := 0; i < coord.NumShards(); i++ {
-		if i != stalled {
-			wantFrac += float64(coord.Replica(i).Table.NumRows())
-		}
-	}
-	wantFrac /= float64(coord.Records())
+			coord := srv.coord.(*shard.Coordinator)
+			wantFrac := float64(0)
+			for i := 0; i < coord.NumShards(); i++ {
+				if i != stalled {
+					wantFrac += float64(coord.Replica(i).Table.NumRows())
+				}
+			}
+			wantFrac /= float64(coord.Records())
 
-	req := BrushRequest{Session: "chaos", Seq: 5, Ranges: make([]*[2]float64, 3)}
-	start := time.Now()
-	st, body := postJSON(t, ts.URL+"/v1/brush", req)
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("brush took %v with a wedged shard", el)
-	}
-	if st.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", st.StatusCode, body)
-	}
-	var resp BrushResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded || resp.Tier != "partial" {
-		t.Fatalf("tier %q degraded=%v, want a degraded partial", resp.Tier, resp.Degraded)
-	}
-	if resp.SampleFraction != wantFrac {
-		t.Fatalf("sample fraction %g, want %g", resp.SampleFraction, wantFrac)
-	}
-	if resp.AppliedSeq != 5 {
-		t.Fatalf("applied seq %d, want 5", resp.AppliedSeq)
-	}
-	// The scaled total estimates the full dataset from the covered share.
-	if resp.Total <= 0 {
-		t.Fatalf("partial total %d", resp.Total)
-	}
-	if st := srv.Stats(); st.Degraded == 0 || st.Deadlines == 0 {
-		t.Fatalf("registry degraded=%d deadlines=%d, want both > 0", st.Degraded, st.Deadlines)
-	}
+			req := BrushRequest{Session: "chaos", Seq: 5, Ranges: make([]*[2]float64, 3)}
+			start := time.Now()
+			st, body := postJSON(t, ts.URL+"/v1/brush", req)
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("brush took %v with a wedged shard", el)
+			}
+			if st.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", st.StatusCode, body)
+			}
+			var resp BrushResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Degraded || resp.Tier != "partial" {
+				t.Fatalf("tier %q degraded=%v, want a degraded partial", resp.Tier, resp.Degraded)
+			}
+			if resp.SampleFraction != wantFrac {
+				t.Fatalf("sample fraction %g, want %g", resp.SampleFraction, wantFrac)
+			}
+			if resp.AppliedSeq != 5 {
+				t.Fatalf("applied seq %d, want 5", resp.AppliedSeq)
+			}
+			// The scaled total estimates the full dataset from the covered share.
+			if resp.Total <= 0 {
+				t.Fatalf("partial total %d", resp.Total)
+			}
+			if st := srv.Stats(); st.Degraded == 0 || st.Deadlines == 0 {
+				t.Fatalf("registry degraded=%d deadlines=%d, want both > 0", st.Degraded, st.Deadlines)
+			}
 
-	// Heal the shard: the next brush is exact again and sequence order
-	// holds across the tier change.
-	faults[stalled].SetProfile(fault.Profile{})
-	req.Seq = 6
-	st, body = postJSON(t, ts.URL+"/v1/brush", req)
-	if st.StatusCode != http.StatusOK {
-		t.Fatalf("healed status %d: %s", st.StatusCode, body)
-	}
-	var healed BrushResponse
-	if err := json.Unmarshal(body, &healed); err != nil {
-		t.Fatal(err)
-	}
-	if healed.Degraded || healed.Tier != "exact" {
-		t.Fatalf("healed tier %q degraded=%v", healed.Tier, healed.Degraded)
-	}
-	if healed.AppliedSeq != 6 {
-		t.Fatalf("healed applied seq %d", healed.AppliedSeq)
-	}
-	if srv.Stats().Regressions != 0 {
-		t.Fatal("sequence regression across tier change")
+			// Heal the shard: the next brush is exact again and sequence order
+			// holds across the tier change.
+			faults[stalled].SetProfile(fault.Profile{})
+			req.Seq = 6
+			st, body = postJSON(t, ts.URL+"/v1/brush", req)
+			if st.StatusCode != http.StatusOK {
+				t.Fatalf("healed status %d: %s", st.StatusCode, body)
+			}
+			var healed BrushResponse
+			if err := json.Unmarshal(body, &healed); err != nil {
+				t.Fatal(err)
+			}
+			if healed.Degraded || healed.Tier != "exact" {
+				t.Fatalf("healed tier %q degraded=%v", healed.Tier, healed.Degraded)
+			}
+			if healed.AppliedSeq != 6 {
+				t.Fatalf("healed applied seq %d", healed.AppliedSeq)
+			}
+			if srv.Stats().Regressions != 0 {
+				t.Fatal("sequence regression across tier change")
+			}
+		})
 	}
 }
 
@@ -204,71 +209,74 @@ func TestShardedBrushDegradesOnStalledShard(t *testing.T) {
 // record share, counted as degraded and as a blown deadline; healed, it is
 // exact and its rows are the unsharded oracle's.
 func TestShardedQueryDegradesOnStalledShard(t *testing.T) {
-	leakcheck.Check(t)
-	const stalled = 2
-	const rows = 8000
-	faults := make([]*fault.Injector, 4)
-	faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
-	srv, ts := shardTestServer(t, rows, Config{
-		Workers:      2,
-		Shards:       4,
-		ShardFaults:  faults,
-		Deadlines:    true,
-		DegradeAfter: 80 * time.Millisecond,
-	})
-	_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+	for _, stalled := range []int{0, 2} {
+		t.Run(fmt.Sprintf("stalled=%d", stalled), func(t *testing.T) {
+			leakcheck.Check(t)
+			const rows = 8000
+			faults := make([]*fault.Injector, 4)
+			faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
+			srv, ts := shardTestServer(t, rows, Config{
+				Workers:      2,
+				Shards:       4,
+				ShardFaults:  faults,
+				Deadlines:    true,
+				DegradeAfter: 80 * time.Millisecond,
+			})
+			_, oracle := shardTestServer(t, rows, Config{Workers: 2})
 
-	coord := srv.coord.(*shard.Coordinator)
-	wantFrac := float64(0)
-	for i := 0; i < coord.NumShards(); i++ {
-		if i != stalled {
-			wantFrac += float64(coord.Replica(i).Table.NumRows())
-		}
-	}
-	wantFrac /= float64(coord.Records())
+			coord := srv.coord.(*shard.Coordinator)
+			wantFrac := float64(0)
+			for i := 0; i < coord.NumShards(); i++ {
+				if i != stalled {
+					wantFrac += float64(coord.Replica(i).Table.NumRows())
+				}
+			}
+			wantFrac /= float64(coord.Records())
 
-	req := QueryRequest{Session: "chaos", Seq: 5,
-		SQL: "SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 8.2 AND x <= 10.5 GROUP BY ROUND((y - 56) / 0.05) ORDER BY ROUND((y - 56) / 0.05)"}
-	query := func(url string) QueryResponse {
-		t.Helper()
-		st, body := postJSON(t, url+"/v1/query", req)
-		if st.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", st.StatusCode, body)
-		}
-		var resp QueryResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		resp.ModelMS = 0 // parallel partial scans are not one full scan
-		return resp
-	}
-	want := query(oracle.URL)
-	start := time.Now()
-	resp := query(ts.URL)
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("query took %v with a wedged shard", el)
-	}
-	if !resp.Degraded || resp.SampleFraction != wantFrac {
-		t.Fatalf("degraded=%v sample fraction %g, want a degraded partial covering %g", resp.Degraded, resp.SampleFraction, wantFrac)
-	}
-	if len(resp.Rows) == 0 || len(want.Rows) == 0 {
-		t.Fatalf("partial has %d bins, the oracle %d", len(resp.Rows), len(want.Rows))
-	}
-	if st := srv.Stats(); st.Degraded == 0 || st.Deadlines == 0 || st.Executed != 1 {
-		t.Fatalf("registry degraded=%d deadlines=%d executed=%d, want > 0, > 0 and 1", st.Degraded, st.Deadlines, st.Executed)
-	}
-	if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" {
-		t.Fatalf("trace carries no budget verdict: %+v", rec)
-	}
-	if srv.brk.isOpen(time.Now()) || srv.Stats().BreakerTrips != 0 {
-		t.Fatal("a served partial counted against the breaker")
-	}
+			req := QueryRequest{Session: "chaos", Seq: 5,
+				SQL: "SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 8.2 AND x <= 10.5 GROUP BY ROUND((y - 56) / 0.05) ORDER BY ROUND((y - 56) / 0.05)"}
+			query := func(url string) QueryResponse {
+				t.Helper()
+				st, body := postJSON(t, url+"/v1/query", req)
+				if st.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", st.StatusCode, body)
+				}
+				var resp QueryResponse
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatal(err)
+				}
+				resp.ModelMS = 0 // parallel partial scans are not one full scan
+				return resp
+			}
+			want := query(oracle.URL)
+			start := time.Now()
+			resp := query(ts.URL)
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("query took %v with a wedged shard", el)
+			}
+			if !resp.Degraded || resp.SampleFraction != wantFrac {
+				t.Fatalf("degraded=%v sample fraction %g, want a degraded partial covering %g", resp.Degraded, resp.SampleFraction, wantFrac)
+			}
+			if len(resp.Rows) == 0 || len(want.Rows) == 0 {
+				t.Fatalf("partial has %d bins, the oracle %d", len(resp.Rows), len(want.Rows))
+			}
+			if st := srv.Stats(); st.Degraded == 0 || st.Deadlines == 0 || st.Executed != 1 {
+				t.Fatalf("registry degraded=%d deadlines=%d executed=%d, want > 0, > 0 and 1", st.Degraded, st.Deadlines, st.Executed)
+			}
+			if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" {
+				t.Fatalf("trace carries no budget verdict: %+v", rec)
+			}
+			if srv.brk.isOpen(time.Now()) || srv.Stats().BreakerTrips != 0 {
+				t.Fatal("a served partial counted against the breaker")
+			}
 
-	// Heal the shard: the same statement is exact again, and byte-identical
-	// to the unsharded oracle.
-	faults[stalled].SetProfile(fault.Profile{})
-	if healed := query(ts.URL); !reflect.DeepEqual(healed, want) {
-		t.Fatalf("healed answer %+v, want the oracle's %+v", healed, want)
+			// Heal the shard: the same statement is exact again, and byte-identical
+			// to the unsharded oracle.
+			faults[stalled].SetProfile(fault.Profile{})
+			if healed := query(ts.URL); !reflect.DeepEqual(healed, want) {
+				t.Fatalf("healed answer %+v, want the oracle's %+v", healed, want)
+			}
+		})
 	}
 }
 
@@ -280,61 +288,64 @@ func TestShardedQueryDegradesOnStalledShard(t *testing.T) {
 // same tile is exact, byte-identical to the unsharded server's body, and
 // cached.
 func TestShardedTileDegradesOnStalledShard(t *testing.T) {
-	leakcheck.Check(t)
-	const stalled = 2
-	const rows = 8000
-	const key = "6/33/19" // inside the road bounds
-	faults := make([]*fault.Injector, 4)
-	faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
-	srv, ts := shardTestServer(t, rows, Config{
-		Workers:      2,
-		Shards:       4,
-		ShardFaults:  faults,
-		Deadlines:    true,
-		DegradeAfter: 80 * time.Millisecond,
-	})
-	_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+	for _, stalled := range []int{0, 2} {
+		t.Run(fmt.Sprintf("stalled=%d", stalled), func(t *testing.T) {
+			leakcheck.Check(t)
+			const rows = 8000
+			const key = "6/33/19" // inside the road bounds
+			faults := make([]*fault.Injector, 4)
+			faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
+			srv, ts := shardTestServer(t, rows, Config{
+				Workers:      2,
+				Shards:       4,
+				ShardFaults:  faults,
+				Deadlines:    true,
+				DegradeAfter: 80 * time.Millisecond,
+			})
+			_, oracle := shardTestServer(t, rows, Config{Workers: 2})
 
-	coord := srv.coord.(*shard.Coordinator)
-	wantFrac := float64(0)
-	for i := 0; i < coord.NumShards(); i++ {
-		if i != stalled {
-			wantFrac += float64(coord.Replica(i).Table.NumRows())
-		}
-	}
-	wantFrac /= float64(coord.Records())
-	cached := func() bool { return tileCached(srv, key) }
+			coord := srv.coord.(*shard.Coordinator)
+			wantFrac := float64(0)
+			for i := 0; i < coord.NumShards(); i++ {
+				if i != stalled {
+					wantFrac += float64(coord.Replica(i).Table.NumRows())
+				}
+			}
+			wantFrac /= float64(coord.Records())
+			cached := func() bool { return tileCached(srv, key) }
 
-	want, exact := getTile(t, oracle.URL, key)
-	if exact.Count == 0 {
-		t.Fatalf("tile %s holds no rows; pick one inside the road bounds", key)
-	}
-	start := time.Now()
-	_, partial := getTile(t, ts.URL, key)
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("tile took %v with a wedged shard", el)
-	}
-	if !partial.Degraded || partial.SampleFraction != wantFrac || partial.Count <= 0 {
-		t.Fatalf("tile %+v, want a degraded estimate covering %g", partial, wantFrac)
-	}
-	if cached() {
-		t.Fatal("a degraded count was cached")
-	}
-	if st := srv.Stats(); st.Degraded != 1 || st.Deadlines != 1 || st.TileCacheMiss != 1 {
-		t.Fatalf("registry degraded=%d deadlines=%d tile misses=%d, want 1 each", st.Degraded, st.Deadlines, st.TileCacheMiss)
-	}
-	if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" {
-		t.Fatalf("trace carries no budget verdict: %+v", rec)
-	}
+			want, exact := getTile(t, oracle.URL, key)
+			if exact.Count == 0 {
+				t.Fatalf("tile %s holds no rows; pick one inside the road bounds", key)
+			}
+			start := time.Now()
+			_, partial := getTile(t, ts.URL, key)
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("tile took %v with a wedged shard", el)
+			}
+			if !partial.Degraded || partial.SampleFraction != wantFrac || partial.Count <= 0 {
+				t.Fatalf("tile %+v, want a degraded estimate covering %g", partial, wantFrac)
+			}
+			if cached() {
+				t.Fatal("a degraded count was cached")
+			}
+			if st := srv.Stats(); st.Degraded != 1 || st.Deadlines != 1 || st.TileCacheMiss != 1 {
+				t.Fatalf("registry degraded=%d deadlines=%d tile misses=%d, want 1 each", st.Degraded, st.Deadlines, st.TileCacheMiss)
+			}
+			if rec := srv.reg.tracer.Recent(); len(rec) != 1 || rec[0].Tier != "partial" {
+				t.Fatalf("trace carries no budget verdict: %+v", rec)
+			}
 
-	faults[stalled].SetProfile(fault.Profile{})
-	for i := 0; i < 2; i++ { // a miss, then a hit from the cache
-		if got, _ := getTile(t, ts.URL, key); !bytes.Equal(got, want) {
-			t.Fatalf("healed fetch %d: %s, want the unsharded server's %s", i, got, want)
-		}
-	}
-	if st := srv.Stats(); !cached() || st.TileCacheHits != 1 || st.TileCacheMiss != 2 {
-		t.Fatalf("healed: cached=%v, tile hits %d misses %d, want true, 1, 2", cached(), st.TileCacheHits, st.TileCacheMiss)
+			faults[stalled].SetProfile(fault.Profile{})
+			for i := 0; i < 2; i++ { // a miss, then a hit from the cache
+				if got, _ := getTile(t, ts.URL, key); !bytes.Equal(got, want) {
+					t.Fatalf("healed fetch %d: %s, want the unsharded server's %s", i, got, want)
+				}
+			}
+			if st := srv.Stats(); !cached() || st.TileCacheHits != 1 || st.TileCacheMiss != 2 {
+				t.Fatalf("healed: cached=%v, tile hits %d misses %d, want true, 1, 2", cached(), st.TileCacheHits, st.TileCacheMiss)
+			}
+		})
 	}
 }
 

@@ -14,12 +14,14 @@ import (
 )
 
 // BenchmarkBrushScatter times one full scatter-gather brush merge against
-// the coordinator — the serving layer's exact-tier cost per shard count.
+// the coordinator — the serving layer's exact-tier cost per shard count —
+// with its allocations: one spawned leg per shard beyond the first.
 func BenchmarkBrushScatter(b *testing.B) {
 	roads := dataset.Roads(1, 30000)
 	dims := roadDims()
 	for _, s := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("S%d", s), func(b *testing.B) {
+			b.ReportAllocs()
 			coord, err := New(roads, dims, Options{Shards: s})
 			if err != nil {
 				b.Fatal(err)

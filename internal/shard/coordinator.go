@@ -4,30 +4,29 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/colstore"
 	"repro/internal/datacube"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/storage"
 )
 
 // Coordinator owns the shard replicas and scatter-gathers requests across
-// them. It is safe for concurrent use: scatters run under a read lock,
-// Close under the write lock, and each shard's pool serializes nothing
-// beyond its own task channel.
+// them. It holds no goroutines of its own: each scatter runs its legs on
+// the caller's goroutine and one new goroutine per further shard, so it is
+// safe for concurrent use and Close has nothing to wait for.
 type Coordinator struct {
-	workers []*worker
-	records int // total records across all partitions
-
-	mu     sync.RWMutex // guards task-channel sends against Close
-	closed atomic.Bool
-	wg     sync.WaitGroup
+	reps    []*Replica
+	dims    []datacube.Dim
+	faults  []*fault.Injector // per shard; nil entries inject nothing
+	records int               // total records across all partitions
+	closed  atomic.Bool
 }
 
-// New partitions t across opts.Shards replicas and starts their worker
-// pools. dims are both the partitioning dimensions and the served cube
+// New partitions t across opts.Shards replicas and starts a coordinator
+// over them. dims are both the partitioning dimensions and the served cube
 // dimensions: every replica's prefix cube bins against these global
 // domains, never its partition's own min/max — bin edges must agree across
 // shards or histogram addition is meaningless.
@@ -51,87 +50,67 @@ func New(t *storage.Table, dims []datacube.Dim, opts Options) (*Coordinator, err
 }
 
 // Start starts a coordinator over replicas the caller built, reps[i] with
-// ID i, each behind a pool of opts.Workers goroutines gated by
-// opts.Faults[i]. The replicas must partition the served records, every
-// one binning against the same global dims.
+// ID i, each leg gated by opts.Faults[i]. The replicas must partition the
+// served records, every one binning against the same global dims.
 func Start(reps []*Replica, dims []datacube.Dim, opts Options) *Coordinator {
-	opts.normalize()
-	c := &Coordinator{}
+	c := &Coordinator{reps: reps, dims: dims, faults: make([]*fault.Injector, len(reps))}
 	for id, rep := range reps {
 		c.records += rep.Table.NumRows()
-		w := &worker{rep: rep, dims: dims, fault: opts.injector(id), tasks: make(chan *task, taskQueueDepth)}
-		c.workers = append(c.workers, w)
-		for g := 0; g < opts.Workers; g++ {
-			c.wg.Add(1)
-			go w.loop(&c.wg)
-		}
+		c.faults[id] = opts.injector(id)
 	}
 	return c
 }
 
 // NumShards returns the shard count.
-func (c *Coordinator) NumShards() int { return len(c.workers) }
+func (c *Coordinator) NumShards() int { return len(c.reps) }
 
 // Records returns the total record count across all partitions.
 func (c *Coordinator) Records() int { return c.records }
 
 // Replica returns shard i's replica — the differential tests reach through
 // this to compare per-shard structures against the oracle.
-func (c *Coordinator) Replica(i int) *Replica { return c.workers[i].rep }
+func (c *Coordinator) Replica(i int) *Replica { return c.reps[i] }
 
-// Close shuts the worker pools down and waits for every goroutine to exit.
-// Scatters issued after Close fail; scatters in flight complete (their
-// tasks were already enqueued).
-func (c *Coordinator) Close() {
-	c.mu.Lock()
-	if c.closed.Swap(true) {
-		c.mu.Unlock()
-		return
-	}
-	for _, w := range c.workers {
-		close(w.tasks)
-	}
-	c.mu.Unlock()
-	c.wg.Wait()
-}
+// Close marks the coordinator closed; it is idempotent. Scatters issued
+// after Close fail; scatters in flight complete.
+func (c *Coordinator) Close() { c.closed.Store(true) }
 
-// scatter enqueues one copy of req on every shard's pool and gathers the
-// answers under req.ctx: a shard that has not answered when it expires is
-// marked with its error. The result channel is buffered to the dispatch
-// count, so stragglers answering an abandoned gather never block.
-func (c *Coordinator) scatter(req task) (*Gather, error) {
-	c.mu.RLock()
+// scatter runs one leg of t per shard — shard 0's on the calling goroutine,
+// every other on a goroutine of its own — and gathers the answers under
+// t.ctx: a shard that has not answered when it expires is marked with its
+// error. The result channel is buffered to the spawned legs, so a
+// straggler answering an abandoned gather never blocks.
+func (c *Coordinator) scatter(t *task) (*Gather, error) {
 	if c.closed.Load() {
-		c.mu.RUnlock()
 		return nil, fmt.Errorf("shard: coordinator closed")
 	}
-	shards := len(c.workers)
-	out := make(chan result, shards)
-	req.out = out
-	for i, w := range c.workers {
-		t := req
-		select {
-		case w.tasks <- &t:
-		case <-req.ctx.Done():
-			// The shard's backlog is full and the deadline hit first:
-			// answer for it locally so the gather still sees S results.
-			out <- result{shard: i, err: req.ctx.Err()}
-		}
+	shards := len(c.reps)
+	out := make(chan result, shards-1)
+	for i := 1; i < shards; i++ {
+		go func() { out <- leg(c.reps[i], c.dims, c.faults[i], t) }()
 	}
-	c.mu.RUnlock()
 	answers, errs := make([]*Answer, shards), make([]error, shards)
-	for n := 0; n < shards; n++ {
+	r := leg(c.reps[0], c.dims, c.faults[0], t)
+	answers[r.shard], errs[r.shard] = r.ans, r.err
+	for n := 1; n < shards; n++ {
+		// An answer already buffered is taken before the deadline is looked
+		// at: leg 0 can return at the deadline with the other legs' answers
+		// waiting, and a select with both cases ready picks one at random.
 		select {
-		case r := <-out:
-			answers[r.shard], errs[r.shard] = r.ans, r.err
-		case <-req.ctx.Done():
-			for i := range errs {
-				if answers[i] == nil && errs[i] == nil {
-					errs[i] = req.ctx.Err()
+		case r = <-out:
+		default:
+			select {
+			case r = <-out:
+			case <-t.ctx.Done():
+				for i := range errs {
+					if answers[i] == nil && errs[i] == nil {
+						errs[i] = t.ctx.Err()
+					}
 				}
+				return NewGather(answers, errs, c.records), nil
 			}
-			n = shards
 		}
+		answers[r.shard], errs[r.shard] = r.ans, r.err
 	}
 	return NewGather(answers, errs, c.records), nil
 }
@@ -168,9 +147,10 @@ func NewGather(answers []*Answer, errs []error, totalRecords int) *Gather {
 // filters follows datacube conventions: nil or empty means unfiltered,
 // otherwise one entry per dimension with nil entries unfiltered. The
 // session is ignored: in-process shards share one address space, so there
-// is no affinity to route — every scatter reaches every shard pool directly.
+// is no affinity to route — every scatter calls every shard's replica
+// directly, shard 0's on the caller's goroutine.
 func (c *Coordinator) ScatterBrush(ctx context.Context, _ string, filters []*datacube.Range) (*Gather, error) {
-	return c.scatter(task{ctx: ctx, filters: filters})
+	return c.scatter(&task{ctx: ctx, filters: filters})
 }
 
 // Covered returns the number of shards that answered.
@@ -237,11 +217,11 @@ func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
 // estimating the whole from a partial one is the serving layer's job. A
 // gather with zero coverage returns the first shard error.
 func (c *Coordinator) QueryHistogram(ctx context.Context, query string) (*engine.Result, float64, bool, error) {
-	stmt, shaped, err := c.workers[0].rep.Shaped(query)
+	stmt, shaped, err := c.reps[0].Shaped(query)
 	if !shaped {
 		return nil, 0, false, err
 	}
-	g, err := c.scatter(task{ctx: ctx, stmt: stmt})
+	g, err := c.scatter(&task{ctx: ctx, stmt: stmt})
 	if err != nil {
 		return nil, 0, true, err
 	}

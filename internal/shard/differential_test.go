@@ -223,7 +223,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 func TestOptionDefaults(t *testing.T) {
 	var o Options
 	o.normalize()
-	if o.Shards != 1 || o.Workers != 2 || o.Parallelism < 1 {
+	if o.Shards != 1 || o.Parallelism < 1 {
 		t.Errorf("normalized zero options: %+v", o)
 	}
 	if o.Profile.Name != engine.ProfileMemory.Name {

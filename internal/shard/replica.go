@@ -14,7 +14,7 @@ import (
 
 // Replica is one partition's serving state and the far end of the scatter
 // contract: what a partition answers to a brush and to a histogram
-// statement. A Coordinator worker holds one in a goroutine, a router child
+// statement. A Coordinator holds one per shard in process, a router child
 // holds one behind a socket; both call the same two methods, and both get
 // raw, unscaled counts that merge by addition (Gather). Prefix is always
 // present; Engine follows Options.WithEngine.

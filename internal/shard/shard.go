@@ -1,8 +1,8 @@
 // Package shard implements sharded scatter-gather serving: a dataset
-// partitioned across N shard workers (hashed on the spatial dimensions),
-// each owning its own engine and prefix-cube replica over its
-// partition, behind a coordinator that fans each brush or histogram query
-// out to every shard and merges the per-shard answers.
+// partitioned across N shards (hashed on the spatial dimensions), each
+// owning its own engine and prefix-cube replica over its partition, behind
+// a coordinator that fans each brush or histogram query out to every shard
+// and merges the per-shard answers.
 //
 // The architecture works because the answer structures merge trivially:
 // a 20-bin histogram over a disjoint union of record sets is the
@@ -12,19 +12,20 @@
 // and S ∈ {1,2,4,8}, the sharded merge is byte-identical to the unsharded
 // oracle on both backends.
 //
-// Shards run as goroutine pools: each shard owns a task channel drained by
-// a fixed set of workers, so a stalled shard (injected via internal/fault)
-// delays only its own answers. A gather under a context deadline returns
-// what arrived in time; the coordinator reports coverage (which shards and
-// how many records answered) so the serving layer can degrade to a partial
-// answer with a correct sample fraction instead of blocking on the
-// straggler — the PR-4 ladder's semantics extended across shards.
+// A scatter runs its shard legs on its own goroutines: shard 0's leg on the
+// caller's, one new goroutine for each other shard, so a stalled shard
+// (injected via internal/fault) delays only its own leg. A gather under a
+// context deadline returns what arrived in time — answers already waiting
+// are taken before the deadline is looked at — and the coordinator reports
+// coverage (which shards and how many records answered) so the serving
+// layer can degrade to a partial answer with a correct sample fraction
+// instead of blocking on the straggler — the PR-4 ladder's semantics
+// extended across shards.
 package shard
 
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/datacube"
 	"repro/internal/engine"
@@ -38,8 +39,6 @@ type Options struct {
 	// replica — the degenerate case the differential tests use as a
 	// self-check, since S=1 sharding must also equal the oracle).
 	Shards int
-	// Workers is the goroutine-pool size per shard; 0 means 2.
-	Workers int
 	// Parallelism is each replica's morsel parallelism for builds and
 	// scans; 0 means runtime.GOMAXPROCS(0) capped by the shard count (the
 	// shards already provide the fan-out).
@@ -65,22 +64,12 @@ type Options struct {
 	Faults []*fault.Injector
 }
 
-// worker is one shard's task pool: a channel of scatter units drained by a
-// fixed set of goroutines, optionally fault-gated.
-type worker struct {
-	rep   *Replica
-	dims  []datacube.Dim
-	fault *fault.Injector
-	tasks chan *task
-}
-
 // task is one scatter unit bound for a shard: a histogram statement when
 // stmt is set, else a brush under filters.
 type task struct {
 	ctx     context.Context
 	filters []*datacube.Range
 	stmt    *sql.SelectStmt
-	out     chan<- result
 }
 
 // result is one shard's gather contribution.
@@ -90,17 +79,9 @@ type result struct {
 	err   error
 }
 
-// taskQueueDepth bounds each shard's pending task backlog. The serving
-// layer's own admission queue bounds in-flight work well below this; the
-// buffer only smooths bursts across sessions.
-const taskQueueDepth = 256
-
 func (o *Options) normalize() {
 	if o.Shards < 1 {
 		o.Shards = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = max(1, runtime.GOMAXPROCS(0)/o.Shards)
@@ -117,37 +98,26 @@ func (o *Options) injector(shard int) *fault.Injector {
 	return nil
 }
 
-// answer is the in-process carrier of the scatter contract: one of the
-// replica's two answers, as an Answer the gather can merge.
-func (w *worker) answer(t *task) (*Answer, error) {
+// leg answers one scatter unit on one shard's replica. A task whose
+// context already expired is answered with the context error without
+// touching the backends; otherwise the fault gate runs first (an injected
+// stall is cut short by the task's deadline), then one of the replica's two
+// answers, as an Answer the gather can merge.
+func leg(rep *Replica, dims []datacube.Dim, inj *fault.Injector, t *task) result {
+	res := result{shard: rep.ID, err: t.ctx.Err()}
+	if res.err == nil && inj != nil {
+		res.err = inj.Do(t.ctx)
+	}
+	if res.err != nil {
+		return res
+	}
 	if t.stmt != nil {
-		return w.rep.Histogram(t.ctx, t.stmt)
+		res.ans, res.err = rep.Histogram(t.ctx, t.stmt)
+		return res
 	}
-	a := &Answer{Records: w.rep.Table.NumRows(), Histograms: datacube.NewHistograms(w.dims)}
-	var err error
-	if a.Total, err = w.rep.Brush(t.filters, a.Histograms); err != nil {
-		return nil, err
+	a := &Answer{Records: rep.Table.NumRows(), Histograms: datacube.NewHistograms(dims)}
+	if a.Total, res.err = rep.Brush(t.filters, a.Histograms); res.err == nil {
+		res.ans = a
 	}
-	return a, nil
-}
-
-// loop drains the shard's task channel until Close. A task whose context
-// already expired is answered with the context error without touching the
-// backends; otherwise the fault gate runs first (an injected stall is cut
-// short by the task's deadline), then the real work.
-func (w *worker) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for t := range w.tasks {
-		res := result{shard: w.rep.ID, err: t.ctx.Err()}
-		if res.err == nil && w.fault != nil {
-			res.err = w.fault.Do(t.ctx)
-		}
-		if res.err == nil {
-			res.ans, res.err = w.answer(t)
-		}
-		// out is buffered to the dispatch count, so a late answer to an
-		// abandoned gather parks in the buffer and is garbage collected
-		// with it — the worker never blocks on a departed coordinator.
-		t.out <- res
-	}
+	return res
 }
