@@ -26,10 +26,12 @@
 // drain gracefully: admission stops (new requests get 503), in-flight,
 // queued, and pending coalesced work completes, then the process exits.
 //
-// Without -shards or -router the server is a one-replica gather: its one
-// partition is the served table itself, in table order, behind the served
-// engine, so brushes, histogram statements and tile misses ride the same
-// scatter contract as -shards N (S = 1 is a partition).
+// -shards N builds a shard.Coordinator over N in-process partitions and
+// hands it to the server as its Gatherer, the door -router's fleet goes
+// through. Without -shards or -router the server is a one-replica gather:
+// its one partition is the served table itself, in table order, behind the
+// served engine, so brushes, histogram statements and tile misses ride the
+// same scatter contract (S = 1 is a partition).
 //
 // -debug-addr starts a second HTTP listener with net/http/pprof handlers
 // at /debug/pprof/ — kept off the serving mux so profiling endpoints are
@@ -72,6 +74,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 func main() {
@@ -187,10 +190,17 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 			fmt.Fprintf(os.Stderr, "idevald: encoded %d rows: %d -> %d bytes (%.2fx)\n",
 				st.Rows, st.PlainBytes, st.EncodedBytes, st.Ratio)
 		}
-	}
-	if shards > 1 {
-		cfg.Shards = shards
-		fmt.Fprintf(os.Stderr, "idevald: scatter-gather over %d shards\n", shards)
+		if shards > 1 {
+			// After the freeze, so the partitions are re-encoded; shard's
+			// default engine profile is the served one, ProfileMemory.
+			dims := backends.Cube.Dims()
+			coord, err := shard.New(backends.Tiles, dims, shard.Options{Shards: shards, WithEngine: true})
+			if err != nil {
+				return err
+			}
+			cfg.Gatherer, cfg.GatherDims, backends.Cube = coord, dims, nil
+			fmt.Fprintf(os.Stderr, "idevald: scatter-gather over %d shards\n", shards)
+		}
 	}
 	if planOn {
 		cfg.Planner = true

@@ -1,95 +1,54 @@
 // Command loadgen drives N concurrent synthetic users from
-// internal/behavior over real HTTP against an idevald server (or an
-// in-process one), mapping virtual-clock think times to wall clock, and
-// prints a paper-style report: achieved QIF, LCV%, latency percentiles
-// versus offered load, the serving layer's executed/coalesced/shed
-// accounting and its per-stage spans. It exits non-zero when a session
-// misses its latest result or a response is dropped.
+// internal/behavior over real HTTP against a running idevald server,
+// mapping virtual-clock think times to wall clock, and prints a
+// paper-style report: achieved QIF, LCV%, latency percentiles versus
+// offered load, the serving layer's executed/coalesced/shed accounting and
+// its per-stage spans. It exits non-zero when a session misses its latest
+// result or a response is dropped.
 //
 // It is a single-run report, not a benchmark: before/after numbers come
-// from cmd/bench (see cmd/bench/README.md).
+// from cmd/bench (see cmd/bench/README.md). The server's shape — dataset
+// size, workers, queue, shards, deadlines — is idevald's command line;
+// loadgen only sends the users. Against the road dataset:
 //
-// Usage:
-//
-//	loadgen [-addr http://host:port]        # drive a running idevald
-//	loadgen [-rows N]                       # or spin up an in-process server
+//	idevald -addr 127.0.0.1:8080 -rows 120000 -workers 2 -queue 8 -execdelay 2ms &
+//	loadgen -addr http://127.0.0.1:8080
 //	        [-users 32] [-adjust 4] [-events 40] [-timescale 0.05]
-//	        [-workers N] [-queue N] [-execdelay 2ms] [-sqlevery 0]
-//	        [-shards N]
-//	        [-seed 1] [-json report.json]
-//	        [-deadlines] [-degradeafter 250ms]  # deadline-aware serving
+//	        [-sqlevery 0] [-seed 1] [-json report.json]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 )
 
 func main() {
-	addr := flag.String("addr", "", "base URL of a running idevald (empty = in-process server)")
+	addr := flag.String("addr", "", "base URL of a running idevald (required)")
 	users := flag.Int("users", 32, "concurrent synthetic users")
 	adjust := flag.Int("adjust", 4, "slider adjustments per user session")
 	events := flag.Int("events", 40, "max brush events per user (0 = uncapped)")
 	timescale := flag.Float64("timescale", 0.05, "virtual think time → wall clock multiplier")
-	seed := flag.Int64("seed", 1, "behavior and dataset seed")
+	seed := flag.Int64("seed", 1, "behavior seed")
 	sqlEvery := flag.Int("sqlevery", 0, "issue a SQL histogram query with every Nth brush (0 = off)")
 	jsonOut := flag.String("json", "", "write the report as JSON to this file")
-
-	// In-process server knobs (ignored with -addr):
-	rows := flag.Int("rows", 120000, "road dataset cardinality for the in-process server")
-	workers := flag.Int("workers", 2, "in-process worker pool size")
-	queue := flag.Int("queue", 8, "in-process admission queue depth")
-	execDelay := flag.Duration("execdelay", 2*time.Millisecond, "in-process per-execution delay")
-	deadlines := flag.Bool("deadlines", false, "enable deadline-aware execution with the degradation ladder")
-	degradeAfter := flag.Duration("degradeafter", 0, "per-request budget before degrading (0 = constraint/2)")
-	shards := flag.Int("shards", 0, "shard the in-process server's dataset across N scatter-gather shards")
 	flag.Parse()
 
-	if err := run(*addr, *users, *adjust, *events, *timescale, *seed, *sqlEvery, *jsonOut,
-		*rows, *workers, *queue, *execDelay, *deadlines, *degradeAfter, *shards); err != nil {
+	if err := run(*addr, *users, *adjust, *events, *timescale, *seed, *sqlEvery, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, users, adjust, events int, timescale float64, seed int64, sqlEvery int,
-	jsonOut string, rows int, workers, queue int, execDelay time.Duration,
-	deadlines bool, degradeAfter time.Duration, shards int) error {
-	baseURL := addr
+func run(baseURL string, users, adjust, events int, timescale float64, seed int64, sqlEvery int, jsonOut string) error {
 	if baseURL == "" {
-		fmt.Fprintf(os.Stderr, "loadgen: building in-process road server (%d rows)...\n", rows)
-		backends, err := serve.RoadBackends(seed, rows, engine.ProfileMemory)
-		if err != nil {
-			return err
-		}
-		cfg := serve.Config{
-			Workers: workers, QueueDepth: queue, Constraint: metrics.DefaultConstraint, ExecDelay: execDelay,
-			Deadlines: deadlines, DegradeAfter: degradeAfter, Shards: shards,
-		}
-		srv, err := serve.New(backends, cfg)
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer httpSrv.Close()
-		baseURL = "http://" + ln.Addr().String()
+		return fmt.Errorf("-addr is required: start a server first, e.g. idevald -addr 127.0.0.1:8080 -rows 120000 -workers 2 -queue 8 -execdelay 2ms, then pass -addr http://127.0.0.1:8080")
 	}
-
 	cfg := serve.LoadConfig{
 		BaseURL:     baseURL,
 		Users:       users,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/storage"
@@ -414,6 +416,110 @@ func TestEncodeIntsEarlyDecisionMatchesFullCount(t *testing.T) {
 					name, len(distinct), o.MinRatio, o.MaxDictCard, got, want)
 			}
 		}
+	}
+}
+
+// encodeStringsFullCount is encodeStrings as it was before its early
+// exit: count every distinct string, sort the dictionary, then run the byte
+// test. TestEncodeStringsEarlyDecisionMatchesFullCount holds the two equal.
+func encodeStringsFullCount(vals []string, o *Options) Column {
+	distinct := make(map[string]uint32, 1024)
+	for _, v := range vals {
+		if _, ok := distinct[v]; !ok {
+			if len(distinct) >= o.MaxDictCard {
+				return NewPlainStrings(vals)
+			}
+			distinct[v] = 0
+		}
+	}
+	dict := make([]string, 0, len(distinct))
+	var dataBytes int64
+	for v := range distinct {
+		dict = append(dict, v)
+		dataBytes += int64(len(v))
+	}
+	sort.Strings(dict)
+	width := dictWidth(len(dict))
+	c := &DictColumn{
+		typ:        storage.String,
+		svals:      dict,
+		plainBytes: stringHeaderBytes*int64(len(vals)) + dataBytes,
+		dictBytes:  stringHeaderBytes*int64(len(dict)) + dataBytes,
+	}
+	if float64(c.plainBytes) < o.MinRatio*float64(packedBytes(len(vals), width)+c.dictBytes) {
+		return NewPlainStrings(vals)
+	}
+	for code, v := range dict {
+		distinct[v] = uint32(code)
+	}
+	c.codes = packCodes(len(vals), width, o.Parallelism, func(i int) uint64 {
+		return uint64(distinct[vals[i]])
+	})
+	return c
+}
+
+// TestEncodeStringsEarlyDecisionMatchesFullCount: over random string
+// columns — short and long strings, every cardinality from one value to
+// all distinct, both sides of the byte test's break-even — encodeStrings
+// picks the encoding the full count picks, with the same bytes: the same
+// sorted dictionary, codes and footprints.
+func TestEncodeStringsEarlyDecisionMatchesFullCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	word := func(minLen, maxLen int) string {
+		b := make([]byte, minLen+rng.Intn(maxLen-minLen+1))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	cases := map[string][]string{"empty": nil}
+	for _, n := range []int{1, 7, 300, 5000} {
+		for _, lens := range [][2]int{{0, 3}, {1, 8}, {40, 200}} {
+			for _, card := range []int{1, 2, n / 10, n / 3, n / 2, 3 * n / 4, n} {
+				if card < 1 {
+					continue
+				}
+				pool := make([]string, card)
+				for i := range pool {
+					pool[i] = word(lens[0], lens[1])
+				}
+				vals := make([]string, n)
+				for i := range vals {
+					vals[i] = pool[rng.Intn(card)]
+				}
+				cases[fmt.Sprintf("n%d/len%d-%d/card%d", n, lens[0], lens[1], card)] = vals
+			}
+		}
+	}
+	// Either side of the break-even cardinality of fixed-length strings.
+	const n, strLen = 4096, 6
+	for card := 1; card <= n; card++ {
+		data := int64(card * strLen)
+		if float64(stringHeaderBytes*n+data) < DefaultMinRatio*float64(packedBytes(n, dictWidth(card))+stringHeaderBytes*int64(card)+data) {
+			for _, c := range []int{card - 1, card} {
+				vals := make([]string, n)
+				for i := range vals {
+					vals[i] = fmt.Sprintf("%06d", i%c)
+				}
+				cases[fmt.Sprintf("break-even/card%d", c)] = vals
+			}
+			break
+		}
+	}
+	encodings := map[Encoding]int{}
+	for name, vals := range cases {
+		for _, o := range []Options{{}, {MinRatio: 1.01}, {MinRatio: 3}, {MinRatio: 0.5}, {MaxDictCard: 50}} {
+			o = o.normalized()
+			want, got := encodeStringsFullCount(vals, &o), encodeStrings(vals, &o)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (MinRatio %v, MaxDictCard %d): encoded %v, the full count %v",
+					name, o.MinRatio, o.MaxDictCard, got.Encoding(), want.Encoding())
+			}
+			encodings[want.Encoding()]++
+		}
+	}
+	if encodings[Dict] == 0 || encodings[Plain] == 0 {
+		t.Fatalf("the columns reach only %v", encodings)
 	}
 }
 

@@ -309,37 +309,46 @@ func encodeInts(vals []int64, o *Options) Column {
 
 // encodeStrings dictionary-encodes a string column unless its cardinality
 // approaches the row count, where a dictionary would just duplicate it.
+// The distinct count stops once the strings seen so far rule a dictionary
+// out: a further distinct string adds its payload to both sides of the
+// byte test and a header and code bits to the dictionary side alone, so at
+// MinRatio ≥ 1 the test only gets harder to pass. Only a kept dictionary
+// is sorted.
 func encodeStrings(vals []string, o *Options) Column {
+	n := len(vals)
+	// plainWins is the byte test at card distinct strings of data payload bytes.
+	plainWins := func(card int, data int64) bool {
+		return float64(stringHeaderBytes*int64(n)+data) < o.MinRatio*float64(packedBytes(n, dictWidth(card))+stringHeaderBytes*int64(card)+data)
+	}
 	distinct := make(map[string]uint32, 1024)
+	var data int64
 	for _, v := range vals {
 		if _, ok := distinct[v]; !ok {
-			if len(distinct) >= o.MaxDictCard {
+			distinct[v] = 0
+			data += int64(len(v))
+			if len(distinct) > o.MaxDictCard || o.MinRatio >= 1 && plainWins(len(distinct), data) {
 				return NewPlainStrings(vals)
 			}
-			distinct[v] = 0
 		}
 	}
-	dict := make([]string, 0, len(distinct))
-	var dataBytes int64
-	for v := range distinct {
-		dict = append(dict, v)
-		dataBytes += int64(len(v))
-	}
-	sort.Strings(dict)
-	width := dictWidth(len(dict))
-	c := &DictColumn{
-		typ:        storage.String,
-		svals:      dict,
-		plainBytes: stringHeaderBytes*int64(len(vals)) + dataBytes,
-		dictBytes:  stringHeaderBytes*int64(len(dict)) + dataBytes,
-	}
-	if float64(c.plainBytes) < o.MinRatio*float64(packedBytes(len(vals), width)+c.dictBytes) {
+	if plainWins(len(distinct), data) {
 		return NewPlainStrings(vals)
 	}
+	dict := make([]string, 0, len(distinct))
+	for v := range distinct {
+		dict = append(dict, v)
+	}
+	sort.Strings(dict)
 	for code, v := range dict {
 		distinct[v] = uint32(code)
 	}
-	c.codes = packCodes(len(vals), width, o.Parallelism, func(i int) uint64 {
+	c := &DictColumn{
+		typ:        storage.String,
+		svals:      dict,
+		plainBytes: stringHeaderBytes*int64(n) + data,
+		dictBytes:  stringHeaderBytes*int64(len(dict)) + data,
+	}
+	c.codes = packCodes(n, dictWidth(len(dict)), o.Parallelism, func(i int) uint64 {
 		return uint64(distinct[vals[i]])
 	})
 	return c

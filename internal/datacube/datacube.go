@@ -215,8 +215,8 @@ func (c *Cube) NumCells() int { return len(c.cells) }
 // NumDims returns the cube's dimension count.
 func (c *Cube) NumDims() int { return len(c.dims) }
 
-// Dim returns dimension i's descriptor.
-func (c *Cube) Dim(i int) Dim { return c.dims[i] }
+// Dims returns a copy of every dimension's descriptor, in order.
+func (c *Cube) Dims() []Dim { return append([]Dim(nil), c.dims...) }
 
 // DimIndex finds a dimension by name, or -1.
 func (c *Cube) DimIndex(name string) int {

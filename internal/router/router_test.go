@@ -24,6 +24,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/obsv"
 	"repro/internal/opt"
+	"repro/internal/oracle"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -52,13 +53,22 @@ var (
 	_ serve.Gatherer = (*Fleet)(nil)
 )
 
-// oracleServer builds the single-process S=1 road server every differential
-// test compares against.
-func oracleServer(t *testing.T, scfg serve.Config) *httptest.Server {
+// oracleServer builds a single-process road server: at shards ≤ 1 the S=1
+// server every differential test compares against, else one handed a
+// coordinator over that many in-process partitions, as idevald -shards is.
+func oracleServer(t *testing.T, shards int, scfg serve.Config) *httptest.Server {
 	t.Helper()
 	backends, err := serve.RoadBackends(1, testRows, engine.ProfileMemory)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if shards > 1 {
+		dims := backends.Cube.Dims()
+		coord, err := shard.New(backends.Tiles, dims, shard.Options{Shards: shards, WithEngine: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Gatherer, scfg.GatherDims, backends.Cube = coord, dims, nil
 	}
 	srv, err := serve.New(backends, scfg)
 	if err != nil {
@@ -157,9 +167,36 @@ func postQuery(t *testing.T, url, session string, seq int64, sql string) (int, [
 	return st, body
 }
 
+// histPairs reads a /v1/query body's rows as the (bin, count) pairs
+// oracle.Histogram returns.
+func histPairs(t *testing.T, body []byte) [][2]int64 {
+	t.Helper()
+	var resp serve.QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("%s: %v", body, err)
+	}
+	out := make([][2]int64, 0, len(resp.Rows))
+	for _, r := range resp.Rows {
+		bin, ok1 := r[0].(float64)
+		count, ok2 := r[1].(float64)
+		if len(r) != 2 || !ok1 || !ok2 {
+			t.Fatalf("row %v is not a (bin, count) pair", r)
+		}
+		out = append(out, [2]int64{int64(bin), int64(count)})
+	}
+	return out
+}
+
 // randomHistogram draws one statement of the shape scan_shards replays: the
 // paper's filtered histogram over a random target dimension.
 func randomHistogram(t *testing.T, rng *rand.Rand) string {
+	stmt, _, _ := drawHistogram(t, rng)
+	return stmt
+}
+
+// drawHistogram is randomHistogram with the ranges and target it drew, the
+// arguments oracle.Histogram answers the statement from.
+func drawHistogram(t *testing.T, rng *rand.Rand) (string, [][2]float64, int) {
 	t.Helper()
 	dims := serve.RoadLoadDims()
 	ranges := make([][2]float64, len(dims))
@@ -167,14 +204,16 @@ func randomHistogram(t *testing.T, rng *rand.Rand) string {
 		lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
 		ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
 	}
-	stmt, err := opt.HistogramQuery("dataroad", dims, ranges, rng.Intn(len(dims)), 20)
+	target := rng.Intn(len(dims))
+	stmt, err := opt.HistogramQuery("dataroad", dims, ranges, target, histBins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stmt.String()
+	return stmt.String(), ranges, target
 }
 
 const (
+	histBins          = 20
 	emptyHistogram    = "SELECT ROUND((y - 56) / 0.05), COUNT(*) FROM dataroad WHERE x >= 1000 AND x <= 1001 GROUP BY ROUND((y - 56) / 0.05) ORDER BY ROUND((y - 56) / 0.05)"
 	oneSidedHistogram = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 57.1 GROUP BY ROUND((x - 8.146) / 0.2)"
 	noMergeLaw        = "SELECT x, y FROM dataroad ORDER BY x, y LIMIT 5"
@@ -199,25 +238,28 @@ func randomRanges(rng *rand.Rand) []*[2]float64 {
 // byte-identical to the single-process S=1 oracle, and every histogram-shaped
 // /v1/query with the oracle's rows (and the rows -shards S answers) — full
 // coverage is the exact answer, and merge-by-addition across process
-// boundaries is the same merge as in-process. A statement with no merge law
-// is the one thing the router, holding no unsharded table, cannot answer.
+// boundaries is the same merge as in-process. The random statements' rows
+// must also equal internal/oracle's row-at-a-time answers, which share no
+// binning code with any server. A statement with no merge law is the one
+// thing the router, holding no unsharded table, cannot answer.
 func TestFleetMatchesSingleProcessOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
 	}
 	leakcheck.Check(t)
 	leakcheck.CheckChildren(t)
-	oracle := oracleServer(t, serve.Config{Workers: 2})
+	single := oracleServer(t, 1, serve.Config{Workers: 2})
+	served := dataset.Roads(1, testRows) // the table serve.RoadBackends serves
 
 	for _, s := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("S%d", s), func(t *testing.T) {
 			_, routed := fleetServer(t, Config{Shards: s}, serve.Config{Workers: 2})
-			sharded := oracleServer(t, serve.Config{Workers: 2, Shards: s})
+			sharded := oracleServer(t, s, serve.Config{Workers: 2})
 			rng := rand.New(rand.NewSource(int64(9000 + s)))
 			session := fmt.Sprintf("diff-%d", s)
 			for seq := int64(0); seq < 12; seq++ {
 				req := serve.BrushRequest{Session: session, Seq: seq, Ranges: randomRanges(rng)}
-				st1, body1 := postJSON(t, oracle.URL+"/v1/brush", req)
+				st1, body1 := postJSON(t, single.URL+"/v1/brush", req)
 				st2, body2 := postJSON(t, routed.URL+"/v1/brush", req)
 				if st1 != http.StatusOK || st2 != http.StatusOK {
 					t.Fatalf("seq %d: status %d vs %d (%s)", seq, st1, st2, body2)
@@ -228,12 +270,14 @@ func TestFleetMatchesSingleProcessOracle(t *testing.T) {
 			}
 
 			stmts := []string{emptyHistogram, oneSidedHistogram}
+			refs := map[string][][2]int64{} // the random statements' reference rows
 			for i := 0; i < 8; i++ {
-				stmts = append(stmts, randomHistogram(t, rng))
+				stmt, ranges, target := drawHistogram(t, rng)
+				stmts, refs[stmt] = append(stmts, stmt), oracle.Histogram(served, serve.RoadCubeDims(), ranges, target, histBins)
 			}
 			for i, sql := range stmts {
 				seq := int64(100 + i)
-				st1, want := postQuery(t, oracle.URL, session, seq, sql)
+				st1, want := postQuery(t, single.URL, session, seq, sql)
 				st2, got := postQuery(t, routed.URL, session, seq, sql)
 				st3, inproc := postQuery(t, sharded.URL, session, seq, sql)
 				if st1 != http.StatusOK || st2 != http.StatusOK || st3 != http.StatusOK {
@@ -242,12 +286,16 @@ func TestFleetMatchesSingleProcessOracle(t *testing.T) {
 				if !bytes.Equal(got, want) || !bytes.Equal(inproc, want) {
 					t.Fatalf("%s:\nrouted   %s\n-shards  %s\noracle   %s", sql, got, inproc, want)
 				}
+				// The three servers share binning code; the reference shares none.
+				if ref, ok := refs[sql]; ok && !reflect.DeepEqual(histPairs(t, got), ref) {
+					t.Fatalf("%s:\nrouted    %s\nreference %v", sql, got, ref)
+				}
 			}
-			if _, body := postQuery(t, oracle.URL, session, 200, emptyHistogram); !bytes.Contains(body, []byte(`"rows":[]`)) {
+			if _, body := postQuery(t, single.URL, session, 200, emptyHistogram); !bytes.Contains(body, []byte(`"rows":[]`)) {
 				t.Fatalf("the empty-result statement has rows: %s", body)
 			}
 
-			st1, want := postQuery(t, oracle.URL, session, 201, noMergeLaw)
+			st1, want := postQuery(t, single.URL, session, 201, noMergeLaw)
 			st2, got := postQuery(t, routed.URL, session, 201, noMergeLaw)
 			st3, inproc := postQuery(t, sharded.URL, session, 201, noMergeLaw)
 			if st1 != http.StatusOK || st3 != http.StatusOK || !bytes.Equal(inproc, want) {
@@ -448,7 +496,7 @@ func TestFleetKillInFlightFailsOver(t *testing.T) {
 	}
 	leakcheck.Check(t)
 	leakcheck.CheckChildren(t)
-	oracle := oracleServer(t, serve.Config{Workers: 2})
+	oracle := oracleServer(t, 1, serve.Config{Workers: 2})
 	f, ts := fleetServer(t,
 		Config{Shards: 1, Replicas: 2, HedgeAfter: time.Hour, RPCTimeout: 30 * time.Second},
 		serve.Config{Workers: 2})

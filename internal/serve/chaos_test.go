@@ -513,7 +513,7 @@ func TestChaosStallAttribution(t *testing.T) {
 func TestUnshapedStatementTracedAsExecute(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	for _, shards := range []int{1, 2} {
-		_, ts := shardTestServer(t, 4000, Config{Workers: 1, Shards: shards, ExecDelay: delay})
+		_, ts := shardTestServer(t, 4000, shards, nil, Config{Workers: 1, ExecDelay: delay})
 		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{
 			Session: "s", SQL: "SELECT COUNT(*), SUM(x) FROM dataroad WHERE x >= 9",
 		})

@@ -18,9 +18,10 @@ import (
 	"repro/internal/storage"
 )
 
-// newEncodedPair builds two identical road-backed servers, one over raw
-// backends and one over EncodeBackends' frozen form.
-func newEncodedPair(t *testing.T, cfg Config) (plain, enc *httptest.Server) {
+// newEncodedPair builds two identical road-backed servers over s partitions
+// (see partitioned), one over raw backends and one over EncodeBackends'
+// frozen form, partitioned after the freeze.
+func newEncodedPair(t *testing.T, s int, cfg Config) (plain, enc *httptest.Server) {
 	t.Helper()
 	leakcheck.Check(t)
 	for _, encode := range []bool{false, true} {
@@ -37,7 +38,7 @@ func newEncodedPair(t *testing.T, cfg Config) (plain, enc *httptest.Server) {
 				t.Fatal("EncodeBackends did not freeze the table")
 			}
 		}
-		srv, err := New(backends, cfg)
+		srv, err := New(partitioned(t, backends, cfg, s, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func newEncodedPair(t *testing.T, cfg Config) (plain, enc *httptest.Server) {
 // requires identical response bodies — encoding must be invisible to every
 // endpoint.
 func TestEncodedServingMatchesPlain(t *testing.T) {
-	plain, enc := newEncodedPair(t, Config{Workers: 2})
+	plain, enc := newEncodedPair(t, 1, Config{Workers: 2})
 
 	both := func(method, path string, body any) (p, e []byte) {
 		t.Helper()
@@ -146,7 +147,7 @@ func TestEncodedServingMatchesPlain(t *testing.T) {
 // TestEncodedMetricsStoreSection asserts the encoding breakdown surfaces
 // in both /metrics representations — and only on the encoded server.
 func TestEncodedMetricsStoreSection(t *testing.T) {
-	plain, enc := newEncodedPair(t, Config{Workers: 1})
+	plain, enc := newEncodedPair(t, 1, Config{Workers: 1})
 
 	get := func(url string) []byte {
 		t.Helper()
@@ -226,7 +227,7 @@ func TestEncodedMetricsZoneCounters(t *testing.T) {
 		plain  bool
 		shards int
 	}{{"encoded", false, 0}, {"encoded-shards", false, 2}, {"plain", true, 0}, {"plain-shards", true, 2}} {
-		plainTS, ts := newEncodedPair(t, Config{Workers: 1, Shards: tc.shards})
+		plainTS, ts := newEncodedPair(t, tc.shards, Config{Workers: 1})
 		if tc.plain {
 			ts = plainTS
 		}
@@ -324,7 +325,7 @@ func TestEncodedMetricsZoneCounters(t *testing.T) {
 // one histogram has built their zone maps.
 func TestShardedStoreZoneBytes(t *testing.T) {
 	leakcheck.Check(t)
-	srv, ts := shardTestServer(t, testRows, Config{Workers: 1, Shards: 2})
+	srv, ts := shardTestServer(t, testRows, 2, nil, Config{Workers: 1})
 	const q = "SELECT ROUND((x - 8.146) / 0.2), COUNT(*) FROM dataroad WHERE y >= 56.9 AND y <= 57.4 " +
 		"GROUP BY ROUND((x - 8.146) / 0.2)"
 	if resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Session: "s1", SQL: q}); resp.StatusCode != http.StatusOK {
@@ -366,7 +367,7 @@ func TestEncodedShardsRunCounters(t *testing.T) {
 	if backends, err = EncodeBackends(backends); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(backends, Config{Workers: 1, Shards: 2})
+	srv, err := New(partitioned(t, backends, Config{Workers: 1}, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datacube"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -18,7 +17,7 @@ import (
 	"repro/internal/shard"
 )
 
-// answererModes are the four ways New can be told who answers a brush; mk
+// answererModes are the three ways New can be told who answers a brush; mk
 // completes base for one mode and returns the backends to serve it over.
 var answererModes = []struct {
 	name string
@@ -29,19 +28,8 @@ var answererModes = []struct {
 		base.Planner, base.PlannerHotStreak = true, 3
 		return b, base
 	}},
-	{"shards2", func(_ *testing.T, b Backends, base Config) (Backends, Config) {
-		base.Shards = 2
-		return b, base
-	}},
 	{"gatherer", func(t *testing.T, b Backends, base Config) (Backends, Config) {
-		coord, err := shard.New(b.Tiles, RoadCubeDims(), shard.Options{Shards: 2, WithEngine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(coord.Close) // idempotent: the server's Drain closes it first
-		base.Gatherer, base.GatherDims = coord, RoadCubeDims()
-		b.Cube = nil
-		return b, base
+		return partitioned(t, b, base, 2, nil)
 	}},
 }
 
@@ -115,8 +103,8 @@ func queryAll(t *testing.T, tag string, servers []*httptest.Server, req QueryReq
 }
 
 // TestOneBrushPathAcrossAnswerers: whoever answers — the unsharded
-// server's one replica, the planner, two in-process shards, or a
-// coordinator handed in as Gatherer — the same brush script yields
+// server's one replica, the planner, or two in-process shards handed in as
+// Gatherer — the same brush script yields
 // byte-identical bodies, each equal to the row-at-a-time oracle over the
 // served table, and under a stalled backend with Deadlines on the same
 // rungs answer in the same order.
@@ -129,13 +117,7 @@ func TestOneBrushPathAcrossAnswerers(t *testing.T) {
 		post := func(tag string, req BrushRequest) {
 			t.Helper()
 			got := decodeBrush(t, postAll(t, tag, servers, req))
-			filters := make([]*datacube.Range, len(req.Ranges))
-			for i, rg := range req.Ranges {
-				if rg != nil {
-					filters[i] = &datacube.Range{Lo: rg[0], Hi: rg[1]}
-				}
-			}
-			total, hists := oracle.Brush(served, RoadCubeDims(), filters)
+			total, hists := oracle.Brush(served, RoadCubeDims(), filtersOf(req.Ranges))
 			if got.Total != total || !reflect.DeepEqual(got.Histograms, hists) {
 				t.Fatalf("%s: total %d %v, oracle %d %v", tag, got.Total, got.Histograms, total, hists)
 			}
@@ -221,7 +203,7 @@ func TestLostLegWithoutDeadlinesIsDegraded(t *testing.T) {
 	const failing = 1
 	faults := make([]*fault.Injector, 4)
 	faults[failing] = fault.New(fault.Profile{Name: "err-all", ErrProb: 1}, 31)
-	srv, ts := shardTestServer(t, 8000, Config{Workers: 2, Shards: 4, ShardFaults: faults})
+	srv, ts := shardTestServer(t, 8000, 4, faults, Config{Workers: 2})
 
 	coord := srv.coord.(*shard.Coordinator)
 	wantFrac := 1 - float64(coord.Replica(failing).Table.NumRows())/float64(coord.Records())

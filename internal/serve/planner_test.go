@@ -156,7 +156,7 @@ func TestPlannerConfigRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(backends, Config{Planner: true, Shards: 2}); err == nil {
+	if _, err := New(partitioned(t, backends, Config{Planner: true}, 2, nil)); err == nil {
 		t.Error("planner + shards accepted")
 	}
 	noCube := backends

@@ -106,33 +106,21 @@ type Config struct {
 	// cube with a backing table (Backends.Tiles) carrying every cube
 	// dimension as a numeric column.
 	//
-	// Planner, Shards > 1 and Gatherer each pick who answers a brush;
-	// New accepts at most one of them (the planner does not yet run inside
-	// shard replicas).
+	// Planner and Gatherer each pick who answers a brush; New accepts at
+	// most one of them (the planner does not yet run inside shard
+	// replicas).
 	Planner bool
 	// PlannerHotStreak is how many consecutive same-template brushes a
 	// session issues before its template is materialized; 0 means
 	// planner.DefaultHotStreak.
 	PlannerHotStreak int
 
-	// Shards enables sharded scatter-gather serving: the cube's backing
-	// table (Backends.Tiles) is partitioned across this many shard
-	// replicas, each with its own prefix cube (and engine, when the
-	// backends include one), and brush/histogram-query requests fan out to
-	// every shard and merge by addition. 0 or 1 gathers from one replica
-	// that is the served table itself. Requires a cube with a backing table
-	// whose columns include every cube dimension.
-	Shards int
-	// ShardFaults optionally fault-gates individual shards (nil entries
-	// inject nothing) — the chaos hook for wedging one shard while the
-	// rest stay healthy. Independent of Fault, which gates whole requests.
-	ShardFaults []*fault.Injector
-
 	// Gatherer, when non-nil, holds the partitions: every brush and every
-	// histogram-shaped query scatter-gathers through it (the process router
-	// hands one in, fronting supervised shard child processes) and merges by
-	// addition exactly as the in-process coordinator does. Requires
-	// GatherDims and no Cube backend. The server owns it: Drain closes it.
+	// histogram-shaped query scatter-gathers through it and merges by
+	// addition — a *shard.Coordinator over in-process partitions (idevald
+	// -shards) or a router.Fleet of shard child processes (idevald
+	// -router). Requires GatherDims and no Cube backend. The server owns
+	// it: Drain closes it.
 	Gatherer Gatherer
 	// GatherDims are the served cube dimensions when a Gatherer is
 	// configured — the global domains every shard child bins against.
@@ -240,9 +228,9 @@ type Server struct {
 	sampleFrac   float64
 	brushMu      sync.Mutex
 	brushCache   *opt.ResultLRU
-	// shardTables are the in-process shards' partitions of the served
-	// table, which SQL scans in its place; the /metrics store section adds
-	// their zone and sketch counters to the served table's.
+	// shardTables are the partitions of a handed-in *shard.Coordinator,
+	// which SQL scans in the served table's place; the /metrics store
+	// section adds their zone, sketch and run counters to the table's.
 	shardTables []*storage.Table
 
 	mux      *http.ServeMux
@@ -364,45 +352,31 @@ func New(b Backends, cfg Config) (*Server, error) {
 		}
 	}
 	if b.Cube != nil {
-		for d := 0; d < b.Cube.NumDims(); d++ {
-			s.cubeDims = append(s.cubeDims, b.Cube.Dim(d))
-		}
+		s.cubeDims = b.Cube.Dims()
 	}
-	// Every replica built here — the shards', the sample's — gets an engine
-	// of the served engine's profile exactly when there is a served engine.
-	repOpts := shard.Options{WithEngine: b.Engine != nil}
-	if b.Engine != nil {
-		repOpts.Profile = b.Engine.Profile()
-	}
-	// One brush answerer, picked here once. Planner, Shards > 1 and Gatherer
-	// each claim the pick, so each arm requires the others absent.
+	// One brush answerer, picked here once. Planner and Gatherer each claim
+	// the pick, so each arm requires the other absent.
 	switch {
-	case cfg.Gatherer != nil && !cfg.Planner && cfg.Shards <= 1 && b.Cube == nil:
+	case cfg.Gatherer != nil && !cfg.Planner && b.Cube == nil:
 		if len(cfg.GatherDims) == 0 {
 			return nil, fmt.Errorf("serve: a gatherer needs GatherDims (the global cube dimensions)")
 		}
 		s.cubeDims = append([]datacube.Dim(nil), cfg.GatherDims...)
 		s.coord = cfg.Gatherer
-	case cfg.Gatherer != nil || (cfg.Planner && cfg.Shards > 1):
-		return nil, fmt.Errorf("serve: Planner, Shards > 1 and a Gatherer (in place of a Cube) each pick the brush answerer; configure at most one")
+		if coord, ok := cfg.Gatherer.(*shard.Coordinator); ok {
+			for i := 0; i < coord.NumShards(); i++ {
+				s.shardTables = append(s.shardTables, coord.Replica(i).Table)
+			}
+		}
+	case cfg.Gatherer != nil:
+		return nil, fmt.Errorf("serve: Planner and a Gatherer (in place of a Cube) each pick the brush answerer; configure at most one")
 	case b.Cube == nil:
-		if cfg.Planner || cfg.Shards > 1 {
-			return nil, fmt.Errorf("serve: planner and sharded serving need a cube with a backing table")
+		if cfg.Planner {
+			return nil, fmt.Errorf("serve: the planner needs a cube with a backing table")
 		}
 		// no brush backend: /v1/brush answers 501
 	case b.Tiles == nil:
 		return nil, fmt.Errorf("serve: a cube needs its backing table (Backends.Tiles)")
-	case cfg.Shards > 1:
-		opts := repOpts
-		opts.Shards, opts.Faults = cfg.Shards, cfg.ShardFaults
-		coord, err := shard.New(b.Tiles, s.cubeDims, opts)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard coordinator: %w", err)
-		}
-		s.coord = coord
-		for i := 0; i < coord.NumShards(); i++ {
-			s.shardTables = append(s.shardTables, coord.Replica(i).Table)
-		}
 	default:
 		// S = 1 is a partition: one replica that is the served table in
 		// table order (non-histogram SQL sees row order) behind the served
@@ -433,6 +407,11 @@ func New(b Backends, cfg Config) (*Server, error) {
 			}
 		}
 		if usable {
+			// An engine of the served one's profile, if there is one.
+			repOpts := shard.Options{WithEngine: b.Engine != nil}
+			if b.Engine != nil {
+				repOpts.Profile = b.Engine.Profile()
+			}
 			var err error
 			if s.sample, err = sampleReplica(b.Tiles, s.cubeDims, repOpts); err != nil {
 				return nil, fmt.Errorf("serve: sample rung: %w", err)

@@ -12,22 +12,45 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datacube"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
 	"repro/internal/opt"
+	reforacle "repro/internal/oracle"
 	"repro/internal/shard"
 )
 
-// shardTestServer builds a road server and its httptest frontend, draining
-// both on cleanup.
-func shardTestServer(t *testing.T, rows int, cfg Config) (*Server, *httptest.Server) {
+// partitioned hands cfg a coordinator over s hash partitions of b's table,
+// built as idevald -shards builds it, through the Gatherer door, and takes
+// the cube out of b. faults (len s; nil entries inject nothing) gate single
+// shards. At s ≤ 1 b and cfg come back unchanged: the server's own
+// one-replica gather over the served table.
+func partitioned(t *testing.T, b Backends, cfg Config, s int, faults []*fault.Injector) (Backends, Config) {
+	t.Helper()
+	if s <= 1 {
+		return b, cfg
+	}
+	dims := b.Cube.Dims()
+	coord, err := shard.New(b.Tiles, dims, shard.Options{Shards: s, WithEngine: true, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close) // idempotent: the server's Drain closes it first
+	cfg.Gatherer, cfg.GatherDims, b.Cube = coord, dims, nil
+	return b, cfg
+}
+
+// shardTestServer builds a road server over s partitions (see partitioned)
+// and its httptest frontend, draining both on cleanup.
+func shardTestServer(t *testing.T, rows, s int, faults []*fault.Injector, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	backends, err := RoadBackends(1, rows, engine.ProfileMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(backends, cfg)
+	srv, err := New(partitioned(t, backends, cfg, s, faults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,34 +66,56 @@ func shardTestServer(t *testing.T, rows int, cfg Config) (*Server, *httptest.Ser
 	return srv, ts
 }
 
+// filtersOf turns a brush request's ranges into datacube filters.
+func filtersOf(ranges []*[2]float64) []*datacube.Range {
+	filters := make([]*datacube.Range, len(ranges))
+	for i, rg := range ranges {
+		if rg != nil {
+			filters[i] = &datacube.Range{Lo: rg[0], Hi: rg[1]}
+		}
+	}
+	return filters
+}
+
+// histPairs reads a histogram statement's JSON rows as the (bin, count)
+// pairs reforacle.Histogram returns.
+func histPairs(t *testing.T, rows [][]any) [][2]int64 {
+	t.Helper()
+	out := make([][2]int64, 0, len(rows))
+	for _, r := range rows {
+		bin, ok1 := r[0].(float64)
+		count, ok2 := r[1].(float64)
+		if len(r) != 2 || !ok1 || !ok2 {
+			t.Fatalf("row %v is not a (bin, count) pair", r)
+		}
+		out = append(out, [2]int64{int64(bin), int64(count)})
+	}
+	return out
+}
+
 // TestShardedServerMatchesUnsharded is the serving-layer end of the
 // differential proof: the same randomized brush and histogram-query
 // traffic against a sharded server and an unsharded oracle server built
 // from the same dataset. Brush responses must be byte-identical on the
 // wire; query responses must agree on every row (model cost legitimately
-// differs — S parallel partial scans are not one full scan).
+// differs — S parallel partial scans are not one full scan). Both must also
+// equal internal/oracle's row-at-a-time answers over the served table.
 func TestShardedServerMatchesUnsharded(t *testing.T) {
 	leakcheck.Check(t)
 	const rows = 20000
-	_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+	_, oracle := shardTestServer(t, rows, 1, nil, Config{Workers: 2})
 	dims := RoadCubeDims()
 	loadDims := RoadLoadDims()
+	served := dataset.Roads(1, rows) // the table RoadBackends serves
 
 	for _, s := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("hash/S%d", s), func(t *testing.T) {
-			_, sharded := shardTestServer(t, rows, Config{Workers: 2, Shards: s})
+			_, sharded := shardTestServer(t, rows, s, nil, Config{Workers: 2})
 			rng := rand.New(rand.NewSource(int64(1000 * s)))
 			session := fmt.Sprintf("diff-hash-%d", s)
 
-			for seq := int64(0); seq < 15; seq++ {
-				ranges := make([]*[2]float64, len(dims))
-				for i, d := range dims {
-					if rng.Intn(4) == 0 {
-						continue
-					}
-					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
-					ranges[i] = &[2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
-				}
+			brush := func(seq int64, ranges []*[2]float64) {
+				t.Helper()
 				req := BrushRequest{Session: session, Seq: seq, Ranges: ranges}
 				st1, body1 := postJSON(t, oracle.URL+"/v1/brush", req)
 				st2, body2 := postJSON(t, sharded.URL+"/v1/brush", req)
@@ -80,6 +125,36 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 				if !bytes.Equal(body1, body2) {
 					t.Fatalf("seq %d: sharded brush body differs:\n%s\nvs oracle:\n%s", seq, body2, body1)
 				}
+				// Both servers bin through datacube; the row-at-a-time
+				// reference shares no code with either.
+				got := decodeBrush(t, body2)
+				total, hists := reforacle.Brush(served, dims, filtersOf(ranges))
+				if got.Total != total || !reflect.DeepEqual(got.Histograms, hists) {
+					t.Fatalf("seq %d: total %d %v, reference oracle %d %v", seq, got.Total, got.Histograms, total, hists)
+				}
+			}
+			for seq := int64(0); seq < 15; seq++ {
+				ranges := make([]*[2]float64, len(dims))
+				for i, d := range dims {
+					if rng.Intn(4) == 0 {
+						continue
+					}
+					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
+					ranges[i] = &[2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
+				}
+				brush(seq, ranges)
+			}
+			// Bounds on bin edges, where the binning rules decide: a bound
+			// on bin k's lower edge keeps bin k as Lo and stops short of it
+			// as Hi. Random bounds never land there.
+			for step := 0; step < 5; step++ {
+				ranges := make([]*[2]float64, len(dims))
+				for i, d := range dims {
+					edge := func(k int) float64 { return d.Lo + (d.Hi-d.Lo)*float64(k)/float64(d.Bins) }
+					k := (3*step + 5*i) % (d.Bins - 4)
+					ranges[i] = &[2]float64{edge(k), edge(k + 2 + step%3)}
+				}
+				brush(int64(15+step), ranges)
 			}
 
 			for seq := int64(0); seq < 8; seq++ {
@@ -88,7 +163,8 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
 					ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
 				}
-				stmt, err := opt.HistogramQuery("dataroad", loadDims, ranges, rng.Intn(len(dims)), dims[0].Bins)
+				target := rng.Intn(len(dims))
+				stmt, err := opt.HistogramQuery("dataroad", loadDims, ranges, target, dims[0].Bins)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,6 +187,9 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
 					t.Fatalf("query seq %d: rows differ\nsharded: %v\noracle:  %v", seq, got.Rows, want.Rows)
 				}
+				if ref := reforacle.Histogram(served, dims, ranges, target, dims[0].Bins); !reflect.DeepEqual(histPairs(t, got.Rows), ref) {
+					t.Fatalf("query seq %d: rows %v, reference oracle %v", seq, got.Rows, ref)
+				}
 			}
 		})
 	}
@@ -129,10 +208,8 @@ func TestShardedBrushDegradesOnStalledShard(t *testing.T) {
 			leakcheck.Check(t)
 			faults := make([]*fault.Injector, 4)
 			faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
-			srv, ts := shardTestServer(t, 8000, Config{
+			srv, ts := shardTestServer(t, 8000, 4, faults, Config{
 				Workers:        2,
-				Shards:         4,
-				ShardFaults:    faults,
 				Deadlines:      true,
 				DegradeAfter:   80 * time.Millisecond,
 				BrushCacheSize: -1, // force the partial tier; the cache tier would win
@@ -215,14 +292,12 @@ func TestShardedQueryDegradesOnStalledShard(t *testing.T) {
 			const rows = 8000
 			faults := make([]*fault.Injector, 4)
 			faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
-			srv, ts := shardTestServer(t, rows, Config{
+			srv, ts := shardTestServer(t, rows, 4, faults, Config{
 				Workers:      2,
-				Shards:       4,
-				ShardFaults:  faults,
 				Deadlines:    true,
 				DegradeAfter: 80 * time.Millisecond,
 			})
-			_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+			_, oracle := shardTestServer(t, rows, 1, nil, Config{Workers: 2})
 
 			coord := srv.coord.(*shard.Coordinator)
 			wantFrac := float64(0)
@@ -295,14 +370,12 @@ func TestShardedTileDegradesOnStalledShard(t *testing.T) {
 			const key = "6/33/19" // inside the road bounds
 			faults := make([]*fault.Injector, 4)
 			faults[stalled] = fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 11)
-			srv, ts := shardTestServer(t, rows, Config{
+			srv, ts := shardTestServer(t, rows, 4, faults, Config{
 				Workers:      2,
-				Shards:       4,
-				ShardFaults:  faults,
 				Deadlines:    true,
 				DegradeAfter: 80 * time.Millisecond,
 			})
-			_, oracle := shardTestServer(t, rows, Config{Workers: 2})
+			_, oracle := shardTestServer(t, rows, 1, nil, Config{Workers: 2})
 
 			coord := srv.coord.(*shard.Coordinator)
 			wantFrac := float64(0)
@@ -359,8 +432,8 @@ func TestShardLoadgenRace(t *testing.T) {
 		t.Skip("loadgen integration in -short mode")
 	}
 	leakcheck.Check(t)
-	srv, ts := shardTestServer(t, 50000, Config{
-		Workers: 4, QueueDepth: 8, ExecDelay: 2 * time.Millisecond, Shards: 4,
+	srv, ts := shardTestServer(t, 50000, 4, nil, Config{
+		Workers: 4, QueueDepth: 8, ExecDelay: 2 * time.Millisecond,
 	})
 
 	report, err := RunLoad(LoadConfig{

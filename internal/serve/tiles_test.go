@@ -202,10 +202,10 @@ func TestTileMissCutShortCachesNothing(t *testing.T) {
 	const rows = 40_000 // more than the sample holds: the estimate is scaled
 	leakcheck.Check(t)
 	stall := fault.New(fault.Profile{Name: "wedge", StallProb: 1, StallDelay: 5 * time.Second}, 3)
-	srv, ts := shardTestServer(t, rows, Config{
+	srv, ts := shardTestServer(t, rows, 1, nil, Config{
 		Workers: 1, Deadlines: true, DegradeAfter: 80 * time.Millisecond, Fault: stall,
 	})
-	_, plain := shardTestServer(t, rows, Config{Workers: 1})
+	_, plain := shardTestServer(t, rows, 1, nil, Config{Workers: 1})
 	const key = "0/0/0"
 	fetch := func(url string) ([]byte, TileResponse) { return getTile(t, url, key) }
 	cached := func() bool { return tileCached(srv, key) }
