@@ -21,9 +21,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/opt"
-	"repro/internal/storage"
 	"repro/internal/tracefmt"
 )
 
@@ -78,7 +78,7 @@ func replaySlider(profileName, policy string, roadRows int, seed int64) error {
 		{Column: "y", Lo: latLo, Hi: latHi},
 		{Column: "z", Lo: altLo, Hi: altHi},
 	}
-	sample := sampleRoads(table, 2000)
+	sample := experiments.SampleTable(table, 2000)
 
 	for _, user := range traces.Users {
 		events, err := opt.BuildCrossfilterWorkload(traces.Events[user], "dataroad", dims)
@@ -153,17 +153,4 @@ func replayScroll(strategy string, batch int, exec time.Duration) error {
 			user, len(events), res.Fetches, res.Violations, metrics.Summarize(waits).Mean, strategy, batch)
 	}
 	return nil
-}
-
-// sampleRoads takes an every-kth-row sample for the KL approximation.
-func sampleRoads(t *storage.Table, n int) *storage.Table {
-	out := storage.NewTable(t.Name+"_sample", t.Schema)
-	stride := t.NumRows() / n
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < t.NumRows() && out.NumRows() < n; i += stride {
-		out.MustAppendRow(t.Row(i)...)
-	}
-	return out
 }

@@ -18,16 +18,16 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/opt"
-	"repro/internal/storage"
 )
 
 const roadRows = 150000 // > buffer pool, so the disk profile thrashes
 
 func main() {
 	roads := dataset.Roads(1, roadRows)
-	sample := sampleRoads(roads, 2000)
+	sample := experiments.SampleTable(roads, 2000)
 	lonLo, lonHi, latLo, latHi, altLo, altHi := dataset.RoadBounds()
 	domains := [][2]float64{{lonLo, lonHi}, {latLo, latHi}, {altLo, altHi}}
 	dims := []opt.CrossfilterDim{
@@ -79,18 +79,4 @@ func main() {
 	}
 	fmt.Println("Paper shape: memory stays interactive everywhere; disk/raw cascades;")
 	fmt.Println("Skip and KL>0.2 restore sub-second latency on the disk backend.")
-}
-
-// sampleRoads takes an every-kth-row sample for the client-side KL
-// approximation.
-func sampleRoads(t *storage.Table, n int) *storage.Table {
-	out := storage.NewTable(t.Name+"_sample", t.Schema)
-	stride := t.NumRows() / n
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < t.NumRows() && out.NumRows() < n; i += stride {
-		out.MustAppendRow(t.Row(i)...)
-	}
-	return out
 }

@@ -165,15 +165,20 @@ const cubeLUTCap = 1 << 22
 // numeric column of that name — the one binning definition every structure
 // built from the table shares, which is what makes them interchangeable bit
 // for bit. Colstore-coded columns bin through a code LUT (one decode per
-// *distinct* value instead of one per row), frozen plain-float columns
-// borrow the raw slice, and everything else reads through the column's
-// Float surface.
+// *distinct* value instead of one per row), raw float columns and frozen
+// plain-float ones bin straight from their slice, and everything else
+// reads through the column's Float surface.
 func Binners(t *storage.Table, dims []Dim) ([]func(row int) int, error) {
 	binFns := make([]func(row int) int, len(dims))
 	for i, d := range dims {
 		col := t.Column(d.Name)
 		if col == nil || col.Type == storage.String {
 			return nil, fmt.Errorf("datacube: no numeric column %q", d.Name)
+		}
+		if col.Enc == nil && col.Type == storage.Float64 {
+			fs := col.Floats
+			binFns[i] = func(row int) int { return d.BinOf(fs[row]) }
+			continue
 		}
 		if enc, ok := colstore.Of(col); ok && t.NumRows() > 0 {
 			if coded, isCoded := enc.(colstore.Coded); isCoded && coded.CodeSpan() < cubeLUTCap {

@@ -12,13 +12,16 @@
 //   - Listings: an Airbnb-like accommodation table used by the
 //     composite-interface case study (location, price, room type, guests).
 //
-// All generators are deterministic under their seed.
+// All generators are deterministic under their seed. Each draws its rows
+// into typed column slices sized for n up front and hands them to the new
+// table whole, so generation boxes no value and grows no slice.
 package dataset
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -57,6 +60,9 @@ func Movies(seed int64, n int) *storage.Table {
 		{Name: "plot", Type: storage.String},
 		{Name: "rating", Type: storage.Float64},
 	})
+	ids, years, ratings := make([]int64, 0, n), make([]int64, 0, n), make([]float64, 0, n)
+	posters, titles, directors := make([]string, 0, n), make([]string, 0, n), make([]string, 0, n)
+	genreCol, plots := make([]string, 0, n), make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		title := fmt.Sprintf("%s %s", pick(rng, adjectives), pick(rng, nouns))
 		if rng.Intn(4) == 0 {
@@ -70,23 +76,26 @@ func Movies(seed int64, n int) *storage.Table {
 		rating = math.Round(rating*10) / 10
 		plot := fmt.Sprintf("A %s tale of %s and %s in %d.",
 			pick(rng, adjectives), pick(rng, nouns), pick(rng, nouns), year)
-		t.MustAppendRow(
-			storage.NewInt(int64(i)),
-			storage.NewString(fmt.Sprintf("poster_%04d.jpg", i)),
-			storage.NewString(title),
-			storage.NewInt(int64(year)),
-			storage.NewString(director),
-			storage.NewString(genre),
-			storage.NewString(plot),
-			storage.NewFloat(rating),
-		)
+		ids = append(ids, int64(i))
+		posters = append(posters, fmt.Sprintf("poster_%04d.jpg", i))
+		titles = append(titles, title)
+		years = append(years, int64(year))
+		directors = append(directors, director)
+		genreCol = append(genreCol, genre)
+		plots = append(plots, plot)
+		ratings = append(ratings, rating)
 	}
+	c := t.Columns
+	c[0].Ints, c[1].Strings, c[2].Strings, c[3].Ints = ids, posters, titles, years
+	c[4].Strings, c[5].Strings, c[6].Strings, c[7].Floats = directors, genreCol, plots, ratings
 	return t
 }
 
 // MovieRatingSplit splits a movie table into the two tables joined by the
 // scrolling case study's streaming-join query Q2: imdbrating(id, rating)
-// and movie(id, poster, title, year, director, genre, plot).
+// and movie(id, poster, title, year, director, genre, plot). movies is a
+// table Movies returned; its raw columns are copied, never shared, so each
+// table is its own.
 func MovieRatingSplit(movies *storage.Table) (ratings, details *storage.Table) {
 	ratings = storage.NewTable("imdbrating", storage.Schema{
 		{Name: "id", Type: storage.Int64},
@@ -101,10 +110,13 @@ func MovieRatingSplit(movies *storage.Table) (ratings, details *storage.Table) {
 		{Name: "genre", Type: storage.String},
 		{Name: "plot", Type: storage.String},
 	})
-	for i := 0; i < movies.NumRows(); i++ {
-		row := movies.Row(i)
-		ratings.MustAppendRow(row[0], row[7])
-		details.MustAppendRow(row[0], row[1], row[2], row[3], row[4], row[5], row[6])
+	m := movies.Columns
+	ratings.Columns[0].Ints = slices.Clone(m[0].Ints)
+	ratings.Columns[1].Floats = slices.Clone(m[7].Floats)
+	details.Columns[0].Ints = slices.Clone(m[0].Ints)
+	details.Columns[3].Ints = slices.Clone(m[3].Ints)
+	for _, c := range []int{1, 2, 4, 5, 6} {
+		details.Columns[c].Strings = slices.Clone(m[c].Strings)
 	}
 	return ratings, details
 }
@@ -137,6 +149,7 @@ func Roads(seed int64, n int) *storage.Table {
 			altLo + math.Pow(rng.Float64(), 2)*(altHi-altLo), // altitude skews low
 		}
 	}
+	xs, ys, zs := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
 	emitted := 0
 	for emitted < n {
 		c := centers[rng.Intn(len(centers))]
@@ -150,17 +163,17 @@ func Roads(seed int64, n int) *storage.Table {
 		heading := rng.Float64() * 2 * math.Pi
 		for j := 0; j < segLen; j++ {
 			heading += rng.NormFloat64() * 0.2
-			x += math.Cos(heading) * 0.0004
-			y += math.Sin(heading) * 0.0002
+			sin, cos := math.Sincos(heading)
+			x += cos * 0.0004
+			y += sin * 0.0002
 			z += rng.NormFloat64() * 0.4
-			t.MustAppendRow(
-				storage.NewFloat(clamp(x, lonLo, lonHi)),
-				storage.NewFloat(clamp(y, latLo, latHi)),
-				storage.NewFloat(clamp(z, altLo, altHi)),
-			)
+			xs = append(xs, clamp(x, lonLo, lonHi))
+			ys = append(ys, clamp(y, latLo, latHi))
+			zs = append(zs, clamp(z, altLo, altHi))
 		}
 		emitted += segLen
 	}
+	t.Columns[0].Floats, t.Columns[1].Floats, t.Columns[2].Floats = xs, ys, zs
 	return t
 }
 
@@ -191,6 +204,9 @@ func Listings(seed int64, n int) *storage.Table {
 		{29.76, -95.37, 0.09}, {33.45, -112.07, 0.07}, {47.61, -122.33, 0.08},
 		{25.76, -80.19, 0.10}, {39.74, -104.99, 0.06}, {36.16, -86.78, 0.08},
 	}
+	ids, guestCol, reviewCol := make([]int64, 0, n), make([]int64, 0, n), make([]int64, 0, n)
+	lats, lngs, prices, ratings := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	rooms := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		r := rng.Float64()
 		var c city
@@ -210,17 +226,18 @@ func Listings(seed int64, n int) *storage.Table {
 		guests := 1 + rng.Intn(8)
 		rating := clamp(4.7+rng.NormFloat64()*0.4, 1, 5)
 		reviews := int64(math.Floor(math.Exp(rng.Float64() * 6)))
-		t.MustAppendRow(
-			storage.NewInt(int64(i)),
-			storage.NewFloat(lat),
-			storage.NewFloat(lng),
-			storage.NewFloat(math.Round(price)),
-			storage.NewString(pick(rng, roomTypes)),
-			storage.NewInt(int64(guests)),
-			storage.NewFloat(math.Round(rating*10)/10),
-			storage.NewInt(reviews),
-		)
+		ids = append(ids, int64(i))
+		lats = append(lats, lat)
+		lngs = append(lngs, lng)
+		prices = append(prices, math.Round(price))
+		rooms = append(rooms, pick(rng, roomTypes))
+		guestCol = append(guestCol, int64(guests))
+		ratings = append(ratings, math.Round(rating*10)/10)
+		reviewCol = append(reviewCol, reviews)
 	}
+	c := t.Columns
+	c[0].Ints, c[1].Floats, c[2].Floats, c[3].Floats = ids, lats, lngs, prices
+	c[4].Strings, c[5].Ints, c[6].Floats, c[7].Ints = rooms, guestCol, ratings, reviewCol
 	return t
 }
 

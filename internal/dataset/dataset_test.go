@@ -185,3 +185,15 @@ func TestFullSizeRoadCountSmoke(t *testing.T) {
 		t.Error("mid-domain range x∈[9,10] has no rows")
 	}
 }
+
+// BenchmarkRoads prices generating the paper-scale road table, the
+// largest part of a road server's start.
+func BenchmarkRoads(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if Roads(1, RoadCount).NumRows() != RoadCount {
+			b.Fatal("short table")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/RoadCount, "ns/row")
+}

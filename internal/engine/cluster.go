@@ -107,20 +107,17 @@ func NewPartitioned(profile Profile, n int, table *storage.Table) (*Partitioned,
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: partitioned cluster needs at least one node")
 	}
-	parts := make([]*storage.Table, n)
-	for i := range parts {
-		parts[i] = storage.NewTable(table.Name, table.Schema)
-	}
-	for row := 0; row < table.NumRows(); row++ {
-		parts[row%n].MustAppendRow(table.Row(row)...)
-	}
 	p := &Partitioned{
 		MergePerNodeBin: 2 * time.Microsecond,
 		Coordination:    300 * time.Microsecond,
 	}
 	for i := 0; i < n; i++ {
+		var rows []int
+		for row := i; row < table.NumRows(); row += n {
+			rows = append(rows, row)
+		}
 		e := New(profile)
-		e.Register(parts[i])
+		e.Register(table.Take(rows))
 		p.nodes = append(p.nodes, e)
 	}
 	return p, nil

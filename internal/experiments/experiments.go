@@ -229,20 +229,20 @@ func (c *Context) RoadSample() *storage.Table {
 	return c.roadSample
 }
 
-// SampleTable takes an every-kth-row sample of a table.
+// SampleTable takes an every-kth-row sample of a table: up to n rows, one
+// every NumRows/n, named after the table with a "_sample" suffix.
 func SampleTable(t *storage.Table, n int) *storage.Table {
-	out := storage.NewTable(t.Name+"_sample", t.Schema)
 	total := t.NumRows()
 	if n <= 0 || n > total {
 		n = total
 	}
-	stride := total / n
-	if stride < 1 {
-		stride = 1
+	stride := max(total/max(n, 1), 1)
+	rows := make([]int, 0, n)
+	for i := 0; i < total && len(rows) < n; i += stride {
+		rows = append(rows, i)
 	}
-	for i := 0; i < total && out.NumRows() < n; i += stride {
-		out.MustAppendRow(t.Row(i)...)
-	}
+	out := t.Take(rows)
+	out.Name = t.Name + "_sample"
 	return out
 }
 

@@ -158,10 +158,14 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 			}
 
 			for seq := int64(0); seq < 8; seq++ {
+				// Each statement's ranges hold one served row's values, so
+				// it keeps at least that row: a statement that matches
+				// nothing compares two empty answers.
+				row := rng.Intn(served.NumRows())
 				ranges := make([][2]float64, len(dims))
 				for i, d := range dims {
-					lo := d.Lo + rng.Float64()*(d.Hi-d.Lo)
-					ranges[i] = [2]float64{lo, lo + rng.Float64()*(d.Hi-lo)}
+					v := served.Column(d.Name).Floats[row]
+					ranges[i] = [2]float64{v - rng.Float64()*(v-d.Lo), v + rng.Float64()*(d.Hi-v)}
 				}
 				target := rng.Intn(len(dims))
 				stmt, err := opt.HistogramQuery("dataroad", loadDims, ranges, target, dims[0].Bins)
@@ -186,6 +190,9 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
 					t.Fatalf("query seq %d: rows differ\nsharded: %v\noracle:  %v", seq, got.Rows, want.Rows)
+				}
+				if len(got.Rows) == 0 {
+					t.Fatalf("query seq %d: no rows, though its ranges hold row %d", seq, row)
 				}
 				if ref := reforacle.Histogram(served, dims, ranges, target, dims[0].Bins); !reflect.DeepEqual(histPairs(t, got.Rows), ref) {
 					t.Fatalf("query seq %d: rows %v, reference oracle %v", seq, got.Rows, ref)

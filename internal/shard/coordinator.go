@@ -79,13 +79,17 @@ func (c *Coordinator) Close() { c.closed.Store(true) }
 // every other on a goroutine of its own — and gathers the answers under
 // t.ctx: a shard that has not answered when it expires is marked with its
 // error. The result channel is buffered to the spawned legs, so a
-// straggler answering an abandoned gather never blocks.
+// straggler answering an abandoned gather never blocks; a single shard
+// spawns no leg and needs no channel.
 func (c *Coordinator) scatter(t *task) (*Gather, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("shard: coordinator closed")
 	}
 	shards := len(c.reps)
-	out := make(chan result, shards-1)
+	var out chan result
+	if shards > 1 {
+		out = make(chan result, shards-1)
+	}
 	for i := 1; i < shards; i++ {
 		go func() { out <- leg(c.reps[i], c.dims, c.faults[i], t) }()
 	}
@@ -190,9 +194,21 @@ func (b *Brush) Fraction() float64 { return b.fraction }
 
 // MergeBrush sums the covered shards' histograms element-wise and their
 // totals — the merge law the differential suite proves equal to the
-// unsharded computation whenever coverage is complete.
+// unsharded computation whenever coverage is complete. With one answer
+// covered, the sum is that answer: the Brush takes over its histograms
+// rather than copying them into a fresh set. Every leg allocates its own
+// in dims' shape, and the router's reply decoder checks that shape.
 func (g *Gather) MergeBrush(dims []datacube.Dim) *Brush {
-	b := &Brush{Histograms: datacube.NewHistograms(dims), Covered: g.covered, fraction: g.Fraction()}
+	b := &Brush{Covered: g.covered, fraction: g.Fraction()}
+	if g.covered == 1 {
+		for _, a := range g.Answers {
+			if a != nil {
+				b.Histograms, b.Total = a.Histograms, a.Total
+				return b
+			}
+		}
+	}
+	b.Histograms = datacube.NewHistograms(dims)
 	for _, a := range g.Answers {
 		if a == nil {
 			continue
