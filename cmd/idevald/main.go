@@ -22,9 +22,12 @@
 // GET /metrics (JSON, or Prometheus text with ?format=prometheus);
 // GET /v1/trace (recent per-request stage traces, JSON lines);
 // GET /healthz (liveness, always 200); GET /readyz
-// (readiness: 503 while draining or circuit-breaker open). SIGTERM/SIGINT
-// drain gracefully: admission stops (new requests get 503), in-flight,
-// queued, and pending coalesced work completes, then the process exits.
+// (readiness: 503 while draining or circuit-breaker open). -addr is bound
+// before the dataset is built or a child spawned, so no other listener can
+// take the port meanwhile; connections made during the build wait in the
+// backlog until the server answers. SIGTERM/SIGINT drain gracefully:
+// admission stops (new requests get 503), in-flight, queued, and pending
+// coalesced work completes, then the process exits.
 //
 // -shards N builds a shard.Coordinator over N in-process partitions and
 // hands it to the server as its Gatherer, the door -router's fleet goes
@@ -39,14 +42,17 @@
 //
 // -router N runs the dataset as N supervised shard child processes instead
 // of in-process shards: each child is this same binary re-exec'd (it
-// detects child mode via the environment before flag parsing), rebuilding
-// its partition deterministically and answering what an in-process shard
-// answers — a brush's partial histograms, a histogram-shaped SQL
-// statement's (bin, count) rows — as binary frames over one persistent
-// connection per child, which the parent gathers and merges. The parent
-// holds no table, so a statement with no merge law and /v1/tiles answer
-// 501 there. Children are health-checked, restarted
-// with capped jittered backoff, and parked dark after crash-looping;
+// detects child mode via the environment before flag parsing). A child
+// regenerates the dataset a block at a time and keeps only the rows its
+// shard owns — never the whole table — writes a byte to a pipe its parent
+// watches once it serves, and answers what an in-process shard answers — a
+// brush's partial histograms, a histogram-shaped SQL statement's (bin,
+// count) rows — as binary frames over one persistent connection per
+// child, which the parent gathers and merges. The parent holds no table
+// (for listings it streams the rows once, a block at a time, for the
+// global domains), so a statement with no merge law and /v1/tiles answer
+// 501 there. Children are health-checked, restarted with capped jittered
+// backoff, and parked dark after crash-looping;
 // /readyz reports the per-shard breakdown. -routerreplicas 2 adds a warm
 // replica per shard for hedged gathers. With -snapshotdir, each child
 // persists its frozen partition (encoded columns + prefix cube) to a
@@ -61,6 +67,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -debug-addr listener
 	"os"
@@ -134,6 +141,14 @@ func buildBackends(ds string, rows int, seed int64) (serve.Backends, error) {
 func run(addr, ds string, rows int, workers, queue int, constraint, execDelay time.Duration, logPath string, seed int64,
 	deadlines bool, degradeAfter time.Duration, chaos string, chaosSeed int64, shards int, encode bool,
 	planOn bool, debugAddr string, routerN, routerReplicas int, snapshotDir string) error {
+	// Bind before anything is built or spawned: no loopback listener opened
+	// below — a fleet binds two per child — can take the port meanwhile.
+	// Connections wait in the backlog until the server answers.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	if debugAddr != "" {
 		// http.DefaultServeMux carries the net/http/pprof registrations from
 		// the blank import; the serving mux stays free of them.
@@ -176,7 +191,6 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 			routerN, fleet.Stats().Replicas)
 	} else {
 		fmt.Fprintf(os.Stderr, "idevald: building %s dataset...\n", ds)
-		var err error
 		backends, err = buildBackends(ds, rows, seed)
 		if err != nil {
 			return err
@@ -230,12 +244,11 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 		return err
 	}
 
-	// The handler goes in before the listener comes up: a stop sent the
-	// moment /readyz first answers must drain, not kill by default action.
+	// The handler goes in before the server answers: a stop sent the moment
+	// /readyz first answers must drain, not kill by default action.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	httpSrv := &http.Server{
-		Addr:    addr,
 		Handler: srv.Handler(),
 		// A client that never finishes its headers, or parks an idle
 		// keep-alive connection, must not hold a goroutine and a
@@ -245,7 +258,7 @@ func run(addr, ds string, rows int, workers, queue int, constraint, execDelay ti
 		IdleTimeout:       2 * time.Minute,
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "idevald: serving %s on %s\n", ds, addr)
 
 	select {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -491,6 +492,19 @@ func TestEncodeStringsEarlyDecisionMatchesFullCount(t *testing.T) {
 			}
 		}
 	}
+	// Every row distinct; three long values; and distinct values that end
+	// the byte test early followed by repeats of them, which the plain
+	// footprint must count once each.
+	distinct, low, repeats := make([]string, 3000), make([]string, 3000), make([]string, 3000)
+	for i := range distinct {
+		distinct[i] = fmt.Sprintf("row-%05d", i)
+		low[i] = strings.Repeat(string(rune('a'+i%3)), 64)
+		repeats[i] = fmt.Sprintf("v%04d", i%200)
+		if i >= 1500 {
+			repeats[i] = fmt.Sprintf("v%04d", (3000-i)%200)
+		}
+	}
+	cases["all-distinct"], cases["low-card"], cases["early-exit-then-repeats"] = distinct, low, repeats
 	// Either side of the break-even cardinality of fixed-length strings.
 	const n, strLen = 4096, 6
 	for card := 1; card <= n; card++ {

@@ -309,11 +309,12 @@ func encodeInts(vals []int64, o *Options) Column {
 
 // encodeStrings dictionary-encodes a string column unless its cardinality
 // approaches the row count, where a dictionary would just duplicate it.
-// The distinct count stops once the strings seen so far rule a dictionary
-// out: a further distinct string adds its payload to both sides of the
-// byte test and a header and code bits to the dictionary side alone, so at
-// MinRatio ≥ 1 the test only gets harder to pass. Only a kept dictionary
-// is sorted.
+// The byte test stops once the strings seen so far rule a dictionary out:
+// a further distinct string adds its payload to both sides of the test and
+// a header and code bits to the dictionary side alone, so at MinRatio ≥ 1
+// it only gets harder to pass. The distinct count goes on in the same map,
+// since the plain column's footprint counts each distinct payload once.
+// Only a kept dictionary is sorted.
 func encodeStrings(vals []string, o *Options) Column {
 	n := len(vals)
 	// plainWins is the byte test at card distinct strings of data payload bytes.
@@ -322,17 +323,18 @@ func encodeStrings(vals []string, o *Options) Column {
 	}
 	distinct := make(map[string]uint32, 1024)
 	var data int64
+	decided := false // plain won early: only the payload is still counted
 	for _, v := range vals {
 		if _, ok := distinct[v]; !ok {
 			distinct[v] = 0
 			data += int64(len(v))
-			if len(distinct) > o.MaxDictCard || o.MinRatio >= 1 && plainWins(len(distinct), data) {
-				return NewPlainStrings(vals)
+			if !decided && (len(distinct) > o.MaxDictCard || o.MinRatio >= 1 && plainWins(len(distinct), data)) {
+				decided = true
 			}
 		}
 	}
-	if plainWins(len(distinct), data) {
-		return NewPlainStrings(vals)
+	if decided || plainWins(len(distinct), data) {
+		return &PlainStrings{vals: vals, plainBytes: stringHeaderBytes*int64(n) + data}
 	}
 	dict := make([]string, 0, len(distinct))
 	for v := range distinct {

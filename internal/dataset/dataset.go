@@ -13,8 +13,11 @@
 //     composite-interface case study (location, price, room type, guests).
 //
 // All generators are deterministic under their seed. Each draws its rows
-// into typed column slices sized for n up front and hands them to the new
-// table whole, so generation boxes no value and grows no slice.
+// into typed column slices sized up front, so generation boxes no value and
+// grows no slice. Roads and Listings are each one walk that hands its rows
+// out a block at a time: RoadBlocks and ListingsBlocks stream them to a
+// reader that keeps only some, and Roads and Listings take the walk as one
+// block, which is the table itself.
 package dataset
 
 import (
@@ -127,6 +130,21 @@ func MovieRatingSplit(movies *storage.Table) (ratings, details *storage.Table) {
 // generator walks road segments inside the same bounding box so that the
 // crossfilter histograms and query predicates match the case study's.
 func Roads(seed int64, n int) *storage.Table {
+	var t *storage.Table
+	walkRoads(seed, n, max(n, 1), func(b *storage.Table) bool { t = b; return true })
+	return t
+}
+
+// RoadBlocks hands out the rows of Roads(seed, n) block rows at a time.
+func RoadBlocks(seed int64, n, block int) storage.Blocks {
+	return storage.Blocks{Rows: n, Each: func(yield func(*storage.Table) bool) {
+		walkRoads(seed, n, block, yield)
+	}}
+}
+
+// walkRoads draws the road table and yields it block rows at a time, every
+// block in one table whose columns are refilled in place.
+func walkRoads(seed int64, n, block int, yield func(*storage.Table) bool) {
 	const (
 		lonLo, lonHi = 8.146, 11.2616367163
 		latLo, latHi = 56.582, 57.774
@@ -149,7 +167,8 @@ func Roads(seed int64, n int) *storage.Table {
 			altLo + math.Pow(rng.Float64(), 2)*(altHi-altLo), // altitude skews low
 		}
 	}
-	xs, ys, zs := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	size := max(min(n, block), 0)
+	xs, ys, zs := make([]float64, 0, size), make([]float64, 0, size), make([]float64, 0, size)
 	emitted := 0
 	for emitted < n {
 		c := centers[rng.Intn(len(centers))]
@@ -170,11 +189,19 @@ func Roads(seed int64, n int) *storage.Table {
 			xs = append(xs, clamp(x, lonLo, lonHi))
 			ys = append(ys, clamp(y, latLo, latHi))
 			zs = append(zs, clamp(z, altLo, altHi))
+			if len(xs) == block || emitted+j == n-1 {
+				t.Columns[0].Floats, t.Columns[1].Floats, t.Columns[2].Floats = xs, ys, zs
+				if !yield(t) {
+					return
+				}
+				xs, ys, zs = xs[:0], ys[:0], zs[:0]
+			}
 		}
 		emitted += segLen
 	}
-	t.Columns[0].Floats, t.Columns[1].Floats, t.Columns[2].Floats = xs, ys, zs
-	return t
+	if n <= 0 {
+		yield(t)
+	}
 }
 
 // RoadBounds returns the bounding box the road generator uses, needed by
@@ -187,6 +214,22 @@ func RoadBounds() (lonLo, lonHi, latLo, latHi, altLo, altHi float64) {
 // room_type, guests, rating, reviews). Locations cluster around a handful
 // of city centers inside a continental-US-like box; price is log-normal.
 func Listings(seed int64, n int) *storage.Table {
+	var t *storage.Table
+	walkListings(seed, n, max(n, 1), func(b *storage.Table) bool { t = b; return true })
+	return t
+}
+
+// ListingsBlocks hands out the rows of Listings(seed, n) block rows at a
+// time.
+func ListingsBlocks(seed int64, n, block int) storage.Blocks {
+	return storage.Blocks{Rows: n, Each: func(yield func(*storage.Table) bool) {
+		walkListings(seed, n, block, yield)
+	}}
+}
+
+// walkListings draws the listings table and yields it block rows at a
+// time, every block in one table whose columns are refilled in place.
+func walkListings(seed int64, n, block int, yield func(*storage.Table) bool) {
 	rng := rand.New(rand.NewSource(seed))
 	t := storage.NewTable("listings", storage.Schema{
 		{Name: "id", Type: storage.Int64},
@@ -204,9 +247,10 @@ func Listings(seed int64, n int) *storage.Table {
 		{29.76, -95.37, 0.09}, {33.45, -112.07, 0.07}, {47.61, -122.33, 0.08},
 		{25.76, -80.19, 0.10}, {39.74, -104.99, 0.06}, {36.16, -86.78, 0.08},
 	}
-	ids, guestCol, reviewCol := make([]int64, 0, n), make([]int64, 0, n), make([]int64, 0, n)
-	lats, lngs, prices, ratings := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
-	rooms := make([]string, 0, n)
+	size := max(min(n, block), 0)
+	ids, guestCol, reviewCol := make([]int64, 0, size), make([]int64, 0, size), make([]int64, 0, size)
+	lats, lngs, prices, ratings := make([]float64, 0, size), make([]float64, 0, size), make([]float64, 0, size), make([]float64, 0, size)
+	rooms := make([]string, 0, size)
 	for i := 0; i < n; i++ {
 		r := rng.Float64()
 		var c city
@@ -234,11 +278,20 @@ func Listings(seed int64, n int) *storage.Table {
 		guestCol = append(guestCol, int64(guests))
 		ratings = append(ratings, math.Round(rating*10)/10)
 		reviewCol = append(reviewCol, reviews)
+		if len(ids) == block || i == n-1 {
+			cols := t.Columns
+			cols[0].Ints, cols[1].Floats, cols[2].Floats, cols[3].Floats = ids, lats, lngs, prices
+			cols[4].Strings, cols[5].Ints, cols[6].Floats, cols[7].Ints = rooms, guestCol, ratings, reviewCol
+			if !yield(t) {
+				return
+			}
+			ids, lats, lngs, prices = ids[:0], lats[:0], lngs[:0], prices[:0]
+			rooms, guestCol, ratings, reviewCol = rooms[:0], guestCol[:0], ratings[:0], reviewCol[:0]
+		}
 	}
-	c := t.Columns
-	c[0].Ints, c[1].Floats, c[2].Floats, c[3].Floats = ids, lats, lngs, prices
-	c[4].Strings, c[5].Ints, c[6].Floats, c[7].Ints = rooms, guestCol, ratings, reviewCol
-	return t
+	if n <= 0 {
+		yield(t)
+	}
 }
 
 func pick(rng *rand.Rand, xs []string) string { return xs[rng.Intn(len(xs))] }

@@ -11,10 +11,11 @@
 // address is stable across restarts and the parent-held socket keeps
 // accepting (into the kernel backlog) while a child is down — a restarting
 // shard picks its pending connections back up instead of refusing them.
-// Children are stateless: each one deterministically rebuilds the full
-// dataset from (dataset, seed, rows), partitions it exactly as
-// shard.Partition does, keeps only its own partition as a shard.Replica —
-// what an in-process coordinator holds per shard — and serves its raw
+// Children are stateless: each one deterministically regenerates the
+// dataset from (dataset, seed, rows) a block at a time, keeps only the rows
+// shard.Partition would give it, laid out as Partition lays them out, as a
+// shard.Replica — what an in-process coordinator holds per shard — and
+// tells the parent over a pipe when it serves. It serves its raw
 // unscaled answers (brush histograms, SQL histogram rows) over the binary
 // frame data plane of frame.go, on a listener of its own beside the HTTP
 // control plane (/readyz, /healthz, /chaosctl). Statelessness is what
@@ -63,10 +64,13 @@ const ChildEnv = "IDEVAL_ROUTER_CHILD"
 
 // childListenFD and childDataFD are the file descriptor numbers the parent
 // passes the pre-bound control and data listeners on (the first two
-// ExtraFiles slots after stdio).
+// ExtraFiles slots after stdio); childReadyFD is the write end of a pipe
+// the child writes one byte to once it serves, so the parent probes it
+// then rather than on its next tick.
 const (
 	childListenFD = 3
 	childDataFD   = 4
+	childReadyFD  = 5
 )
 
 // ChildSpec tells a shard child which partition it owns. It rides ChildEnv
@@ -157,8 +161,12 @@ func inheritedListener(fd int, name string) (net.Listener, error) {
 // runChild serves the child's partition on the inherited listeners until
 // SIGTERM/SIGINT. Both planes start before the dataset build so health
 // probes and early data frames get a real "building" answer instead of a
-// connection that hangs in a backlog.
+// connection that hangs in a backlog; the ready byte goes out when the
+// build is done.
 func runChild(spec ChildSpec) error {
+	// Adopted first, so no descriptor opened below can land on its number.
+	built := os.NewFile(childReadyFD, "router-ready")
+	defer built.Close()
 	ln, err := inheritedListener(childListenFD, "router-control")
 	if err != nil {
 		return err
@@ -190,6 +198,8 @@ func runChild(spec ChildSpec) error {
 			srv.Close()
 			return err
 		}
+		// A parent that is gone or never asked costs nothing but the error.
+		_, _ = built.Write([]byte{1})
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
@@ -211,12 +221,15 @@ func runChild(spec ChildSpec) error {
 // build brings the child's partition up, preferring the warm path: map the
 // slot's snapshot and adopt its columns and prefix grid zero-copy in
 // O(columns). Any snapshot problem — absent file, checksum failure, fence
-// mismatch — falls back to the deterministic cold path: the child
-// reconstructs the full dataset, partitions it the way every sibling does,
-// and keeps only its own share (the re-fencing step that makes a restart
-// land on exactly the records the dead instance owned), then writes the
-// snapshot so the next restart of this slot is warm. Either way the
-// partition becomes a replica through the constructor in-process shards use.
+// mismatch — falls back to the deterministic cold path (coldPartition): the
+// child streams
+// the dataset a block at a time and keeps only the rows the ownership rule
+// every sibling applies gives it (shard.PartitionOne) — the re-fencing step
+// that makes a restart land on exactly the records the dead instance owned
+// — never holding the whole table, then writes the snapshot so the next
+// restart of this slot is warm. Listings streams twice: once for the
+// global domains, once for the rows. Either way the partition becomes a
+// replica through the constructor in-process shards use.
 func (c *child) build() error {
 	start := time.Now()
 	opts := shard.Options{Shards: c.spec.Of, Parallelism: c.spec.Parallelism, WithEngine: true}
@@ -236,11 +249,7 @@ func (c *child) build() error {
 		}
 	}
 	if c.rep == nil {
-		table, dims, err := datasetTable(c.spec.Dataset, c.spec.Seed, c.spec.Rows)
-		if err != nil {
-			return err
-		}
-		part, err := shard.PartitionOne(table, dims, c.spec.Of, c.spec.Shard)
+		part, dims, err := coldPartition(c.spec)
 		if err != nil {
 			return err
 		}
@@ -262,37 +271,68 @@ func (c *child) build() error {
 	return nil
 }
 
-// datasetTable builds the named dataset at (seed, rows) and its GLOBAL cube
-// dimensions — the same domains every sibling and the parent use, because
-// bin edges must agree across shards or histogram addition is meaningless.
-func datasetTable(ds string, seed int64, rows int) (*storage.Table, []datacube.Dim, error) {
+// coldPartition builds spec's partition from nothing, a block of the
+// dataset at a time, over the global dimensions.
+func coldPartition(spec ChildSpec) (*storage.Table, []datacube.Dim, error) {
+	dims, err := DatasetDims(spec.Dataset, spec.Seed, spec.Rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	blocks, err := datasetBlocks(spec.Dataset, spec.Seed, spec.Rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	part, err := shard.PartitionOne(blocks, dims, spec.Of, spec.Shard)
+	return part, dims, err
+}
+
+// coldBlock is the rows per block a cold build streams its dataset in:
+// small beside a partition, large enough to amortise the per-block work.
+const coldBlock = 1 << 13
+
+// datasetBlocks returns the named dataset at (seed, rows) handed out
+// coldBlock rows at a time.
+func datasetBlocks(ds string, seed int64, rows int) (storage.Blocks, error) {
 	switch ds {
 	case "road":
 		if rows <= 0 {
 			rows = dataset.RoadCount
 		}
-		return dataset.Roads(seed, rows), serve.RoadCubeDims(), nil
+		return dataset.RoadBlocks(seed, rows, coldBlock), nil
 	case "listings":
 		if rows <= 0 {
 			rows = dataset.DefaultListingCount
 		}
-		table := dataset.Listings(seed, rows)
-		dims, err := serve.ListingsCubeDims(table)
-		return table, dims, err
+		return dataset.ListingsBlocks(seed, rows, coldBlock), nil
 	default:
-		return nil, nil, fmt.Errorf("router: unknown dataset %q", ds)
+		return storage.Blocks{}, fmt.Errorf("router: unknown dataset %q", ds)
 	}
 }
 
-// DatasetDims returns the global cube dimensions the fleet serves for a
-// dataset — what the parent passes to serve.Config.GatherDims. For road the
-// domains are constants; listings costs one throwaway table build.
+// DatasetDims returns the GLOBAL cube dimensions the fleet serves for a
+// dataset — what the parent passes to serve.Config.GatherDims, and the
+// domains every child lays out and bins over, because bin edges must agree
+// across shards or histogram addition is meaningless. Road's are
+// constants; listings' are the min/max over every row, streamed a block at
+// a time through the rule an in-process listings server applies to its
+// whole table (serve.ListingsDomain).
 func DatasetDims(ds string, seed int64, rows int) ([]datacube.Dim, error) {
 	if ds == "road" {
 		return serve.RoadCubeDims(), nil
 	}
-	_, dims, err := datasetTable(ds, seed, rows)
-	return dims, err
+	blocks, err := datasetBlocks(ds, seed, rows)
+	if err != nil {
+		return nil, err
+	}
+	var domain serve.ListingsDomain
+	blocks.Each(func(b *storage.Table) bool {
+		err = domain.Add(b)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return domain.Dims()
 }
 
 func (c *child) handleReadyz(w http.ResponseWriter, _ *http.Request) {

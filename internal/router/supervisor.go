@@ -162,10 +162,12 @@ func (r *replica) health() ReplicaHealth {
 }
 
 // spawn starts one child process generation: the spec rides ChildEnv, the
-// pre-bound control and data listeners ride fds 3 and 4, and the child is
-// hard-wired to die with the parent (pdeathsig on Linux) so no fleet crash
-// strands shard processes.
-func (r *replica) spawn() (*exec.Cmd, <-chan error, error) {
+// pre-bound control and data listeners ride fds 3 and 4, the write end of
+// a ready pipe rides fd 5, and the child is hard-wired to die with the
+// parent (pdeathsig on Linux) so no fleet crash strands shard processes.
+// The third result is closed when the child writes its ready byte; a child
+// that dies first never closes it.
+func (r *replica) spawn() (*exec.Cmd, <-chan error, <-chan struct{}, error) {
 	f := r.fleet
 	r.mu.Lock()
 	r.generation++
@@ -185,23 +187,30 @@ func (r *replica) spawn() (*exec.Cmd, <-chan error, error) {
 	}
 	payload, err := json.Marshal(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	argv := f.cfg.ChildArgs
 	if len(argv) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			return nil, nil, fmt.Errorf("router: no child binary: %w", err)
+			return nil, nil, nil, fmt.Errorf("router: no child binary: %w", err)
 		}
 		argv = []string{exe}
 	}
+	readyR, readyW, err := os.Pipe()
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), ChildEnv+"="+string(payload))
-	cmd.ExtraFiles = []*os.File{r.ln, r.dataLn}
+	cmd.ExtraFiles = []*os.File{r.ln, r.dataLn, readyW}
 	cmd.Stderr = f.cfg.ChildStderr
 	setPdeathsig(cmd)
-	if err := cmd.Start(); err != nil {
-		return nil, nil, err
+	err = cmd.Start()
+	readyW.Close() // the child holds the only write end: its exit ends the read
+	if err != nil {
+		readyR.Close()
+		return nil, nil, nil, err
 	}
 	r.mu.Lock()
 	r.pid = cmd.Process.Pid
@@ -209,7 +218,14 @@ func (r *replica) spawn() (*exec.Cmd, <-chan error, error) {
 	f.spawns.Add(1)
 	waitCh := make(chan error, 1)
 	go func() { waitCh <- cmd.Wait() }()
-	return cmd, waitCh, nil
+	built := make(chan struct{})
+	go func() {
+		defer readyR.Close()
+		if n, _ := readyR.Read(make([]byte, 1)); n == 1 {
+			close(built)
+		}
+	}()
+	return cmd, waitCh, built, nil
 }
 
 // probe health-checks the child over its own socket with a short timeout —
@@ -253,7 +269,7 @@ func (r *replica) supervise() {
 	crashes := 0
 	for f.ctx.Err() == nil {
 		r.setState(StateStarting, "")
-		cmd, waitCh, err := r.spawn()
+		cmd, waitCh, built, err := r.spawn()
 		if err != nil {
 			crashes++
 			r.setState(StateRestarting, err.Error())
@@ -265,14 +281,11 @@ func (r *replica) supervise() {
 
 		born := time.Now()
 		becameReady := false
-		// Probe immediately after spawn: a fast child (warm start, small
-		// dataset) must become routable in milliseconds, not after a full
-		// HealthInterval tick. Until first readiness the re-probe delay
-		// ramps exponentially from 1ms up to HealthInterval — cheap while
-		// the answer is "building", prompt the moment it flips — then
-		// settles into the steady HealthInterval cadence.
-		startupDelay := time.Duration(0)
-		timer := time.NewTimer(0)
+		// Probe the moment the child says it is built, so a fast child (warm
+		// start, small dataset) is routable in milliseconds, not after a
+		// HealthInterval tick; the ticks go on regardless, to time a startup
+		// out and, once ready, to notice a child that stops answering.
+		timer := time.NewTimer(f.cfg.HealthInterval)
 	monitor:
 		for {
 			select {
@@ -289,14 +302,21 @@ func (r *replica) supervise() {
 				}
 				r.noteDown(msg)
 				break monitor
-			case <-timer.C:
-				ok, body, errMsg := r.probe()
-				if ok {
-					r.noteReady(body, becameReady)
-					becameReady = true
-					timer.Reset(f.cfg.HealthInterval)
-					continue
+			case <-built:
+				built = nil
+				if !timer.Stop() {
+					select { // a tick already due: this probe stands for it
+					case <-timer.C:
+					default:
+					}
 				}
+			case <-timer.C:
+			}
+			ok, body, errMsg := r.probe()
+			if ok {
+				r.noteReady(body, becameReady)
+				becameReady = true
+			} else {
 				fails := r.noteFail(errMsg)
 				switch {
 				case becameReady && fails >= f.cfg.FailThreshold:
@@ -308,20 +328,8 @@ func (r *replica) supervise() {
 					r.setState(StateUnhealthy, "startup timeout")
 					killProcess(cmd)
 				}
-				if becameReady {
-					timer.Reset(f.cfg.HealthInterval)
-				} else {
-					if startupDelay == 0 {
-						startupDelay = time.Millisecond
-					} else if startupDelay < f.cfg.HealthInterval {
-						startupDelay *= 2
-					}
-					if startupDelay > f.cfg.HealthInterval {
-						startupDelay = f.cfg.HealthInterval
-					}
-					timer.Reset(startupDelay)
-				}
 			}
+			timer.Reset(f.cfg.HealthInterval)
 		}
 
 		// The child is gone. A spawn that served stably long enough resets

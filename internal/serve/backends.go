@@ -67,13 +67,57 @@ func RoadCubeDims() []datacube.Dim {
 // their domains the whole table's min/max: global domains cannot come from
 // one partition, so whoever partitions the table derives them first.
 func ListingsCubeDims(table *storage.Table) ([]datacube.Dim, error) {
-	dims := make([]datacube.Dim, 0, 3)
-	for _, name := range []string{"lat", "lng", "price"} {
-		lo, hi, ok := table.MinMax(name)
-		if !ok {
-			return nil, fmt.Errorf("serve: listings table lacks column %q", name)
+	var d ListingsDomain
+	if err := d.Add(table); err != nil {
+		return nil, err
+	}
+	return d.Dims()
+}
+
+// listingsCubeColumns are the listings cube's dimensions in serving order.
+var listingsCubeColumns = [...]string{"lat", "lng", "price"}
+
+// ListingsDomain is the listings cube's dimensions over rows added a table
+// or a block at a time: each domain is the min/max of every value added,
+// the first one seeding it. ListingsCubeDims is one Add of the whole
+// table, so a build that streams the table and adds every block, kept or
+// not, gets the same bin edges.
+type ListingsDomain struct {
+	lo, hi [len(listingsCubeColumns)]float64
+	rows   int
+}
+
+// Add folds every row of t, a listings table or a block of one, into the
+// domains.
+func (d *ListingsDomain) Add(t *storage.Table) error {
+	for i, name := range listingsCubeColumns {
+		col := t.Column(name)
+		if col == nil || col.Type == storage.String {
+			return fmt.Errorf("serve: listings table lacks column %q", name)
 		}
-		dims = append(dims, datacube.Dim{Name: name, Lo: lo, Hi: hi, Bins: crossfilter.DefaultBins})
+		for row := range col.Len() {
+			switch v := col.Float(row); {
+			case d.rows+row == 0:
+				d.lo[i], d.hi[i] = v, v
+			case v < d.lo[i]:
+				d.lo[i] = v
+			case v > d.hi[i]:
+				d.hi[i] = v
+			}
+		}
+	}
+	d.rows += t.NumRows()
+	return nil
+}
+
+// Dims returns the cube's dimensions over every row added.
+func (d *ListingsDomain) Dims() ([]datacube.Dim, error) {
+	if d.rows == 0 {
+		return nil, fmt.Errorf("serve: listings table has no rows")
+	}
+	dims := make([]datacube.Dim, len(listingsCubeColumns))
+	for i, name := range listingsCubeColumns {
+		dims[i] = datacube.Dim{Name: name, Lo: d.lo[i], Hi: d.hi[i], Bins: crossfilter.DefaultBins}
 	}
 	return dims, nil
 }

@@ -32,7 +32,7 @@ func splitmix64(x uint64) uint64 {
 // function of the table, which keeps every per-shard structure
 // deterministic.
 func Partition(t *storage.Table, dims []datacube.Dim, shards int) ([]*storage.Table, error) {
-	assign, err := assignRows(t, dims, shards)
+	assign, err := assignRows(t, dimNames(dims), shards, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -54,26 +54,81 @@ func Partition(t *storage.Table, dims []datacube.Dim, shards int) ([]*storage.Ta
 	return parts, nil
 }
 
-// PartitionOne builds only shard index's sub-table — identical row content
-// and order to Partition(...)[index], without materializing the other
-// shards. Restarting shard children use it to cold-rebuild just their own
-// partition, which bounds a rebuild's extra memory at one shard instead of
-// the whole dataset.
-func PartitionOne(t *storage.Table, dims []datacube.Dim, shards, index int) (*storage.Table, error) {
+// PartitionOne builds shard index's partition from a table handed out in
+// blocks — identical row content and order to Partition(t, dims,
+// shards)[index] — holding no more of t than one block beside it. It keeps
+// each block's rows that assignRows gives the shard, so they arrive in
+// table order, and once the stream ends lays them out in place by the
+// stable layout sort, as Partition lays out the same rows. Restarting shard
+// children rebuild their partition this way, so a cold rebuild costs one
+// partition's memory, not the whole table's.
+func PartitionOne(blocks storage.Blocks, dims []datacube.Dim, shards, index int) (*storage.Table, error) {
 	if index < 0 || index >= shards {
 		return nil, fmt.Errorf("shard: index %d out of range for %d shards", index, shards)
 	}
-	assign, err := assignRows(t, dims, shards)
-	if err != nil {
+	var (
+		part         *storage.Table
+		assign, rows []int
+		err          error
+	)
+	names := dimNames(dims)
+	blocks.Each(func(b *storage.Table) bool {
+		if part == nil {
+			part = storage.NewTable(b.Name, b.Schema)
+			part.PageRows = b.PageRows
+			// The expected share and eight standard deviations: the hash
+			// spreads rows evenly, so the columns are sized once.
+			part.Grow(blocks.Rows/shards + 4*int(math.Sqrt(float64(blocks.Rows))))
+		}
+		if assign, err = assignRows(b, names, shards, assign); err != nil {
+			return false
+		}
+		rows = rows[:0]
+		for row, s := range assign {
+			if s == index {
+				rows = append(rows, row)
+			}
+		}
+		part.AppendTake(b, rows)
+		return true
+	})
+	switch {
+	case err != nil:
 		return nil, err
+	case part == nil:
+		return nil, fmt.Errorf("shard: the table handed out no block")
 	}
-	var rows []int
-	for row, s := range assign {
-		if s == index {
-			rows = append(rows, row)
+	// Each column is gathered into the storage the column before it of its
+	// type gave up, so laying out allocates one column per type.
+	order := layout(part, dims, nil)
+	var ints []int64
+	var floats []float64
+	var strs []string
+	for _, col := range part.Columns {
+		switch col.Type {
+		case storage.Int64:
+			col.Ints, ints = regather(col.Ints, ints, order), col.Ints
+		case storage.Float64:
+			col.Floats, floats = regather(col.Floats, floats, order), col.Floats
+		default:
+			col.Strings, strs = regather(col.Strings, strs, order), col.Strings
 		}
 	}
-	return t.Take(layout(t, dims, rows)), nil
+	return part, nil
+}
+
+// regather returns vals[order[i]] for every i, written into spare when it
+// has the room.
+func regather[T any](vals, spare []T, order []int) []T {
+	out := spare[:0]
+	if cap(out) < len(order) {
+		out = make([]T, len(order))
+	}
+	out = out[:len(order)]
+	for i, row := range order {
+		out[i] = vals[row]
+	}
+	return out
 }
 
 // Layout names the row order layout produces. Anything persisted from a
@@ -95,16 +150,28 @@ const Layout = "zorder-cells-v2"
 // is a run of bins.) NaN sorts as the domain's low edge, ±Inf and
 // out-of-domain values clamp to its edges, and a dimension with Hi ≤ Lo
 // contributes nothing. The keys hold only cell bits — 15 of them for three
-// 20-bin dimensions — so the radix sort runs two byte passes, not eight.
+// 20-bin dimensions — so a partition of more than 2^15 rows sorts in one
+// counting pass, and a smaller one in two byte passes, not eight. rows nil
+// stands for all of t's rows in order.
 func layout(t *storage.Table, dims []datacube.Dim, rows []int) []int {
 	k := len(dims)
 	spread := spreadTable(k)
-	keys := make([]uint64, len(rows))
+	n := len(rows)
+	if rows == nil {
+		n = t.NumRows()
+	}
+	keys := make([]uint64, n)
 	for i, d := range dims {
 		if d.Hi <= d.Lo {
 			continue
 		}
 		vals, q := floatsOf(t.Column(d.Name)), newQuantizer(d, 64/k)
+		if rows == nil {
+			for j, v := range vals {
+				keys[j] |= spreadBits(spread, q.key(v), k) << i
+			}
+			continue
+		}
 		for j, row := range rows {
 			keys[j] |= spreadBits(spread, q.key(vals[row]), k) << i
 		}
@@ -237,18 +304,47 @@ func spreadBits(tab *[256]uint64, q uint64, stride int) uint64 {
 }
 
 // radixSortByKey returns rows reordered by ascending keys (rows[i] carries
-// keys[i]) with a stable LSD radix sort, one byte per pass — so equal keys
-// keep rows' order. Only the bytes some key sets are counted, and a pass
-// whose byte is the same for every key is skipped. Both slices are used as
+// keys[i]; rows nil stands for 0, 1, …) with a stable sort: equal keys keep
+// rows' order. When the keys span no more values than there are rows, it
+// is one counting pass over the whole key; otherwise an LSD radix sort,
+// one byte per pass, that counts only the bytes some key sets, skips a
+// pass whose byte is the same for every key, and uses both slices as
 // scratch.
 func radixSortByKey(keys []uint64, rows []int) []int {
 	n := len(keys)
-	if n == 0 {
-		return rows
-	}
 	var set uint64
 	for _, key := range keys {
 		set |= key
+	}
+	if b := bits.Len64(set); b < bits.Len(uint(n)) { // 2^b ≤ n
+		starts := make([]int, 1<<b)
+		for _, key := range keys {
+			starts[key]++
+		}
+		pos := 0
+		for key, cnt := range starts {
+			starts[key] = pos
+			pos += cnt
+		}
+		order := make([]int, n)
+		for i, key := range keys {
+			row := i
+			if rows != nil {
+				row = rows[i]
+			}
+			order[starts[key]] = row
+			starts[key]++
+		}
+		return order
+	}
+	if rows == nil {
+		rows = make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+	}
+	if n == 0 {
+		return rows
 	}
 	counts := make([][256]int, (bits.Len64(set)+7)/8)
 	for _, key := range keys {
@@ -279,27 +375,32 @@ func radixSortByKey(keys []uint64, rows []int) []int {
 	return order
 }
 
-// assignRows computes each row's shard index — the single source of truth
-// for both Partition and PartitionOne, so the full and single-shard builds
-// cannot diverge. A row goes to the shard a splitmix64 hash of its values in
-// dims picks: uniform shard sizes regardless of data skew, and records with
-// identical spatial coordinates colocated.
-func assignRows(t *storage.Table, dims []datacube.Dim, shards int) ([]int, error) {
+// assignRows computes each row's shard index into dst, reusing its
+// storage — the single ownership rule Partition and PartitionOne apply, so
+// the full and single-shard builds cannot diverge. A row goes to the shard
+// a splitmix64 hash of its values in columns picks: uniform shard sizes
+// regardless of data skew, and records with identical spatial coordinates
+// colocated.
+func assignRows(t *storage.Table, columns []string, shards int, dst []int) ([]int, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard (got %d)", shards)
 	}
-	if len(dims) == 0 {
+	if len(columns) == 0 {
 		return nil, fmt.Errorf("shard: no partitioning dimensions")
 	}
-	cols := make([][]float64, len(dims))
-	for i, d := range dims {
-		col := t.Column(d.Name)
+	cols := make([][]float64, len(columns))
+	for i, name := range columns {
+		col := t.Column(name)
 		if col == nil || col.Type == storage.String {
-			return nil, fmt.Errorf("shard: no numeric column %q in table %q", d.Name, t.Name)
+			return nil, fmt.Errorf("shard: no numeric column %q in table %q", name, t.Name)
 		}
 		cols[i] = floatsOf(col)
 	}
-	assign := make([]int, t.NumRows())
+	assign := dst[:0]
+	if cap(assign) < t.NumRows() {
+		assign = make([]int, t.NumRows())
+	}
+	assign = assign[:t.NumRows()]
 	for row := range assign {
 		h := uint64(0x9e3779b97f4a7c15)
 		for _, vals := range cols {
@@ -308,4 +409,13 @@ func assignRows(t *storage.Table, dims []datacube.Dim, shards int) ([]int, error
 		assign[row] = int(h % uint64(shards))
 	}
 	return assign, nil
+}
+
+// dimNames returns dims' column names.
+func dimNames(dims []datacube.Dim) []string {
+	names := make([]string, len(dims))
+	for i, d := range dims {
+		names[i] = d.Name
+	}
+	return names
 }

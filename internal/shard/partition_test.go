@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -13,21 +15,31 @@ import (
 )
 
 // TestPartitionOneMatchesPartition proves the single-shard build is the
-// full build's slice: for every shard count, PartitionOne(i)
-// must be row-for-row identical to Partition(...)[i] — the property a
-// restarting child's cold rebuild depends on to re-fence onto exactly the
-// records its dead predecessor owned, without materializing every sibling.
+// full build's slice: for both datasets, every shard count and row counts
+// on either side of a block boundary, PartitionOne over the generator's
+// blocks must be cell-for-cell identical to Partition(full)[i] — the
+// property a restarting child's cold rebuild depends on to re-fence onto
+// exactly the records its dead predecessor owned, without materializing
+// the table or any sibling.
 func TestPartitionOneMatchesPartition(t *testing.T) {
+	const block = 1000
+	listingsDims := func(full *storage.Table) []datacube.Dim {
+		var dims []datacube.Dim
+		for _, name := range []string{"lat", "lng", "price"} {
+			lo, hi, _ := full.MinMax(name)
+			dims = append(dims, datacube.Dim{Name: name, Lo: lo, Hi: hi, Bins: 20})
+		}
+		return dims
+	}
 	roads := dataset.Roads(83, 4000)
-	dims := roadDims()
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("S%d-hash", shards), func(t *testing.T) {
-			parts, err := Partition(roads, dims, shards)
+			parts, err := Partition(roads, roadDims(), shards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < shards; i++ {
-				one, err := PartitionOne(roads, dims, shards, i)
+				one, err := PartitionOne(dataset.RoadBlocks(83, 4000, block), roadDims(), shards, i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -35,13 +47,97 @@ func TestPartitionOneMatchesPartition(t *testing.T) {
 			}
 		})
 	}
+	for _, n := range []int{1, block - 1, block, block + 1, 20000} {
+		for _, ds := range []struct {
+			name   string
+			full   *storage.Table
+			blocks storage.Blocks
+			dims   []datacube.Dim
+		}{
+			{"road", dataset.Roads(83, n), dataset.RoadBlocks(83, n, block), roadDims()},
+			{"listings", dataset.Listings(83, n), dataset.ListingsBlocks(83, n, block), nil},
+		} {
+			if ds.dims == nil {
+				ds.dims = listingsDims(ds.full)
+			}
+			for _, shards := range []int{1, 2, 3, 4} {
+				t.Run(fmt.Sprintf("%s-n%d-S%d", ds.name, n, shards), func(t *testing.T) {
+					parts, err := Partition(ds.full, ds.dims, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < shards; i++ {
+						one, err := PartitionOne(ds.blocks, ds.dims, shards, i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameRows(t, parts[i], one)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestPartitionOneIndexOutOfRange(t *testing.T) {
-	roads := dataset.Roads(1, 100)
+	blocks := dataset.RoadBlocks(1, 100, 64)
 	for _, idx := range []int{-1, 2, 99} {
-		if _, err := PartitionOne(roads, roadDims(), 2, idx); err == nil {
+		if _, err := PartitionOne(blocks, roadDims(), 2, idx); err == nil {
 			t.Fatalf("index %d of 2 accepted", idx)
+		}
+	}
+	if _, err := PartitionOne(blocks, append(roadDims(), datacube.Dim{Name: "nope"}), 2, 0); err == nil {
+		t.Fatal("a missing column accepted")
+	}
+}
+
+// blocksOf hands t out block rows at a time, each block a fresh copy.
+func blocksOf(t *storage.Table, block int) storage.Blocks {
+	return storage.Blocks{Rows: t.NumRows(), Each: func(yield func(*storage.Table) bool) {
+		for lo := 0; lo < max(t.NumRows(), 1); lo += block {
+			var rows []int
+			for row := lo; row < min(lo+block, t.NumRows()); row++ {
+				rows = append(rows, row)
+			}
+			if !yield(t.Take(rows)) {
+				return
+			}
+		}
+	}}
+}
+
+// TestRadixSortByKeyIsStable: both of the sort's paths — one counting pass
+// when the keys span no more values than there are rows, byte passes
+// otherwise, up to keys with bit 63 set — order rows by key with ties in
+// the order given, for listed rows and for nil (0, 1, …).
+func TestRadixSortByKeyIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 100, 5000} {
+		for _, width := range []uint{0, 3, 12, 15, 40, 63, 64} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64() >> (64 - width) // width 0 shifts every bit out
+			}
+			for _, listed := range []bool{false, true} {
+				var rows []int
+				if listed {
+					rows = rng.Perm(n)
+				}
+				want := make([]int, n)
+				for i := range want {
+					want[i] = i
+				}
+				slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+				for i, at := range want {
+					if listed {
+						want[i] = rows[at]
+					}
+				}
+				got := radixSortByKey(slices.Clone(keys), slices.Clone(rows))
+				if !slices.Equal(got, want) && !(n == 0 && len(got) == 0) {
+					t.Fatalf("n %d width %d listed %v: %v, want %v", n, width, listed, got, want)
+				}
+			}
 		}
 	}
 }
@@ -132,7 +228,8 @@ func oneBinZoneShare(col *storage.Column, d datacube.Dim) float64 {
 // Hi ≤ Lo, bin counts needing more bits than a dimension's share of the
 // key, and 1, 3 or 6 dimensions. Whatever the key does, each shard must be
 // a permutation of exactly the rows assignRows gave it, two calls must
-// build identical tables, and PartitionOne must still be Partition's slice.
+// build identical tables, and the streamed build must still be Partition's
+// slice.
 func TestPartitionLayoutEdgeCases(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	schema := storage.Schema{{Name: "id", Type: storage.Int64}}
@@ -164,7 +261,7 @@ func TestPartitionLayoutEdgeCases(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("dims%d-hash-S%d", k, shards), func(t *testing.T) {
 				use := dims[:k]
-				assign, err := assignRows(tbl, use, shards)
+				assign, err := assignRows(tbl, dimNames(use), shards, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +275,7 @@ func TestPartitionLayoutEdgeCases(t *testing.T) {
 				}
 				for s, part := range parts {
 					requireSameRows(t, part, again[s])
-					one, err := PartitionOne(tbl, use, shards, s)
+					one, err := PartitionOne(blocksOf(tbl, 64), use, shards, s)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -214,7 +311,7 @@ func TestPartitionLayoutTiesKeepTableOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := assignRows(roads, dims, 2)
+	assign, err := assignRows(roads, dimNames(dims), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

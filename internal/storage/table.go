@@ -292,37 +292,89 @@ func (t *Table) Row(i int) []Value {
 func (t *Table) Take(rows []int) *Table {
 	out := NewTable(t.Name, t.Schema)
 	out.PageRows = t.PageRows
-	for c, col := range t.Columns {
-		dst := out.Columns[c]
+	out.AppendTake(t, rows)
+	return out
+}
+
+// AppendTake appends src's rows in the order listed to t, a raw table of
+// src's schema: Take's gather into columns that keep growing, so a reader
+// of Blocks can keep some rows of each block. Columns with room for them
+// (see Grow) reallocate nothing.
+func (t *Table) AppendTake(src *Table, rows []int) {
+	t.runs = nil
+	for c, col := range src.Columns {
+		dst := t.Columns[c]
+		if dst.view.Load() != nil {
+			dst.view.Store(nil) // the view wraps the pre-append slice
+		}
 		switch col.Type {
 		case Int64:
-			dst.Ints = gather(col.Ints, col.Enc, func(v Value) int64 { return v.I }, rows)
+			dst.Ints = gather(dst.Ints, col.Ints, col.Enc, func(v Value) int64 { return v.I }, rows)
 		case Float64:
 			raw, enc := col.Floats, col.Enc
 			if fs, ok := enc.(interface{ RawFloats() []float64 }); ok {
 				raw, enc = fs.RawFloats(), nil
 			}
-			dst.Floats = gather(raw, enc, func(v Value) float64 { return v.F }, rows)
+			dst.Floats = gather(dst.Floats, raw, enc, func(v Value) float64 { return v.F }, rows)
 		default:
-			dst.Strings = gather(col.Strings, col.Enc, func(v Value) string { return v.S }, rows)
+			dst.Strings = gather(dst.Strings, col.Strings, col.Enc, func(v Value) string { return v.S }, rows)
 		}
 	}
-	return out
 }
 
-// gather copies raw[rows[i]] — or, for a frozen column, field(enc.Value(rows[i])).
-func gather[T any](raw []T, enc Encoded, field func(Value) T, rows []int) []T {
-	out := make([]T, len(rows))
+// gather appends raw[rows[i]] — or, for a frozen column,
+// field(enc.Value(rows[i])) — to dst.
+func gather[T any](dst, raw []T, enc Encoded, field func(Value) T, rows []int) []T {
+	n := len(dst)
+	dst = grow(dst, len(rows))[:n+len(rows)]
+	out := dst[n:]
 	if enc == nil {
 		for i, r := range rows {
 			out[i] = raw[r]
 		}
-		return out
+		return dst
 	}
 	for i, r := range rows {
 		out[i] = field(enc.Value(r))
 	}
+	return dst
+}
+
+// Grow makes room for n more rows in each of t's raw columns.
+func (t *Table) Grow(n int) {
+	for _, col := range t.Columns {
+		switch col.Type {
+		case Int64:
+			col.Ints = grow(col.Ints, n)
+		case Float64:
+			col.Floats = grow(col.Floats, n)
+		default:
+			col.Strings = grow(col.Strings, n)
+		}
+	}
+}
+
+// grow returns vals with room for n more elements. Unlike slices.Grow it
+// allocates the new backing array alone in every build mode (the race
+// detector's too), so allocation guards read the same everywhere.
+func grow[T any](vals []T, n int) []T {
+	if cap(vals)-len(vals) >= n {
+		return vals
+	}
+	out := make([]T, len(vals), len(vals)+n)
+	copy(out, vals)
 	return out
+}
+
+// Blocks is a table handed out a block of consecutive rows at a time, for
+// a reader that keeps only some of its rows and so never needs it whole.
+// Each calls yield with every block in table order — one empty block when
+// the table has no rows — and stops early when yield returns false. A block
+// may reuse the previous block's table and column storage, so yield copies
+// what it keeps. Rows is the whole table's row count.
+type Blocks struct {
+	Rows int
+	Each func(yield func(block *Table) bool)
 }
 
 // MinMax returns the minimum and maximum values of a numeric column as
